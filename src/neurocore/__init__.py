@@ -2,7 +2,8 @@
 Izhikevich neurons, with a basal ganglia Go/No-Go network on top."""
 
 from .analysis import SpikeTrain, errt, export_raster, firing_rate, load_raster_csv
-from .bg import BgConfig, build_bg, run_gonogo, set_dopamine
+from .bg import build_bg, run_gonogo
+from .config import RunConfig
 from .fxp import Fixed, FixedFormat, decode, encode, mul_rescale, sat_add, shr
 from .network import (
     ConfigError,
@@ -27,7 +28,6 @@ from .synapse import PoissonSource, accumulate, isyn_step, modulated_current
 __version__ = "0.1.0"
 
 __all__ = [
-    "BgConfig",
     "BlockSchedule",
     "CompartmentWords",
     "ConfigError",
@@ -39,6 +39,7 @@ __all__ = [
     "NeuronState",
     "PoissonSource",
     "PopulationSpec",
+    "RunConfig",
     "SpikeRecord",
     "SpikeTrain",
     "accumulate",
@@ -57,7 +58,6 @@ __all__ = [
     "pack",
     "run_gonogo",
     "sat_add",
-    "set_dopamine",
     "shr",
     "step_fixed",
     "step_float",

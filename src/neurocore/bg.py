@@ -1,13 +1,14 @@
-"""Basal ganglia circuit and the Go/No-Go experiment.
+"""The basal ganglia Go/No-Go experiment.
 
-Six 100-neuron Izhikevich populations (two striatal projection groups, the
-striatal fast-spiking interneurons, external pallidum, subthalamic nucleus
-and the output nucleus) are driven by four Poisson generator groups.  Only
-the striatal projection neurons carry a dopamine sensitivity: the direct
-pathway (STR_D1, beta > 0) is amplified by dopamine while the indirect
-pathway (STR_D2, beta < 0) is suppressed, so raising the dopamine level
-quiets the output nucleus (action released) and lowering it drives the
-output up (action suppressed).
+The circuit is defined by the shipped ``data/bg_default.cfg``: six 100-neuron
+Izhikevich populations (two striatal projection groups, the striatal
+fast-spiking interneurons, external pallidum, subthalamic nucleus and the
+output nucleus) driven by four Poisson generator groups.  Only the striatal
+projection neurons carry a dopamine sensitivity: the direct pathway (STR_D1,
+beta > 0) is amplified by dopamine while the indirect pathway (STR_D2,
+beta < 0) is suppressed, so raising the dopamine level quiets the output
+nucleus (action released) and lowering it drives the output up (action
+suppressed).
 
 The experiment runs the same network, same seed, under three dopamine
 deviations (0, +1, -1) and reports per-population mean rates over the
@@ -18,77 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .network import ConnectionSpec, Network, PopulationSpec, SpikeRecord
-from .neuron import DT_MS, NeuronParams
-
-# Per-group neuron parameters (a, b, c, d, i_const, beta).  Groups without a
-# bias current are driven purely by their inputs.
-BG_NEURON_PARAMS: dict[str, NeuronParams] = {
-    "STR_D1": NeuronParams(a=0.02, b=0.2, c=-65, d=8, i_const=0, beta=0.6),
-    "STR_D2": NeuronParams(a=0.02, b=0.2, c=-65, d=8, i_const=0, beta=-0.6),
-    "STR_FSI": NeuronParams(a=0.1, b=0.2, c=-65, d=2, i_const=0, beta=0),
-    "GPe": NeuronParams(a=0.1, b=0.585, c=-65, d=4, i_const=5, beta=0),
-    "STN": NeuronParams(a=0.005, b=0.265, c=-65, d=2, i_const=2, beta=0),
-    "GPi/SNr": NeuronParams(a=0.005, b=0.32, c=-65, d=2, i_const=5, beta=0),
-}
-
-# Internal connectivity: (pre, post, weight, connection probability).
-BG_CONNECTIONS: tuple[tuple[str, str, float, float], ...] = (
-    ("STR_D1", "STR_D1", -0.3, 1.0),
-    ("STR_D1", "STR_D2", -0.3, 1.0),
-    ("STR_D1", "GPi/SNr", -7.5, 0.15),
-    ("STR_D2", "STR_D1", -0.3, 1.0),
-    ("STR_D2", "STR_D2", -0.3, 1.0),
-    ("STR_D2", "GPe", -7.5, 0.15),
-    ("STR_FSI", "STR_D1", -1.5, 0.1),
-    ("STR_FSI", "STR_D2", -1.5, 0.1),
-    ("GPe", "STR_FSI", -2.25, 0.1),
-    ("GPe", "GPe", -2.25, 0.1),
-    ("GPe", "STN", -2.25, 0.1),
-    ("GPe", "GPi/SNr", -2.25, 0.1),
-    ("STN", "GPe", 2.25, 0.1),
-    ("STN", "GPi/SNr", 2.25, 0.1),
-    ("GPi/SNr", "GPi/SNr", -1.0, 0.1),
-)
-
-# Cortical drive and background noise: (generator, rate Hz, targets, weight,
-# connection probability).  The noise generator projects to every neuron
-# population (not to the other generators).
-ALL_BG = tuple(BG_NEURON_PARAMS)
-BG_GENERATORS: tuple[tuple[str, float, tuple[str, ...], float, float], ...] = (
-    ("G_Ctx1", 15.0, ("STR_D1",), 5.0, 0.2),
-    ("G_Ctx2", 15.0, ("STR_D2",), 5.0, 0.2),
-    ("G_Ctx3", 4.0, ("STN",), 1.125, 0.05),
-    ("G_noise", 5.0, ALL_BG, 0.05, 0.1),
-)
+from .config import RunConfig
+from .network import Network, SpikeRecord
+from .neuron import DT_MS
 
 DELTA_DOP_BY_CONDITION = {"baseline": 0.0, "high": 1.0, "low": -1.0}
 CONDITIONS = tuple(DELTA_DOP_BY_CONDITION)
-
-
-@dataclass(frozen=True)
-class BgConfig:
-    population_size: int = 100
-    generator_size: int = 100
-    duration_ms: float = 1000.0
-    settle_ms: float = 200.0  # transient discarded before rate measurement
-    seed: int = 1
-    backend: str = "fixed"
-    delta_dop: float = 0.0
-    threads: int = 1
-    record: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.duration_ms <= 0:
-            raise ValueError("duration_ms must be positive")
-        if self.population_size <= 0 or self.generator_size <= 0:
-            raise ValueError("population sizes must be positive")
-        if not 0 <= self.settle_ms < self.duration_ms:
-            raise ValueError("settle_ms must lie inside the run duration")
-
-    @property
-    def steps(self) -> int:
-        return round(self.duration_ms / DT_MS)
 
 
 @dataclass
@@ -100,46 +36,11 @@ class ConditionResult:
     spike_counts: dict[str, int] = field(default_factory=dict)
 
 
-def bg_population_specs(cfg: BgConfig) -> list[PopulationSpec]:
-    specs = [
-        PopulationSpec(name=name, size=cfg.population_size, params=params)
-        for name, params in BG_NEURON_PARAMS.items()
-    ]
-    specs.extend(
-        PopulationSpec(name=name, size=cfg.generator_size, rate_hz=rate)
-        for name, rate, _, _, _ in BG_GENERATORS
-    )
-    return specs
-
-
-def bg_connection_specs() -> list[ConnectionSpec]:
-    conns = [
-        ConnectionSpec(pre=pre, post=post, weight=w, prob=p)
-        for pre, post, w, p in BG_CONNECTIONS
-    ]
-    for name, _, targets, weight, prob in BG_GENERATORS:
-        conns.extend(
-            ConnectionSpec(pre=name, post=target, weight=weight, prob=prob)
-            for target in targets
-        )
-    return conns
-
-
-def build_bg(cfg: BgConfig) -> Network:
-    """Build the circuit with the configured sizes, seed, and backend."""
+def build_bg(cfg: RunConfig) -> Network:
+    """Build the configured circuit with its seed and backend."""
     return Network(
-        populations=bg_population_specs(cfg),
-        connections=bg_connection_specs(),
-        seed=cfg.seed,
-        backend=cfg.backend,
-        delta_dop=cfg.delta_dop,
-        threads=cfg.threads,
+        cfg.population_specs(), cfg.connection_specs(), seed=cfg.seed, backend=cfg.backend
     )
-
-
-def set_dopamine(net: Network, delta_dop: float) -> Network:
-    net.set_dopamine(delta_dop)
-    return net
 
 
 def measure_rates(
@@ -161,47 +62,22 @@ def measure_rates(
     return rates, counts
 
 
-def run_network_condition(
-    populations: list[PopulationSpec],
-    connections: list[ConnectionSpec],
-    condition: str,
-    delta_dop: float,
-    *,
-    seed: int,
-    backend: str,
-    duration_ms: float,
-    settle_ms: float,
-    threads: int = 1,
-    record: tuple[str, ...] | None = None,
-) -> ConditionResult:
+def run_condition(cfg: RunConfig, condition: str, delta_dop: float) -> ConditionResult:
     """Build the network fresh, apply the dopamine level, run, and measure."""
-    net = Network(populations, connections, seed=seed, backend=backend, threads=threads)
+    net = build_bg(cfg)
     net.set_dopamine(delta_dop)
-    steps = round(duration_ms / DT_MS)
-    spike_record = net.run(steps, record=set(record) if record is not None else None)
-    sizes = {p.name: p.size for p in populations if p.params is not None}
-    if record is not None:
-        sizes = {name: size for name, size in sizes.items() if name in record}
-    rates, counts = measure_rates(spike_record, sizes, (settle_ms, duration_ms))
+    record = cfg.record
+    spike_record = net.run(cfg.steps, record=set(record) if record is not None else None)
+    sizes = {
+        name: size
+        for name, (size, _) in cfg.populations.items()
+        if record is None or name in record
+    }
+    rates, counts = measure_rates(spike_record, sizes, (cfg.settle_ms, cfg.duration_ms))
     return ConditionResult(condition, delta_dop, spike_record, rates, counts)
 
 
-def run_condition(cfg: BgConfig, condition: str, delta_dop: float) -> ConditionResult:
-    return run_network_condition(
-        bg_population_specs(cfg),
-        bg_connection_specs(),
-        condition,
-        delta_dop,
-        seed=cfg.seed,
-        backend=cfg.backend,
-        duration_ms=cfg.duration_ms,
-        settle_ms=cfg.settle_ms,
-        threads=cfg.threads,
-        record=cfg.record,
-    )
-
-
-def run_gonogo(cfg: BgConfig) -> dict[str, ConditionResult]:
+def run_gonogo(cfg: RunConfig) -> dict[str, ConditionResult]:
     """Run the three dopamine conditions with an identical seed and inputs."""
     return {
         condition: run_condition(cfg, condition, delta_dop)

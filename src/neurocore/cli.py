@@ -20,11 +20,12 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, regimes
-from .bg import CONDITIONS, DELTA_DOP_BY_CONDITION, run_network_condition
-from .config import default_config_text, load_default_config, parse_config
+from .bg import run_gonogo
+from .config import check_duration, default_config_text, load_default_config, parse_config
 from .network import ConfigError
 from .neuron import DT_MS, SimulationError
 from .schedule import (
@@ -59,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_go.add_argument("--seed", type=int, default=None)
     p_go.add_argument("--backend", choices=("fixed", "float"), default=None)
     p_go.add_argument("--duration-ms", type=float, default=None)
-    p_go.add_argument("--threads", type=int, default=None)
     p_go.add_argument("--out", default=None, help="output directory")
     p_go.set_defaults(func=cmd_gonogo)
 
@@ -79,6 +79,7 @@ def _out_dir(flag_value: str | None) -> Path:
 
 
 def cmd_regimes(args) -> int:
+    check_duration(args.duration_ms)
     out = _out_dir(args.out)
     all_passed = True
     report_lines = []
@@ -103,6 +104,7 @@ def cmd_regimes(args) -> int:
 
 
 def cmd_errt(args) -> int:
+    check_duration(args.duration_ms)
     print("spike-timing accuracy (reference: float backend)")
     print(f"stimulus: constant I={regimes.DEMO_CURRENT:g}, "
           f"{args.duration_ms:g} ms, dt = {DT_MS} ms")
@@ -122,47 +124,29 @@ def cmd_gonogo(args) -> int:
             seed = int(os.environ[ENV_SEED])
         except ValueError as exc:
             raise ConfigError(f"{ENV_SEED}={os.environ[ENV_SEED]!r} is not an integer") from exc
-    if seed is not None:
-        config.seed = seed
-    if args.backend is not None:
-        config.backend = args.backend
-    if args.duration_ms is not None:
-        config.duration_ms = args.duration_ms
-    if args.threads is not None:
-        config.threads = args.threads
+    overrides = {"seed": seed, "backend": args.backend, "duration_ms": args.duration_ms}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     out = Path(args.out or os.environ.get(ENV_OUT) or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    populations = config.population_specs()
-    connections = config.connection_specs()
+    t0 = time.perf_counter()
+    results = run_gonogo(config)
+    elapsed = time.perf_counter() - t0
+    total_steps = len(results) * config.steps
+
     sizes = {name: size for name, (size, _) in config.populations.items()}
     recorded = list(config.record) if config.record else list(config.populations)
-
     summary = {
         "metadata": {
             "seed": config.seed,
             "backend": config.backend,
             "duration_ms": config.duration_ms,
             "settle_ms": config.settle_ms,
+            "steps_per_second": round(total_steps / elapsed, 1),
         },
         "conditions": {},
     }
-    t0 = time.perf_counter()
-    total_steps = 0
-    for condition in CONDITIONS:
-        result = run_network_condition(
-            populations,
-            connections,
-            condition,
-            DELTA_DOP_BY_CONDITION[condition],
-            seed=config.seed,
-            backend=config.backend,
-            duration_ms=config.duration_ms,
-            settle_ms=config.settle_ms,
-            threads=config.threads,
-            record=config.record,
-        )
-        total_steps += round(config.duration_ms / DT_MS)
+    for condition, result in results.items():
         analysis.export_raster_csv(result.record, out / f"raster_{condition}.csv")
         analysis.export_raster_svg(
             result.record,
@@ -182,8 +166,6 @@ def cmd_gonogo(args) -> int:
         }
         shown = ", ".join(f"{p}={r:.2f}" for p, r in result.rates.items())
         print(f"{condition} (delta_dop={result.delta_dop:+g}): {shown} Hz")
-    elapsed = time.perf_counter() - t0
-    summary["metadata"]["steps_per_second"] = round(total_steps / elapsed, 1)
     (out / "rates_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", newline="\n"
     )
@@ -218,7 +200,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScheduleError) as exc:
+    except (ConfigError, ScheduleError, analysis.InsufficientSpikesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

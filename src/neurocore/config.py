@@ -7,19 +7,22 @@ Sections:
     [generator <name>]        Poisson source: size, rate, targets, weight, prob
     [connection <pre> -> <post>]   weight and connection probability
 
-The shipped default (``data/bg_default.cfg``) encodes the basal ganglia
-circuit; a test pins it against the table constants in :mod:`neurocore.bg`.
+The shipped default (``data/bg_default.cfg``) is the one definition of the
+basal ganglia circuit.  :class:`RunConfig` is the one type for run settings
+and validates itself on construction, so a config read from a file and one
+changed with ``dataclasses.replace`` are checked alike.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .network import ConfigError, ConnectionSpec, PopulationSpec
-from .neuron import NeuronParams
+from .network import BACKENDS, ConfigError, ConnectionSpec, PopulationSpec
+from .neuron import DT_MS, NeuronParams
 
 DEFAULT_CONFIG_RESOURCE = "bg_default.cfg"
 
@@ -43,9 +46,24 @@ class RunConfig:
     settle_ms: float = 200.0
     seed: int = 1
     backend: str = "fixed"
-    threads: int = 1
     record: tuple[str, ...] | None = None
     out_dir: str = "out"
+
+    def __post_init__(self) -> None:
+        check_duration(self.duration_ms)
+        if not 0 <= self.settle_ms < self.duration_ms:
+            raise ConfigError(
+                f"settle_ms must satisfy 0 <= settle_ms < duration_ms "
+                f"({self.duration_ms:g}), got {self.settle_ms:g}"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.backend not in BACKENDS:
+            raise ConfigError(f"backend must be fixed|float, got {self.backend!r}")
+
+    @property
+    def steps(self) -> int:
+        return round(self.duration_ms / DT_MS)
 
     def population_specs(self) -> list[PopulationSpec]:
         specs = [
@@ -66,6 +84,12 @@ class RunConfig:
                 for target in g.targets
             )
         return conns
+
+
+def check_duration(duration_ms: float) -> None:
+    """A simulated duration must be finite and positive."""
+    if not (math.isfinite(duration_ms) and duration_ms > 0):
+        raise ConfigError(f"duration_ms must be finite and positive, got {duration_ms:g}")
 
 
 def default_config_text() -> str:
@@ -117,9 +141,12 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
     if not populations:
         raise ConfigError(f"{source}: no [population ...] sections")
-    config = RunConfig(
-        populations=populations, generators=generators, connections=connections, **sim
-    )
+    try:
+        config = RunConfig(
+            populations=populations, generators=generators, connections=connections, **sim
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: [simulation] {exc}") from exc
     _check_references(config, source)
     return config
 
@@ -144,7 +171,6 @@ def _parse_simulation(items: dict, source: str) -> dict:
         "duration_ms": float,
         "settle_ms": float,
         "seed": int,
-        "threads": int,
         "backend": str,
         "out": str,
         "record": str,
@@ -165,9 +191,6 @@ def _parse_simulation(items: dict, source: str) -> dict:
                 raise ConfigError(
                     f"{source}: [simulation] {key} = {value!r} is not a number"
                 ) from exc
-    backend = sim.get("backend", "fixed")
-    if backend not in ("fixed", "float"):
-        raise ConfigError(f"{source}: [simulation] backend must be fixed|float, got {backend!r}")
     return sim
 
 

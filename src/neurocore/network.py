@@ -13,13 +13,11 @@ Each step runs strictly ordered phases:
 Spikes therefore take exactly one step of axonal delay.  Time is a pure
 step counter at dt = 1/8 ms.  Delivery accumulates integers on the fixed
 backend and runs in a fixed traversal order on the float backend, so a
-(config, seed) pair always produces the identical spike record, regardless
-of the thread count used for the population-update phase.
+(config, seed) pair always produces the identical spike record.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,13 +77,6 @@ class ConnectionSpec:
             )
 
 
-@dataclass(frozen=True)
-class Synapse:
-    pre: tuple[str, int]
-    post: tuple[str, int]
-    weight: float
-
-
 def build_connections(
     spec: ConnectionSpec,
     pre_size: int,
@@ -109,19 +100,19 @@ def build_connections(
 class SynapseGroup:
     """All synapses of one ConnectionSpec, indexed by pre neuron."""
 
-    def __init__(self, spec: ConnectionSpec, pre_idx: np.ndarray, post_idx: np.ndarray):
+    def __init__(
+        self, spec: ConnectionSpec, pre_idx: np.ndarray, post_idx: np.ndarray, pre_size: int
+    ):
         self.spec = spec
         order = np.argsort(pre_idx, kind="stable")
         self.pre_idx = pre_idx[order]
         self.post_idx = post_idx[order]
+        self.indptr = np.searchsorted(self.pre_idx, np.arange(pre_size + 1))
         self.weight_raw = syn.encode_weight(spec.weight).raw
         self.weight = spec.weight
 
     def __len__(self) -> int:
         return len(self.pre_idx)
-
-    def attach(self, pre_size: int) -> None:
-        self.indptr = np.searchsorted(self.pre_idx, np.arange(pre_size + 1))
 
     def targets_of(self, spiking: np.ndarray) -> np.ndarray:
         """Post indices hit by the given spiking pre neurons (with repeats)."""
@@ -131,12 +122,6 @@ class SynapseGroup:
             self.post_idx[self.indptr[i]: self.indptr[i + 1]] for i in spiking
         ]
         return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-
-    def synapses(self) -> list[Synapse]:
-        return [
-            Synapse((self.spec.pre, int(i)), (self.spec.post, int(j)), self.weight)
-            for i, j in zip(self.pre_idx, self.post_idx)
-        ]
 
 
 class SpikeRecord:
@@ -157,14 +142,6 @@ class SpikeRecord:
     def populations(self) -> list[str]:
         seen = dict.fromkeys(pop for _, pop, _ in self.events)
         return list(seen)
-
-    def count(self, population: str | None = None) -> int:
-        if population is None:
-            return len(self.events)
-        return sum(1 for _, pop, _ in self.events if pop == population)
-
-    def steps_of(self, population: str, neuron: int) -> list[int]:
-        return [s for s, pop, i in self.events if pop == population and i == neuron]
 
 
 class _FloatPop:
@@ -240,8 +217,6 @@ class Network:
         connections: list[ConnectionSpec],
         seed: int = 1,
         backend: str = "fixed",
-        delta_dop: float = 0.0,
-        threads: int = 1,
     ):
         if backend not in BACKENDS:
             raise ConfigError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
@@ -251,9 +226,8 @@ class Network:
         self.specs = {p.name: p for p in populations}
         self.seed = seed
         self.backend = backend
-        self.threads = threads
         self.step_index = 0
-        self.delta_dop = delta_dop
+        self.delta_dop = 0.0
 
         self.sources = {}
         self.pops = {}
@@ -282,13 +256,11 @@ class Network:
             pre_idx, post_idx = build_connections(
                 conn, self.specs[conn.pre].size, self.specs[conn.post].size, rng
             )
-            group = SynapseGroup(conn, pre_idx, post_idx)
-            group.attach(self.specs[conn.pre].size)
+            group = SynapseGroup(conn, pre_idx, post_idx, self.specs[conn.pre].size)
             self.groups.append(group)
             self._groups_by_pre[conn.pre].append(group)
 
         self._pending: list[tuple[str, np.ndarray]] = []
-        self.set_dopamine(delta_dop)
 
     def set_dopamine(self, delta_dop: float) -> None:
         """Broadcast the dopamine deviation to every neuron."""
@@ -325,17 +297,10 @@ class Network:
                 events.append((source.name, indices))
 
         # phase 3: neuron updates (independent per population)
-        def update(item):
-            name, pop = item
-            return name, np.flatnonzero(pop.step(acc[name]))
-
-        items = list(self.pops.items())
-        if self.threads > 1 and len(items) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                results = list(pool.map(update, items))
-        else:
-            results = [update(item) for item in items]
-        events.extend((name, idx) for name, idx in results if len(idx))
+        for name, pop in self.pops.items():
+            idx = np.flatnonzero(pop.step(acc[name]))
+            if len(idx):
+                events.append((name, idx))
 
         # phases 4-5: hand events to the next step and advance the counter
         self._pending = events

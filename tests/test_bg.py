@@ -1,62 +1,69 @@
 """Basal ganglia build, dopamine handling, and circuit structure."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from neurocore.bg import (
-    BG_CONNECTIONS,
-    BG_GENERATORS,
-    BG_NEURON_PARAMS,
-    BgConfig,
-    bg_connection_specs,
-    bg_population_specs,
-    build_bg,
-    run_network_condition,
-    set_dopamine,
-)
+from neurocore.bg import build_bg, run_condition
+from neurocore.config import load_default_config
 from neurocore.fxp import DDOP_FMT, encode
-from neurocore.network import Network
+from neurocore.network import ConfigError, ConnectionSpec, Network
+
+
+def resized(population_size, generator_size, **overrides):
+    """The shipped circuit with every neuron group and generator group resized."""
+    cfg = load_default_config()
+    return replace(
+        cfg,
+        populations={name: (population_size, p) for name, (_, p) in cfg.populations.items()},
+        generators=[replace(g, size=generator_size) for g in cfg.generators],
+        **overrides,
+    )
 
 
 class TestTables:
     def test_pallidum_row(self):
-        p = BG_NEURON_PARAMS["GPe"]
+        _, p = load_default_config().populations["GPe"]
         assert (p.a, p.b, p.c, p.d) == (0.1, 0.585, -65, 4)
         assert p.i_const == 5
         assert p.beta == 0
 
     def test_striatal_projection_rows_differ_only_in_beta(self):
-        d1, d2 = BG_NEURON_PARAMS["STR_D1"], BG_NEURON_PARAMS["STR_D2"]
+        pops = load_default_config().populations
+        (_, d1), (_, d2) = pops["STR_D1"], pops["STR_D2"]
         assert d1.beta == 0.6 and d2.beta == -0.6
         assert (d1.a, d1.b, d1.c, d1.d) == (d2.a, d2.b, d2.c, d2.d) == (0.02, 0.2, -65, 8)
 
     def test_indirect_pathway_projection(self):
-        assert ("STR_D2", "GPe", -7.5, 0.15) in BG_CONNECTIONS
+        assert ConnectionSpec("STR_D2", "GPe", -7.5, 0.15) in load_default_config().connections
 
     def test_hyperdirect_drive(self):
-        row = next(g for g in BG_GENERATORS if g[0] == "G_Ctx3")
-        name, rate, targets, weight, prob = row
-        assert rate == 4.0 and targets == ("STN",) and weight == 1.125 and prob == 0.05
+        g = next(g for g in load_default_config().generators if g.name == "G_Ctx3")
+        assert g.rate_hz == 4.0 and g.targets == ("STN",) and g.weight == 1.125 and g.prob == 0.05
 
     def test_noise_targets_every_neuron_population(self):
-        row = next(g for g in BG_GENERATORS if g[0] == "G_noise")
-        assert set(row[2]) == set(BG_NEURON_PARAMS)
+        cfg = load_default_config()
+        noise = next(g for g in cfg.generators if g.name == "G_noise")
+        assert set(noise.targets) == set(cfg.populations)
 
     def test_connection_count(self):
-        assert len(BG_CONNECTIONS) == 15
-        assert len(bg_connection_specs()) == 15 + 3 + len(BG_NEURON_PARAMS)
+        cfg = load_default_config()
+        assert len(cfg.connections) == 15
+        assert len(cfg.connection_specs()) == 15 + 3 + len(cfg.populations)
 
 
 class TestBuild:
     def test_default_population_inventory(self):
-        cfg = BgConfig()
+        cfg = load_default_config()
         net = build_bg(cfg)
-        assert set(net.pops) == set(BG_NEURON_PARAMS)
+        assert set(net.pops) == set(cfg.populations)
         assert set(net.sources) == {"G_Ctx1", "G_Ctx2", "G_Ctx3", "G_noise"}
         assert sum(p.size for p in net.pops.values()) == 600
 
     def test_synapse_count_stable_for_seed(self):
-        counts = {build_bg(BgConfig(seed=1)).synapse_count() for _ in range(2)}
+        cfg = replace(load_default_config(), seed=1)
+        counts = {build_bg(cfg).synapse_count() for _ in range(2)}
         assert len(counts) == 1
         count = counts.pop()
         # four p=1 striatal projections dominate: 2*9900 + 2*10000 plus
@@ -64,35 +71,36 @@ class TestBuild:
         assert 55_000 < count < 70_000
 
     def test_sizes_configurable(self):
-        net = build_bg(BgConfig(population_size=10, generator_size=7))
+        net = build_bg(resized(10, 7))
         assert net.pops["GPe"].size == 10
         assert net.sources["G_noise"].size == 7
 
 
 class TestDopamine:
     def test_set_dopamine_updates_fixed_state(self):
-        net = build_bg(BgConfig(population_size=5, generator_size=5))
-        set_dopamine(net, 1.0)
+        net = build_bg(resized(5, 5))
+        net.set_dopamine(1.0)
         raw = encode(1.0, DDOP_FMT).raw
         assert np.all(net.pops["STR_D1"].batch.delta_dop == raw)
-        set_dopamine(net, -1.0)
+        net.set_dopamine(-1.0)
         assert np.all(net.pops["STR_D2"].batch.delta_dop == -raw)
 
     def test_gain_endpoints(self):
         # delta_dop = +1: D1 synaptic gain 1.6, D2 gain 0.4 (and mirrored at -1)
+        pops = load_default_config().populations
         for ddop, d1_gain, d2_gain in ((1.0, 1.6, 0.4), (-1.0, 0.4, 1.6)):
-            g1 = 1.0 + BG_NEURON_PARAMS["STR_D1"].beta * ddop
-            g2 = 1.0 + BG_NEURON_PARAMS["STR_D2"].beta * ddop
+            g1 = 1.0 + pops["STR_D1"][1].beta * ddop
+            g2 = 1.0 + pops["STR_D2"][1].beta * ddop
             assert g1 == pytest.approx(d1_gain)
             assert g2 == pytest.approx(d2_gain)
 
     def test_dopamine_inert_without_cortical_input(self):
         # striatum disconnected from the generators: beta has nothing to act
         # on, so the whole network's spike trains ignore the dopamine level
-        cfg = BgConfig(population_size=20, generator_size=20)
-        pops = bg_population_specs(cfg)
+        cfg = resized(20, 20)
+        pops = cfg.population_specs()
         internal_only = [
-            spec for spec in bg_connection_specs()
+            spec for spec in cfg.connection_specs()
             if not spec.pre.startswith("G_")
         ]
         records = []
@@ -106,27 +114,28 @@ class TestDopamine:
 
 class TestGonogoRun:
     def test_condition_rates_and_counts(self):
-        cfg = BgConfig(population_size=30, generator_size=30, duration_ms=400.0,
-                       settle_ms=100.0, seed=2)
-        result = run_network_condition(
-            bg_population_specs(cfg), bg_connection_specs(), "baseline", 0.0,
-            seed=cfg.seed, backend=cfg.backend, duration_ms=cfg.duration_ms,
-            settle_ms=cfg.settle_ms,
-        )
-        assert set(result.rates) == set(BG_NEURON_PARAMS)
+        cfg = resized(30, 30, duration_ms=400.0, settle_ms=100.0, seed=2)
+        result = run_condition(cfg, "baseline", 0.0)
+        assert set(result.rates) == set(cfg.populations)
         window_s = 0.3
         for pop, rate in result.rates.items():
-            assert rate == pytest.approx(
-                result.spike_counts[pop] / (cfg.population_size * window_s)
-            )
+            assert rate == pytest.approx(result.spike_counts[pop] / (30 * window_s))
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            BgConfig(duration_ms=0)
-        with pytest.raises(ValueError):
-            BgConfig(settle_ms=2000.0, duration_ms=1000.0)
-        with pytest.raises(ValueError):
-            BgConfig(population_size=0)
+        cfg = load_default_config()
+        for bad in (
+            {"duration_ms": 0},
+            {"duration_ms": float("nan")},
+            {"duration_ms": float("inf")},
+            {"settle_ms": 2000.0, "duration_ms": 1000.0},
+            {"settle_ms": -1.0},
+            {"seed": -1},
+            {"backend": "quantum"},
+        ):
+            with pytest.raises(ConfigError):
+                replace(cfg, **bad)
+        with pytest.raises(ConfigError):
+            build_bg(resized(0, 5))
 
     def test_steps_follow_timestep(self):
-        assert BgConfig(duration_ms=1000.0).steps == 8000
+        assert replace(load_default_config(), duration_ms=1000.0).steps == 8000

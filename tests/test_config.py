@@ -2,17 +2,13 @@
 
 import pytest
 
-from neurocore.bg import (
-    BG_CONNECTIONS,
-    BG_GENERATORS,
-    BG_NEURON_PARAMS,
-)
 from neurocore.config import (
     load_default_config,
     parse_config,
     parse_config_text,
 )
 from neurocore.network import ConfigError
+from neurocore.neuron import NeuronParams
 
 MINIMAL = """\
 [simulation]
@@ -30,12 +26,48 @@ d = 8
 i_const = 5
 """
 
+# The published circuit, written out independently of data/bg_default.cfg.
+# Per-group neuron parameters (a, b, c, d, i_const, beta).
+CIRCUIT_NEURONS = {
+    "STR_D1": NeuronParams(a=0.02, b=0.2, c=-65, d=8, i_const=0, beta=0.6),
+    "STR_D2": NeuronParams(a=0.02, b=0.2, c=-65, d=8, i_const=0, beta=-0.6),
+    "STR_FSI": NeuronParams(a=0.1, b=0.2, c=-65, d=2, i_const=0, beta=0),
+    "GPe": NeuronParams(a=0.1, b=0.585, c=-65, d=4, i_const=5, beta=0),
+    "STN": NeuronParams(a=0.005, b=0.265, c=-65, d=2, i_const=2, beta=0),
+    "GPi/SNr": NeuronParams(a=0.005, b=0.32, c=-65, d=2, i_const=5, beta=0),
+}
+# Internal connectivity: (pre, post) -> (weight, connection probability).
+CIRCUIT_CONNECTIONS = {
+    ("STR_D1", "STR_D1"): (-0.3, 1.0),
+    ("STR_D1", "STR_D2"): (-0.3, 1.0),
+    ("STR_D1", "GPi/SNr"): (-7.5, 0.15),
+    ("STR_D2", "STR_D1"): (-0.3, 1.0),
+    ("STR_D2", "STR_D2"): (-0.3, 1.0),
+    ("STR_D2", "GPe"): (-7.5, 0.15),
+    ("STR_FSI", "STR_D1"): (-1.5, 0.1),
+    ("STR_FSI", "STR_D2"): (-1.5, 0.1),
+    ("GPe", "STR_FSI"): (-2.25, 0.1),
+    ("GPe", "GPe"): (-2.25, 0.1),
+    ("GPe", "STN"): (-2.25, 0.1),
+    ("GPe", "GPi/SNr"): (-2.25, 0.1),
+    ("STN", "GPe"): (2.25, 0.1),
+    ("STN", "GPi/SNr"): (2.25, 0.1),
+    ("GPi/SNr", "GPi/SNr"): (-1.0, 0.1),
+}
+# Generators: name -> (rate Hz, targets, weight, connection probability, size).
+CIRCUIT_GENERATORS = {
+    "G_Ctx1": (15.0, ("STR_D1",), 5.0, 0.2, 100),
+    "G_Ctx2": (15.0, ("STR_D2",), 5.0, 0.2, 100),
+    "G_Ctx3": (4.0, ("STN",), 1.125, 0.05, 100),
+    "G_noise": (5.0, tuple(CIRCUIT_NEURONS), 0.05, 0.1, 100),
+}
+
 
 class TestDefaultConfigMatchesTables:
     def test_populations(self):
         config = load_default_config()
-        assert set(config.populations) == set(BG_NEURON_PARAMS)
-        for name, params in BG_NEURON_PARAMS.items():
+        assert set(config.populations) == set(CIRCUIT_NEURONS)
+        for name, params in CIRCUIT_NEURONS.items():
             size, parsed = config.populations[name]
             assert size == 100
             assert parsed == params, name
@@ -43,8 +75,7 @@ class TestDefaultConfigMatchesTables:
     def test_connections(self):
         config = load_default_config()
         parsed = {(c.pre, c.post): (c.weight, c.prob) for c in config.connections}
-        expected = {(pre, post): (w, p) for pre, post, w, p in BG_CONNECTIONS}
-        assert parsed == expected
+        assert parsed == CIRCUIT_CONNECTIONS
 
     def test_generators(self):
         config = load_default_config()
@@ -52,11 +83,7 @@ class TestDefaultConfigMatchesTables:
             g.name: (g.rate_hz, g.targets, g.weight, g.prob, g.size)
             for g in config.generators
         }
-        expected = {
-            name: (rate, targets, weight, prob, 100)
-            for name, rate, targets, weight, prob in BG_GENERATORS
-        }
-        assert parsed == expected
+        assert parsed == CIRCUIT_GENERATORS
 
     def test_simulation_defaults(self):
         config = load_default_config()
@@ -64,7 +91,7 @@ class TestDefaultConfigMatchesTables:
         assert config.settle_ms == 200.0
         assert config.seed == 1
         assert config.backend == "fixed"
-        assert config.record == tuple(BG_NEURON_PARAMS)
+        assert config.record == tuple(CIRCUIT_NEURONS)
 
 
 class TestParsing:
@@ -98,6 +125,10 @@ class TestParsing:
     def test_unknown_simulation_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text(MINIMAL.replace("seed = 3", "sede = 3"))
+
+    def test_simulation_values_validated_with_source(self):
+        with pytest.raises(ConfigError, match=r"<config>: \[simulation\] settle_ms"):
+            parse_config_text(MINIMAL.replace("settle_ms = 50", "settle_ms = 250"))
 
     def test_missing_population_field(self):
         with pytest.raises(ConfigError, match="missing 'd'"):
