@@ -23,7 +23,7 @@ from .neuron import (
     unpack,
 )
 from .schedule import BlockSchedule, izhikevich_schedule, validate_schedule
-from .synapse import PoissonSource, accumulate, isyn_step, modulated_current
+from .synapse import PoissonSource
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "RunConfig",
     "SpikeRecord",
     "SpikeTrain",
-    "accumulate",
     "build_bg",
     "build_connections",
     "decode",
@@ -50,10 +49,8 @@ __all__ = [
     "errt",
     "export_raster",
     "firing_rate",
-    "isyn_step",
     "load_raster_csv",
     "izhikevich_schedule",
-    "modulated_current",
     "mul_rescale",
     "pack",
     "run_gonogo",

@@ -9,6 +9,7 @@ Subcommands:
     gonogo             run the three dopamine conditions of the Go/No-Go
                        network; write rasters, CSVs and a rates summary
     validate-schedule  check a block schedule against the one-state-word rule
+                       and compile it
 
 Exit codes: 0 success, 1 runtime or check failure, 2 usage/config errors.
 """
@@ -30,6 +31,7 @@ from .network import ConfigError
 from .neuron import DT_MS, SimulationError
 from .schedule import (
     ScheduleError,
+    compile_schedule,
     izhikevich_schedule,
     parse_schedule,
     validate_schedule,
@@ -183,7 +185,8 @@ def cmd_validate_schedule(args) -> int:
         origin = "shipped izhikevich-core schedule"
     violations = validate_schedule(schedule)
     if not violations:
-        print(f"{origin}: OK ({len(schedule.blocks)} blocks, one state word per block)")
+        compile_schedule(schedule)
+        print(f"{origin}: OK ({len(schedule.blocks)} blocks, one state word per block, compiles)")
         return 0
     for v in violations:
         print(f"{origin}: {v.describe()}")

@@ -87,9 +87,13 @@ class RunConfig:
 
 
 def check_duration(duration_ms: float) -> None:
-    """A simulated duration must be finite and positive."""
-    if not (math.isfinite(duration_ms) and duration_ms > 0):
-        raise ConfigError(f"duration_ms must be finite and positive, got {duration_ms:g}")
+    """A simulated duration must be finite and last at least one timestep
+    once rounded to whole steps, as every run rounds it."""
+    if not (math.isfinite(duration_ms) and round(duration_ms / DT_MS) > 0):
+        raise ConfigError(
+            f"duration_ms must be finite and round to at least one {DT_MS:g} ms "
+            f"timestep, got {duration_ms:g}"
+        )
 
 
 def default_config_text() -> str:

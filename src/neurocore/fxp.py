@@ -158,7 +158,9 @@ def shl(a: Fixed, n: int, out_fmt: FixedFormat | None = None) -> Fixed:
 # ---------------------------------------------------------------------------
 
 def sat_raw(raw: np.ndarray, fmt: FixedFormat) -> np.ndarray:
-    return np.clip(raw, fmt.min_raw, fmt.max_raw)
+    # np.minimum/np.maximum: np.clip's per-call overhead dominates at the
+    # population sizes the network runs
+    return np.minimum(np.maximum(raw, fmt.min_raw), fmt.max_raw)
 
 
 def sat_add_raw(a: np.ndarray, b, fmt: FixedFormat) -> np.ndarray:

@@ -1,12 +1,11 @@
 """Izhikevich neuron in two interchangeable arithmetics.
 
 ``step_float`` is the floating-point reference implementation of the
-discrete Euler update.  ``step_fixed`` runs the same update through the
-saturating fixed-point pipeline, organised so that each computation block
-touches at most one compartment-state word (see :mod:`neurocore.schedule`
-for the published block schedule).  ``step_fixed_batch`` applies the
-identical integer arithmetic to whole populations at once; a test pins it
-bit-for-bit to the scalar pipeline.
+discrete Euler update.  The fixed-point arithmetic is defined in one place,
+the shipped block schedule ``data/izhikevich_schedule.txt`` (see
+:mod:`neurocore.schedule`), compiled once at import: ``step_fixed`` runs it
+on one compartment's unpacked state words with Python ints, and
+``step_fixed_batch`` runs it on whole populations of int64 arrays.
 
 Update rule, with the quadratic bias defaulting to the canonical 140:
 
@@ -26,11 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fxp import (
-    AB_FMT,
-    CD_FMT,
-    DA_FMT,
     DDOP_FMT,
-    ICONST_FMT,
     ISYN_FMT,
     Q12,
     REG_FMT,
@@ -38,27 +33,24 @@ from .fxp import (
     V_FMT,
     Fixed,
     encode,
-    mul_rescale_raw,
-    sat_add_raw,
     sat_raw,
-    shl_raw,
-    shr_raw,
+)
+from .schedule import (
+    FIELD_FORMATS,
+    FIELD_LAYOUT,
+    KQ_FRAC,
+    compile_schedule,
+    izhikevich_schedule,
 )
 
 V_PEAK_DEFAULT = 30.0
 QUAD_BIAS_DEFAULT = 140.0
-DT_SHIFT = 3  # timestep multiply realised as >> 3 (dt = 1/8 ms)
-DT_MS = 0.125
+DT_MS = 0.125  # the schedule's timestep multiply is >> 3
 
 # quadratic and linear coefficients of the membrane equation
 _K_QUAD = 0.04
 _K_LIN = 5.0
 
-# The quadratic coefficient is a group-level register constant, so it is not
-# bound to the 12-fraction-bit state convention.  It is held at 24 fraction
-# bits: at Q12 the coefficient error alone (164/4096 = 0.040039) visibly
-# accelerates the membrane trajectory relative to the float reference.
-KQ_FRAC = 24
 _KQ_WIDE = round(_K_QUAD * (1 << KQ_FRAC))
 
 
@@ -128,33 +120,6 @@ def step_float(
 # Compartment-state memory words
 # ---------------------------------------------------------------------------
 
-# (word index, bit offset, field width); fields are packed LSB-first in two's
-# complement and sign-extended on unpack.
-FIELD_LAYOUT: dict[str, tuple[int, int, int]] = {
-    "a": (0, 0, 16),
-    "b": (0, 16, 16),
-    "isyn": (0, 32, 24),
-    "c": (1, 0, 24),
-    "d": (1, 24, 24),
-    "delta_dop": (1, 48, 16),
-    "v": (2, 0, 24),
-    "u": (2, 24, 24),
-    "iconst": (2, 48, 16),
-}
-
-FIELD_FORMATS = {
-    "a": AB_FMT,
-    "b": AB_FMT,
-    "isyn": ISYN_FMT,
-    "c": CD_FMT,
-    "d": CD_FMT,
-    "delta_dop": DDOP_FMT,
-    "v": V_FMT,
-    "u": U_FMT,
-    "iconst": ICONST_FMT,
-}
-
-
 @dataclass(frozen=True)
 class CompartmentFields:
     """Raw fixed-point field values of one compartment."""
@@ -179,44 +144,46 @@ class CompartmentWords:
     word2: int
 
 
+# (name, word, offset, mask, sign bit) of each field of FIELD_LAYOUT
+_FIELD_BITS = tuple(
+    (name, word, offset, (1 << width) - 1, 1 << (width - 1))
+    for name, (word, offset, width) in FIELD_LAYOUT.items()
+)
+
+
 def pack(fields: CompartmentFields) -> CompartmentWords:
     """Pack raw field values into the three state words (bit-exact)."""
     words = [0, 0, 0]
-    for name, (word, offset, width) in FIELD_LAYOUT.items():
+    for name, word, offset, mask, sign in _FIELD_BITS:
         raw = getattr(fields, name)
-        lo = -(1 << (width - 1))
-        hi = (1 << (width - 1)) - 1
-        if not lo <= raw <= hi:
-            raise ValueError(f"field {name!r} raw {raw} does not fit in {width} bits")
-        words[word] |= (raw & ((1 << width) - 1)) << offset
+        if not -sign <= raw < sign:
+            raise ValueError(
+                f"field {name!r} raw {raw} does not fit in {mask.bit_length()} bits"
+            )
+        words[word] |= (raw & mask) << offset
     return CompartmentWords(*words)
 
 
 def unpack(words: CompartmentWords) -> CompartmentFields:
     packed = (words.word0, words.word1, words.word2)
-    out = {}
-    for name, (word, offset, width) in FIELD_LAYOUT.items():
-        raw = (packed[word] >> offset) & ((1 << width) - 1)
-        if raw & (1 << (width - 1)):
-            raw -= 1 << width
-        out[name] = raw
-    return CompartmentFields(**out)
+    # (raw ^ sign) - sign sign-extends the field
+    return CompartmentFields(**{
+        name: (((packed[word] >> offset) & mask) ^ sign) - sign
+        for name, word, offset, mask, sign in _FIELD_BITS
+    })
+
+
+def _raw_fields(params: NeuronParams, state: NeuronState) -> dict[str, int]:
+    values = dict(
+        a=params.a, b=params.b, c=params.c, d=params.d, isyn=state.i_syn,
+        iconst=params.i_const, delta_dop=state.delta_dop, v=state.v, u=state.u,
+    )
+    return {name: encode(x, FIELD_FORMATS[name]).raw for name, x in values.items()}
 
 
 def encode_compartment(params: NeuronParams, state: NeuronState) -> CompartmentWords:
     """Encode parameters and dynamic state into packed compartment words."""
-    fields = CompartmentFields(
-        a=encode(params.a, AB_FMT).raw,
-        b=encode(params.b, AB_FMT).raw,
-        c=encode(params.c, CD_FMT).raw,
-        d=encode(params.d, CD_FMT).raw,
-        isyn=encode(state.i_syn, ISYN_FMT).raw,
-        iconst=encode(params.i_const, ICONST_FMT).raw,
-        delta_dop=encode(state.delta_dop, DDOP_FMT).raw,
-        v=encode(state.v, V_FMT).raw,
-        u=encode(state.u, U_FMT).raw,
-    )
-    return pack(fields)
+    return pack(CompartmentFields(**_raw_fields(params, state)))
 
 
 def decode_state(words: CompartmentWords) -> NeuronState:
@@ -233,86 +200,52 @@ def decode_state(words: CompartmentWords) -> NeuronState:
 # Fixed-point pipeline
 # ---------------------------------------------------------------------------
 
-_ONE_RAW = 1 << Q12
-_KL_RAW = encode(_K_LIN, REG_FMT).raw
-_BIAS_RAW = encode(QUAD_BIAS_DEFAULT, REG_FMT).raw
 _VPEAK_RAW = encode(V_PEAK_DEFAULT, V_FMT).raw
-DA_ALIGN_SHIFT = Q12 - DA_FMT.frac_bits  # accumulator is Q3, state is Q12
+# the schedule's fixed group constants; @alpha, @beta and @vpeak come per call
+_CONSTANTS = {
+    "@one": 1 << Q12,
+    "@kquad": _KQ_WIDE,
+    "@klin": encode(_K_LIN, REG_FMT).raw,
+    "@kbias": encode(QUAD_BIAS_DEFAULT, REG_FMT).raw,
+}
+
+
+def _saturate_array(fmt):
+    return lambda x: sat_raw(x, fmt)
+
+
+_SCHEDULE = izhikevich_schedule()
+# Python ints are the faster values for one compartment, int64 arrays for a
+# population; the two runs differ only in how they clip and select.
+_run_ints = compile_schedule(_SCHEDULE)
+_run_arrays = compile_schedule(_SCHEDULE, _saturate_array, np.where)
 
 
 def step_fixed(
     words: CompartmentWords,
     da_input: Fixed,
     alpha: Fixed,
-    dt_shift: int = DT_SHIFT,
     *,
     beta: Fixed | None = None,
     v_peak: Fixed | None = None,
-    quad_bias: Fixed | None = None,
 ) -> tuple[CompartmentWords, bool]:
-    """One step of the fixed-point block pipeline.
+    """One step of the shipped block schedule on one compartment.
 
     ``da_input`` is the dendrite-accumulator value (3 fraction bits),
-    ``alpha`` the synaptic decay factor; ``beta``, ``v_peak`` and
-    ``quad_bias`` are group-level constants shared by all compartments of a
-    neuron group.  Everything else lives in the packed state words.
+    ``alpha`` the synaptic decay factor; ``beta`` and ``v_peak`` are
+    group-level constants shared by all compartments of a neuron group.
+    Everything else lives in the packed state words.
     """
-    f = unpack(words)
-    beta_raw = beta.raw if beta is not None else 0
-    v_peak_raw = v_peak.raw if v_peak is not None else _VPEAK_RAW
-    bias_raw = quad_bias.raw if quad_bias is not None else _BIAS_RAW
-
-    reg = REG_FMT.saturate
-
-    # blk 1 (word 0): synaptic current decay plus aligned accumulator input
-    r_da = reg(da_input.raw << DA_ALIGN_SHIFT)
-    isyn_new = ISYN_FMT.saturate(((alpha.raw * f.isyn) >> Q12) + r_da)
-
-    # blk 2 (word 1): dopamine gain from the stored deviation
-    r_gain = reg(_ONE_RAW + ((beta_raw * f.delta_dop) >> Q12))
-
-    # blk 3 (registers only): modulated synaptic current
-    r_imod = reg((isyn_new * r_gain) >> Q12)
-
-    # blk 4 (word 2): total current and the recovery-variable increment
-    r_i = reg(r_imod + f.iconst)
-    r_bv = reg((f.b * f.v) >> Q12)
-    r_du = reg((f.a * reg(r_bv - f.u)) >> Q12)
-
-    # blk 5 (word 2): membrane derivative; the square goes first so the wide
-    # quadratic constant scales a positive register value
-    r_v2 = reg((f.v * f.v) >> Q12)
-    r_quad = reg((_KQ_WIDE * r_v2) >> KQ_FRAC)
-    r_lin = reg((_KL_RAW * f.v) >> Q12)
-    r_dv = reg(reg(reg(reg(r_quad + r_lin) + bias_raw) - f.u) + r_i)
-
-    if f.v > v_peak_raw:
-        # stored potential already past the peak: reset replaces the update
-        v_new = f.c
-        u_new = U_FMT.saturate(f.u + f.d)
-        spiked = True
-    else:
-        # blk 6 (word 2): timestep multiply as arithmetic shifts
-        v_new = V_FMT.saturate(f.v + (r_dv >> dt_shift))
-        u_new = U_FMT.saturate(f.u + (r_du >> dt_shift))
-        # blk 7 (word 2): threshold compare and reset select
-        spiked = v_new > v_peak_raw
-        if spiked:
-            v_new = f.c
-            u_new = U_FMT.saturate(u_new + f.d)
-
-    out = CompartmentFields(
-        a=f.a,
-        b=f.b,
-        c=f.c,
-        d=f.d,
-        isyn=isyn_new,
-        iconst=f.iconst,
-        delta_dop=f.delta_dop,
-        v=v_new,
-        u=u_new,
-    )
-    return pack(out), spiked
+    env = _run_ints({
+        **vars(unpack(words)),
+        **_CONSTANTS,
+        "@alpha": alpha.raw,
+        "@beta": beta.raw if beta is not None else 0,
+        "@vpeak": v_peak.raw if v_peak is not None else _VPEAK_RAW,
+        "DA": da_input.raw,
+    })
+    fields = CompartmentFields(**{name: env[name] for name in FIELD_LAYOUT})
+    return pack(fields), env["$spk"]
 
 
 @dataclass
@@ -335,35 +268,13 @@ class FixedBatch:
     ) -> "FixedBatch":
         """Rest state at v0 (default c); u is derived from the stored b and v
         with the core's own multiply, not encoded host-side."""
-        full = lambda value, fmt: np.full(size, encode(value, fmt).raw, dtype=np.int64)
-        v_raw = encode(params.c if v0 is None else v0, V_FMT).raw
-        u_raw = U_FMT.saturate((encode(params.b, AB_FMT).raw * v_raw) >> Q12)
-        return cls(
-            a=full(params.a, AB_FMT),
-            b=full(params.b, AB_FMT),
-            c=full(params.c, CD_FMT),
-            d=full(params.d, CD_FMT),
-            isyn=np.zeros(size, dtype=np.int64),
-            iconst=full(params.i_const, ICONST_FMT),
-            delta_dop=np.zeros(size, dtype=np.int64),
-            v=np.full(size, v_raw, dtype=np.int64),
-            u=np.full(size, u_raw, dtype=np.int64),
-        )
+        raw = _raw_fields(params, NeuronState(v=params.c if v0 is None else v0, u=0.0))
+        raw["u"] = U_FMT.saturate((raw["b"] * raw["v"]) >> Q12)
+        return cls(**{name: np.full(size, x, dtype=np.int64) for name, x in raw.items()})
 
     def words(self, i: int) -> CompartmentWords:
-        return pack(
-            CompartmentFields(
-                a=int(self.a[i]),
-                b=int(self.b[i]),
-                c=int(self.c[i]),
-                d=int(self.d[i]),
-                isyn=int(self.isyn[i]),
-                iconst=int(self.iconst[i]),
-                delta_dop=int(self.delta_dop[i]),
-                v=int(self.v[i]),
-                u=int(self.u[i]),
-            )
-        )
+        fields = {name: int(getattr(self, name)[i]) for name in FIELD_LAYOUT}
+        return pack(CompartmentFields(**fields))
 
 
 def step_fixed_batch(
@@ -371,47 +282,23 @@ def step_fixed_batch(
     da_raw,
     alpha_raw: int,
     beta_raw: int = 0,
-    dt_shift: int = DT_SHIFT,
     v_peak_raw: int = _VPEAK_RAW,
-    quad_bias_raw: int = _BIAS_RAW,
 ) -> np.ndarray:
-    """Vectorised fixed-point step; mutates ``batch`` in place.
+    """One step of the shipped block schedule on a whole population; mutates
+    ``batch`` in place.
 
-    ``da_raw`` is the per-neuron accumulator value at 3 fraction bits.
-    Returns the boolean spike mask.  Operation order and clip bounds mirror
-    :func:`step_fixed` exactly.
+    ``da_raw`` is the per-neuron accumulator value at 3 fraction bits; each
+    field of ``batch`` must hold values of its format.  Returns the boolean
+    spike mask.
     """
-    r_da = shl_raw(da_raw, DA_ALIGN_SHIFT, REG_FMT)
-    isyn_new = sat_raw(mul_rescale_raw(alpha_raw, batch.isyn, REG_FMT) + r_da, ISYN_FMT)
-
-    r_gain = sat_raw(_ONE_RAW + mul_rescale_raw(beta_raw, batch.delta_dop, REG_FMT), REG_FMT)
-    r_imod = mul_rescale_raw(isyn_new, r_gain, REG_FMT)
-
-    r_i = sat_add_raw(r_imod, batch.iconst, REG_FMT)
-    r_bv = mul_rescale_raw(batch.b, batch.v, REG_FMT)
-    r_du = mul_rescale_raw(batch.a, sat_raw(r_bv - batch.u, REG_FMT), REG_FMT)
-
-    r_v2 = mul_rescale_raw(batch.v, batch.v, REG_FMT)
-    r_quad = mul_rescale_raw(_KQ_WIDE, r_v2, REG_FMT, frac_bits=KQ_FRAC)
-    r_lin = mul_rescale_raw(_KL_RAW, batch.v, REG_FMT)
-    r_dv = sat_add_raw(
-        sat_add_raw(sat_add_raw(sat_add_raw(r_quad, r_lin, REG_FMT), quad_bias_raw, REG_FMT), -batch.u, REG_FMT),
-        r_i,
-        REG_FMT,
-    )
-
-    pre_spiked = batch.v > v_peak_raw
-
-    v_new = sat_raw(batch.v + shr_raw(r_dv, dt_shift), V_FMT)
-    u_new = sat_raw(batch.u + shr_raw(r_du, dt_shift), U_FMT)
-    post_spiked = ~pre_spiked & (v_new > v_peak_raw)
-
-    v_new = np.where(post_spiked, batch.c, v_new)
-    u_new = np.where(post_spiked, sat_raw(u_new + batch.d, U_FMT), u_new)
-    v_new = np.where(pre_spiked, batch.c, v_new)
-    u_new = np.where(pre_spiked, sat_raw(batch.u + batch.d, U_FMT), u_new)
-
-    batch.isyn = isyn_new
-    batch.v = v_new
-    batch.u = u_new
-    return pre_spiked | post_spiked
+    env = _run_arrays({
+        **vars(batch),
+        **_CONSTANTS,
+        "@alpha": alpha_raw,
+        "@beta": beta_raw,
+        "@vpeak": v_peak_raw,
+        "DA": da_raw,
+    })
+    for name in FIELD_LAYOUT:
+        setattr(batch, name, env[name])
+    return env["$spk"]

@@ -1,29 +1,77 @@
-"""Block schedules: the microcode-constraint model and its validator.
+"""Block schedules: the microcode of the neurocore, its validator and its
+compiler.
 
 A schedule is an ordered list of computation blocks.  Each block may access
 fields from at most one compartment-state word; values needed across words
-are spilled through registers.  Identifier conventions in the abstract ops:
+are spilled through registers.  Identifier conventions in the ops:
 
     bare name   compartment-state field (``v``, ``u``, ``a`` ...)
     ``$name``   register
     ``@name``   group-level constant
     ``DA``      the dendrite-accumulator input port
+    digits      a literal (shift counts)
 
-The canonical Izhikevich schedule shipped with the package mirrors the
-dataflow of :func:`neurocore.neuron.step_fixed` block for block.
+The shipped schedule, ``data/izhikevich_schedule.txt``, *is* the fixed-point
+Izhikevich arithmetic: :func:`compile_schedule` turns it into closures, and
+:mod:`neurocore.neuron` runs them on one compartment's unpacked words and on
+whole populations.  The ops are ``mov``, ``add``, ``sub``, ``mul`` (product
+``>> 12``), ``mulw`` (product ``>> KQ_FRAC``), ``shl``, ``shr`` (arithmetic),
+``gt`` (a 0/1 flag) and ``sel d <- f, x, y`` (``x`` if ``f`` else ``y``).
+Every write saturates to its destination, a field to its ``FIELD_FORMATS``
+format and a register to ``REG_FMT``, except where an interval analysis
+shows the clip can never bind.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from importlib import resources
 
-from .neuron import FIELD_LAYOUT
+from .fxp import (
+    AB_FMT,
+    CD_FMT,
+    DDOP_FMT,
+    ICONST_FMT,
+    ISYN_FMT,
+    Q12,
+    REG_FMT,
+    U_FMT,
+    V_FMT,
+    FixedFormat,
+)
+
+# (word index, bit offset, format) of each compartment-state field.  Fields
+# are as wide as their formats, packed LSB-first in two's complement and
+# sign-extended on unpack.
+_FIELDS = {
+    "a": (0, 0, AB_FMT),
+    "b": (0, 16, AB_FMT),
+    "isyn": (0, 32, ISYN_FMT),
+    "c": (1, 0, CD_FMT),
+    "d": (1, 24, CD_FMT),
+    "delta_dop": (1, 48, DDOP_FMT),
+    "v": (2, 0, V_FMT),
+    "u": (2, 24, U_FMT),
+    "iconst": (2, 48, ICONST_FMT),
+}
+FIELD_LAYOUT = {name: (word, offset, fmt.width) for name, (word, offset, fmt) in _FIELDS.items()}
+FIELD_FORMATS = {name: fmt for name, (_, _, fmt) in _FIELDS.items()}
+
+# The quadratic coefficient is a group-level register constant, so it is not
+# bound to the 12-fraction-bit state convention.  It is held at 24 fraction
+# bits: at Q12 the coefficient error alone (164/4096 = 0.040039) visibly
+# accelerates the membrane trajectory relative to the float reference.  The
+# shipped schedule squares v first, so the wide constant scales a positive
+# register value.
+KQ_FRAC = 24
 
 INPUT_PORTS = frozenset({"DA"})
 
 
 class ScheduleError(ValueError):
-    """Malformed schedule: unknown field identifier or unparseable text."""
+    """Malformed schedule: unparseable text, an unknown identifier or op, or
+    an op that cannot run."""
 
 
 @dataclass(frozen=True)
@@ -144,7 +192,12 @@ def parse_schedule(text: str) -> BlockSchedule:
         elif key == "word":
             if current is None:
                 raise ScheduleError(f"line {lineno}: 'word' outside a block")
-            current["word"] = None if value == "-" else int(value)
+            try:
+                current["word"] = None if value == "-" else int(value)
+            except ValueError:
+                raise ScheduleError(
+                    f"line {lineno}: word must be a number or '-', got {value!r}"
+                ) from None
         elif key == "op":
             if current is None:
                 raise ScheduleError(f"line {lineno}: 'op' outside a block")
@@ -167,55 +220,137 @@ def _parse_op(text: str, lineno: int) -> Op:
 
 
 def izhikevich_schedule() -> BlockSchedule:
-    """The canonical schedule realised by the fixed-point pipeline."""
-    b = Block
-    o = Op
-    return BlockSchedule(
-        name="izhikevich-core",
-        blocks=(
-            b("isyn-update", 0, (
-                o("shl", "$da", ("DA", "9")),
-                o("mul", "$decay", ("@alpha", "isyn")),
-                o("add", "$isyn", ("$decay", "$da")),
-                o("mov", "isyn", ("$isyn",)),
-                o("mov", "$a", ("a",)),
-                o("mov", "$b", ("b",)),
-            )),
-            b("dopamine-gain", 1, (
-                o("mul", "$mod", ("@beta", "delta_dop")),
-                o("add", "$gain", ("@one", "$mod")),
-                o("mov", "$c", ("c",)),
-                o("mov", "$d", ("d",)),
-            )),
-            b("modulate", None, (
-                o("mul", "$imod", ("$isyn", "$gain")),
-            )),
-            b("current-and-recovery", 2, (
-                o("add", "$i", ("$imod", "iconst")),
-                o("mul", "$bv", ("$b", "v")),
-                o("sub", "$bvmu", ("$bv", "u")),
-                o("mul", "$du", ("$a", "$bvmu")),
-            )),
-            b("membrane-derivative", 2, (
-                o("mul", "$v2", ("v", "v")),
-                o("mulw", "$quad", ("@kquad", "$v2")),
-                o("mul", "$lin", ("@klin", "v")),
-                o("add", "$dv", ("$quad", "$lin")),
-                o("add", "$dv", ("$dv", "@kbias")),
-                o("sub", "$dv", ("$dv", "u")),
-                o("add", "$dv", ("$dv", "$i")),
-            )),
-            b("timestep-shift", 2, (
-                o("shr", "$dv", ("$dv", "3")),
-                o("shr", "$du", ("$du", "3")),
-                o("add", "v", ("v", "$dv")),
-                o("add", "u", ("u", "$du")),
-            )),
-            b("threshold-reset", 2, (
-                o("gt", "$spk", ("v", "@vpeak")),
-                o("add", "$ud", ("u", "$d")),
-                o("sel", "v", ("$spk", "$c", "v")),
-                o("sel", "u", ("$spk", "$ud", "u")),
-            )),
-        ),
-    )
+    """The shipped schedule: the fixed-point Izhikevich arithmetic."""
+    text = resources.files("neurocore").joinpath("data/izhikevich_schedule.txt").read_text()
+    return parse_schedule(text)
+
+
+# ---------------------------------------------------------------------------
+# Compiler
+# ---------------------------------------------------------------------------
+
+_BINARY = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": lambda x, y: (x * y) >> Q12,
+    "mulw": lambda x, y: (x * y) >> KQ_FRAC,
+    "shl": operator.lshift,
+    "shr": operator.rshift,
+    "gt": operator.gt,
+}
+_ARITY = {"mov": 1, "sel": 3, **dict.fromkeys(_BINARY, 2)}
+
+
+def _saturate_int(fmt: FixedFormat):
+    """Saturation to ``fmt`` on Python ints, bounds bound once."""
+    lo, hi = fmt.min_raw, fmt.max_raw
+    return lambda x: lo if x < lo else hi if x > hi else x
+
+
+def _select_int(flag, x, y):
+    return x if flag else y
+
+
+def compile_schedule(schedule: BlockSchedule, saturate=_saturate_int, select=_select_int):
+    """Compile ``schedule`` into ``run(env)``, which executes its ops in order
+    on ``env`` (a dict from identifier to value) and returns it.
+
+    ``saturate(fmt)`` returns the clip to ``fmt`` and ``select`` implements
+    ``sel``; the defaults work on Python ints.  The caller puts the fields,
+    each within its format, the group constants and ``DA`` into ``env``;
+    registers and literals are added by the run.  A clip that an interval
+    analysis from the field formats shows can never bind is left out.
+    """
+    violations = validate_schedule(schedule)
+    if violations:
+        raise ScheduleError(violations[0].describe())
+    # value interval of every identifier written so far; constants and the
+    # input port are unknown (None)
+    ranges = {name: (fmt.min_raw, fmt.max_raw) for name, fmt in FIELD_FORMATS.items()}
+    literals: dict[str, int] = {}
+    ops = []
+    for block in schedule.blocks:
+        for op in block.ops:
+            where = f"block {block.name!r}: {op.render()!r}"
+            arity = _ARITY.get(op.mnemonic)
+            if arity is None:
+                raise ScheduleError(f"{where}: unknown op {op.mnemonic!r}")
+            if len(op.sources) != arity:
+                raise ScheduleError(f"{where}: {op.mnemonic} takes {arity} operand(s)")
+            for src in op.sources:
+                if src.isdigit():
+                    literals[src] = int(src)
+                    ranges[src] = (int(src), int(src))
+                elif src.startswith("$") and src not in ranges:
+                    raise ScheduleError(f"{where}: register {src} read before it is written")
+            if not (op.dest.startswith("$") or op.dest in FIELD_LAYOUT):
+                raise ScheduleError(f"{where}: {op.dest!r} cannot be written")
+            fmt = FIELD_FORMATS.get(op.dest, REG_FMT)
+            fn = select if op.mnemonic == "sel" else _BINARY.get(op.mnemonic)
+            span = _span(op.mnemonic, [ranges.get(s) for s in op.sources])
+            if span is not None and fmt.min_raw <= span[0] and span[1] <= fmt.max_raw:
+                ranges[op.dest], sat = span, None
+            else:
+                ranges[op.dest], sat = (fmt.min_raw, fmt.max_raw), saturate(fmt)
+            ops.append(_closure(fn, sat, op.dest, op.sources))
+
+    def run(env: dict) -> dict:
+        env.update(literals)
+        for op in ops:
+            op(env)
+        return env
+
+    return run
+
+
+def _span(mnemonic: str, operands: list) -> tuple[int, int] | None:
+    """Interval of an op's result from its operands' intervals, or None.
+
+    Each int op is monotone in each operand, so its extremes over a box of
+    operand values lie at the corners.
+    """
+    if mnemonic == "gt":
+        return (0, 1)
+    if None in operands:
+        return None
+    if mnemonic == "mov":
+        return operands[0]
+    if mnemonic == "sel":
+        (lo1, hi1), (lo2, hi2) = operands[1:]
+        return min(lo1, lo2), max(hi1, hi2)
+    if mnemonic in ("shl", "shr") and not 0 <= operands[1][0] == operands[1][1] <= 63:
+        return None
+    fn = _BINARY[mnemonic]
+    corners = [fn(x, y) for x in operands[0] for y in operands[1]]
+    return min(corners), max(corners)
+
+
+def _closure(fn, sat, dest, sources):
+    """``env[dest] = sat(fn(*operands))``; ``mov`` has no ``fn``, and a
+    ``sat`` of None is left out.  Operands are read one by one: unpacking
+    them from one lookup is slower on the int run."""
+    if len(sources) == 1:
+        (x,) = sources
+        if sat is None:
+            def op(env):
+                env[dest] = env[x]
+        else:
+            def op(env):
+                env[dest] = sat(env[x])
+    elif len(sources) == 2:
+        x, y = sources
+        if sat is None:
+            def op(env):
+                env[dest] = fn(env[x], env[y])
+        else:
+            def op(env):
+                env[dest] = sat(fn(env[x], env[y]))
+    else:
+        f, x, y = sources
+        if sat is None:
+            def op(env):
+                env[dest] = fn(env[f], env[x], env[y])
+        else:
+            def op(env):
+                env[dest] = sat(fn(env[f], env[x], env[y]))
+    return op

@@ -1,16 +1,18 @@
-"""Dendrite accumulation, synaptic-current dynamics, dopamine modulation,
-and Poisson spike sources.
+"""Synaptic weights, the synaptic decay factor, and Poisson spike sources.
 
 The per-step synaptic input of a neuron is the sum of the weights of all
 pre-synaptic spikes delivered that step.  On the fixed-point backend the
-weights are held at 12 fraction bits and the sum is requantised onto the
-3-fraction-bit dendrite-accumulator grid before it enters the neuron.  The
-synaptic current then decays exponentially:
+weights are held at 12 fraction bits and the network requantises the sum
+onto the 3-fraction-bit dendrite-accumulator grid
+(:func:`neurocore.fxp.quantize_raw`) before it enters the neuron.  The
+synaptic current then decays exponentially and is modulated by dopamine:
 
     I_syn[t+dt] = alpha * I_syn[t] + (accumulated input)
     I[t]        = I_const + I_syn[t] * (1 + beta * delta_dop)
 
-with alpha = 1 - dt/tau.  Poisson sources draw from counter-based random
+with alpha = 1 - dt/tau.  On the fixed backend these two lines are blocks of
+the shipped block schedule (:mod:`neurocore.schedule`), run by
+:mod:`neurocore.neuron`.  Poisson sources draw from counter-based random
 streams keyed by (seed, source, step), so spike trains are reproducible
 under any execution order.
 """
@@ -18,28 +20,13 @@ under any execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .fxp import (
-    DA_FMT,
-    ISYN_FMT,
-    Q12,
-    REG_FMT,
-    WEIGHT_FMT,
-    Fixed,
-    FixedFormat,
-    encode,
-    mul_rescale,
-    quantize_raw,
-    sat_add,
-    shl,
-)
+from .fxp import ISYN_FMT, WEIGHT_FMT, Fixed, FixedFormat, encode
 from .neuron import DT_MS
 
 SYNAPTIC_TAU_MS = 15.0
-CURRENT_FMT = ISYN_FMT
 
 
 class WeightError(ValueError):
@@ -61,37 +48,6 @@ def alpha_factor(tau_ms: float = SYNAPTIC_TAU_MS, dt_ms: float = DT_MS) -> float
 
 def alpha_fixed(tau_ms: float = SYNAPTIC_TAU_MS, dt_ms: float = DT_MS) -> Fixed:
     return encode(alpha_factor(tau_ms, dt_ms), ISYN_FMT)
-
-
-def accumulate(weights: Iterable[Fixed], fmt: FixedFormat = DA_FMT) -> Fixed:
-    """Sum delivered weights and requantise onto the accumulator grid.
-
-    Integer addition of the Q12 raws makes the result independent of
-    delivery order; the requantisation rounds to nearest, ties away.
-    """
-    total = 0
-    for w in weights:
-        if w.fmt.frac_bits != Q12:
-            raise ValueError(f"weights must carry {Q12} fraction bits, got {w.fmt}")
-        total += w.raw
-    return Fixed(int(quantize_raw(total, fmt)), fmt)
-
-
-def isyn_step(i_syn: Fixed, alpha: Fixed, acc: Fixed) -> Fixed:
-    """Decay the synaptic current and add the aligned accumulator value."""
-    decayed = mul_rescale(alpha, i_syn, REG_FMT)
-    aligned = shl(acc, Q12 - acc.fmt.frac_bits, REG_FMT)
-    return Fixed(ISYN_FMT.saturate(decayed.raw + aligned.raw), ISYN_FMT)
-
-
-def modulated_current(
-    i_const: Fixed, i_syn: Fixed, beta: Fixed, delta_dop: Fixed
-) -> Fixed:
-    """Total input current: I_const + I_syn * (1 + beta * delta_dop)."""
-    one = encode(1.0, REG_FMT)
-    gain = sat_add(one, mul_rescale(beta, delta_dop, REG_FMT))
-    modulated = mul_rescale(i_syn, gain, REG_FMT)
-    return Fixed(CURRENT_FMT.saturate(modulated.raw + i_const.raw), CURRENT_FMT)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,22 @@ class TestInvalidInput:
         assert main(["errt", "--duration-ms", "5"]) == 2
         assert "2 spikes" in single_error_line(capsys)
 
+    def test_gonogo_rejects_sub_timestep_config_duration(self, tmp_path, capsys):
+        # 0.01 ms rounds to zero 0.125 ms steps
+        cfg = small_config(tmp_path, duration_ms=0.01, settle_ms=0)
+        out_dir = tmp_path / "o"
+        assert main(["gonogo", "--config", str(cfg), "--out", str(out_dir)]) == 2
+        assert "duration_ms" in single_error_line(capsys)
+        assert not (out_dir / "rates_summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["regimes", "errt"])
+    def test_sub_timestep_duration_rejected(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "o"
+        extra = ["--out", str(out_dir)] if command == "regimes" else []
+        assert main([command, "--duration-ms", "0.01", *extra]) == 2
+        assert "duration_ms" in single_error_line(capsys)
+        assert not out_dir.exists()
+
     def test_regimes_rejects_nan(self, tmp_path, capsys):
         out_dir = tmp_path / "o"
         assert main(["regimes", "--duration-ms", "nan", "--out", str(out_dir)]) == 2
@@ -112,6 +128,20 @@ class TestValidateSchedule:
         bad = tmp_path / "junk.sched"
         bad.write_text("op: dangling <- x\n")
         assert main(["validate-schedule", "--schedule", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("block: b\nword: 2\nop: frob $x <- v\n", "unknown op 'frob'"),
+            ("block: b\nword: two\nop: mov $x <- v\n", "word must be a number"),
+        ],
+        ids=["unknown-op", "non-numeric-word"],
+    )
+    def test_uncompilable_schedule_exits_2(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.sched"
+        bad.write_text("schedule: bad\n" + text)
+        assert main(["validate-schedule", "--schedule", str(bad)]) == 2
+        assert message in single_error_line(capsys)
 
 
 class TestErrtCommand:

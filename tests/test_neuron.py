@@ -1,9 +1,13 @@
 """Neuron dynamics: float reference, compartment words, fixed pipeline."""
 
+import hashlib
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from neurocore.fxp import DA_FMT, ISYN_FMT, V_FMT, Fixed, encode
+from neurocore import neuron
+from neurocore.fxp import DA_FMT, DDOP_FMT, ISYN_FMT, REG_FMT, V_FMT, Fixed, encode
 from neurocore.neuron import (
     DT_MS,
     CompartmentFields,
@@ -20,6 +24,7 @@ from neurocore.neuron import (
     step_float,
     unpack,
 )
+from neurocore.schedule import compile_schedule, parse_schedule
 from neurocore.synapse import alpha_fixed
 
 RS = NeuronParams(a=0.02, b=0.2, c=-65, d=8)
@@ -194,6 +199,112 @@ class TestStepFixed:
             assert V_FMT.min_raw <= fields.v <= V_FMT.max_raw
             assert V_FMT.min_raw <= fields.u <= V_FMT.max_raw
             assert ISYN_FMT.min_raw <= fields.isyn <= ISYN_FMT.max_raw
+
+
+# RS constants as raw fields: a, b, c = -65, d = 8.
+_RS_RAW = dict(a=82, b=819, c=-266240, d=32768, iconst=0, delta_dop=0)
+
+# Saturating corners of the fixed pipeline, recorded from the hand-written
+# step_fixed the schedule replaced: (fields, DA raw, beta raw at REG_FMT or
+# None) -> (isyn, v, u, spiked), stepped with alpha_fixed().
+GOLDEN = {
+    # the decayed I_syn plus the largest accumulator input clips the field
+    "isyn-clip-high": ((dict(_RS_RAW, isyn=8_000_000, v=-286720, u=-57344), 32767, None),
+                       (8388607, -266240, -24576, True)),
+    "isyn-clip-low": ((dict(_RS_RAW, isyn=-8_000_000, v=-286720, u=-57344), -32768, None),
+                      (-8388608, -1335296, -57344, False)),
+    # stored v past the peak: reset, with u + d clipped to the U field
+    "pre-reset-u-clip-high": ((dict(_RS_RAW, isyn=0, v=126976, u=8388507, d=8388607), 0, None),
+                              (0, -266240, 8388607, True)),
+    "pre-reset-u-clip-low": ((dict(_RS_RAW, isyn=0, v=8388607, u=-8388508, d=-8388608), 0, None),
+                             (0, -266240, -8388608, True)),
+    # fresh crossing this step, u' + d clipped
+    "post-reset-u-clip": ((dict(_RS_RAW, isyn=0, v=122470, u=8383607, d=8388607, iconst=32767),
+                           32767, None),
+                          (8388607, -266240, 8388607, True)),
+    # |beta * delta_dop| beyond the register: the dopamine gain clips
+    "gain-clip-pos-beta": ((dict(_RS_RAW, isyn=1000, delta_dop=32767, v=-245760, u=-49152),
+                            0, REG_FMT.max_raw),
+                           (991, -266240, -16384, True)),
+    "gain-clip-neg-beta": ((dict(_RS_RAW, isyn=-3, delta_dop=-32768, v=-245760, u=-49152),
+                            0, REG_FMT.min_raw),
+                           (-3, -444416, -49152, False)),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN)
+def test_golden_corner_scalar(case):
+    (fields, da, beta), (isyn, v, u, spiked) = GOLDEN[case]
+    words, got_spike = step_fixed(
+        pack(CompartmentFields(**fields)),
+        Fixed(da, DA_FMT),
+        alpha_fixed(),
+        beta=None if beta is None else Fixed(beta, REG_FMT),
+    )
+    out = unpack(words)
+    assert (out.isyn, out.v, out.u, got_spike) == (isyn, v, u, spiked)
+
+
+@pytest.mark.parametrize("case", GOLDEN)
+def test_golden_corner_batch(case):
+    (fields, da, beta), (isyn, v, u, spiked) = GOLDEN[case]
+    batch = FixedBatch(**{k: np.array([x], dtype=np.int64) for k, x in fields.items()})
+    got = step_fixed_batch(batch, np.array([da], dtype=np.int64), alpha_fixed().raw, beta or 0)
+    assert (batch.isyn[0], batch.v[0], batch.u[0], bool(got[0])) == (isyn, v, u, spiked)
+
+
+def test_full_range_states_match_recorded_digest():
+    """400 random states and group constants over every field's full range,
+    stepped by both steppers; the digest was recorded from the hand-written
+    pipeline the schedule replaced."""
+    rng = np.random.default_rng(20240611)
+    draw = lambda width, n: rng.integers(-(1 << (width - 1)), 1 << (width - 1), n)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        fields = {name: draw(width, 10) for name, (_, _, width) in neuron.FIELD_LAYOUT.items()}
+        da = draw(16, 10)
+        alpha, beta, v_peak = (int(draw(w, 1)[0]) for w in (16, 16, 24))
+        batch = FixedBatch(**{k: x.astype(np.int64) for k, x in fields.items()})
+        spiked = step_fixed_batch(batch, da, alpha, beta, v_peak_raw=v_peak)
+        for i in range(10):
+            words, s = step_fixed(
+                pack(CompartmentFields(**{k: int(x[i]) for k, x in fields.items()})),
+                Fixed(int(da[i]), DA_FMT),
+                Fixed(alpha, ISYN_FMT),
+                beta=Fixed(beta, DDOP_FMT),
+                v_peak=Fixed(v_peak, V_FMT),
+            )
+            assert words == batch.words(i) and s == bool(spiked[i])
+            digest.update(repr((words, s)).encode())
+    assert digest.hexdigest() == "457a715d488e086a6f8276f267fd1bf43963ca8884f9382d262b37d72015eb93"
+
+
+def test_schedule_text_is_what_runs(monkeypatch):
+    """The shipped text, compiled afresh, reproduces both steppers; one
+    changed shift count in it changes both."""
+    text = resources.files("neurocore").joinpath("data/izhikevich_schedule.txt").read_text()
+    mutated = text.replace("shr $dv <- $dv, 3", "shr $dv <- $dv, 4")
+    assert mutated != text
+    words = encode_compartment(RS, NeuronState(v=-60.0, u=-12.0))
+    batch = FixedBatch.from_params(RS, 3, v0=-60.0)
+    da = encode(10.0, DA_FMT)
+
+    def run_both():
+        scalar = step_fixed(words, da, alpha_fixed())
+        trial = FixedBatch(**vars(batch))
+        step_fixed_batch(trial, np.full(3, da.raw), alpha_fixed().raw)
+        return scalar, trial.v.tolist()
+
+    shipped = run_both()
+    for source, same in ((text, True), (mutated, False)):
+        schedule = parse_schedule(source)
+        monkeypatch.setattr(neuron, "_run_ints", compile_schedule(schedule))
+        monkeypatch.setattr(
+            neuron, "_run_arrays", compile_schedule(schedule, neuron._saturate_array, np.where)
+        )
+        scalar, v = run_both()
+        assert (scalar == shipped[0]) is same
+        assert (v == shipped[1]) is same
 
 
 class TestBatchAgreesWithScalar:

@@ -1,14 +1,17 @@
-"""Block-schedule validation and serialization."""
+"""Block-schedule validation, serialization and compilation."""
 
 from importlib import resources
 
 import pytest
 
+from neurocore.fxp import REG_FMT, V_FMT
 from neurocore.schedule import (
+    KQ_FRAC,
     Block,
     BlockSchedule,
     Op,
     ScheduleError,
+    compile_schedule,
     izhikevich_schedule,
     parse_schedule,
     render_schedule,
@@ -96,8 +99,60 @@ class TestParser:
         with pytest.raises(ScheduleError):
             parse_schedule("schedule: x\nop: mov $a <- a\n")
 
+    def test_rejects_non_numeric_word(self):
+        with pytest.raises(ScheduleError, match="line 3"):
+            parse_schedule("schedule: x\nblock: b\nword: two\n")
+
     def test_word_dash_means_register_only(self):
         schedule = parse_schedule(
             "schedule: x\nblock: spill\nword: -\nop: mov $a <- $b\n"
         )
         assert schedule.blocks[0].word is None
+
+
+def program(*ops, word=2):
+    return BlockSchedule("p", (block("b", word, *ops),))
+
+
+class TestCompiler:
+    @pytest.mark.parametrize(
+        "op,message",
+        [
+            (Op("frob", "$x", ("v",)), "unknown op 'frob'"),
+            (Op("add", "$x", ("v",)), "takes 2 operand"),
+            (Op("sel", "$x", ("v", "u")), "takes 3 operand"),
+            (Op("mov", "$x", ("$y",)), r"\$y read before it is written"),
+            (Op("mov", "@vpeak", ("v",)), "cannot be written"),
+            (Op("mov", "DA", ("v",)), "cannot be written"),
+        ],
+        ids=["unknown-op", "operands", "sel-operands", "unwritten", "constant", "port"],
+    )
+    def test_rejects(self, op, message):
+        with pytest.raises(ScheduleError, match=message):
+            compile_schedule(program(op))
+
+    def test_rejects_word_rule_violation(self):
+        with pytest.raises(ScheduleError, match="touches state words"):
+            compile_schedule(program(Op("add", "$t", ("v", "c")), word=None))
+
+    def test_writes_saturate_to_destination(self):
+        run = compile_schedule(program(
+            Op("add", "$sum", ("v", "v")),
+            Op("add", "v", ("v", "v")),
+            Op("mul", "$sq", ("$sum", "$sum")),
+            Op("mulw", "$w", ("@k", "$sum")),
+            Op("shl", "$big", ("$sum", "12")),
+            Op("shr", "$half", ("$sum", "1")),
+            Op("gt", "$f", ("$sum", "v")),
+            Op("sel", "u", ("$f", "$big", "u")),
+        ))
+        top = V_FMT.max_raw
+        env = run({"v": top, "u": 0, "@k": 3 << KQ_FRAC})
+        assert env["$sum"] == 2 * top  # a register is 32 bits wide
+        assert env["v"] == top  # the v field is 24
+        assert env["$sq"] == REG_FMT.max_raw
+        assert env["$w"] == 3 * 2 * top
+        assert env["$big"] == REG_FMT.max_raw
+        assert env["$half"] == top
+        assert env["$f"] is True
+        assert env["u"] == V_FMT.max_raw

@@ -1,4 +1,9 @@
-"""Dendrite accumulation, synaptic current, dopamine modulation, Poisson sources."""
+"""Dendrite accumulation, synaptic current, dopamine modulation, Poisson sources.
+
+Accumulation is ``fxp.quantize_raw`` on the integer sum of delivered Q12
+weights.  The synaptic-current and modulation steps are blocks of the
+shipped schedule, so they are checked through ``neuron.step_fixed``.
+"""
 
 import math
 
@@ -6,17 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from neurocore.fxp import DA_FMT, ISYN_FMT, Fixed, decode, encode
+from neurocore.fxp import DA_FMT, DDOP_FMT, ISYN_FMT, V_FMT, Fixed, decode, encode, quantize_raw
+from neurocore.neuron import NeuronParams, NeuronState, encode_compartment, step_fixed, unpack
 from neurocore.synapse import (
     PoissonSource,
     WeightError,
-    accumulate,
     alpha_factor,
     alpha_fixed,
     encode_weight,
-    isyn_step,
-    modulated_current,
 )
+
+RS = NeuronParams(a=0.02, b=0.2, c=-65, d=8)
 
 
 class TestWeights:
@@ -31,40 +36,55 @@ class TestWeights:
 
 class TestAccumulate:
     def test_no_spikes(self):
-        assert accumulate([]).raw == 0
+        assert int(quantize_raw(sum([]))) == 0
 
     def test_two_spikes_weight_five(self):
         w = encode_weight(5.0)
-        acc = accumulate([w, w])
-        assert acc.raw == 80  # 2 * 5 * 2^3 on the 3-fraction-bit grid
-        assert decode(acc) == 10.0
+        acc = int(quantize_raw(w.raw + w.raw))
+        assert acc == 80  # 2 * 5 * 2^3 on the 3-fraction-bit grid
+        assert decode(Fixed(acc, DA_FMT)) == 10.0
 
     def test_small_weight_vanishes_on_grid(self):
         # round(0.05 * 8) = 0: below one accumulator LSB of 0.125
-        assert accumulate([encode_weight(0.05)]).raw == 0
+        assert int(quantize_raw(encode_weight(0.05).raw)) == 0
 
     def test_saturates(self):
-        big = Fixed(ISYN_FMT.max_raw, ISYN_FMT)
-        assert accumulate([big, big]).raw == DA_FMT.max_raw
+        assert int(quantize_raw(2 * ISYN_FMT.max_raw)) == DA_FMT.max_raw
 
     @given(st.lists(st.integers(min_value=-30000, max_value=30000), max_size=20),
            st.randoms())
     def test_order_independent(self, raws, rnd):
-        weights = [Fixed(r, ISYN_FMT) for r in raws]
-        shuffled = list(weights)
-        rnd.shuffle(shuffled)
-        assert accumulate(weights).raw == accumulate(shuffled).raw
+        # the network adds delivered weights into per-target integer
+        # accumulators, in whatever order the spikes arrive
+        targets = [rnd.randrange(3) for _ in raws]
+        order = list(range(len(raws)))
+        rnd.shuffle(order)
+        sums = []
+        for sequence in (range(len(raws)), order):
+            acc = np.zeros(3, dtype=np.int64)
+            for i in sequence:
+                np.add.at(acc, [targets[i]], raws[i])
+            sums.append(quantize_raw(acc))
+        assert np.array_equal(*sums)
+
+
+def rest_words(i_syn=0.0, i_const=0.0, delta_dop=0.0):
+    """RS at its rest point (-70, -14), where the membrane derivative is
+    exactly the input current I."""
+    params = NeuronParams(a=RS.a, b=RS.b, c=RS.c, d=RS.d, i_const=i_const)
+    state = NeuronState(v=-70.0, u=-14.0, i_syn=i_syn, delta_dop=delta_dop)
+    return encode_compartment(params, state)
 
 
 class TestIsynStep:
     def test_zero_stays_zero(self):
-        zero = Fixed(0, ISYN_FMT)
-        assert isyn_step(zero, alpha_fixed(), Fixed(0, DA_FMT)).raw == 0
+        new, _ = step_fixed(rest_words(), Fixed(0, DA_FMT), alpha_fixed())
+        assert unpack(new).isyn == 0
 
     def test_single_spike_contributes_its_weight(self):
-        acc = accumulate([encode_weight(5.0)])
-        out = isyn_step(Fixed(0, ISYN_FMT), alpha_fixed(), acc)
-        assert out == encode(5.0, ISYN_FMT)
+        acc = Fixed(int(quantize_raw(encode_weight(5.0).raw)), DA_FMT)
+        new, _ = step_fixed(rest_words(), acc, alpha_fixed())
+        assert unpack(new).isyn == encode(5.0, ISYN_FMT).raw
 
     def test_alpha_raw_value(self):
         # 1 - (1/8)/15 = 119/120, rounding to 4062 in Q12
@@ -74,52 +94,59 @@ class TestIsynStep:
     def test_decay_is_bit_exact_and_tracks_exponential(self):
         alpha = alpha_fixed()
         zero_acc = Fixed(0, DA_FMT)
-        i_syn = encode(100.0, ISYN_FMT)
-        expected_raw = i_syn.raw
+        words = rest_words(i_syn=100.0)
+        expected_raw = unpack(words).isyn
         n = 400
         for _ in range(n):
-            i_syn = isyn_step(i_syn, alpha, zero_acc)
+            words, _ = step_fixed(words, zero_acc, alpha)
             expected_raw = (alpha.raw * expected_raw) >> 12
-        assert i_syn.raw == expected_raw
+        i_syn = unpack(words).isyn
+        assert i_syn == expected_raw
         ideal = 100.0 * (119 / 120) ** n
-        assert abs(decode(i_syn) - ideal) <= n * ISYN_FMT.lsb
+        assert abs(i_syn * ISYN_FMT.lsb - ideal) <= n * ISYN_FMT.lsb
+
+
+def current_seen(i_const, i_syn, beta, delta_dop):
+    """The total current I of one step, read off the membrane: at rest the
+    update is v' = v + (I >> 3).  alpha = 1 keeps I_syn as stored, and the
+    peak is out of reach so no reset hides the update."""
+    words = rest_words(i_syn, i_const, delta_dop)
+    new, _ = step_fixed(
+        words,
+        Fixed(0, DA_FMT),
+        encode(1.0, ISYN_FMT),
+        beta=encode(beta, DDOP_FMT),
+        v_peak=Fixed(V_FMT.max_raw, V_FMT),
+    )
+    return (unpack(new).v - unpack(words).v) * 8 * V_FMT.lsb
 
 
 class TestModulatedCurrent:
     def test_beta_zero_passes_current_through(self):
         for ddop in (-1.0, 0.0, 1.0):
-            out = modulated_current(
-                encode(5.0, ISYN_FMT),
-                encode(10.0, ISYN_FMT),
-                Fixed(0, ISYN_FMT),
-                encode(ddop, ISYN_FMT),
-            )
-            assert decode(out) == 15.0
+            assert current_seen(5.0, 10.0, 0.0, ddop) == 15.0
 
     @pytest.mark.parametrize(
         "beta,expected", [(0.6, 16.0), (-0.6, 4.0)], ids=["direct", "indirect"]
     )
     def test_dopamine_scales_synaptic_current(self, beta, expected):
-        out = modulated_current(
-            Fixed(0, ISYN_FMT),
-            encode(10.0, ISYN_FMT),
-            encode(beta, ISYN_FMT),
-            encode(1.0, ISYN_FMT),
+        # 10 * (1 +- 0.6); the encoded beta carries at most half an LSB of
+        # error, and reading I off v floors it to 8 LSBs
+        assert current_seen(0.0, 10.0, beta, 1.0) == pytest.approx(
+            expected, abs=18 * ISYN_FMT.lsb
         )
-        # 10 * (1 +- 0.6); the encoded beta carries at most half an LSB of error
-        assert decode(out) == pytest.approx(expected, abs=10 * ISYN_FMT.lsb)
 
     def test_monotone_in_delta_dop(self):
-        i_syn = encode(10.0, ISYN_FMT)
-        zero = Fixed(0, ISYN_FMT)
         for beta, sign in ((0.6, 1), (-0.6, -1)):
-            values = [
-                decode(modulated_current(zero, i_syn, encode(beta, ISYN_FMT),
-                                         encode(ddop, ISYN_FMT)))
-                for ddop in (-1.0, 0.0, 1.0)
-            ]
+            values = [current_seen(0.0, 10.0, beta, ddop) for ddop in (-1.0, 0.0, 1.0)]
             ordered = sorted(values) if sign > 0 else sorted(values, reverse=True)
             assert values == ordered and len(set(values)) == 3
+
+    def test_total_current_is_a_register_not_the_isyn_field(self):
+        # 1500 * 1.6 exceeds the 24-bit I_syn field (2048) but not the
+        # 32-bit register that carries I into the membrane update
+        assert current_seen(0.0, 1500.0, 0.6, 1.0) == pytest.approx(2400.0, abs=0.5)
+        assert 2400.0 > ISYN_FMT.max_raw * ISYN_FMT.lsb
 
 
 class TestPoisson:
