@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .network import BACKENDS, ConfigError, ConnectionSpec, PopulationSpec
 from .neuron import DT_MS, NeuronParams
+from .synapse import PoissonSource
 
 DEFAULT_CONFIG_RESOURCE = "bg_default.cfg"
 
@@ -164,9 +165,12 @@ def _get(items: dict, key: str, section: str, source: str) -> str:
 def _number(items, key, section, source, cast=float):
     value = _get(items, key, section, source)
     try:
-        return cast(value)
+        number = cast(value)
     except ValueError as exc:
         raise ConfigError(f"{source}: [{section}] {key} = {value!r} is not a number") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{source}: [{section}] {key} = {value!r} is not finite")
+    return number
 
 
 def _parse_simulation(items: dict, source: str) -> dict:
@@ -222,7 +226,7 @@ def _parse_generator(name: str, items: dict, source: str) -> GeneratorSpec:
     )
     if not targets:
         raise ConfigError(f"{source}: [{section}] has an empty target list")
-    return GeneratorSpec(
+    generator = GeneratorSpec(
         name=name,
         size=_number(items, "size", section, source, int),
         rate_hz=_number(items, "rate_hz", section, source),
@@ -230,6 +234,11 @@ def _parse_generator(name: str, items: dict, source: str) -> GeneratorSpec:
         weight=_number(items, "weight", section, source),
         prob=_number(items, "prob", section, source),
     )
+    try:
+        PoissonSource(name, generator.rate_hz, generator.size)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: [{section}] {exc}") from exc
+    return generator
 
 
 def _parse_connection(section: str, items: dict, source: str) -> ConnectionSpec:

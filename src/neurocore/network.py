@@ -1,18 +1,20 @@
-"""Population containers, probabilistic connection building, and the
-phase-ordered simulation engine.
+"""Population specs, connection building, and the one simulation engine.
 
-Each step runs strictly ordered phases:
+All Izhikevich neurons share one struct-of-arrays state, populations
+concatenated in spec order and named by slices.  All synapses share one CSR
+table: a row per pre id, ids in event order (sources, then neurons), each
+row in connection order.  Each step runs strictly ordered phases:
 
-  1. deliver the previous step's spikes into per-neuron accumulators,
+  1. deliver the previous step's spikes: gather their rows and sum the
+     weights per neuron with one ``np.bincount``,
   2. Poisson sources draw this step's spikes,
-  3. every neuron population advances one timestep (synaptic decay,
-     dopamine modulation, membrane update, threshold/reset),
-  4. the step's spike events are collected for recording and for delivery
-     on the next step.
+  3. one state update advances every neuron (synaptic decay, dopamine
+     modulation, membrane update, threshold/reset),
+  4. the spikes are split into (population, indices) events, which are
+     recorded and delivered on the next step.
 
-Spikes therefore take exactly one step of axonal delay.  Time is a pure
-step counter at dt = 1/8 ms.  Delivery accumulates integers on the fixed
-backend and runs in a fixed traversal order on the float backend, so a
+Spikes therefore take exactly one step of axonal delay at dt = 1/8 ms.
+Integer sums do not depend on order and float sums follow table order, so a
 (config, seed) pair always produces the identical spike record.
 """
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import synapse as syn
-from .fxp import DA_FMT, DDOP_FMT, REG_FMT, encode, quantize_raw
+from .fxp import DA_FMT, DDOP_FMT, REG_FMT, WEIGHT_FMT, encode, quantize_raw
 from .neuron import (
     DT_MS,
     QUAD_BIAS_DEFAULT,
@@ -32,8 +34,14 @@ from .neuron import (
     SimulationError,
     step_fixed_batch,
 )
+from .schedule import FIELD_FORMATS, FIELD_LAYOUT
 
 BACKENDS = ("fixed", "float")
+_NO_IDS = np.empty(0, dtype=np.int64)
+# the format each configured neuron value is encoded into
+_PARAM_FORMATS = {name: FIELD_FORMATS[name] for name in "abcd"} | dict(
+    i_const=FIELD_FORMATS["iconst"], v0=FIELD_FORMATS["v"], beta=DDOP_FMT, v_peak=REG_FMT
+)
 
 
 class ConfigError(ValueError):
@@ -73,7 +81,7 @@ class ConnectionSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.prob <= 1.0:
             raise ConfigError(
-                f"connection {self.pre}->{self.post}: prob {self.prob} outside [0, 1]"
+                f"connection {self.pre} -> {self.post}: prob {self.prob} outside [0, 1]"
             )
 
 
@@ -83,45 +91,31 @@ def build_connections(
     post_size: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the (pre, post) index pairs of one connection group.
+    """Draw the (pre, post) index pairs of one connection group, row-major.
 
     Every pair is included independently with probability ``spec.prob``;
     self-pairs are excluded when a population projects onto itself.
     """
-    if pre_size <= 0 or post_size <= 0:
-        raise ConfigError("population sizes must be positive")
     mask = rng.random((pre_size, post_size)) < spec.prob
     if spec.pre == spec.post:
         np.fill_diagonal(mask, False)
-    pre_idx, post_idx = np.nonzero(mask)
-    return pre_idx.astype(np.int64), post_idx.astype(np.int64)
+    return np.divmod(np.flatnonzero(mask), post_size)
 
 
 class SynapseGroup:
-    """All synapses of one ConnectionSpec, indexed by pre neuron."""
+    """Every synapse of a network as one CSR table: the synapses of pre id
+    ``i`` are slots ``indptr[i]:indptr[i + 1]``, each a post index and a weight."""
 
-    def __init__(
-        self, spec: ConnectionSpec, pre_idx: np.ndarray, post_idx: np.ndarray, pre_size: int
-    ):
-        self.spec = spec
-        order = np.argsort(pre_idx, kind="stable")
-        self.pre_idx = pre_idx[order]
-        self.post_idx = post_idx[order]
-        self.indptr = np.searchsorted(self.pre_idx, np.arange(pre_size + 1))
-        self.weight_raw = syn.encode_weight(spec.weight).raw
-        self.weight = spec.weight
-
-    def __len__(self) -> int:
-        return len(self.pre_idx)
+    def __init__(self, indptr: np.ndarray, post_idx: np.ndarray, weight: np.ndarray):
+        self.indptr, self.post_idx, self.weight = indptr, post_idx, weight
 
     def targets_of(self, spiking: np.ndarray) -> np.ndarray:
-        """Post indices hit by the given spiking pre neurons (with repeats)."""
-        if len(self.pre_idx) == 0 or len(spiking) == 0:
-            return np.empty(0, dtype=np.int64)
-        chunks = [
-            self.post_idx[self.indptr[i]: self.indptr[i + 1]] for i in spiking
-        ]
-        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        """Synapse slots of the given pre ids, row after row."""
+        starts = self.indptr[spiking]
+        counts = self.indptr[spiking + 1] - starts
+        ends = np.cumsum(counts)
+        # the k-th slot out is its row's start plus k less the row's first output position
+        return np.arange(counts.sum()) + np.repeat(starts - ends + counts, counts)
 
 
 class SpikeRecord:
@@ -144,72 +138,81 @@ class SpikeRecord:
         return list(seen)
 
 
-class _FloatPop:
-    """Float64 reference dynamics of one population."""
+def _slices(specs: list[PopulationSpec]) -> dict[str, slice]:
+    """Consecutive index ranges of the given populations, in order."""
+    ends = np.cumsum([0] + [s.size for s in specs]).tolist()
+    return {s.name: slice(start, end) for s, start, end in zip(specs, ends, ends[1:])}
 
-    def __init__(self, spec: PopulationSpec):
-        p = spec.params
-        n = spec.size
-        v0 = p.c if spec.v0 is None else spec.v0
-        self.params = p
-        self.size = n
-        self.v = np.full(n, float(v0))
-        self.u = np.full(n, p.b * float(v0))
-        self.isyn = np.zeros(n)
+
+def _per_neuron(values: list, specs: list[PopulationSpec], dtype) -> np.ndarray:
+    """One value per population, repeated over its neurons."""
+    return np.repeat(np.array(values, dtype=dtype), [s.size for s in specs])
+
+
+def _encode(value: float, fmt, what: str) -> int:
+    """The raw encoding of a configured value, which must not saturate."""
+    low, high = fmt.min_raw * fmt.lsb, fmt.max_raw * fmt.lsb
+    if not low <= value <= high:
+        raise ConfigError(
+            f"{what} = {value:g} saturates its {fmt.width}-bit field, range [{low}, {high}]"
+        )
+    return encode(value, fmt).raw
+
+
+class _FloatPop:
+    """Float64 reference dynamics of every neuron, with per-neuron parameters."""
+
+    def __init__(self, specs: list[PopulationSpec]):
+        for name in ("a", "b", "c", "d", "v_peak", "beta", "i_const"):
+            setattr(self, name, _per_neuron([vars(s.params)[name] for s in specs], specs, float))
+        self.v = _per_neuron([s.params.c if s.v0 is None else s.v0 for s in specs], specs, float)
+        self.u = self.b * self.v
+        self.isyn = np.zeros(len(self.v))
         self.delta_dop = 0.0
         self.alpha = syn.alpha_factor()
 
-    def set_dopamine(self, delta_dop: float) -> None:
-        self.delta_dop = delta_dop
-
     def step(self, acc: np.ndarray) -> np.ndarray:
-        p = self.params
         self.isyn = self.alpha * self.isyn + acc
-        current = p.i_const + self.isyn * (1.0 + p.beta * self.delta_dop)
+        current = self.i_const + self.isyn * (1.0 + self.beta * self.delta_dop)
         v, u = self.v, self.u
         if not np.all(np.isfinite(v)):
             raise SimulationError("membrane potential diverged on the float backend")
-        pre_spiked = v > p.v_peak
+        pre_spiked = v > self.v_peak
         v_new = v + (0.04 * v * v + 5.0 * v + QUAD_BIAS_DEFAULT - u + current) * DT_MS
-        u_new = u + p.a * (p.b * v - u) * DT_MS
-        post_spiked = ~pre_spiked & (v_new > p.v_peak)
-        v_new = np.where(post_spiked, p.c, v_new)
-        u_new = np.where(post_spiked, u_new + p.d, u_new)
-        v_new = np.where(pre_spiked, p.c, v_new)
-        u_new = np.where(pre_spiked, u + p.d, u_new)
+        u_new = u + self.a * (self.b * v - u) * DT_MS
+        post_spiked = ~pre_spiked & (v_new > self.v_peak)
+        v_new = np.where(post_spiked, self.c, v_new)
+        u_new = np.where(post_spiked, u_new + self.d, u_new)
+        v_new = np.where(pre_spiked, self.c, v_new)
+        u_new = np.where(pre_spiked, u + self.d, u_new)
         self.v, self.u = v_new, u_new
         return pre_spiked | post_spiked
 
 
-class _FixedPop:
-    """Fixed-point dynamics of one population (raw int64 state)."""
+def _fixed_state(specs: list[PopulationSpec]) -> tuple[FixedBatch, tuple]:
+    """The fixed-point state of the given populations, concatenated, and the
+    alpha, beta and v_peak raws of its update.  Values never clip silently."""
+    raws = []
+    for spec in specs:
+        values = {**vars(spec.params), "v0": spec.params.c if spec.v0 is None else spec.v0}
+        what = f"population {spec.name!r}"
+        raws.append({k: _encode(values[k], f, f"{what}: {k}") for k, f in _PARAM_FORMATS.items()})
+    parts = [vars(FixedBatch.from_params(s.params, s.size, v0=s.v0)) for s in specs]
+    columns = {n: np.concatenate([_NO_IDS, *(p[n] for p in parts)]) for n in FIELD_LAYOUT}
+    beta, v_peak = (_per_neuron([r[k] for r in raws], specs, np.int64) for k in ("beta", "v_peak"))
+    return FixedBatch(**columns), (syn.alpha_fixed().raw, beta, v_peak)
 
-    def __init__(self, spec: PopulationSpec):
-        p = spec.params
-        self.params = p
-        self.size = spec.size
-        self.batch = FixedBatch.from_params(p, spec.size, v0=spec.v0)
-        self.alpha_raw = syn.alpha_fixed().raw
-        self.beta_raw = encode(p.beta, DDOP_FMT).raw
-        self.v_peak_raw = encode(p.v_peak, REG_FMT).raw
 
-    def set_dopamine(self, delta_dop: float) -> None:
-        raw = encode(delta_dop, DDOP_FMT).raw
-        self.batch.delta_dop = np.full(self.size, raw, dtype=np.int64)
-
-    def step(self, acc_raw: np.ndarray) -> np.ndarray:
-        acc_q3 = quantize_raw(acc_raw, DA_FMT)
-        return step_fixed_batch(
-            self.batch,
-            acc_q3,
-            self.alpha_raw,
-            self.beta_raw,
-            v_peak_raw=self.v_peak_raw,
-        )
+def _weight_raw(weight: float, route: str) -> int:
+    _encode(weight, WEIGHT_FMT, f"{route}: weight")
+    try:
+        return syn.encode_weight(weight).raw
+    except syn.WeightError as exc:
+        raise ConfigError(f"{route}: {exc}") from exc
 
 
 class Network:
-    """A built network: populations, synapse groups, and the step engine."""
+    """A built network: one neuron state, one synapse table, the step engine."""
 
     def __init__(
         self,
@@ -220,74 +223,70 @@ class Network:
     ):
         if backend not in BACKENDS:
             raise ConfigError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
-        names = [p.name for p in populations]
-        if len(set(names)) != len(names):
+        specs = {p.name: p for p in populations}
+        if len(specs) != len(populations):
             raise ConfigError("duplicate population names")
-        self.specs = {p.name: p for p in populations}
         self.seed = seed
         self.backend = backend
         self.step_index = 0
-        self.delta_dop = 0.0
 
-        self.sources = {}
-        self.pops = {}
-        for stream_id, spec in enumerate(populations):
-            if spec.kind == "poisson":
-                self.sources[spec.name] = syn.PoissonSource(
-                    spec.name, spec.rate_hz, spec.size, stream_id=stream_id
-                )
-            else:
-                cls = _FixedPop if backend == "fixed" else _FloatPop
-                self.pops[spec.name] = cls(spec)
+        self.sources = {
+            p.name: syn.PoissonSource(p.name, p.rate_hz, p.size, stream_id=i)
+            for i, p in enumerate(populations) if p.kind == "poisson"
+        }
+        neurons = [p for p in populations if p.kind == "izhikevich"]
+        self.slices = _slices(neurons)
+        self.size = sum(p.size for p in neurons)
+        # pre ids follow event order: the sources, then the neurons
+        self._ids = _slices([specs[name] for name in self.sources] + neurons)
+        if backend == "fixed":
+            self.state, self._constants = _fixed_state(neurons)
+        else:
+            self.state = _FloatPop(neurons)
 
-        self.groups: list[SynapseGroup] = []
-        self._groups_by_pre: dict[str, list[SynapseGroup]] = {n: [] for n in names}
+        pre_ids, post_ids, weights = [], [], []
         for index, conn in enumerate(connections):
-            for endpoint in (conn.pre, conn.post):
-                if endpoint not in self.specs:
-                    raise ConfigError(
-                        f"connection {conn.pre}->{conn.post}: unknown population {endpoint!r}"
-                    )
+            route = f"connection {conn.pre} -> {conn.post}"
+            unknown = [name for name in (conn.pre, conn.post) if name not in specs]
+            if unknown:
+                raise ConfigError(f"{route}: unknown population {unknown[0]!r}")
             if conn.post in self.sources:
-                raise ConfigError(
-                    f"connection {conn.pre}->{conn.post}: sources cannot receive input"
-                )
+                raise ConfigError(f"{route}: sources cannot receive input")
+            weights.append(_weight_raw(conn.weight, route) if backend == "fixed" else conn.weight)
             rng = np.random.default_rng([seed, 0x5EED, index])
-            pre_idx, post_idx = build_connections(
-                conn, self.specs[conn.pre].size, self.specs[conn.post].size, rng
-            )
-            group = SynapseGroup(conn, pre_idx, post_idx, self.specs[conn.pre].size)
-            self.groups.append(group)
-            self._groups_by_pre[conn.pre].append(group)
-
-        self._pending: list[tuple[str, np.ndarray]] = []
+            pre, post = build_connections(conn, specs[conn.pre].size, specs[conn.post].size, rng)
+            pre_ids.append(np.add(pre, self._ids[conn.pre].start, dtype=np.int32))
+            post_ids.append(np.add(post, self.slices[conn.post].start, dtype=np.int32))
+        # one stable sort by pre id makes the rows; each temporary is dropped
+        # as soon as it is used, which keeps the build's peak memory low
+        counts = [len(pre) for pre in pre_ids]
+        pre_idx = np.concatenate([_NO_IDS, *pre_ids], dtype=np.int32)
+        del pre_ids
+        order = np.argsort(pre_idx, kind="stable")
+        indptr = np.zeros(sum(p.size for p in populations) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pre_idx, minlength=len(indptr) - 1), out=indptr[1:])
+        del pre_idx
+        post_idx = np.concatenate([_NO_IDS, *post_ids], dtype=np.int32)[order]
+        del post_ids
+        weights = np.array(weights, dtype=np.int32 if backend == "fixed" else np.float64)
+        self.synapses = SynapseGroup(indptr, post_idx, np.repeat(weights, counts)[order])
+        self._pending = _NO_IDS
 
     def set_dopamine(self, delta_dop: float) -> None:
         """Broadcast the dopamine deviation to every neuron."""
-        self.delta_dop = delta_dop
-        for pop in self.pops.values():
-            pop.set_dopamine(delta_dop)
+        if self.backend == "fixed":
+            delta_dop = np.full(self.size, encode(delta_dop, DDOP_FMT).raw, dtype=np.int64)
+        self.state.delta_dop = delta_dop
 
     def synapse_count(self) -> int:
-        return sum(len(g) for g in self.groups)
-
-    def _zero_accumulators(self) -> dict[str, np.ndarray]:
-        dtype = np.int64 if self.backend == "fixed" else np.float64
-        return {name: np.zeros(pop.size, dtype=dtype) for name, pop in self.pops.items()}
+        return len(self.synapses.post_idx)
 
     def step(self) -> list[tuple[str, np.ndarray]]:
         """Advance one timestep; returns this step's (population, indices) events."""
         # phase 1: deliver last step's spikes
-        acc = self._zero_accumulators()
-        for pre_name, spiking in self._pending:
-            for group in self._groups_by_pre[pre_name]:
-                targets = group.targets_of(spiking)
-                if len(targets) == 0:
-                    continue
-                if self.backend == "fixed":
-                    np.add.at(acc[group.spec.post], targets, group.weight_raw)
-                else:
-                    np.add.at(acc[group.spec.post], targets, group.weight)
+        table = self.synapses
+        slots = table.targets_of(self._pending)
+        acc = np.bincount(table.post_idx[slots], table.weight[slots], minlength=self.size)
 
         # phase 2: sources draw
         events: list[tuple[str, np.ndarray]] = []
@@ -296,14 +295,20 @@ class Network:
             if len(indices):
                 events.append((source.name, indices))
 
-        # phase 3: neuron updates (independent per population)
-        for name, pop in self.pops.items():
-            idx = np.flatnonzero(pop.step(acc[name]))
-            if len(idx):
-                events.append((name, idx))
+        # phase 3: one update of every neuron
+        if self.backend == "fixed":
+            da_raw = quantize_raw(acc.astype(np.int64), DA_FMT)
+            spiked = step_fixed_batch(self.state, da_raw, *self._constants)
+        else:
+            spiked = self.state.step(acc)
 
-        # phases 4-5: hand events to the next step and advance the counter
-        self._pending = events
+        # phase 4: split the spikes into events, hand them to the next step
+        for name, where in self.slices.items():
+            indices = np.flatnonzero(spiked[where])
+            if len(indices):
+                events.append((name, indices))
+        ids = [indices + self._ids[name].start for name, indices in events]
+        self._pending = np.concatenate([_NO_IDS, *ids])
         self.step_index += 1
         return events
 
@@ -320,7 +325,7 @@ class Network:
         """
         if steps < 0:
             raise ConfigError(f"steps must be >= 0, got {steps}")
-        recorded = set(self.pops) if record is None else set(record)
+        recorded = set(self.slices) if record is None else set(record)
         out = into if into is not None else SpikeRecord()
         for _ in range(steps):
             step_now = self.step_index

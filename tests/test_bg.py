@@ -1,14 +1,25 @@
 """Basal ganglia build, dopamine handling, and circuit structure."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from neurocore.bg import build_bg, run_condition
+from neurocore.analysis import export_raster_csv
+from neurocore.bg import CONDITIONS, DELTA_DOP_BY_CONDITION, build_bg, run_condition
 from neurocore.config import load_default_config
 from neurocore.fxp import DDOP_FMT, encode
 from neurocore.network import ConfigError, ConnectionSpec, Network
+
+RASTER_SHA256_SEED1 = {
+    ("fixed", "baseline"): "3c22ac3fd1a27427ff30e394e2c79a3a6c5f6615d468f25ff4ce08d8d4548552",
+    ("fixed", "high"): "63653ebc8ccfc4ada62c51c7f86e3b6937df872957588d1de1440fba148d2246",
+    ("fixed", "low"): "a2b782fbf0dd4a882ca91bcfde97c4843a6513a5e86e37fa5120fae0b7e49da2",
+    ("float", "baseline"): "740b8afe49d93df6a49a998516625aa3f5045a50f606fb3497fe31adf42a0e71",
+    ("float", "high"): "adb2cfa10c0f97c111243f4899ce976c18aeee42715df5153580b7740f1e5b4a",
+    ("float", "low"): "78f0dba2464a6ff7df7a9e0ce43551b5ab3897c84c272c5f6f356ef28657420f",
+}
 
 
 def resized(population_size, generator_size, **overrides):
@@ -57,9 +68,9 @@ class TestBuild:
     def test_default_population_inventory(self):
         cfg = load_default_config()
         net = build_bg(cfg)
-        assert set(net.pops) == set(cfg.populations)
+        assert set(net.slices) == set(cfg.populations)
         assert set(net.sources) == {"G_Ctx1", "G_Ctx2", "G_Ctx3", "G_noise"}
-        assert sum(p.size for p in net.pops.values()) == 600
+        assert sum(s.stop - s.start for s in net.slices.values()) == 600
 
     def test_synapse_count_stable_for_seed(self):
         cfg = replace(load_default_config(), seed=1)
@@ -72,7 +83,8 @@ class TestBuild:
 
     def test_sizes_configurable(self):
         net = build_bg(resized(10, 7))
-        assert net.pops["GPe"].size == 10
+        gpe = net.slices["GPe"]
+        assert gpe.stop - gpe.start == 10
         assert net.sources["G_noise"].size == 7
 
 
@@ -81,9 +93,9 @@ class TestDopamine:
         net = build_bg(resized(5, 5))
         net.set_dopamine(1.0)
         raw = encode(1.0, DDOP_FMT).raw
-        assert np.all(net.pops["STR_D1"].batch.delta_dop == raw)
+        assert np.all(net.state.delta_dop[net.slices["STR_D1"]] == raw)
         net.set_dopamine(-1.0)
-        assert np.all(net.pops["STR_D2"].batch.delta_dop == -raw)
+        assert np.all(net.state.delta_dop[net.slices["STR_D2"]] == -raw)
 
     def test_gain_endpoints(self):
         # delta_dop = +1: D1 synaptic gain 1.6, D2 gain 0.4 (and mirrored at -1)
@@ -136,6 +148,18 @@ class TestGonogoRun:
                 replace(cfg, **bad)
         with pytest.raises(ConfigError):
             build_bg(resized(0, 5))
+
+    @pytest.mark.parametrize("backend", ["fixed", "float"])
+    @pytest.mark.parametrize("condition", CONDITIONS)
+    def test_seed1_raster_digest(self, tmp_path, backend, condition):
+        # SHA-256 of each seed-1, 1 s raster CSV as the per-population engine
+        # wrote it; the float digests pin the order of delivered additions
+        cfg = replace(load_default_config(), seed=1, backend=backend)
+        result = run_condition(cfg, condition, DELTA_DOP_BY_CONDITION[condition])
+        csv = export_raster_csv(result.record, tmp_path / "raster.csv")
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == RASTER_SHA256_SEED1[
+            backend, condition
+        ]
 
     def test_steps_follow_timestep(self):
         assert replace(load_default_config(), duration_ms=1000.0).steps == 8000

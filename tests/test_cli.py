@@ -111,6 +111,40 @@ class TestInvalidInput:
         assert not out_dir.exists()
 
 
+class TestInvalidCircuit:
+    """Circuit values that crashed, ran silently wrong or clipped: exit 2,
+    one ``error:`` line naming the section (and, for a clip, the value and
+    the field's range), no rates summary."""
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("rate_hz = 15", "rate_hz = 9000", "[generator G_Ctx1]"),
+            ("rate_hz = 15", "rate_hz = -3", "[generator G_Ctx1]"),
+            ("rate_hz = 15", "rate_hz = nan", "[generator G_Ctx1]"),
+            ("weight = -7.5", "weight = 0.00001", "connection STR_D1 -> GPi/SNr"),
+            ("weight = -7.5", "weight = nan", "[connection STR_D1 -> GPi/SNr]"),
+            ("a = 0.1\n", "a = nan\n", "[population STR_FSI]"),
+            ("i_const = 5", "i_const = 10",
+             "population 'GPe': i_const = 10 saturates its 16-bit field, range [-8.0, 7.99975"),
+            ("weight = -7.5", "weight = 5000",
+             "connection STR_D1 -> GPi/SNr: weight = 5000 saturates its 24-bit field, "
+             "range [-2048.0, 2047.99975"),
+        ],
+        ids=[
+            "rate-9000", "rate-negative", "rate-nan", "weight-quantises-to-zero",
+            "weight-nan", "a-nan", "i_const-saturates", "weight-saturates",
+        ],
+    )
+    def test_gonogo_rejects(self, tmp_path, capsys, old, new, message):
+        cfg = small_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace(old, new, 1))
+        out_dir = tmp_path / "o"
+        assert main(["gonogo", "--config", str(cfg), "--out", str(out_dir)]) == 2
+        assert message in single_error_line(capsys)
+        assert not (out_dir / "rates_summary.json").exists()
+
+
 class TestValidateSchedule:
     def test_shipped_schedule_ok(self, capsys):
         assert main(["validate-schedule"]) == 0

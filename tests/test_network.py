@@ -1,6 +1,7 @@
 """Connection building and the phase-ordered engine."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from neurocore.network import (
     ConnectionSpec,
     Network,
     PopulationSpec,
-    SynapseGroup,
     build_connections,
 )
 from neurocore.neuron import DT_MS, NeuronParams, initial_state, step_float
@@ -52,14 +52,34 @@ class TestBuildConnections:
             ConnectionSpec("A", "B", weight=1.0, prob=1.5)
 
     def test_synapse_listing(self):
-        spec = ConnectionSpec("A", "B", weight=2.0, prob=1.0)
-        pre, post = build_connections(spec, 2, 2, rng())
-        group = SynapseGroup(spec, pre, post, pre_size=2)
-        assert len(group) == 4
-        assert group.pre_idx.tolist() == [0, 0, 1, 1]
-        assert group.post_idx.tolist() == [0, 1, 0, 1]
-        assert group.weight == 2.0
-        assert group.spec.pre == "A" and group.spec.post == "B"
+        # a source ahead of A shifts A's pre ids; B's neurons follow A's; the
+        # fixed backend stores raw Q12 weights
+        for backend, weight in (("float", 2.0), ("fixed", 2 << 12)):
+            net = Network(
+                [PopulationSpec("S", 3, rate_hz=10.0),
+                 PopulationSpec("A", 2, params=RS), PopulationSpec("B", 2, params=RS)],
+                [ConnectionSpec("A", "B", weight=2.0, prob=1.0)],
+                backend=backend,
+            )
+            table = net.synapses
+            assert net.synapse_count() == 4
+            pre_ids = np.repeat(np.arange(len(table.indptr) - 1), np.diff(table.indptr))
+            assert (pre_ids - 3 - net.slices["A"].start).tolist() == [0, 0, 1, 1]
+            assert (table.post_idx - net.slices["B"].start).tolist() == [0, 1, 0, 1]
+            assert table.weight.tolist() == [weight] * 4
+
+    def test_table_rows_in_event_then_connection_order(self):
+        # rows follow pre id order; each row lists its connections in order
+        pops = [PopulationSpec("A", 2, params=RS), PopulationSpec("B", 1, params=RS),
+                PopulationSpec("S", 1, rate_hz=10.0)]
+        conns = [ConnectionSpec("A", "B", 1.5, 1.0), ConnectionSpec("S", "A", 0.5, 1.0),
+                 ConnectionSpec("A", "A", 0.25, 1.0)]
+        table = Network(pops, conns, backend="float").synapses
+        # pre ids: S = 0, then A = 1, 2 and B = 3; neuron indices A = 0, 1, B = 2
+        assert table.indptr.tolist() == [0, 2, 4, 6, 6]
+        assert table.post_idx.tolist() == [0, 1, 2, 1, 2, 0]
+        assert table.weight.tolist() == [0.5, 0.5, 1.5, 0.25, 1.5, 0.25]
+        assert table.targets_of(np.array([0, 2])).tolist() == [0, 1, 4, 5]
 
 
 def single_pop_net(backend, i_const=10.0, size=1, seed=1):
@@ -104,18 +124,18 @@ class TestEngine:
             seed=1,
             backend="float",
         )
-        follower_state = net.pops["follower"]
+        follower = net.slices["follower"].start
         for _ in range(2000):
-            before = float(follower_state.isyn[0])
+            before = float(net.state.isyn[follower])
             events = net.step()
             driver_fired = any(name == "driver" for name, _ in events)
-            after = float(follower_state.isyn[0])
+            after = float(net.state.isyn[follower])
             if driver_fired:
                 # nothing lands this step; the weight arrives next step
-                assert after == pytest.approx(before * net.pops["follower"].alpha)
+                assert after == pytest.approx(before * net.state.alpha)
                 net.step()
-                landed = float(follower_state.isyn[0])
-                assert landed == pytest.approx(after * net.pops["follower"].alpha + 30.0)
+                landed = float(net.state.isyn[follower])
+                assert landed == pytest.approx(after * net.state.alpha + 30.0)
                 break
         else:
             pytest.fail("driver never fired")
@@ -133,17 +153,17 @@ class TestEngine:
         fanout = 3
         total_weight = 0.0
         expected = 0.0
-        sink_state = net.pops["sink"]
+        sink = net.slices["sink"]
         for _ in range(1500):
-            pre_isyn = sink_state.isyn.sum()
+            pre_isyn = net.state.isyn[sink].sum()
             events = net.step()
             driver_spikes = sum(len(ix) for name, ix in events if name == "driver")
-            delivered = sink_state.isyn.sum() - pre_isyn * sink_state.alpha
+            delivered = net.state.isyn[sink].sum() - pre_isyn * net.state.alpha
             total_weight += delivered
             expected += driver_spikes * fanout * 0.5
         # everything the driver emitted arrived, once (one step shifted);
         # the last step's spikes are still pending
-        pending = sum(len(ix) for name, ix in net._pending if name == "driver")
+        pending = sum(len(ix) for name, ix in events if name == "driver")
         assert total_weight == pytest.approx(expected - pending * fanout * 0.5)
 
     def test_record_is_nondecreasing_in_step(self):
@@ -227,3 +247,21 @@ class TestValidation:
         net = Network([PopulationSpec("A", 2, params=RS)], [])
         with pytest.raises(ConfigError):
             net.run(-1)
+
+    @pytest.mark.parametrize(
+        "population, connection, message",
+        [
+            (dict(params=replace(RS, i_const=10.0)), None, "'A': i_const = 10 saturates"),
+            (dict(params=replace(RS, beta=-9.0)), None, "'A': beta = -9 saturates"),
+            (dict(params=RS, v0=-3000.0), None, "'A': v0 = -3000 saturates"),
+            (dict(params=RS), 5000.0, "A -> A: weight = 5000 saturates"),
+            (dict(params=RS), 1e-5, "A -> A: weight 1e-05 quantises to zero"),
+        ],
+    )
+    def test_fixed_encoding_never_clips_silently(self, population, connection, message):
+        pops = [PopulationSpec("A", 2, **population)]
+        conns = [] if connection is None else [ConnectionSpec("A", "A", connection, 1.0)]
+        with pytest.raises(ConfigError, match=message):
+            Network(pops, conns, backend="fixed")
+        # the float backend has no fields to saturate
+        Network(pops, conns, backend="float").run(5)
