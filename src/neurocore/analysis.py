@@ -39,8 +39,8 @@ class SpikeTrain:
             raise ValueError("spike times must be strictly increasing")
 
     @classmethod
-    def from_steps(cls, steps, dt_ms: float = DT_MS) -> "SpikeTrain":
-        return cls(tuple(step * dt_ms for step in steps))
+    def from_steps(cls, steps) -> "SpikeTrain":
+        return cls(tuple(step * DT_MS for step in steps))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -137,8 +137,6 @@ def export_raster_svg(
     path: str | Path,
     populations: list[str] | None = None,
     population_sizes: dict[str, int] | None = None,
-    width: int = 900,
-    band_height: int = 80,
 ) -> Path:
     """Write a static scatter raster: x = time (ms), y = neuron index,
     one labelled band per population."""
@@ -150,7 +148,7 @@ def export_raster_svg(
     last_step = max((step for step, _, _ in record.events), default=1)
     t_max = max(last_step * DT_MS, DT_MS)
 
-    margin_left, margin_top = 90, 24
+    width, band_height, margin_left, margin_top = 900, 80, 90, 24
     plot_w = width - margin_left - 20
     height = margin_top + band_height * max(len(pops), 1) + 40
 

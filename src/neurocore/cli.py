@@ -129,11 +129,11 @@ def cmd_gonogo(args) -> int:
     overrides = {"seed": seed, "backend": args.backend, "duration_ms": args.duration_ms}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     out = Path(args.out or os.environ.get(ENV_OUT) or config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     results = run_gonogo(config)
     elapsed = time.perf_counter() - t0
+    out.mkdir(parents=True, exist_ok=True)
     total_steps = len(results) * config.steps
 
     sizes = {name: size for name, (size, _) in config.populations.items()}

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import synapse as syn
-from .fxp import DA_FMT, DDOP_FMT, REG_FMT, WEIGHT_FMT, encode, quantize_raw
+from .fxp import DA_FMT, DDOP_FMT, WEIGHT_FMT, encode, quantize_raw
 from .neuron import (
     DT_MS,
     QUAD_BIAS_DEFAULT,
@@ -38,9 +38,11 @@ from .schedule import FIELD_FORMATS, FIELD_LAYOUT
 
 BACKENDS = ("fixed", "float")
 _NO_IDS = np.empty(0, dtype=np.int64)
-# the format each configured neuron value is encoded into
+# the format each configured neuron value is encoded into; the schedule
+# compares v_peak with v, so v_peak must fit v's field
 _PARAM_FORMATS = {name: FIELD_FORMATS[name] for name in "abcd"} | dict(
-    i_const=FIELD_FORMATS["iconst"], v0=FIELD_FORMATS["v"], beta=DDOP_FMT, v_peak=REG_FMT
+    i_const=FIELD_FORMATS["iconst"], v0=FIELD_FORMATS["v"], beta=DDOP_FMT,
+    v_peak=FIELD_FORMATS["v"],
 )
 
 
@@ -273,9 +275,11 @@ class Network:
         self._pending = _NO_IDS
 
     def set_dopamine(self, delta_dop: float) -> None:
-        """Broadcast the dopamine deviation to every neuron."""
+        """Broadcast the dopamine deviation to every neuron; on the fixed
+        backend it must fit its field."""
         if self.backend == "fixed":
-            delta_dop = np.full(self.size, encode(delta_dop, DDOP_FMT).raw, dtype=np.int64)
+            raw = _encode(delta_dop, DDOP_FMT, "delta_dop")
+            delta_dop = np.full(self.size, raw, dtype=np.int64)
         self.state.delta_dop = delta_dop
 
     def synapse_count(self) -> int:

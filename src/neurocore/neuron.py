@@ -7,7 +7,7 @@ the shipped block schedule ``data/izhikevich_schedule.txt`` (see
 on one compartment's unpacked state words with Python ints, and
 ``step_fixed_batch`` runs it on whole populations of int64 arrays.
 
-Update rule, with the quadratic bias defaulting to the canonical 140:
+Update rule, with dt = DT_MS = 1/8 ms:
 
     v' = v + (0.04 v^2 + 5 v + 140 - u + I) * dt
     u' = u + a (b v - u) * dt
@@ -92,23 +92,17 @@ def initial_state(params: NeuronParams, v0: float | None = None) -> NeuronState:
 
 
 def step_float(
-    params: NeuronParams,
-    state: NeuronState,
-    i_input: float,
-    dt: float = DT_MS,
-    *,
-    quad_bias: float = QUAD_BIAS_DEFAULT,
+    params: NeuronParams, state: NeuronState, i_input: float
 ) -> tuple[NeuronState, bool]:
-    """One Euler step of the reference model under total current ``i_input``."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    """One Euler step of DT_MS of the reference model under total current
+    ``i_input``."""
     v, u = state.v, state.u
     if not (np.isfinite(v) and np.isfinite(u) and np.isfinite(i_input)):
         raise SimulationError(f"non-finite neuron state: v={v}, u={u}, I={i_input}")
     if v > params.v_peak:
         return replace(state, v=params.c, u=u + params.d), True
-    v_new = v + (_K_QUAD * v * v + _K_LIN * v + quad_bias - u + i_input) * dt
-    u_new = u + params.a * (params.b * v - u) * dt
+    v_new = v + (_K_QUAD * v * v + _K_LIN * v + QUAD_BIAS_DEFAULT - u + i_input) * DT_MS
+    u_new = u + params.a * (params.b * v - u) * DT_MS
     spiked = v_new > params.v_peak
     if spiked:
         v_new = params.c

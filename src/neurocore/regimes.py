@@ -73,14 +73,8 @@ class SingleRun:
         return SpikeTrain.from_steps(self.spike_steps)
 
 
-def _protocol_currents(protocol: Protocol) -> np.ndarray:
-    segments = [np.full(round(ms / DT_MS), i) for ms, i in protocol]
-    return np.concatenate(segments)
-
-
 def run_single(params: NeuronParams, protocol: Protocol, backend: str) -> SingleRun:
-    runs = run_batch([params], [protocol], backend)
-    return runs[0]
+    return run_batch([params], [protocol], backend)[0]
 
 
 def run_batch(
@@ -88,29 +82,17 @@ def run_batch(
     protocols: list[Protocol],
     backend: str,
 ) -> list[SingleRun]:
-    """Run several isolated neurons side by side (padded to a common length)."""
-    currents = [_protocol_currents(p) for p in protocols]
-    steps = max(len(c) for c in currents)
-    drive = np.zeros((steps, len(currents)))
-    for j, c in enumerate(currents):
-        drive[: len(c), j] = c
-
+    """Run isolated neurons one after another, each for exactly the steps of
+    its own protocol."""
     if backend == "fixed":
-        v_trace, spike_lists = _run_fixed(params_list, drive)
+        run = _run_fixed
     elif backend == "float":
-        v_trace, spike_lists = _run_float(params_list, drive)
+        run = _run_float
     else:
         raise ValueError(f"unknown backend {backend!r}")
-
     return [
-        SingleRun(
-            params=params_list[j],
-            backend=backend,
-            protocol=protocols[j],
-            v_mv=v_trace[: len(currents[j]), j],
-            spike_steps=[s for s in spike_lists[j] if s < len(currents[j])],
-        )
-        for j in range(len(params_list))
+        SingleRun(params, backend, protocol, *run(params, protocol))
+        for params, protocol in zip(params_list, protocols)
     ]
 
 
@@ -129,40 +111,33 @@ def timing_comparison(
     }
 
 
-def _run_fixed(params_list, drive):
+def _run_fixed(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, list[int]]:
     v_scale = float(V_FMT.scale)
-    v_trace = np.empty(drive.shape)
-    spike_lists: list[list[int]] = []
     alpha_off = Fixed(0, ISYN_FMT)
-    for j, p in enumerate(params_list):
+    v_peak = encode(params.v_peak, V_FMT)
+    words = FixedBatch.from_params(params, 1, v0=REST_V).words(0)
+    v_mv, spikes = [], []
+    for ms, current in protocol:
         # the stimulus enters through the accumulator port with decay off
-        da = [Fixed(encode(i, DA_FMT).raw, DA_FMT) for i in drive[:, j]]
-        words = FixedBatch.from_params(p, 1, v0=REST_V).words(0)
-        v_peak = encode(p.v_peak, V_FMT)
-        spikes = []
-        for t, da_t in enumerate(da):
-            words, spiked = step_fixed(words, da_t, alpha_off, v_peak=v_peak)
-            v_trace[t, j] = unpack(words).v / v_scale
+        da = encode(current, DA_FMT)
+        for _ in range(round(ms / DT_MS)):
+            words, spiked = step_fixed(words, da, alpha_off, v_peak=v_peak)
             if spiked:
-                spikes.append(t)
-        spike_lists.append(spikes)
-    return v_trace, spike_lists
+                spikes.append(len(v_mv))
+            v_mv.append(unpack(words).v / v_scale)
+    return np.array(v_mv), spikes
 
 
-def _run_float(params_list, drive):
-    v_trace = np.empty(drive.shape)
-    spike_lists: list[list[int]] = []
-    for j, p in enumerate(params_list):
-        state = initial_state(p, v0=REST_V)
-        currents = drive[:, j]
-        spikes = []
-        for t in range(len(currents)):
-            state, spiked = step_float(p, state, currents[t], DT_MS)
-            v_trace[t, j] = state.v
+def _run_float(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, list[int]]:
+    state = initial_state(params, v0=REST_V)
+    v_mv, spikes = [], []
+    for ms, current in protocol:
+        for _ in range(round(ms / DT_MS)):
+            state, spiked = step_float(params, state, current)
             if spiked:
-                spikes.append(t)
-        spike_lists.append(spikes)
-    return v_trace, spike_lists
+                spikes.append(len(v_mv))
+            v_mv.append(state.v)
+    return np.array(v_mv), spikes
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,13 @@ def encode_weight(weight: float, fmt: FixedFormat = WEIGHT_FMT) -> Fixed:
     return encoded
 
 
-def alpha_factor(tau_ms: float = SYNAPTIC_TAU_MS, dt_ms: float = DT_MS) -> float:
+def alpha_factor() -> float:
     """Synaptic decay per step, 1 - dt/tau."""
-    return 1.0 - dt_ms / tau_ms
+    return 1.0 - DT_MS / SYNAPTIC_TAU_MS
 
-def alpha_fixed(tau_ms: float = SYNAPTIC_TAU_MS, dt_ms: float = DT_MS) -> Fixed:
-    return encode(alpha_factor(tau_ms, dt_ms), ISYN_FMT)
+
+def alpha_fixed() -> Fixed:
+    return encode(alpha_factor(), ISYN_FMT)
 
 
 # ---------------------------------------------------------------------------
@@ -68,20 +69,20 @@ class PoissonSource:
             raise ValueError(f"rate must be >= 0, got {self.rate_hz}")
         if self.size <= 0:
             raise ValueError(f"size must be positive, got {self.size}")
-        if self.spike_probability(DT_MS) > 1.0:
+        if self.spike_probability() > 1.0:
             raise ValueError(f"rate {self.rate_hz} Hz exceeds one spike per step")
 
-    def spike_probability(self, dt_ms: float = DT_MS) -> float:
-        return self.rate_hz * dt_ms / 1000.0
+    def spike_probability(self) -> float:
+        return self.rate_hz * DT_MS / 1000.0
 
-    def spikes_at(self, step: int, seed: int, dt_ms: float = DT_MS) -> np.ndarray:
+    def spikes_at(self, step: int, seed: int) -> np.ndarray:
         """Indices of neurons firing this step.
 
         The draw is a pure function of (seed, stream_id, step, neuron index):
         a fresh counter-based generator is keyed per source and positioned at
         the step, so no sequential state is carried between calls.
         """
-        p = self.spike_probability(dt_ms)
+        p = self.spike_probability()
         if p == 0.0:
             return np.empty(0, dtype=np.int64)
         bitgen = np.random.Philox(

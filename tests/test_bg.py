@@ -97,6 +97,14 @@ class TestDopamine:
         net.set_dopamine(-1.0)
         assert np.all(net.state.delta_dop[net.slices["STR_D2"]] == -raw)
 
+    def test_set_dopamine_never_clips_silently(self):
+        with pytest.raises(ConfigError, match="delta_dop = 9 saturates its 16-bit field"):
+            build_bg(resized(5, 5)).set_dopamine(9.0)
+        # the float backend has no field to saturate
+        net = build_bg(resized(5, 5, backend="float"))
+        net.set_dopamine(9.0)
+        assert net.state.delta_dop == 9.0
+
     def test_gain_endpoints(self):
         # delta_dop = +1: D1 synaptic gain 1.6, D2 gain 0.4 (and mirrored at -1)
         pops = load_default_config().populations

@@ -114,7 +114,7 @@ class TestInvalidInput:
 class TestInvalidCircuit:
     """Circuit values that crashed, ran silently wrong or clipped: exit 2,
     one ``error:`` line naming the section (and, for a clip, the value and
-    the field's range), no rates summary."""
+    the field's range), no output directory."""
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -130,10 +130,14 @@ class TestInvalidCircuit:
             ("weight = -7.5", "weight = 5000",
              "connection STR_D1 -> GPi/SNr: weight = 5000 saturates its 24-bit field, "
              "range [-2048.0, 2047.99975"),
+            ("i_const = 5", "i_const = 5\nv_peak = 3000",
+             "population 'GPe': v_peak = 3000 saturates its 24-bit field, "
+             "range [-2048.0, 2047.99975"),
         ],
         ids=[
             "rate-9000", "rate-negative", "rate-nan", "weight-quantises-to-zero",
             "weight-nan", "a-nan", "i_const-saturates", "weight-saturates",
+            "v_peak-saturates",
         ],
     )
     def test_gonogo_rejects(self, tmp_path, capsys, old, new, message):
@@ -142,7 +146,7 @@ class TestInvalidCircuit:
         out_dir = tmp_path / "o"
         assert main(["gonogo", "--config", str(cfg), "--out", str(out_dir)]) == 2
         assert message in single_error_line(capsys)
-        assert not (out_dir / "rates_summary.json").exists()
+        assert not out_dir.exists()
 
 
 class TestValidateSchedule:

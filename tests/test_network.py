@@ -13,7 +13,7 @@ from neurocore.network import (
     PopulationSpec,
     build_connections,
 )
-from neurocore.neuron import DT_MS, NeuronParams, initial_state, step_float
+from neurocore.neuron import NeuronParams, initial_state, step_float
 
 RS = NeuronParams(a=0.02, b=0.2, c=-65, d=8)
 
@@ -108,7 +108,7 @@ class TestEngine:
         state = initial_state(params)
         direct_first = None
         for t in range(2000):
-            state, spiked = step_float(params, state, params.i_const, DT_MS)
+            state, spiked = step_float(params, state, params.i_const)
             if spiked:
                 direct_first = t
                 break
@@ -256,6 +256,8 @@ class TestValidation:
             (dict(params=RS, v0=-3000.0), None, "'A': v0 = -3000 saturates"),
             (dict(params=RS), 5000.0, "A -> A: weight = 5000 saturates"),
             (dict(params=RS), 1e-5, "A -> A: weight 1e-05 quantises to zero"),
+            # the schedule compares v_peak with v, a 24-bit field
+            (dict(params=replace(RS, v_peak=3000.0)), None, "'A': v_peak = 3000 saturates its 24"),
         ],
     )
     def test_fixed_encoding_never_clips_silently(self, population, connection, message):

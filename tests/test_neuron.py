@@ -9,7 +9,6 @@ import pytest
 from neurocore import neuron
 from neurocore.fxp import DA_FMT, DDOP_FMT, ISYN_FMT, REG_FMT, V_FMT, Fixed, encode
 from neurocore.neuron import (
-    DT_MS,
     CompartmentFields,
     FixedBatch,
     NeuronParams,
@@ -45,7 +44,7 @@ class TestStepFloat:
     def test_equilibrium_is_stationary(self):
         # (-70, -14) solves 0.04 v^2 + 4.8 v + 140 = 0 with u = b v
         state = NeuronState(v=-70.0, u=-14.0)
-        new, spiked = step_float(RS, state, 0.0, DT_MS)
+        new, spiked = step_float(RS, state, 0.0)
         assert not spiked
         assert new.v == -70.0
         assert new.u == -14.0
@@ -53,14 +52,14 @@ class TestStepFloat:
     def test_reset_replaces_update_past_peak(self):
         params = NeuronParams(a=0.02, b=0.2, c=-65, d=8, v_peak=30)
         state = NeuronState(v=31.0, u=-10.0)
-        new, spiked = step_float(params, state, 0.0, DT_MS)
+        new, spiked = step_float(params, state, 0.0)
         assert spiked
         assert new.v == -65.0
         assert new.u == -2.0  # u + d, no integration on the reset path
 
     def test_hand_evaluated_step(self):
         state = NeuronState(v=-60.0, u=-12.0)
-        new, spiked = step_float(RS, state, 10.0, DT_MS)
+        new, spiked = step_float(RS, state, 10.0)
         assert not spiked
         # (0.04*3600 - 300 + 140 + 12 + 10) / 8 = 0.75
         assert new.v == pytest.approx(-59.25)
@@ -69,23 +68,19 @@ class TestStepFloat:
     def test_fresh_crossing_resets_same_step(self):
         params = NeuronParams(a=0.02, b=0.2, c=-65, d=8, v_peak=30)
         state = NeuronState(v=29.0, u=-10.0)
-        new, spiked = step_float(params, state, 10.0, DT_MS)
+        new, spiked = step_float(params, state, 10.0)
         assert spiked
         assert new.v == -65.0
 
     def test_v_never_exceeds_peak_after_step(self):
         state = initial_state(RS, v0=-70.0)
         for _ in range(4000):
-            state, _ = step_float(RS, state, 10.0, DT_MS)
+            state, _ = step_float(RS, state, 10.0)
             assert state.v <= RS.v_peak
 
     def test_non_finite_state_raises(self):
         with pytest.raises(SimulationError):
-            step_float(RS, NeuronState(v=float("nan"), u=0.0), 0.0, DT_MS)
-
-    def test_bad_dt_rejected(self):
-        with pytest.raises(ValueError):
-            step_float(RS, initial_state(RS), 0.0, 0.0)
+            step_float(RS, NeuronState(v=float("nan"), u=0.0), 0.0)
 
 
 class TestCompartmentWords:
@@ -147,7 +142,7 @@ class TestStepFixed:
         alpha = alpha_fixed()
         for _ in range(1000):
             words, spiked = step_fixed(words, zero, alpha)
-            float_state, _ = step_float(RS, float_state, 0.0, DT_MS)
+            float_state, _ = step_float(RS, float_state, 0.0)
             assert not spiked
         v_fixed = unpack(words).v / V_FMT.scale
         assert abs(v_fixed - float_state.v) <= V_FMT.lsb
@@ -342,7 +337,7 @@ class TestBackendAgreement:
         first_float = first_fixed = None
         for t in range(8000):
             if first_float is None:
-                state, spiked = step_float(params, state, 10.0, DT_MS)
+                state, spiked = step_float(params, state, 10.0)
                 if spiked:
                     first_float = t
             if first_fixed is None:
