@@ -34,6 +34,7 @@ from .schedule import (
     compile_schedule,
     izhikevich_schedule,
     parse_schedule,
+    plan_schedule,
     validate_schedule,
 )
 
@@ -178,7 +179,11 @@ def cmd_gonogo(args) -> int:
 
 def cmd_validate_schedule(args) -> int:
     if args.schedule:
-        schedule = parse_schedule(Path(args.schedule).read_text())
+        try:
+            text = Path(args.schedule).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ScheduleError(f"{args.schedule}: not UTF-8 text ({exc.reason})") from None
+        schedule = parse_schedule(text)
         origin = args.schedule
     else:
         schedule = izhikevich_schedule()
@@ -186,7 +191,12 @@ def cmd_validate_schedule(args) -> int:
     violations = validate_schedule(schedule)
     if not violations:
         compile_schedule(schedule)
-        print(f"{origin}: OK ({len(schedule.blocks)} blocks, one state word per block, compiles)")
+        plan = plan_schedule(schedule)
+        kept = sum(op.clips for op in plan)
+        print(
+            f"{origin}: OK ({len(schedule.blocks)} blocks, one state word per block, "
+            f"compiles; {kept} of {len(plan)} clips kept)"
+        )
         return 0
     for v in violations:
         print(f"{origin}: {v.describe()}")

@@ -28,13 +28,12 @@ from . import synapse as syn
 from .fxp import DA_FMT, DDOP_FMT, WEIGHT_FMT, encode, quantize_raw
 from .neuron import (
     DT_MS,
-    QUAD_BIAS_DEFAULT,
     FixedBatch,
     NeuronParams,
     SimulationError,
     step_fixed_batch,
 )
-from .schedule import FIELD_FORMATS, FIELD_LAYOUT
+from .schedule import FIELD_FORMATS, FIELD_LAYOUT, K_BIAS, K_LIN, K_QUAD
 
 BACKENDS = ("fixed", "float")
 _NO_IDS = np.empty(0, dtype=np.int64)
@@ -180,7 +179,7 @@ class _FloatPop:
         if not np.all(np.isfinite(v)):
             raise SimulationError("membrane potential diverged on the float backend")
         pre_spiked = v > self.v_peak
-        v_new = v + (0.04 * v * v + 5.0 * v + QUAD_BIAS_DEFAULT - u + current) * DT_MS
+        v_new = v + (K_QUAD * v * v + K_LIN * v + K_BIAS - u + current) * DT_MS
         u_new = u + self.a * (self.b * v - u) * DT_MS
         post_spiked = ~pre_spiked & (v_new > self.v_peak)
         v_new = np.where(post_spiked, self.c, v_new)

@@ -3,9 +3,11 @@
 ``step_float`` is the floating-point reference implementation of the
 discrete Euler update.  The fixed-point arithmetic is defined in one place,
 the shipped block schedule ``data/izhikevich_schedule.txt`` (see
-:mod:`neurocore.schedule`), compiled once at import: ``step_fixed`` runs it
-on one compartment's unpacked state words with Python ints, and
-``step_fixed_batch`` runs it on whole populations of int64 arrays.
+:mod:`neurocore.schedule`), compiled at import into two generated functions
+of the same source but for how they clip and select: ``step_fields`` on one
+compartment's field values as Python ints, which ``step_fixed`` wraps in an
+unpack and a pack of the state words, and ``step_fields_batch`` on whole
+populations of int64 arrays, which ``step_fixed_batch`` runs.
 
 Update rule, with dt = DT_MS = 1/8 ms:
 
@@ -20,7 +22,9 @@ step in which the crossing happened.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,7 +32,6 @@ from .fxp import (
     DDOP_FMT,
     ISYN_FMT,
     Q12,
-    REG_FMT,
     U_FMT,
     V_FMT,
     Fixed,
@@ -36,22 +39,19 @@ from .fxp import (
     sat_raw,
 )
 from .schedule import (
+    ARRAYS,
     FIELD_FORMATS,
     FIELD_LAYOUT,
-    KQ_FRAC,
+    INPUTS,
+    K_BIAS,
+    K_LIN,
+    K_QUAD,
     compile_schedule,
     izhikevich_schedule,
 )
 
 V_PEAK_DEFAULT = 30.0
-QUAD_BIAS_DEFAULT = 140.0
 DT_MS = 0.125  # the schedule's timestep multiply is >> 3
-
-# quadratic and linear coefficients of the membrane equation
-_K_QUAD = 0.04
-_K_LIN = 5.0
-
-_KQ_WIDE = round(_K_QUAD * (1 << KQ_FRAC))
 
 
 class SimulationError(RuntimeError):
@@ -97,11 +97,11 @@ def step_float(
     """One Euler step of DT_MS of the reference model under total current
     ``i_input``."""
     v, u = state.v, state.u
-    if not (np.isfinite(v) and np.isfinite(u) and np.isfinite(i_input)):
+    if not (math.isfinite(v) and math.isfinite(u) and math.isfinite(i_input)):
         raise SimulationError(f"non-finite neuron state: v={v}, u={u}, I={i_input}")
     if v > params.v_peak:
         return replace(state, v=params.c, u=u + params.d), True
-    v_new = v + (_K_QUAD * v * v + _K_LIN * v + QUAD_BIAS_DEFAULT - u + i_input) * DT_MS
+    v_new = v + (K_QUAD * v * v + K_LIN * v + K_BIAS - u + i_input) * DT_MS
     u_new = u + params.a * (params.b * v - u) * DT_MS
     spiked = v_new > params.v_peak
     if spiked:
@@ -195,24 +195,14 @@ def decode_state(words: CompartmentWords) -> NeuronState:
 # ---------------------------------------------------------------------------
 
 _VPEAK_RAW = encode(V_PEAK_DEFAULT, V_FMT).raw
-# the schedule's fixed group constants; @alpha, @beta and @vpeak come per call
-_CONSTANTS = {
-    "@one": 1 << Q12,
-    "@kquad": _KQ_WIDE,
-    "@klin": encode(_K_LIN, REG_FMT).raw,
-    "@kbias": encode(QUAD_BIAS_DEFAULT, REG_FMT).raw,
-}
-
-
-def _saturate_array(fmt):
-    return lambda x: sat_raw(x, fmt)
-
+_field_values = attrgetter(*FIELD_LAYOUT)
 
 _SCHEDULE = izhikevich_schedule()
-# Python ints are the faster values for one compartment, int64 arrays for a
-# population; the two runs differ only in how they clip and select.
-_run_ints = compile_schedule(_SCHEDULE)
-_run_arrays = compile_schedule(_SCHEDULE, _saturate_array, np.where)
+# step(*fields, DA, alpha, beta, v_peak) -> (*fields, spiked), fields in
+# FIELD_LAYOUT order: Python ints are the faster values for one compartment,
+# int64 arrays for a population
+step_fields = compile_schedule(_SCHEDULE)
+step_fields_batch = compile_schedule(_SCHEDULE, ARRAYS)
 
 
 def step_fixed(
@@ -228,18 +218,21 @@ def step_fixed(
     ``da_input`` is the dendrite-accumulator value (3 fraction bits),
     ``alpha`` the synaptic decay factor; ``beta`` and ``v_peak`` are
     group-level constants shared by all compartments of a neuron group.
-    Everything else lives in the packed state words.
+    Everything else lives in the packed state words.  Each raw value must
+    lie in its ``schedule.INPUTS`` range, the range the schedule was
+    compiled for.
     """
-    env = _run_ints({
-        **vars(unpack(words)),
-        **_CONSTANTS,
-        "@alpha": alpha.raw,
-        "@beta": beta.raw if beta is not None else 0,
-        "@vpeak": v_peak.raw if v_peak is not None else _VPEAK_RAW,
-        "DA": da_input.raw,
-    })
-    fields = CompartmentFields(**{name: env[name] for name in FIELD_LAYOUT})
-    return pack(fields), env["$spk"]
+    inputs = (
+        da_input.raw,
+        alpha.raw,
+        0 if beta is None else beta.raw,
+        _VPEAK_RAW if v_peak is None else v_peak.raw,
+    )
+    for (name, fmt), raw in zip(INPUTS.items(), inputs):
+        if not fmt.min_raw <= raw <= fmt.max_raw:
+            raise ValueError(f"{name} raw {raw} outside its compiled range {fmt}")
+    *fields, spiked = step_fields(*_field_values(unpack(words)), *inputs)
+    return pack(CompartmentFields(**dict(zip(FIELD_LAYOUT, fields)))), spiked
 
 
 @dataclass
@@ -263,8 +256,9 @@ class FixedBatch:
         """Rest state at v0 (default c); u is derived from the stored b and v
         with the core's own multiply, not encoded host-side."""
         raw = _raw_fields(params, NeuronState(v=params.c if v0 is None else v0, u=0.0))
-        raw["u"] = U_FMT.saturate((raw["b"] * raw["v"]) >> Q12)
-        return cls(**{name: np.full(size, x, dtype=np.int64) for name, x in raw.items()})
+        batch = cls(**{name: np.full(size, x, dtype=np.int64) for name, x in raw.items()})
+        batch.u = sat_raw((batch.b * batch.v) >> Q12, U_FMT)
+        return batch
 
     def words(self, i: int) -> CompartmentWords:
         fields = {name: int(getattr(self, name)[i]) for name in FIELD_LAYOUT}
@@ -282,17 +276,13 @@ def step_fixed_batch(
     ``batch`` in place.
 
     ``da_raw`` is the per-neuron accumulator value at 3 fraction bits; each
-    field of ``batch`` must hold values of its format.  Returns the boolean
+    field of ``batch`` must hold values of its format, and each other
+    argument values of its ``schedule.INPUTS`` range.  Returns the boolean
     spike mask.
     """
-    env = _run_arrays({
-        **vars(batch),
-        **_CONSTANTS,
-        "@alpha": alpha_raw,
-        "@beta": beta_raw,
-        "@vpeak": v_peak_raw,
-        "DA": da_raw,
-    })
-    for name in FIELD_LAYOUT:
-        setattr(batch, name, env[name])
-    return env["$spk"]
+    *fields, spiked = step_fields_batch(
+        *_field_values(batch), da_raw, alpha_raw, beta_raw, v_peak_raw
+    )
+    for name, values in zip(FIELD_LAYOUT, fields):
+        setattr(batch, name, values)
+    return spiked

@@ -21,16 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import SpikeTrain, cv_isi
-from .fxp import DA_FMT, ISYN_FMT, V_FMT, Fixed, encode
+from .fxp import DA_FMT, V_FMT, encode
 from .neuron import (
     DT_MS,
     FixedBatch,
     NeuronParams,
     initial_state,
-    step_fixed,
+    step_fields,
     step_float,
-    unpack,
 )
+from .schedule import FIELD_LAYOUT
 
 REST_V = -70.0
 DEMO_CURRENT = 10.0
@@ -111,20 +111,26 @@ def timing_comparison(
     }
 
 
+_V = list(FIELD_LAYOUT).index("v")
+
+
 def _run_fixed(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, list[int]]:
+    """The compiled schedule on one compartment's field values, carried from
+    step to step as Python ints; the state words are never packed."""
     v_scale = float(V_FMT.scale)
-    alpha_off = Fixed(0, ISYN_FMT)
-    v_peak = encode(params.v_peak, V_FMT)
-    words = FixedBatch.from_params(params, 1, v0=REST_V).words(0)
+    v_peak = encode(params.v_peak, V_FMT).raw
+    rest = FixedBatch.from_params(params, 1, v0=REST_V)
+    fields = [int(getattr(rest, name)[0]) for name in FIELD_LAYOUT]
     v_mv, spikes = [], []
     for ms, current in protocol:
         # the stimulus enters through the accumulator port with decay off
-        da = encode(current, DA_FMT)
+        # (alpha 0) and no dopamine gain (beta 0)
+        da = encode(current, DA_FMT).raw
         for _ in range(round(ms / DT_MS)):
-            words, spiked = step_fixed(words, da, alpha_off, v_peak=v_peak)
+            *fields, spiked = step_fields(*fields, da, 0, 0, v_peak)
             if spiked:
                 spikes.append(len(v_mv))
-            v_mv.append(unpack(words).v / v_scale)
+            v_mv.append(fields[_V] / v_scale)
     return np.array(v_mv), spikes
 
 

@@ -9,28 +9,35 @@ are spilled through registers.  Identifier conventions in the ops:
     ``$name``   register
     ``@name``   group-level constant
     ``DA``      the dendrite-accumulator input port
-    digits      a literal (shift counts)
+    digits      an ASCII decimal literal (shift counts)
 
 The shipped schedule, ``data/izhikevich_schedule.txt``, *is* the fixed-point
-Izhikevich arithmetic: :func:`compile_schedule` turns it into closures, and
-:mod:`neurocore.neuron` runs them on one compartment's unpacked words and on
-whole populations.  The ops are ``mov``, ``add``, ``sub``, ``mul`` (product
-``>> 12``), ``mulw`` (product ``>> KQ_FRAC``), ``shl``, ``shr`` (arithmetic),
-``gt`` (a 0/1 flag) and ``sel d <- f, x, y`` (``x`` if ``f`` else ``y``).
-Every write saturates to its destination, a field to its ``FIELD_FORMATS``
-format and a register to ``REG_FMT``, except where an interval analysis
-shows the clip can never bind.
+Izhikevich arithmetic: :func:`compile_schedule` generates the source of one
+straight-line Python function from it, and :mod:`neurocore.neuron` runs that
+function on one compartment's unpacked fields (Python ints) and on whole
+populations (int64 arrays).  The ops are ``mov``, ``add``, ``sub``, ``mul``
+(product ``>> 12``), ``mulw`` (product ``>> KQ_FRAC``), ``shl``, ``shr``
+(arithmetic), ``gt`` (a 0/1 flag) and ``sel d <- f, x, y`` (``x`` if ``f``
+else ``y``).  Every write saturates to its destination, a field to its
+``FIELD_FORMATS`` format and a register to ``REG_FMT``, except where an
+interval analysis from the known range of every field, input and constant
+shows the clip can never bind.  The same analysis rejects a schedule in
+which some intermediate could leave int64.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from importlib import resources
+
+import numpy as np
 
 from .fxp import (
     AB_FMT,
     CD_FMT,
+    DA_FMT,
     DDOP_FMT,
     ICONST_FMT,
     ISYN_FMT,
@@ -38,7 +45,7 @@ from .fxp import (
     REG_FMT,
     U_FMT,
     V_FMT,
-    FixedFormat,
+    encode,
 )
 
 # (word index, bit offset, format) of each compartment-state field.  Fields
@@ -66,7 +73,21 @@ FIELD_FORMATS = {name: fmt for name, (_, _, fmt) in _FIELDS.items()}
 # register value.
 KQ_FRAC = 24
 
-INPUT_PORTS = frozenset({"DA"})
+# Coefficients of the membrane equation, dv/dt = 0.04 v^2 + 5 v + 140 - u + I.
+K_QUAD, K_LIN, K_BIAS = 0.04, 5.0, 140.0
+
+# Group constants fixed at compile time, by raw value.
+CONSTANTS = {
+    "@one": 1 << Q12,
+    "@kquad": round(K_QUAD * (1 << KQ_FRAC)),
+    "@klin": encode(K_LIN, REG_FMT).raw,
+    "@kbias": encode(K_BIAS, REG_FMT).raw,
+}
+
+# The input port and the group constants passed on every call, in the order
+# the compiled function takes them after the fields, each with the range the
+# compiler assumes for it.  ``@beta`` may span the whole register.
+INPUTS = {"DA": DA_FMT, "@alpha": ISYN_FMT, "@beta": REG_FMT, "@vpeak": V_FMT}
 
 
 class ScheduleError(ValueError):
@@ -116,13 +137,22 @@ class Violation:
         return f"block {self.block!r} touches state words {{{words}}}"
 
 
+def _literal(token: str, where: str) -> int | None:
+    """The value of a decimal literal, or None if ``token`` is not one."""
+    if not token.isdigit():
+        return None
+    if not token.isascii():
+        raise ScheduleError(f"{where}: literal {token!r} is not ASCII digits")
+    return int(token)
+
+
 def _field_words(block: Block) -> set[int]:
     words: set[int] = set()
     for ident in block.identifiers():
-        if ident.startswith(("$", "@")) or ident in INPUT_PORTS:
+        if ident.startswith(("$", "@")) or ident in INPUTS:
             continue
         token = ident.split(",")[0].strip()
-        if token.isdigit():  # literal shift count
+        if _literal(token, f"block {block.name!r}") is not None:
             continue
         if token not in FIELD_LAYOUT:
             raise ScheduleError(
@@ -229,46 +259,137 @@ def izhikevich_schedule() -> BlockSchedule:
 # Compiler
 # ---------------------------------------------------------------------------
 
-_BINARY = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": lambda x, y: (x * y) >> Q12,
-    "mulw": lambda x, y: (x * y) >> KQ_FRAC,
-    "shl": operator.lshift,
-    "shr": operator.rshift,
-    "gt": operator.gt,
+# Python source of each op's value (``sel`` takes its source from the Form)
+# and, for the interval analysis, its unscaled result on Python ints
+_OPS = {
+    "mov": ("{0}", None),
+    "add": ("{0} + {1}", operator.add),
+    "sub": ("{0} - {1}", operator.sub),
+    "mul": (f"({{0}} * {{1}}) >> {Q12}", operator.mul),
+    "mulw": (f"({{0}} * {{1}}) >> {KQ_FRAC}", operator.mul),
+    "shl": ("{0} << {1}", operator.lshift),
+    "shr": ("{0} >> {1}", operator.rshift),
+    "gt": ("{0} > {1}", None),
 }
-_ARITY = {"mov": 1, "sel": 3, **dict.fromkeys(_BINARY, 2)}
+_ARITY = {name: 1 if name == "mov" else 2 for name in _OPS} | {"sel": 3}
+_RESCALE = {"mul": Q12, "mulw": KQ_FRAC}
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_NAME = re.compile(r"[$@][A-Za-z_]\w*", re.ASCII)
 
 
-def _saturate_int(fmt: FixedFormat):
-    """Saturation to ``fmt`` on Python ints, bounds bound once."""
-    lo, hi = fmt.min_raw, fmt.max_raw
-    return lambda x: lo if x < lo else hi if x > hi else x
+@dataclass(frozen=True)
+class Form:
+    """How generated code clips a local ``{x}`` to a ``{bound}`` and selects
+    ``{1}`` where ``{0}`` else ``{2}``, for one kind of value; ``names`` are
+    the globals that code looks up."""
+
+    lower: str
+    upper: str
+    select: str
+    names: dict = field(default_factory=dict)
 
 
-def _select_int(flag, x, y):
-    return x if flag else y
+INTS = Form(
+    lower="if {x} < {bound}: {x} = {bound}",
+    upper="if {x} > {bound}: {x} = {bound}",
+    select="{1} if {0} else {2}",
+)
+ARRAYS = Form(
+    lower="{x} = _maximum({x}, {bound})",
+    upper="{x} = _minimum({x}, {bound})",
+    select="_where({0}, {1}, {2})",
+    names={"_maximum": np.maximum, "_minimum": np.minimum, "_where": np.where},
+)
 
 
-def compile_schedule(schedule: BlockSchedule, saturate=_saturate_int, select=_select_int):
-    """Compile ``schedule`` into ``run(env)``, which executes its ops in order
-    on ``env`` (a dict from identifier to value) and returns it.
+@dataclass(frozen=True)
+class PlannedOp:
+    """One op as generated code runs it: the Python local it writes, its
+    operands as Python source, and the bound of each side of its clip that
+    can bind (None where the interval analysis shows it never does)."""
 
-    ``saturate(fmt)`` returns the clip to ``fmt`` and ``select`` implements
-    ``sel``; the defaults work on Python ints.  The caller puts the fields,
-    each within its format, the group constants and ``DA`` into ``env``;
-    registers and literals are added by the run.  A clip that an interval
-    analysis from the field formats shows can never bind is left out.
+    dest: str
+    mnemonic: str
+    args: tuple[str, ...]
+    lower: int | None
+    upper: int | None
+
+    @property
+    def clips(self) -> bool:
+        return self.lower is not None or self.upper is not None
+
+
+def _local(name: str) -> str:
+    """The Python local holding a field, input, register or constant."""
+    return {"$": "r_", "@": "k_"}.get(name[0], "") + name.lstrip("$@")
+
+
+def _int_source(value: int) -> str:
+    return f"({int(value)})" if value < 0 else str(int(value))
+
+
+def _operand(token: str, known: dict, where: str) -> tuple[str, tuple[int, int]]:
+    """Python source and value interval of one source operand."""
+    if token in known:
+        return known[token]
+    value = _literal(token, where)
+    if value is not None:
+        return str(value), (value, value)
+    if not _NAME.fullmatch(token):
+        raise ScheduleError(f"{where}: {token!r} is not a register or constant name")
+    if token.startswith("$"):
+        raise ScheduleError(f"{where}: register {token} read before it is written")
+    raise ScheduleError(f"{where}: unknown constant {token!r}")
+
+
+def _interval(mnemonic: str, operands: list, where: str) -> tuple[int, int]:
+    """Interval of an op's result from its operands' intervals.
+
+    Each int op is monotone in each operand, so its extremes over a box of
+    operand values lie at the corners.  Raises ScheduleError where a shift
+    count can leave [0, 63] or the unscaled result can leave int64, where
+    int64 arrays would wrap and Python ints would not.
+    """
+    if mnemonic == "gt":
+        return 0, 1
+    if mnemonic == "mov":
+        lo, hi = operands[0]
+    elif mnemonic == "sel":
+        (lo1, hi1), (lo2, hi2) = operands[1:]
+        lo, hi = min(lo1, lo2), max(hi1, hi2)
+    else:
+        if mnemonic in ("shl", "shr") and not 0 <= operands[1][0] <= operands[1][1] <= 63:
+            raise ScheduleError(f"{where}: shift count can leave [0, 63]")
+        fn = _OPS[mnemonic][1]
+        corners = [fn(x, y) for x in operands[0] for y in operands[1]]
+        lo, hi = min(corners), max(corners)
+    if lo < _INT64_MIN or hi > _INT64_MAX:
+        raise ScheduleError(f"{where}: an intermediate can leave int64, range [{lo}, {hi}]")
+    shift = _RESCALE.get(mnemonic, 0)
+    return lo >> shift, hi >> shift
+
+
+def plan_schedule(schedule: BlockSchedule) -> list[PlannedOp]:
+    """Check ``schedule`` and run the interval analysis over it, op by op.
+
+    Fields and ``INPUTS`` start at their formats' ranges and ``CONSTANTS``
+    at their values.  Raises ScheduleError for a word-rule violation, an
+    unknown op, a wrong operand count, a malformed register name, a literal
+    that is not ASCII digits, an unknown constant, a register read before it
+    is written, a write to anything but a field or register, a shift count
+    that can leave [0, 63] and an intermediate that can leave int64.
     """
     violations = validate_schedule(schedule)
     if violations:
         raise ScheduleError(violations[0].describe())
-    # value interval of every identifier written so far; constants and the
-    # input port are unknown (None)
-    ranges = {name: (fmt.min_raw, fmt.max_raw) for name, fmt in FIELD_FORMATS.items()}
-    literals: dict[str, int] = {}
-    ops = []
+    # Python source and value interval of every identifier an op can read
+    known = {
+        name: (_local(name), (fmt.min_raw, fmt.max_raw))
+        for name, fmt in {**FIELD_FORMATS, **INPUTS}.items()
+    }
+    for name, value in CONSTANTS.items():
+        known[name] = _int_source(value), (value, value)
+    plan = []
     for block in schedule.blocks:
         for op in block.ops:
             where = f"block {block.name!r}: {op.render()!r}"
@@ -277,80 +398,57 @@ def compile_schedule(schedule: BlockSchedule, saturate=_saturate_int, select=_se
                 raise ScheduleError(f"{where}: unknown op {op.mnemonic!r}")
             if len(op.sources) != arity:
                 raise ScheduleError(f"{where}: {op.mnemonic} takes {arity} operand(s)")
-            for src in op.sources:
-                if src.isdigit():
-                    literals[src] = int(src)
-                    ranges[src] = (int(src), int(src))
-                elif src.startswith("$") and src not in ranges:
-                    raise ScheduleError(f"{where}: register {src} read before it is written")
-            if not (op.dest.startswith("$") or op.dest in FIELD_LAYOUT):
-                raise ScheduleError(f"{where}: {op.dest!r} cannot be written")
-            fmt = FIELD_FORMATS.get(op.dest, REG_FMT)
-            fn = select if op.mnemonic == "sel" else _BINARY.get(op.mnemonic)
-            span = _span(op.mnemonic, [ranges.get(s) for s in op.sources])
-            if span is not None and fmt.min_raw <= span[0] and span[1] <= fmt.max_raw:
-                ranges[op.dest], sat = span, None
+            operands = [_operand(src, known, where) for src in op.sources]
+            if op.dest in FIELD_FORMATS:
+                fmt = FIELD_FORMATS[op.dest]
+            elif op.dest.startswith("$"):
+                if not _NAME.fullmatch(op.dest):
+                    raise ScheduleError(f"{where}: {op.dest!r} is not a register name")
+                fmt = REG_FMT
             else:
-                ranges[op.dest], sat = (fmt.min_raw, fmt.max_raw), saturate(fmt)
-            ops.append(_closure(fn, sat, op.dest, op.sources))
+                raise ScheduleError(f"{where}: {op.dest!r} cannot be written")
+            lo, hi = _interval(op.mnemonic, [span for _, span in operands], where)
+            clip = lambda x: min(max(x, fmt.min_raw), fmt.max_raw)
+            known[op.dest] = _local(op.dest), (clip(lo), clip(hi))
+            plan.append(PlannedOp(
+                _local(op.dest), op.mnemonic, tuple(src for src, _ in operands),
+                fmt.min_raw if lo < fmt.min_raw else None,
+                fmt.max_raw if hi > fmt.max_raw else None,
+            ))
+    return plan
 
-    def run(env: dict) -> dict:
-        env.update(literals)
-        for op in ops:
-            op(env)
-        return env
 
-    return run
+def compile_schedule(
+    schedule: BlockSchedule,
+    form: Form = INTS,
+    results: tuple[str, ...] = ("$spk",),
+):
+    """Compile ``schedule`` into one straight-line Python function.
 
-
-def _span(mnemonic: str, operands: list) -> tuple[int, int] | None:
-    """Interval of an op's result from its operands' intervals, or None.
-
-    Each int op is monotone in each operand, so its extremes over a box of
-    operand values lie at the corners.
+    The function takes every field in ``FIELD_LAYOUT`` order, then the
+    ``INPUTS`` in their order, each within its format, and returns the
+    fields in the same order followed by the registers named in
+    ``results``.  Registers are locals, each clip the interval analysis
+    keeps is inline, and ``form`` says how clips and ``sel`` are written:
+    ``INTS`` for Python ints, ``ARRAYS`` for int64 arrays.  The source is
+    built only from the tables above, checked register names and integer
+    values, never from raw schedule text.
     """
-    if mnemonic == "gt":
-        return (0, 1)
-    if None in operands:
-        return None
-    if mnemonic == "mov":
-        return operands[0]
-    if mnemonic == "sel":
-        (lo1, hi1), (lo2, hi2) = operands[1:]
-        return min(lo1, lo2), max(hi1, hi2)
-    if mnemonic in ("shl", "shr") and not 0 <= operands[1][0] == operands[1][1] <= 63:
-        return None
-    fn = _BINARY[mnemonic]
-    corners = [fn(x, y) for x in operands[0] for y in operands[1]]
-    return min(corners), max(corners)
-
-
-def _closure(fn, sat, dest, sources):
-    """``env[dest] = sat(fn(*operands))``; ``mov`` has no ``fn``, and a
-    ``sat`` of None is left out.  Operands are read one by one: unpacking
-    them from one lookup is slower on the int run."""
-    if len(sources) == 1:
-        (x,) = sources
-        if sat is None:
-            def op(env):
-                env[dest] = env[x]
-        else:
-            def op(env):
-                env[dest] = sat(env[x])
-    elif len(sources) == 2:
-        x, y = sources
-        if sat is None:
-            def op(env):
-                env[dest] = fn(env[x], env[y])
-        else:
-            def op(env):
-                env[dest] = sat(fn(env[x], env[y]))
-    else:
-        f, x, y = sources
-        if sat is None:
-            def op(env):
-                env[dest] = fn(env[f], env[x], env[y])
-        else:
-            def op(env):
-                env[dest] = sat(fn(env[f], env[x], env[y]))
-    return op
+    plan = plan_schedule(schedule)
+    written = {op.dest for op in plan}
+    for name in results:
+        if not (name.startswith("$") and _NAME.fullmatch(name) and _local(name) in written):
+            raise ScheduleError(f"result {name!r} is not a register the schedule writes")
+    lines = [f"def step({', '.join(_local(name) for name in (*FIELD_FORMATS, *INPUTS))}):"]
+    for op in plan:
+        template = form.select if op.mnemonic == "sel" else _OPS[op.mnemonic][0]
+        lines.append(f"    {op.dest} = {template.format(*op.args)}")
+        if op.lower is not None:
+            lines.append("    " + form.lower.format(x=op.dest, bound=op.lower))
+        if op.upper is not None:
+            lines.append("    " + form.upper.format(x=op.dest, bound=op.upper))
+    returned = [*FIELD_FORMATS, *(_local(name) for name in results)]
+    lines.append(f"    return {', '.join(returned)}")
+    namespace = dict(form.names)
+    exec(compile("\n".join(lines) + "\n", "<schedule>", "exec"), namespace)
+    return namespace["step"]

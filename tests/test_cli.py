@@ -152,7 +152,8 @@ class TestInvalidCircuit:
 class TestValidateSchedule:
     def test_shipped_schedule_ok(self, capsys):
         assert main(["validate-schedule"]) == 0
-        assert "OK" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "OK" in out and "compiles; 13 of 36 clips kept" in out
 
     def test_violating_schedule_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.sched"
@@ -167,17 +168,28 @@ class TestValidateSchedule:
         bad.write_text("op: dangling <- x\n")
         assert main(["validate-schedule", "--schedule", str(bad)]) == 2
 
+    def test_non_utf8_schedule_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.sched"
+        bad.write_bytes(b"schedule: bad\nblock: b\nword: 2\nop: mov $x <- v\xff\n")
+        assert main(["validate-schedule", "--schedule", str(bad)]) == 2
+        assert "not UTF-8 text" in single_error_line(capsys)
+
     @pytest.mark.parametrize(
         "text,message",
         [
             ("block: b\nword: 2\nop: frob $x <- v\n", "unknown op 'frob'"),
             ("block: b\nword: two\nop: mov $x <- v\n", "word must be a number"),
+            ("block: b\nword: 2\nop: shr $x <- v, \u00b2\n", "not ASCII digits"),
+            ("block: b\nword: 2\nop: mov $x=1;y <- v\n", "not a register name"),
+            ("block: b\nword: 2\nop: mov $x <- @nope\n", "unknown constant '@nope'"),
+            ("block: b\nword: 2\nop: shl $x <- v, 41\nop: mov u <- $x\n", "can leave int64"),
         ],
-        ids=["unknown-op", "non-numeric-word"],
+        ids=["unknown-op", "non-numeric-word", "non-ascii-literal", "register-name",
+             "unknown-constant", "int64-overflow"],
     )
     def test_uncompilable_schedule_exits_2(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.sched"
-        bad.write_text("schedule: bad\n" + text)
+        bad.write_text("schedule: bad\n" + text, encoding="utf-8")
         assert main(["validate-schedule", "--schedule", str(bad)]) == 2
         assert message in single_error_line(capsys)
 

@@ -23,7 +23,7 @@ from neurocore.neuron import (
     step_float,
     unpack,
 )
-from neurocore.schedule import compile_schedule, parse_schedule
+from neurocore.schedule import ARRAYS, compile_schedule, parse_schedule
 from neurocore.synapse import alpha_fixed
 
 RS = NeuronParams(a=0.02, b=0.2, c=-65, d=8)
@@ -185,6 +185,17 @@ class TestStepFixed:
         else:
             pytest.fail("no spike observed")
 
+    @pytest.mark.parametrize(
+        "da, alpha",
+        [(Fixed(DA_FMT.max_raw + 1, REG_FMT), alpha_fixed()), (Fixed(0, DA_FMT), Fixed(1 << 24, REG_FMT))],
+        ids=["da", "alpha"],
+    )
+    def test_input_outside_compiled_range_rejected(self, da, alpha):
+        # the interval analysis dropped clips on the assumption of these ranges
+        words = encode_compartment(RS, NeuronState(v=-70.0, u=-14.0))
+        with pytest.raises(ValueError, match="outside its compiled range"):
+            step_fixed(words, da, alpha)
+
     def test_boundedness_under_extreme_input(self):
         words = encode_compartment(RS, NeuronState(v=-70.0, u=-14.0))
         da_max = Fixed(DA_FMT.max_raw, DA_FMT)
@@ -293,10 +304,8 @@ def test_schedule_text_is_what_runs(monkeypatch):
     shipped = run_both()
     for source, same in ((text, True), (mutated, False)):
         schedule = parse_schedule(source)
-        monkeypatch.setattr(neuron, "_run_ints", compile_schedule(schedule))
-        monkeypatch.setattr(
-            neuron, "_run_arrays", compile_schedule(schedule, neuron._saturate_array, np.where)
-        )
+        monkeypatch.setattr(neuron, "step_fields", compile_schedule(schedule))
+        monkeypatch.setattr(neuron, "step_fields_batch", compile_schedule(schedule, ARRAYS))
         scalar, v = run_both()
         assert (scalar == shipped[0]) is same
         assert (v == shipped[1]) is same

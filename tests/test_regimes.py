@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from neurocore.neuron import DT_MS
+from neurocore.fxp import DA_FMT, ISYN_FMT, V_FMT, Fixed, encode
+from neurocore.neuron import DT_MS, FixedBatch, step_fixed, unpack
 from neurocore.regimes import (
     REGIME_PARAMS,
+    REST_V,
     run_batch,
     run_demonstrations,
     run_single,
@@ -60,6 +62,29 @@ def test_batch_equals_single_runs(backend):
         assert got.spike_steps == alone.spike_steps
         assert got.v_mv.dtype == np.float64
         assert np.array_equal(got.v_mv, alone.v_mv)
+
+
+@pytest.mark.parametrize("name", REGIME_PARAMS)
+def test_carried_fields_equal_word_level_steps(name):
+    """The fixed run carries unpacked field values from step to step; a loop
+    of word-level step_fixed calls, packing and unpacking every step, gives
+    the same trace."""
+    params = REGIME_PARAMS[name]
+    protocol = ((30.0, 10.0), (10.0, -10.0))
+    words = FixedBatch.from_params(params, 1, v0=REST_V).words(0)
+    v_peak = encode(params.v_peak, V_FMT)
+    v_mv, spikes = [], []
+    for ms, current in protocol:
+        da = encode(current, DA_FMT)
+        for _ in range(round(ms / DT_MS)):
+            words, spiked = step_fixed(words, da, Fixed(0, ISYN_FMT), v_peak=v_peak)
+            if spiked:
+                spikes.append(len(v_mv))
+            v_mv.append(unpack(words).v / V_FMT.scale)
+    run = run_single(params, protocol, "fixed")
+    assert spikes, "the protocol should make every regime fire"
+    assert run.spike_steps == spikes
+    assert run.v_mv.tolist() == v_mv
 
 
 def test_unknown_backend_rejected():

@@ -6,6 +6,9 @@ import pytest
 
 from neurocore.fxp import REG_FMT, V_FMT
 from neurocore.schedule import (
+    CONSTANTS,
+    FIELD_LAYOUT,
+    INPUTS,
     KQ_FRAC,
     Block,
     BlockSchedule,
@@ -14,6 +17,7 @@ from neurocore.schedule import (
     compile_schedule,
     izhikevich_schedule,
     parse_schedule,
+    plan_schedule,
     render_schedule,
     validate_schedule,
 )
@@ -135,19 +139,24 @@ class TestCompiler:
         with pytest.raises(ScheduleError, match="touches state words"):
             compile_schedule(program(Op("add", "$t", ("v", "c")), word=None))
 
-    def test_writes_saturate_to_destination(self):
-        run = compile_schedule(program(
-            Op("add", "$sum", ("v", "v")),
-            Op("add", "v", ("v", "v")),
-            Op("mul", "$sq", ("$sum", "$sum")),
-            Op("mulw", "$w", ("@k", "$sum")),
-            Op("shl", "$big", ("$sum", "12")),
-            Op("shr", "$half", ("$sum", "1")),
-            Op("gt", "$f", ("$sum", "v")),
-            Op("sel", "u", ("$f", "$big", "u")),
-        ))
+    def test_writes_saturate_to_destination(self, monkeypatch):
+        monkeypatch.setitem(CONSTANTS, "@k", 3 << KQ_FRAC)
+        registers = ("$sum", "$sq", "$w", "$big", "$half", "$f")
+        run = compile_schedule(
+            program(
+                Op("add", "$sum", ("v", "v")),
+                Op("add", "v", ("v", "v")),
+                Op("mul", "$sq", ("$sum", "$sum")),
+                Op("mulw", "$w", ("@k", "$sum")),
+                Op("shl", "$big", ("$sum", "12")),
+                Op("shr", "$half", ("$sum", "1")),
+                Op("gt", "$f", ("$sum", "v")),
+                Op("sel", "u", ("$f", "$big", "u")),
+            ),
+            results=registers,
+        )
         top = V_FMT.max_raw
-        env = run({"v": top, "u": 0, "@k": 3 << KQ_FRAC})
+        env = dict(zip([*FIELD_LAYOUT, *registers], call(run, v=top, u=0)))
         assert env["$sum"] == 2 * top  # a register is 32 bits wide
         assert env["v"] == top  # the v field is 24
         assert env["$sq"] == REG_FMT.max_raw
@@ -156,3 +165,45 @@ class TestCompiler:
         assert env["$half"] == top
         assert env["$f"] is True
         assert env["u"] == V_FMT.max_raw
+
+    @pytest.mark.parametrize(
+        "op,message",
+        [
+            (Op("mov", "$x=1;y", ("v",)), "not a register name"),
+            (Op("mov", "$x", ("$y)or(1",)), "not a register or constant name"),
+            (Op("mov", "$x", ("@nope",)), "unknown constant '@nope'"),
+            (Op("shr", "$x", ("v", "\u00b2")), "not ASCII digits"),
+            (Op("shl", "$x", ("v", "64")), r"shift count can leave \[0, 63\]"),
+            (Op("shl", "$x", ("v", "41")), "can leave int64"),
+            (Op("mul", "$x", ("@big", "v")), "can leave int64"),
+        ],
+        ids=["dest-name", "source-name", "constant", "literal", "shift", "shl-int64", "mul-int64"],
+    )
+    def test_rejects_unsafe(self, monkeypatch, op, message):
+        monkeypatch.setitem(CONSTANTS, "@big", 1 << 50)
+        with pytest.raises(ScheduleError, match=message):
+            compile_schedule(program(op))
+
+    def test_results_must_be_written_registers(self):
+        with pytest.raises(ScheduleError, match="not a register the schedule writes"):
+            compile_schedule(program(Op("mov", "$x", ("v",))))
+        assert call(compile_schedule(program(Op("mov", "$spk", ("v",)))), v=5)[-1] == 5
+
+    def test_clip_kept_only_where_it_can_bind(self):
+        ops = {op.dest: op for op in plan_schedule(program(
+            Op("add", "$wide", ("v", "u")),  # 25 bits fit the 32-bit register
+            Op("add", "v", ("v", "u")),  # but not the 24-bit field
+            Op("mul", "$full", ("@beta", "v")),  # beyond the register both ways
+            Op("add", "$up", ("@one", "$full")),  # then only above: @one > 0
+            Op("mul", "$in", ("@alpha", "DA")),  # known input ranges
+        ))}
+        assert not ops["r_wide"].clips
+        assert (ops["v"].lower, ops["v"].upper) == (V_FMT.min_raw, V_FMT.max_raw)
+        assert (ops["r_full"].lower, ops["r_full"].upper) == (REG_FMT.min_raw, REG_FMT.max_raw)
+        assert (ops["r_up"].lower, ops["r_up"].upper) == (None, REG_FMT.max_raw)
+        assert not ops["r_in"].clips
+
+
+def call(run, **fields):
+    """``run`` on the given fields, every other field and input 0."""
+    return run(*(dict.fromkeys(FIELD_LAYOUT, 0) | fields).values(), *[0] * len(INPUTS))
