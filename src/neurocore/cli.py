@@ -8,8 +8,9 @@ Subcommands:
                        against the float reference (RS and FS)
     gonogo             run the three dopamine conditions of the Go/No-Go
                        network; write rasters, CSVs and a rates summary
-    validate-schedule  check a block schedule against the one-state-word rule
-                       and compile it
+    validate-schedule  check a block schedule against the one-state-word rule,
+                       compile it and count the clips it keeps, in general
+                       and for the input ranges of the network
 
 Exit codes: 0 success, 1 runtime or check failure, 2 usage/config errors.
 """
@@ -27,7 +28,7 @@ from pathlib import Path
 from . import analysis, regimes
 from .bg import run_gonogo
 from .config import check_duration, default_config_text, load_default_config, parse_config
-from .network import ConfigError
+from .network import STEP_INPUTS, ConfigError
 from .neuron import DT_MS, SimulationError
 from .schedule import (
     ScheduleError,
@@ -183,6 +184,8 @@ def cmd_validate_schedule(args) -> int:
             text = Path(args.schedule).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ScheduleError(f"{args.schedule}: not UTF-8 text ({exc.reason})") from None
+        except OSError as exc:
+            raise ScheduleError(f"{args.schedule}: {exc.strerror or exc}") from None
         schedule = parse_schedule(text)
         origin = args.schedule
     else:
@@ -193,9 +196,10 @@ def cmd_validate_schedule(args) -> int:
         compile_schedule(schedule)
         plan = plan_schedule(schedule)
         kept = sum(op.clips for op in plan)
+        in_network = sum(op.clips for op in plan_schedule(schedule, STEP_INPUTS))
         print(
             f"{origin}: OK ({len(schedule.blocks)} blocks, one state word per block, "
-            f"compiles; {kept} of {len(plan)} clips kept)"
+            f"compiles; {kept} of {len(plan)} clips kept, {in_network} in the network form)"
         )
         return 0
     for v in violations:

@@ -7,10 +7,14 @@ row in connection order.  Each step runs strictly ordered phases:
 
   1. deliver the previous step's spikes: gather their rows and sum the
      weights per neuron with one ``np.bincount``,
-  2. Poisson sources draw this step's spikes,
+  2. Poisson sources draw this step's spikes, each from its one kept
+     generator, re-keyed and repositioned at the step,
   3. one state update advances every neuron (synaptic decay, dopamine
-     modulation, membrane update, threshold/reset),
-  4. the spikes are split into (population, indices) events, which are
+     modulation, membrane update, threshold/reset); on the fixed backend it
+     runs the array form of the schedule compiled, once at import, for the
+     input ranges the build enforces,
+  4. one ``np.flatnonzero`` over the whole spike mask, cut at the
+     population bounds, gives the (population, indices) events, which are
      recorded and delivered on the next step.
 
 Spikes therefore take exactly one step of axonal delay at dt = 1/8 ms.
@@ -33,7 +37,17 @@ from .neuron import (
     SimulationError,
     step_fixed_batch,
 )
-from .schedule import FIELD_FORMATS, FIELD_LAYOUT, K_BIAS, K_LIN, K_QUAD
+from .schedule import (
+    ARRAYS,
+    FIELD_FORMATS,
+    FIELD_LAYOUT,
+    INPUTS,
+    K_BIAS,
+    K_LIN,
+    K_QUAD,
+    compile_schedule,
+    izhikevich_schedule,
+)
 
 BACKENDS = ("fixed", "float")
 _NO_IDS = np.empty(0, dtype=np.int64)
@@ -43,6 +57,12 @@ _PARAM_FORMATS = {name: FIELD_FORMATS[name] for name in "abcd"} | dict(
     i_const=FIELD_FORMATS["iconst"], v0=FIELD_FORMATS["v"], beta=DDOP_FMT,
     v_peak=FIELD_FORMATS["v"],
 )
+# The ranges of the schedule inputs every step passes: the one decay raw,
+# beta as its build encodes it, DA from ``quantize_raw`` and v_peak in v's
+# field.  The array form compiled for them keeps only the clips that can
+# bind here.
+STEP_INPUTS = INPUTS | {"@alpha": syn.alpha_fixed().raw, "@beta": _PARAM_FORMATS["beta"]}
+step_fields_network = compile_schedule(izhikevich_schedule(), ARRAYS, inputs=STEP_INPUTS)
 
 
 class ConfigError(ValueError):
@@ -201,7 +221,7 @@ def _fixed_state(specs: list[PopulationSpec]) -> tuple[FixedBatch, tuple]:
     parts = [vars(FixedBatch.from_params(s.params, s.size, v0=s.v0)) for s in specs]
     columns = {n: np.concatenate([_NO_IDS, *(p[n] for p in parts)]) for n in FIELD_LAYOUT}
     beta, v_peak = (_per_neuron([r[k] for r in raws], specs, np.int64) for k in ("beta", "v_peak"))
-    return FixedBatch(**columns), (syn.alpha_fixed().raw, beta, v_peak)
+    return FixedBatch(**columns), (STEP_INPUTS["@alpha"], beta, v_peak)
 
 
 def _weight_raw(weight: float, route: str) -> int:
@@ -240,6 +260,9 @@ class Network:
         self.size = sum(p.size for p in neurons)
         # pre ids follow event order: the sources, then the neurons
         self._ids = _slices([specs[name] for name in self.sources] + neurons)
+        self._first_neuron_id = sum(specs[name].size for name in self.sources)
+        # where each population starts, then where the last one ends
+        self._bounds = np.array([0] + [s.stop for s in self.slices.values()])
         if backend == "fixed":
             self.state, self._constants = _fixed_state(neurons)
         else:
@@ -301,17 +324,21 @@ class Network:
         # phase 3: one update of every neuron
         if self.backend == "fixed":
             da_raw = quantize_raw(acc.astype(np.int64), DA_FMT)
-            spiked = step_fixed_batch(self.state, da_raw, *self._constants)
+            spiked = step_fixed_batch(
+                self.state, da_raw, *self._constants, compiled=step_fields_network
+            )
         else:
             spiked = self.state.step(acc)
 
-        # phase 4: split the spikes into events, hand them to the next step
-        for name, where in self.slices.items():
-            indices = np.flatnonzero(spiked[where])
-            if len(indices):
-                events.append((name, indices))
+        # phase 4: cut the spiking neurons at the population bounds into
+        # events, and hand every spike to the next step
+        spiking = np.flatnonzero(spiked)
         ids = [indices + self._ids[name].start for name, indices in events]
-        self._pending = np.concatenate([_NO_IDS, *ids])
+        cuts = np.searchsorted(spiking, self._bounds).tolist()
+        for (name, where), lo, hi in zip(self.slices.items(), cuts, cuts[1:]):
+            if hi > lo:
+                events.append((name, spiking[lo:hi] - where.start))
+        self._pending = np.concatenate([_NO_IDS, *ids, spiking + self._first_neuron_id])
         self.step_index += 1
         return events
 

@@ -271,16 +271,19 @@ def step_fixed_batch(
     alpha_raw: int,
     beta_raw: int = 0,
     v_peak_raw: int = _VPEAK_RAW,
+    compiled=None,
 ) -> np.ndarray:
     """One step of the shipped block schedule on a whole population; mutates
     ``batch`` in place.
 
     ``da_raw`` is the per-neuron accumulator value at 3 fraction bits; each
     field of ``batch`` must hold values of its format, and each other
-    argument values of its ``schedule.INPUTS`` range.  Returns the boolean
-    spike mask.
+    argument values of the range the schedule was compiled for: the
+    ``schedule.INPUTS`` ranges of ``step_fields_batch``, or those of
+    ``compiled``, an array form compiled for narrower ranges that runs in
+    its place.  Returns the boolean spike mask.
     """
-    *fields, spiked = step_fields_batch(
+    *fields, spiked = (compiled or step_fields_batch)(
         *_field_values(batch), da_raw, alpha_raw, beta_raw, v_peak_raw
     )
     for name, values in zip(FIELD_LAYOUT, fields):

@@ -21,8 +21,11 @@ populations (int64 arrays).  The ops are ``mov``, ``add``, ``sub``, ``mul``
 else ``y``).  Every write saturates to its destination, a field to its
 ``FIELD_FORMATS`` format and a register to ``REG_FMT``, except where an
 interval analysis from the known range of every field, input and constant
-shows the clip can never bind.  The same analysis rejects a schedule in
-which some intermediate could leave int64.
+shows the clip can never bind.  The input ranges are an argument of the
+compiler, so a caller that guarantees narrower inputs than ``INPUTS`` (the
+network always passes one ``@alpha``, for one) gets a function with fewer
+clips.  The same analysis rejects a schedule in which some intermediate
+could leave int64.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ CONSTANTS = {
 
 # The input port and the group constants passed on every call, in the order
 # the compiled function takes them after the fields, each with the range the
-# compiler assumes for it.  ``@beta`` may span the whole register.
+# compiler assumes for it by default.  ``@beta`` may span the whole register.
 INPUTS = {"DA": DA_FMT, "@alpha": ISYN_FMT, "@beta": REG_FMT, "@vpeak": V_FMT}
 
 
@@ -342,13 +345,14 @@ def _operand(token: str, known: dict, where: str) -> tuple[str, tuple[int, int]]
     raise ScheduleError(f"{where}: unknown constant {token!r}")
 
 
-def _interval(mnemonic: str, operands: list, where: str) -> tuple[int, int]:
+def _interval(mnemonic: str, operands: list, where: str, square: bool = False) -> tuple[int, int]:
     """Interval of an op's result from its operands' intervals.
 
     Each int op is monotone in each operand, so its extremes over a box of
-    operand values lie at the corners.  Raises ScheduleError where a shift
-    count can leave [0, 63] or the unscaled result can leave int64, where
-    int64 arrays would wrap and Python ints would not.
+    operand values lie at the corners.  A ``square`` product, of one operand
+    by itself, is never negative.  Raises ScheduleError where a shift count
+    can leave [0, 63] or the unscaled result can leave int64, where int64
+    arrays would wrap and Python ints would not.
     """
     if mnemonic == "gt":
         return 0, 1
@@ -362,31 +366,37 @@ def _interval(mnemonic: str, operands: list, where: str) -> tuple[int, int]:
             raise ScheduleError(f"{where}: shift count can leave [0, 63]")
         fn = _OPS[mnemonic][1]
         corners = [fn(x, y) for x in operands[0] for y in operands[1]]
-        lo, hi = min(corners), max(corners)
+        lo, hi = 0 if square else min(corners), max(corners)
     if lo < _INT64_MIN or hi > _INT64_MAX:
         raise ScheduleError(f"{where}: an intermediate can leave int64, range [{lo}, {hi}]")
     shift = _RESCALE.get(mnemonic, 0)
     return lo >> shift, hi >> shift
 
 
-def plan_schedule(schedule: BlockSchedule) -> list[PlannedOp]:
+def _span(value) -> tuple[int, int]:
+    """The raw interval of a format, or of one exact raw value."""
+    if isinstance(value, int):
+        return value, value
+    return value.min_raw, value.max_raw
+
+
+def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[PlannedOp]:
     """Check ``schedule`` and run the interval analysis over it, op by op.
 
-    Fields and ``INPUTS`` start at their formats' ranges and ``CONSTANTS``
-    at their values.  Raises ScheduleError for a word-rule violation, an
-    unknown op, a wrong operand count, a malformed register name, a literal
-    that is not ASCII digits, an unknown constant, a register read before it
-    is written, a write to anything but a field or register, a shift count
-    that can leave [0, 63] and an intermediate that can leave int64.
+    Fields start at their formats' ranges, ``CONSTANTS`` at their values
+    and each of ``inputs`` at its format's range, or at its value where it
+    is an int, the one raw every call passes.  Raises ScheduleError for a
+    word-rule violation, an unknown op, a wrong operand count, a malformed
+    register name, a literal that is not ASCII digits, an unknown constant,
+    a register read before it is written, a write to anything but a field
+    or register, a shift count that can leave [0, 63] and an intermediate
+    that can leave int64.
     """
     violations = validate_schedule(schedule)
     if violations:
         raise ScheduleError(violations[0].describe())
     # Python source and value interval of every identifier an op can read
-    known = {
-        name: (_local(name), (fmt.min_raw, fmt.max_raw))
-        for name, fmt in {**FIELD_FORMATS, **INPUTS}.items()
-    }
+    known = {name: (_local(name), _span(x)) for name, x in {**FIELD_FORMATS, **inputs}.items()}
     for name, value in CONSTANTS.items():
         known[name] = _int_source(value), (value, value)
     plan = []
@@ -407,7 +417,8 @@ def plan_schedule(schedule: BlockSchedule) -> list[PlannedOp]:
                 fmt = REG_FMT
             else:
                 raise ScheduleError(f"{where}: {op.dest!r} cannot be written")
-            lo, hi = _interval(op.mnemonic, [span for _, span in operands], where)
+            square = op.mnemonic in _RESCALE and op.sources[0] == op.sources[1]
+            lo, hi = _interval(op.mnemonic, [span for _, span in operands], where, square)
             clip = lambda x: min(max(x, fmt.min_raw), fmt.max_raw)
             known[op.dest] = _local(op.dest), (clip(lo), clip(hi))
             plan.append(PlannedOp(
@@ -422,24 +433,25 @@ def compile_schedule(
     schedule: BlockSchedule,
     form: Form = INTS,
     results: tuple[str, ...] = ("$spk",),
+    inputs: dict = INPUTS,
 ):
     """Compile ``schedule`` into one straight-line Python function.
 
     The function takes every field in ``FIELD_LAYOUT`` order, then the
-    ``INPUTS`` in their order, each within its format, and returns the
-    fields in the same order followed by the registers named in
-    ``results``.  Registers are locals, each clip the interval analysis
-    keeps is inline, and ``form`` says how clips and ``sel`` are written:
-    ``INTS`` for Python ints, ``ARRAYS`` for int64 arrays.  The source is
-    built only from the tables above, checked register names and integer
-    values, never from raw schedule text.
+    ``inputs`` in their order, each within its range (see
+    :func:`plan_schedule`), and returns the fields in the same order
+    followed by the registers named in ``results``.  Registers are locals,
+    each clip the interval analysis keeps is inline, and ``form`` says how
+    clips and ``sel`` are written: ``INTS`` for Python ints, ``ARRAYS`` for
+    int64 arrays.  The source is built only from the tables above, checked
+    register names and integer values, never from raw schedule text.
     """
-    plan = plan_schedule(schedule)
+    plan = plan_schedule(schedule, inputs)
     written = {op.dest for op in plan}
     for name in results:
         if not (name.startswith("$") and _NAME.fullmatch(name) and _local(name) in written):
             raise ScheduleError(f"result {name!r} is not a register the schedule writes")
-    lines = [f"def step({', '.join(_local(name) for name in (*FIELD_FORMATS, *INPUTS))}):"]
+    lines = [f"def step({', '.join(_local(name) for name in (*FIELD_FORMATS, *inputs))}):"]
     for op in plan:
         template = form.select if op.mnemonic == "sel" else _OPS[op.mnemonic][0]
         lines.append(f"    {op.dest} = {template.format(*op.args)}")

@@ -13,13 +13,14 @@ synaptic current then decays exponentially and is modulated by dopamine:
 with alpha = 1 - dt/tau.  On the fixed backend these two lines are blocks of
 the shipped block schedule (:mod:`neurocore.schedule`), run by
 :mod:`neurocore.neuron`.  Poisson sources draw from counter-based random
-streams keyed by (seed, source, step), so spike trains are reproducible
+streams keyed by (seed, source, step): each source keeps one generator,
+re-keyed and repositioned on every call, so spike trains are reproducible
 under any execution order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +64,8 @@ class PoissonSource:
     rate_hz: float
     size: int
     stream_id: int = 0
+    _philox: np.random.Philox = field(init=False, repr=False, compare=False)
+    _generator: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rate_hz < 0:
@@ -71,6 +74,9 @@ class PoissonSource:
             raise ValueError(f"size must be positive, got {self.size}")
         if self.spike_probability() > 1.0:
             raise ValueError(f"rate {self.rate_hz} Hz exceeds one spike per step")
+        philox = np.random.Philox(0)  # every draw sets its whole state
+        object.__setattr__(self, "_philox", philox)
+        object.__setattr__(self, "_generator", np.random.Generator(philox))
 
     def spike_probability(self) -> float:
         return self.rate_hz * DT_MS / 1000.0
@@ -79,15 +85,20 @@ class PoissonSource:
         """Indices of neurons firing this step.
 
         The draw is a pure function of (seed, stream_id, step, neuron index):
-        a fresh counter-based generator is keyed per source and positioned at
-        the step, so no sequential state is carried between calls.
+        the source's one kept generator is re-keyed with (seed, stream_id)
+        and repositioned at the step, with its whole state reset, so nothing
+        carries over between calls.  Two threads must not draw from one
+        source at once.
         """
         p = self.spike_probability()
         if p == 0.0:
             return np.empty(0, dtype=np.int64)
-        bitgen = np.random.Philox(
-            key=np.array([seed, self.stream_id], dtype=np.uint64),
-            counter=np.array([0, 0, 0, step], dtype=np.uint64),
-        )
-        draws = np.random.Generator(bitgen).random(self.size)
-        return np.flatnonzero(draws < p)
+        self._philox.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, step], "key": [seed, self.stream_id]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # empty: the next draw runs the counter
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return np.flatnonzero(self._generator.random(self.size) < p)

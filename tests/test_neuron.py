@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from neurocore import neuron
+from neurocore import network, neuron
 from neurocore.fxp import DA_FMT, DDOP_FMT, ISYN_FMT, REG_FMT, V_FMT, Fixed, encode
 from neurocore.neuron import (
     CompartmentFields,
@@ -23,7 +23,7 @@ from neurocore.neuron import (
     step_float,
     unpack,
 )
-from neurocore.schedule import ARRAYS, compile_schedule, parse_schedule
+from neurocore.schedule import ARRAYS, FIELD_FORMATS, compile_schedule, parse_schedule
 from neurocore.synapse import alpha_fixed
 
 RS = NeuronParams(a=0.02, b=0.2, c=-65, d=8)
@@ -285,9 +285,38 @@ def test_full_range_states_match_recorded_digest():
     assert digest.hexdigest() == "457a715d488e086a6f8276f267fd1bf43963ca8884f9382d262b37d72015eb93"
 
 
+def test_network_form_is_the_shipped_schedule():
+    """The array form the network runs, compiled for the input ranges its
+    build enforces, equals the full-range form on every state and input in
+    those ranges: the clips it drops never bind there."""
+    rng = np.random.default_rng(20261018)
+    n = 4000
+
+    def draw(fmt):
+        # every value over the whole range, a quarter of them on its ends
+        values = rng.integers(fmt.min_raw, fmt.max_raw + 1, n)
+        ends = rng.random(n) < 0.25
+        values[ends] = rng.choice([fmt.min_raw, fmt.max_raw], ends.sum())
+        return values
+
+    inputs = network.STEP_INPUTS
+    assert inputs["@alpha"] == alpha_fixed().raw and inputs["@beta"] is DDOP_FMT
+    args = (
+        *(draw(fmt) for fmt in FIELD_FORMATS.values()),
+        draw(inputs["DA"]),
+        inputs["@alpha"],
+        draw(inputs["@beta"]),
+        draw(inputs["@vpeak"]),
+    )
+    got = network.step_fields_network(*args)
+    want = neuron.step_fields_batch(*args)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+
+
 def test_schedule_text_is_what_runs(monkeypatch):
-    """The shipped text, compiled afresh, reproduces both steppers; one
-    changed shift count in it changes both."""
+    """The shipped text, compiled afresh, reproduces both steppers and the
+    network's array form; one changed shift count in it changes all three."""
     text = resources.files("neurocore").joinpath("data/izhikevich_schedule.txt").read_text()
     mutated = text.replace("shr $dv <- $dv, 3", "shr $dv <- $dv, 4")
     assert mutated != text
@@ -295,20 +324,21 @@ def test_schedule_text_is_what_runs(monkeypatch):
     batch = FixedBatch.from_params(RS, 3, v0=-60.0)
     da = encode(10.0, DA_FMT)
 
-    def run_both():
+    def run_all(network_form):
         scalar = step_fixed(words, da, alpha_fixed())
-        trial = FixedBatch(**vars(batch))
-        step_fixed_batch(trial, np.full(3, da.raw), alpha_fixed().raw)
-        return scalar, trial.v.tolist()
+        trials = [FixedBatch(**vars(batch)) for _ in range(2)]
+        step_fixed_batch(trials[0], np.full(3, da.raw), alpha_fixed().raw)
+        step_fixed_batch(trials[1], np.full(3, da.raw), alpha_fixed().raw, compiled=network_form)
+        return scalar, trials[0].v.tolist(), trials[1].v.tolist()
 
-    shipped = run_both()
+    shipped = run_all(network.step_fields_network)
     for source, same in ((text, True), (mutated, False)):
         schedule = parse_schedule(source)
         monkeypatch.setattr(neuron, "step_fields", compile_schedule(schedule))
         monkeypatch.setattr(neuron, "step_fields_batch", compile_schedule(schedule, ARRAYS))
-        scalar, v = run_both()
-        assert (scalar == shipped[0]) is same
-        assert (v == shipped[1]) is same
+        network_form = compile_schedule(schedule, ARRAYS, inputs=network.STEP_INPUTS)
+        for got, want in zip(run_all(network_form), shipped):
+            assert (got == want) is same
 
 
 class TestBatchAgreesWithScalar:

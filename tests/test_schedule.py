@@ -203,6 +203,21 @@ class TestCompiler:
         assert (ops["r_up"].lower, ops["r_up"].upper) == (None, REG_FMT.max_raw)
         assert not ops["r_in"].clips
 
+    def test_square_is_never_negative(self):
+        square, product = plan_schedule(program(
+            Op("mul", "$x", ("v", "v")),  # v * v, however wide v's range
+            Op("mul", "$y", ("v", "u")),  # two operands: both signs
+        ))
+        assert (square.lower, square.upper) == (None, REG_FMT.max_raw)
+        assert (product.lower, product.upper) == (REG_FMT.min_raw, REG_FMT.max_raw)
+
+    def test_exact_input_drops_clips(self):
+        shipped = izhikevich_schedule()
+        full = {op.dest: op for op in plan_schedule(shipped)}
+        exact = {op.dest: op for op in plan_schedule(shipped, INPUTS | {"@alpha": 4062})}
+        # alpha * isyn spans the register only while alpha spans its format
+        assert full["r_decay"].clips and not exact["r_decay"].clips
+
 
 def call(run, **fields):
     """``run`` on the given fields, every other field and input 0."""

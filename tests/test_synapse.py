@@ -5,6 +5,7 @@ weights.  The synaptic-current and modulation steps are blocks of the
 shipped schedule, so they are checked through ``neuron.step_fixed``.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -185,3 +186,48 @@ class TestPoisson:
     def test_rate_above_one_per_step_rejected(self):
         with pytest.raises(ValueError):
             PoissonSource("too-fast", rate_hz=9000.0, size=1)
+
+
+def fresh_draw(source, step, seed):
+    """``spikes_at`` as a fresh generator per call computes it."""
+    bitgen = np.random.Philox(
+        key=np.array([seed, source.stream_id], dtype=np.uint64),
+        counter=np.array([0, 0, 0, step], dtype=np.uint64),
+    )
+    draws = np.random.Generator(bitgen).random(source.size)
+    return np.flatnonzero(draws < source.spike_probability())
+
+
+class TestKeptGenerator:
+    """One kept generator per source, reset on every call, draws what a
+    fresh generator per call would."""
+
+    @pytest.mark.parametrize("size", [1, 3, 5, 100])
+    def test_steps_in_order_reversed_and_repeated(self, size):
+        # sizes that are not multiples of 4 leave draws in Philox's buffer
+        src = PoissonSource("ctx", rate_hz=4000.0, size=size, stream_id=2)
+        steps = [*range(40), *reversed(range(40)), 7, 7, 7, 2**40, 2**63]
+        for step in steps:
+            assert np.array_equal(src.spikes_at(step, seed=5), fresh_draw(src, step, 5))
+
+    def test_sources_and_seeds_interleaved(self):
+        sources = [
+            PoissonSource("a", rate_hz=6000.0, size=5, stream_id=0),
+            PoissonSource("b", rate_hz=3000.0, size=3, stream_id=1),
+        ]
+        for step in range(30):
+            for seed in (1, 2):
+                for src in sources:
+                    assert np.array_equal(src.spikes_at(step, seed), fresh_draw(src, step, seed))
+
+    def test_deep_copy_draws_the_same(self):
+        # the benchmark deep-copies built networks, sources included
+        src = PoissonSource("ctx", rate_hz=4000.0, size=5, stream_id=3)
+        src.spikes_at(11, seed=1)  # leaves state behind in the original
+        twin = copy.deepcopy(src)
+        assert twin == src
+        for step in (0, 11, 3, 2**40):
+            want = fresh_draw(src, step, 1)
+            assert np.array_equal(twin.spikes_at(step, seed=1), want)
+            assert np.array_equal(src.spikes_at(step, seed=1), want)
+
