@@ -49,36 +49,16 @@ class SpikeTrain:
         return [b - a for a, b in zip(self.times, self.times[1:])]
 
 
-def errt(reference: SpikeTrain, test: SpikeTrain, mean_gaps: bool = False) -> float:
-    """Relative first-interval error of ``test`` against ``reference``, in %.
-
-    With ``mean_gaps`` the per-interval errors over all shared consecutive
-    gaps are averaged; this variant is diagnostic only.
-    """
+def errt(reference: SpikeTrain, test: SpikeTrain) -> float:
+    """Relative first-interval error of ``test`` against ``reference``, in %."""
     if len(reference) < 2 or len(test) < 2:
         raise InsufficientSpikesError(
             f"need at least 2 spikes per train, got {len(reference)} and {len(test)}"
         )
-    gaps_ref = reference.intervals()
-    gaps_test = test.intervals()
-    if not mean_gaps:
-        gaps_ref, gaps_test = gaps_ref[:1], gaps_test[:1]
-    shared = min(len(gaps_ref), len(gaps_test))
-    errors = []
-    for g_ref, g_test in zip(gaps_ref[:shared], gaps_test[:shared]):
-        if g_ref == 0:
-            raise DegenerateReferenceError("reference inter-spike interval is zero")
-        errors.append(abs(g_test - g_ref) / g_ref * 100.0)
-    return sum(errors) / len(errors)
-
-
-def firing_rate(train: SpikeTrain, window: tuple[float, float]) -> float:
-    """Spikes per second within [start, end)."""
-    start, end = window
-    if start >= end:
-        raise ValueError(f"window start {start} must precede end {end}")
-    count = sum(1 for t in train.times if start <= t < end)
-    return count / ((end - start) / 1000.0)
+    gap_ref, gap_test = reference.intervals()[0], test.intervals()[0]
+    if gap_ref == 0:
+        raise DegenerateReferenceError("reference inter-spike interval is zero")
+    return abs(gap_test - gap_ref) / gap_ref * 100.0
 
 
 def cv_isi(train: SpikeTrain, after_ms: float = 0.0) -> float:
@@ -97,14 +77,6 @@ def cv_isi(train: SpikeTrain, after_ms: float = 0.0) -> float:
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "step,time_ms,population,neuron"
-
-
-def export_raster(record: SpikeRecord, path: str | Path) -> tuple[Path, Path]:
-    """Write the record next to ``path`` as both ``.csv`` and ``.svg``."""
-    stem = Path(path)
-    csv_path = export_raster_csv(record, stem.with_suffix(".csv"))
-    svg_path = export_raster_svg(record, stem.with_suffix(".svg"))
-    return csv_path, svg_path
 
 
 def export_raster_csv(record: SpikeRecord, path: str | Path) -> Path:

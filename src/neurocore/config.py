@@ -57,8 +57,8 @@ class RunConfig:
                 f"settle_ms must satisfy 0 <= settle_ms < duration_ms "
                 f"({self.duration_ms:g}), got {self.settle_ms:g}"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be fixed|float, got {self.backend!r}")
 
@@ -90,7 +90,8 @@ class RunConfig:
 def check_duration(duration_ms: float) -> None:
     """A simulated duration must be finite and last at least one timestep
     once rounded to whole steps, as every run rounds it."""
-    if not (math.isfinite(duration_ms) and round(duration_ms / DT_MS) > 0):
+    steps = duration_ms / DT_MS
+    if not (math.isfinite(steps) and round(steps) > 0):
         raise ConfigError(
             f"duration_ms must be finite and round to at least one {DT_MS:g} ms "
             f"timestep, got {duration_ms:g}"
@@ -236,6 +237,7 @@ def _parse_generator(name: str, items: dict, source: str) -> GeneratorSpec:
     )
     try:
         PoissonSource(name, generator.rate_hz, generator.size)
+        ConnectionSpec(name, targets[0], generator.weight, generator.prob)
     except ValueError as exc:
         raise ConfigError(f"{source}: [{section}] {exc}") from exc
     return generator
@@ -246,17 +248,12 @@ def _parse_connection(section: str, items: dict, source: str) -> ConnectionSpec:
     if "->" not in route:
         raise ConfigError(f"{source}: [{section}] must be named 'connection PRE -> POST'")
     pre, _, post = route.partition("->")
+    weight = _number(items, "weight", section, source)
+    prob = _number(items, "prob", section, source)
     try:
-        return ConnectionSpec(
-            pre=pre.strip(),
-            post=post.strip(),
-            weight=_number(items, "weight", section, source),
-            prob=_number(items, "prob", section, source),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{source}: [{section}]: {exc}") from exc
+        return ConnectionSpec(pre=pre.strip(), post=post.strip(), weight=weight, prob=prob)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: [{section}] {exc}") from exc
 
 
 def _check_references(config: RunConfig, source: str) -> None:

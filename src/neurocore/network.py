@@ -31,10 +31,10 @@ import numpy as np
 from . import synapse as syn
 from .fxp import DA_FMT, DDOP_FMT, WEIGHT_FMT, encode, quantize_raw
 from .neuron import (
-    DT_MS,
     FixedBatch,
     NeuronParams,
     SimulationError,
+    float_update,
     step_fixed_batch,
 )
 from .schedule import (
@@ -42,15 +42,13 @@ from .schedule import (
     FIELD_FORMATS,
     FIELD_LAYOUT,
     INPUTS,
-    K_BIAS,
-    K_LIN,
-    K_QUAD,
     compile_schedule,
     izhikevich_schedule,
 )
 
 BACKENDS = ("fixed", "float")
 _NO_IDS = np.empty(0, dtype=np.int64)
+_DRAW_BLOCK = 1 << 20  # random numbers one connection draws at a time
 # the format each configured neuron value is encoded into; the schedule
 # compares v_peak with v, so v_peak must fit v's field
 _PARAM_FORMATS = {name: FIELD_FORMATS[name] for name in "abcd"} | dict(
@@ -115,12 +113,19 @@ def build_connections(
     """Draw the (pre, post) index pairs of one connection group, row-major.
 
     Every pair is included independently with probability ``spec.prob``;
-    self-pairs are excluded when a population projects onto itself.
+    self-pairs are excluded when a population projects onto itself.  The
+    numbers are drawn in blocks of whole rows from the one stream, so the
+    pairs and the generator state afterwards equal those of a single
+    ``rng.random((pre_size, post_size))``, at a bounded memory cost.
     """
-    mask = rng.random((pre_size, post_size)) < spec.prob
-    if spec.pre == spec.post:
-        np.fill_diagonal(mask, False)
-    return np.divmod(np.flatnonzero(mask), post_size)
+    rows = max(1, _DRAW_BLOCK // max(post_size, 1))
+    flat = []
+    for first in range(0, pre_size, rows):
+        mask = rng.random((min(rows, pre_size - first), post_size)) < spec.prob
+        if spec.pre == spec.post:
+            np.fill_diagonal(mask[:, first:], False)
+        flat.append(np.flatnonzero(mask) + first * post_size)
+    return np.divmod(np.concatenate([_NO_IDS, *flat]), post_size)
 
 
 class SynapseGroup:
@@ -181,7 +186,8 @@ def _encode(value: float, fmt, what: str) -> int:
 
 
 class _FloatPop:
-    """Float64 reference dynamics of every neuron, with per-neuron parameters."""
+    """Float64 reference dynamics of every neuron, with per-neuron parameters:
+    ``neuron.float_update`` on arrays."""
 
     def __init__(self, specs: list[PopulationSpec]):
         for name in ("a", "b", "c", "d", "v_peak", "beta", "i_const"):
@@ -195,19 +201,10 @@ class _FloatPop:
     def step(self, acc: np.ndarray) -> np.ndarray:
         self.isyn = self.alpha * self.isyn + acc
         current = self.i_const + self.isyn * (1.0 + self.beta * self.delta_dop)
-        v, u = self.v, self.u
-        if not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(self.v)):
             raise SimulationError("membrane potential diverged on the float backend")
-        pre_spiked = v > self.v_peak
-        v_new = v + (K_QUAD * v * v + K_LIN * v + K_BIAS - u + current) * DT_MS
-        u_new = u + self.a * (self.b * v - u) * DT_MS
-        post_spiked = ~pre_spiked & (v_new > self.v_peak)
-        v_new = np.where(post_spiked, self.c, v_new)
-        u_new = np.where(post_spiked, u_new + self.d, u_new)
-        v_new = np.where(pre_spiked, self.c, v_new)
-        u_new = np.where(pre_spiked, u + self.d, u_new)
-        self.v, self.u = v_new, u_new
-        return pre_spiked | post_spiked
+        self.v, self.u, spiked = float_update(self, self.v, self.u, current, np.where)
+        return spiked
 
 
 def _fixed_state(specs: list[PopulationSpec]) -> tuple[FixedBatch, tuple]:

@@ -1,13 +1,15 @@
 """Izhikevich neuron in two interchangeable arithmetics.
 
-``step_float`` is the floating-point reference implementation of the
-discrete Euler update.  The fixed-point arithmetic is defined in one place,
-the shipped block schedule ``data/izhikevich_schedule.txt`` (see
-:mod:`neurocore.schedule`), compiled at import into two generated functions
-of the same source but for how they clip and select: ``step_fields`` on one
-compartment's field values as Python ints, which ``step_fixed`` wraps in an
-unpack and a pack of the state words, and ``step_fields_batch`` on whole
-populations of int64 arrays, which ``step_fixed_batch`` runs.
+``float_update`` is the floating-point reference of the discrete Euler
+update, written once: ``step_float`` runs it on one neuron's floats and the
+network's float backend on per-neuron arrays.  The fixed-point arithmetic
+is defined in one place, the shipped block schedule
+``data/izhikevich_schedule.txt`` (see :mod:`neurocore.schedule`), compiled
+at import into two generated functions of the same source but for how they
+clip and select: ``step_fields`` on one compartment's field values as
+Python ints, which ``step_fixed`` wraps in an unpack and a pack of the state
+words, and ``step_fields_batch`` on whole populations of int64 arrays, which
+``step_fixed_batch`` runs.
 
 Update rule, with dt = DT_MS = 1/8 ms:
 
@@ -23,21 +25,12 @@ step in which the crossing happened.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
-from .fxp import (
-    DDOP_FMT,
-    ISYN_FMT,
-    Q12,
-    U_FMT,
-    V_FMT,
-    Fixed,
-    encode,
-    sat_raw,
-)
+from .fxp import Q12, U_FMT, V_FMT, Fixed, encode, sat_raw
 from .schedule import (
     ARRAYS,
     FIELD_FORMATS,
@@ -91,6 +84,27 @@ def initial_state(params: NeuronParams, v0: float | None = None) -> NeuronState:
     return NeuronState(v=v, u=params.b * v)
 
 
+def _pick(condition, if_true, if_false):
+    return if_true if condition else if_false
+
+
+def float_update(p, v, u, current, select=_pick):
+    """One Euler step of DT_MS and both resets, on floats or on arrays.
+
+    ``p`` holds ``a b c d v_peak``: a ``NeuronParams`` or per-neuron arrays.
+    ``select(condition, if_true, if_false)`` is a conditional expression for
+    floats, ``np.where`` for arrays.  A stored ``v`` past the peak resets to
+    ``c`` with ``u + d``; a fresh crossing resets to ``c`` with ``u' + d``.
+    Returns ``(v', u', spiked)``.
+    """
+    pre_spiked = v > p.v_peak
+    v_new = v + (K_QUAD * v * v + K_LIN * v + K_BIAS - u + current) * DT_MS
+    u_new = u + p.a * (p.b * v - u) * DT_MS
+    spiked = pre_spiked | (v_new > p.v_peak)
+    u_new = select(pre_spiked, u + p.d, select(spiked, u_new + p.d, u_new))
+    return select(spiked, p.c, v_new), u_new, spiked
+
+
 def step_float(
     params: NeuronParams, state: NeuronState, i_input: float
 ) -> tuple[NeuronState, bool]:
@@ -99,15 +113,8 @@ def step_float(
     v, u = state.v, state.u
     if not (math.isfinite(v) and math.isfinite(u) and math.isfinite(i_input)):
         raise SimulationError(f"non-finite neuron state: v={v}, u={u}, I={i_input}")
-    if v > params.v_peak:
-        return replace(state, v=params.c, u=u + params.d), True
-    v_new = v + (K_QUAD * v * v + K_LIN * v + K_BIAS - u + i_input) * DT_MS
-    u_new = u + params.a * (params.b * v - u) * DT_MS
-    spiked = v_new > params.v_peak
-    if spiked:
-        v_new = params.c
-        u_new = u_new + params.d
-    return replace(state, v=v_new, u=u_new), spiked
+    v, u, spiked = float_update(params, v, u, i_input)
+    return NeuronState(v, u, state.i_syn, state.delta_dop), spiked
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +185,6 @@ def _raw_fields(params: NeuronParams, state: NeuronState) -> dict[str, int]:
 def encode_compartment(params: NeuronParams, state: NeuronState) -> CompartmentWords:
     """Encode parameters and dynamic state into packed compartment words."""
     return pack(CompartmentFields(**_raw_fields(params, state)))
-
-
-def decode_state(words: CompartmentWords) -> NeuronState:
-    f = unpack(words)
-    return NeuronState(
-        v=f.v / V_FMT.scale,
-        u=f.u / U_FMT.scale,
-        i_syn=f.isyn / ISYN_FMT.scale,
-        delta_dop=f.delta_dop / DDOP_FMT.scale,
-    )
 
 
 # ---------------------------------------------------------------------------

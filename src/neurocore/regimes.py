@@ -186,11 +186,6 @@ def run_demonstrations(backend: str, duration_ms: float = 1000.0) -> dict[str, S
     return {name: run for (name, _, _), run in zip(plan, runs)}
 
 
-def evaluate_regimes(backend: str, duration_ms: float = 1000.0) -> list[RegimeCheck]:
-    """Run every demonstration and classify it; one check per regime."""
-    return classify_runs(run_demonstrations(backend, duration_ms), backend)
-
-
 def classify_runs(by_name: dict[str, SingleRun], backend: str) -> list[RegimeCheck]:
     checks = []
     ok, detail = classify_tonic(by_name["RS"].train())

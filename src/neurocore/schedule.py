@@ -182,19 +182,8 @@ def validate_schedule(schedule: BlockSchedule) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# Line-oriented text serialization
+# Line-oriented text parsing
 # ---------------------------------------------------------------------------
-
-def render_schedule(schedule: BlockSchedule) -> str:
-    lines = [f"schedule: {schedule.name}", ""]
-    for block in schedule.blocks:
-        lines.append(f"block: {block.name}")
-        lines.append(f"word: {'-' if block.word is None else block.word}")
-        for op in block.ops:
-            lines.append(f"op: {op.render()}")
-        lines.append("")
-    return "\n".join(lines)
-
 
 def parse_schedule(text: str) -> BlockSchedule:
     name = ""

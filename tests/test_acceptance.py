@@ -19,7 +19,7 @@ from neurocore.config import default_config_text, load_default_config
 from neurocore.fxp import Fixed, FixedFormat, mul_rescale, sat_add, shr
 from neurocore.network import build_connections
 from neurocore.neuron import CompartmentFields, pack, unpack
-from neurocore.regimes import evaluate_regimes, timing_comparison
+from neurocore.regimes import classify_runs, run_demonstrations, timing_comparison
 from neurocore.schedule import izhikevich_schedule, validate_schedule
 
 # -- frozen regression constants (first validated run, fixed backend) --------
@@ -74,7 +74,7 @@ def test_criterion_2_regime_suite():
     started = time.perf_counter()
     failures = []
     for backend in ("float", "fixed"):
-        for check in evaluate_regimes(backend, duration_ms=1000.0):
+        for check in classify_runs(run_demonstrations(backend, 1000.0), backend):
             if not check.passed:
                 failures.append(f"{backend}/{check.regime}: {check.detail}")
     elapsed = time.perf_counter() - started

@@ -10,10 +10,8 @@ from neurocore.analysis import (
     SpikeTrain,
     cv_isi,
     errt,
-    export_raster,
     export_raster_csv,
     export_raster_svg,
-    firing_rate,
     load_raster_csv,
 )
 from neurocore.network import SpikeRecord
@@ -68,39 +66,6 @@ class TestErrt:
         test = train(0, 10, 500)
         assert errt(reference, test) == 0.0
 
-    def test_mean_gaps_variant(self):
-        reference = train(0, 10, 20)
-        test = train(0, 11, 21)
-        # per-gap errors 10% and 10%/... : gaps ref (10,10), test (11,10)
-        assert errt(reference, test, mean_gaps=True) == pytest.approx(5.0)
-
-
-class TestFiringRate:
-    def test_empty_train(self):
-        assert firing_rate(train(), (0.0, 1000.0)) == 0.0
-
-    def test_fifteen_uniform_spikes(self):
-        t = train(*(i * (1000.0 / 15) for i in range(15)))
-        assert firing_rate(t, (0.0, 1000.0)) == pytest.approx(15.0)
-
-    def test_half_open_window(self):
-        t = train(0.0, 500.0, 1000.0)
-        assert firing_rate(t, (0.0, 1000.0)) == pytest.approx(2.0)
-
-    def test_additive_over_disjoint_windows(self):
-        t = train(1, 2, 3, 400, 800, 900)
-        full = firing_rate(t, (0.0, 1000.0)) * 1.0
-        parts = (
-            firing_rate(t, (0.0, 300.0)) * 0.3
-            + firing_rate(t, (300.0, 1000.0)) * 0.7
-        )
-        assert full == pytest.approx(parts)
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            firing_rate(train(), (5.0, 5.0))
-
-
 class TestCvIsi:
     def test_regular_train_has_zero_cv(self):
         t = train(*(10.0 * i for i in range(1, 30)))
@@ -154,10 +119,3 @@ class TestRasterExport:
         svg = path.read_text()
         assert "<circle" not in svg
         assert "<line" in svg
-
-    def test_combined_export_writes_both(self, tmp_path):
-        record = self._record()
-        csv_path, svg_path = export_raster(record, tmp_path / "run")
-        assert csv_path.name == "run.csv" and csv_path.exists()
-        assert svg_path.name == "run.svg" and svg_path.exists()
-        assert load_raster_csv(csv_path) == record

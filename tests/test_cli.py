@@ -84,6 +84,29 @@ class TestInvalidInput:
         assert "seed" in single_error_line(capsys)
         assert not (out_dir / "rates_summary.json").exists()
 
+    @pytest.mark.parametrize("command", ["regimes", "errt", "gonogo"])
+    def test_duration_with_infinite_step_count_rejected(self, tmp_path, capsys, command):
+        # 1e308 ms is finite, but not once divided by the 0.125 ms timestep
+        out_dir = tmp_path / "o"
+        extra = [] if command == "errt" else ["--out", str(out_dir)]
+        assert main([command, "--duration-ms", "1e308", *extra]) == 2
+        assert "duration_ms" in single_error_line(capsys)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("where", ["flag", "environment", "config"])
+    def test_gonogo_rejects_seed_past_64_bits(self, tmp_path, capsys, monkeypatch, where):
+        cfg = small_config(tmp_path)
+        argv = ["gonogo", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if where == "flag":
+            argv += ["--seed", str(2**64)]
+        elif where == "environment":
+            monkeypatch.setenv("NEUROCORE_SEED", str(2**64))
+        else:
+            cfg.write_text(cfg.read_text().replace("seed = 1", f"seed = {2**64}", 1))
+        assert main(argv) == 2
+        assert "seed" in single_error_line(capsys)
+        assert not (tmp_path / "o").exists()
+
     def test_errt_too_short_for_two_spikes(self, capsys):
         assert main(["errt", "--duration-ms", "5"]) == 2
         assert "2 spikes" in single_error_line(capsys)

@@ -1,5 +1,7 @@
 """Run-config parsing and the shipped default network file."""
 
+from dataclasses import replace
+
 import pytest
 
 from neurocore.config import (
@@ -9,6 +11,7 @@ from neurocore.config import (
 )
 from neurocore.network import ConfigError
 from neurocore.neuron import NeuronParams
+from neurocore.synapse import PoissonSource
 
 MINIMAL = """\
 [simulation]
@@ -150,6 +153,28 @@ class TestParsing:
         )
         with pytest.raises(ConfigError, match="ghost"):
             parse_config_text(text)
+
+    def test_connection_prob_error_names_file_and_section(self):
+        text = MINIMAL + "\n[connection only -> only]\nweight = 1\nprob = 1.5\n"
+        message = r"^<config>: \[connection only -> only\] .*prob 1.5 outside \[0, 1\]"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+
+    def test_generator_prob_checked_at_parse_with_file_and_section(self):
+        text = MINIMAL + (
+            "\n[generator G]\nsize = 2\nrate_hz = 5\ntargets = only\n"
+            "weight = 1\nprob = 1.5\n"
+        )
+        with pytest.raises(ConfigError, match=r"^<config>: \[generator G\] .*prob 1.5 outside"):
+            parse_config_text(text)
+
+    def test_seed_spans_the_64_bit_key(self):
+        config = parse_config_text(MINIMAL)
+        assert replace(config, seed=2**64 - 1).seed == 2**64 - 1
+        PoissonSource("S", 1000.0, 4).spikes_at(0, 2**64 - 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match="seed"):
+                replace(config, seed=seed)
 
     def test_bad_backend(self):
         with pytest.raises(ConfigError, match="backend"):

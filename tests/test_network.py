@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from neurocore import network
 from neurocore.network import (
     ConfigError,
     ConnectionSpec,
@@ -46,6 +47,27 @@ class TestBuildConnections:
         for seed in range(5):
             pre, _ = build_connections(spec, 100, 100, rng(seed))
             assert abs(len(pre) - n * 0.15) <= 4 * sigma
+
+    @pytest.mark.parametrize("block", [1, 64, 1 << 20])
+    @pytest.mark.parametrize(
+        "pre, post, pre_size, post_size",
+        [("A", "B", 40, 30), ("A", "A", 30, 30), ("A", "A", 40, 25), ("A", "A", 25, 40),
+         ("A", "B", 1, 90), ("A", "B", 90, 1), ("A", "A", 1, 1), ("A", "B", 0, 5)],
+    )
+    def test_blocked_draw_equals_dense_draw(
+        self, monkeypatch, block, pre, post, pre_size, post_size
+    ):
+        monkeypatch.setattr(network, "_DRAW_BLOCK", block)
+        spec = ConnectionSpec(pre, post, weight=1.0, prob=0.3)
+        blocked_rng, dense_rng = rng(5), rng(5)
+        got = build_connections(spec, pre_size, post_size, blocked_rng)
+        mask = dense_rng.random((pre_size, post_size)) < spec.prob
+        if pre == post:
+            np.fill_diagonal(mask, False)
+        want = np.divmod(np.flatnonzero(mask), post_size)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
+        assert blocked_rng.bit_generator.state == dense_rng.bit_generator.state
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ConfigError):
@@ -113,6 +135,40 @@ class TestEngine:
                 direct_first = t
                 break
         assert engine_first == direct_first
+
+    def test_float_network_is_step_float_bit_for_bit(self):
+        # no synapses, so each neuron's total current is its i_const; the
+        # second population starts past its peak, which runs the pre-reset path
+        params = {
+            "P": NeuronParams(a=0.02, b=0.2, c=-65, d=8, i_const=10.0, v_peak=25.0),
+            "Q": NeuronParams(a=0.1, b=0.25, c=-55, d=2, i_const=6.5, v_peak=35.0),
+        }
+        v0 = {"P": None, "Q": 40.0}
+        net = Network(
+            [PopulationSpec(name, 2, params=p, v0=v0[name]) for name, p in params.items()],
+            [], backend="float",
+        )
+        steps = 2000
+        v, u = np.empty((steps, net.size)), np.empty((steps, net.size))
+        spikes = {name: [] for name in params}
+        for t in range(steps):
+            for name, _ in net.step():
+                spikes[name].append(t)
+            v[t], u[t] = net.state.v, net.state.u
+
+        for name, p in params.items():
+            state, direct_v, direct_u, direct_spikes = initial_state(p, v0[name]), [], [], []
+            for t in range(steps):
+                state, spiked = step_float(p, state, p.i_const)
+                direct_v.append(state.v)
+                direct_u.append(state.u)
+                if spiked:
+                    direct_spikes.append(t)
+            for i in range(net.slices[name].start, net.slices[name].stop):
+                assert v[:, i].tolist() == direct_v
+                assert u[:, i].tolist() == direct_u
+            assert spikes[name] == direct_spikes
+        assert spikes["Q"][0] == 0 and len(spikes["P"]) > 3
 
     def test_chain_delivers_one_step_later(self):
         driver = PopulationSpec("driver", 1, params=NeuronParams(

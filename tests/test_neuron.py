@@ -14,7 +14,6 @@ from neurocore.neuron import (
     NeuronParams,
     NeuronState,
     SimulationError,
-    decode_state,
     encode_compartment,
     initial_state,
     pack,
@@ -119,13 +118,6 @@ class TestCompartmentWords:
         )
         with pytest.raises(ValueError):
             pack(fields)
-
-    def test_encode_decode_state(self):
-        words = encode_compartment(RS, NeuronState(v=-65.0, u=-13.0, i_syn=2.5))
-        state = decode_state(words)
-        assert state.v == -65.0
-        assert state.u == -13.0
-        assert state.i_syn == 2.5
 
 
 class TestStepFixed:

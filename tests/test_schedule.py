@@ -1,6 +1,4 @@
-"""Block-schedule validation, serialization and compilation."""
-
-from importlib import resources
+"""Block-schedule validation, parsing and compilation."""
 
 import pytest
 
@@ -18,7 +16,6 @@ from neurocore.schedule import (
     izhikevich_schedule,
     parse_schedule,
     plan_schedule,
-    render_schedule,
     validate_schedule,
 )
 
@@ -72,18 +69,6 @@ class TestValidator:
 class TestCanonicalSchedule:
     def test_no_violations(self):
         assert validate_schedule(izhikevich_schedule()) == []
-
-    def test_text_roundtrip(self):
-        schedule = izhikevich_schedule()
-        assert parse_schedule(render_schedule(schedule)) == schedule
-
-    def test_shipped_file_matches_code(self):
-        shipped = (
-            resources.files("neurocore")
-            .joinpath("data/izhikevich_schedule.txt")
-            .read_text()
-        )
-        assert shipped == render_schedule(izhikevich_schedule())
 
     def test_timestep_shift_happens_in_word2_block(self):
         schedule = izhikevich_schedule()
