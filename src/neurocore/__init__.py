@@ -1,7 +1,7 @@
 """Emulator of a microcode-programmable neurocore running fixed-point
 Izhikevich neurons, with a basal ganglia Go/No-Go network on top."""
 
-from .analysis import SpikeTrain, errt, load_raster_csv
+from .analysis import SpikeTrain, errt
 from .bg import build_bg, run_gonogo
 from .config import RunConfig
 from .fxp import Fixed, FixedFormat, decode, encode, mul_rescale, sat_add, shr
@@ -47,7 +47,6 @@ __all__ = [
     "decode",
     "encode",
     "errt",
-    "load_raster_csv",
     "izhikevich_schedule",
     "mul_rescale",
     "pack",

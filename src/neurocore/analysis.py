@@ -91,19 +91,6 @@ def export_raster_csv(record: SpikeRecord, path: str | Path) -> Path:
     return path
 
 
-def load_raster_csv(path: str | Path) -> SpikeRecord:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: missing raster header {CSV_HEADER!r}")
-    record = SpikeRecord()
-    for line in lines[1:]:
-        if not line:
-            continue
-        step, _, pop, neuron = line.split(",")
-        record.events.append((int(step), pop, int(neuron)))
-    return record
-
-
 def export_raster_svg(
     record: SpikeRecord,
     path: str | Path,

@@ -111,9 +111,11 @@ def load_default_config() -> RunConfig:
 def parse_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return parse_config_text(text, source=str(path))
 
 
@@ -163,6 +165,12 @@ def _get(items: dict, key: str, section: str, source: str) -> str:
     return items[key]
 
 
+def _check_keys(items: dict, known, section: str, source: str) -> None:
+    for key in items:
+        if key not in known:
+            raise ConfigError(f"{source}: [{section}] has unknown key {key!r}")
+
+
 def _number(items, key, section, source, cast=float):
     value = _get(items, key, section, source)
     try:
@@ -184,9 +192,8 @@ def _parse_simulation(items: dict, source: str) -> dict:
         "out": str,
         "record": str,
     }
+    _check_keys(items, casts, "simulation", source)
     for key, value in items.items():
-        if key not in casts:
-            raise ConfigError(f"{source}: [simulation] has unknown key {key!r}")
         if key == "record":
             sim["record"] = tuple(v.strip() for v in value.split(",") if v.strip())
         elif key == "out":
@@ -205,6 +212,7 @@ def _parse_simulation(items: dict, source: str) -> dict:
 
 def _parse_population(name: str, items: dict, source: str) -> tuple[int, NeuronParams]:
     section = f"population {name}"
+    _check_keys(items, ("size", "a", "b", "c", "d", "i_const", "beta", "v_peak"), section, source)
     size = _number(items, "size", section, source, int)
     kwargs = {key: _number(items, key, section, source) for key in ("a", "b", "c", "d")}
     kwargs["i_const"] = _number(items, "i_const", section, source) if "i_const" in items else 0.0
@@ -222,6 +230,7 @@ def _parse_population(name: str, items: dict, source: str) -> tuple[int, NeuronP
 
 def _parse_generator(name: str, items: dict, source: str) -> GeneratorSpec:
     section = f"generator {name}"
+    _check_keys(items, ("size", "rate_hz", "targets", "weight", "prob"), section, source)
     targets = tuple(
         t.strip() for t in _get(items, "targets", section, source).split(",") if t.strip()
     )
@@ -248,6 +257,7 @@ def _parse_connection(section: str, items: dict, source: str) -> ConnectionSpec:
     if "->" not in route:
         raise ConfigError(f"{source}: [{section}] must be named 'connection PRE -> POST'")
     pre, _, post = route.partition("->")
+    _check_keys(items, ("weight", "prob"), section, source)
     weight = _number(items, "weight", section, source)
     prob = _number(items, "prob", section, source)
     try:

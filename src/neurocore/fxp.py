@@ -108,6 +108,17 @@ def encode(x: float, fmt: FixedFormat = REG_FMT) -> Fixed:
     return Fixed(fmt.saturate(_round_half_away(x * fmt.scale)), fmt)
 
 
+def encode_checked(name: str, x: float, fmt: FixedFormat) -> int:
+    """The raw encoding of the value ``name = x``, which must lie in the range
+    of ``fmt``: a value that would saturate raises ``ValueError``."""
+    low, high = fmt.min_raw * fmt.lsb, fmt.max_raw * fmt.lsb
+    if not low <= x <= high:
+        raise ValueError(
+            f"{name} = {x:g} saturates its {fmt.width}-bit field, range [{low}, {high}]"
+        )
+    return encode(x, fmt).raw
+
+
 def decode(x: Fixed) -> float:
     return x.raw / x.fmt.scale
 

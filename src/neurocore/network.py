@@ -24,22 +24,24 @@ Integer sums do not depend on order and float sums follow table order, so a
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import synapse as syn
-from .fxp import DA_FMT, DDOP_FMT, WEIGHT_FMT, encode, quantize_raw
+from .fxp import DA_FMT, DDOP_FMT, WEIGHT_FMT, encode_checked, quantize_raw
 from .neuron import (
-    FixedBatch,
+    CompartmentFields,
     NeuronParams,
     SimulationError,
+    encode_neuron,
     float_update,
     step_fixed_batch,
 )
 from .schedule import (
     ARRAYS,
-    FIELD_FORMATS,
     FIELD_LAYOUT,
     INPUTS,
     compile_schedule,
@@ -49,22 +51,26 @@ from .schedule import (
 BACKENDS = ("fixed", "float")
 _NO_IDS = np.empty(0, dtype=np.int64)
 _DRAW_BLOCK = 1 << 20  # random numbers one connection draws at a time
-# the format each configured neuron value is encoded into; the schedule
-# compares v_peak with v, so v_peak must fit v's field
-_PARAM_FORMATS = {name: FIELD_FORMATS[name] for name in "abcd"} | dict(
-    i_const=FIELD_FORMATS["iconst"], v0=FIELD_FORMATS["v"], beta=DDOP_FMT,
-    v_peak=FIELD_FORMATS["v"],
-)
 # The ranges of the schedule inputs every step passes: the one decay raw,
-# beta as its build encodes it, DA from ``quantize_raw`` and v_peak in v's
-# field.  The array form compiled for them keeps only the clips that can
-# bind here.
-STEP_INPUTS = INPUTS | {"@alpha": syn.alpha_fixed().raw, "@beta": _PARAM_FORMATS["beta"]}
+# beta as ``neuron.encode_neuron`` encodes it, DA from ``quantize_raw`` and
+# v_peak in v's field.  The array form compiled for them keeps only the
+# clips that can bind here.
+STEP_INPUTS = INPUTS | {"@alpha": syn.alpha_fixed().raw, "@beta": DDOP_FMT}
 step_fields_network = compile_schedule(izhikevich_schedule(), ARRAYS, inputs=STEP_INPUTS)
 
 
 class ConfigError(ValueError):
     """Invalid network configuration."""
+
+
+@contextmanager
+def _config_error(where: str):
+    """Report a configured value the encoder rejects, one its fixed-point
+    field cannot hold, as a ``ConfigError`` naming ``where``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -101,6 +107,10 @@ class ConnectionSpec:
         if not 0.0 <= self.prob <= 1.0:
             raise ConfigError(
                 f"connection {self.pre} -> {self.post}: prob {self.prob} outside [0, 1]"
+            )
+        if not math.isfinite(self.weight):
+            raise ConfigError(
+                f"connection {self.pre} -> {self.post}: weight {self.weight} is not finite"
             )
 
 
@@ -175,16 +185,6 @@ def _per_neuron(values: list, specs: list[PopulationSpec], dtype) -> np.ndarray:
     return np.repeat(np.array(values, dtype=dtype), [s.size for s in specs])
 
 
-def _encode(value: float, fmt, what: str) -> int:
-    """The raw encoding of a configured value, which must not saturate."""
-    low, high = fmt.min_raw * fmt.lsb, fmt.max_raw * fmt.lsb
-    if not low <= value <= high:
-        raise ConfigError(
-            f"{what} = {value:g} saturates its {fmt.width}-bit field, range [{low}, {high}]"
-        )
-    return encode(value, fmt).raw
-
-
 class _FloatPop:
     """Float64 reference dynamics of every neuron, with per-neuron parameters:
     ``neuron.float_update`` on arrays."""
@@ -199,34 +199,42 @@ class _FloatPop:
         self.alpha = syn.alpha_factor()
 
     def step(self, acc: np.ndarray) -> np.ndarray:
-        self.isyn = self.alpha * self.isyn + acc
-        current = self.i_const + self.isyn * (1.0 + self.beta * self.delta_dop)
         if not np.all(np.isfinite(self.v)):
             raise SimulationError("membrane potential diverged on the float backend")
-        self.v, self.u, spiked = float_update(self, self.v, self.u, current, np.where)
+        # an overflow would otherwise reach the reset as inf and read as a spike
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                self.isyn = self.alpha * self.isyn + acc
+                current = self.i_const + self.isyn * (1.0 + self.beta * self.delta_dop)
+                self.v, self.u, spiked = float_update(self, self.v, self.u, current, np.where)
+        except FloatingPointError as exc:
+            raise SimulationError(f"float backend: {exc}") from exc
         return spiked
 
 
-def _fixed_state(specs: list[PopulationSpec]) -> tuple[FixedBatch, tuple]:
+def _fixed_state(specs: list[PopulationSpec]) -> tuple[CompartmentFields, tuple]:
     """The fixed-point state of the given populations, concatenated, and the
     alpha, beta and v_peak raws of its update.  Values never clip silently."""
-    raws = []
+    rows = []
     for spec in specs:
-        values = {**vars(spec.params), "v0": spec.params.c if spec.v0 is None else spec.v0}
-        what = f"population {spec.name!r}"
-        raws.append({k: _encode(values[k], f, f"{what}: {k}") for k, f in _PARAM_FORMATS.items()})
-    parts = [vars(FixedBatch.from_params(s.params, s.size, v0=s.v0)) for s in specs]
-    columns = {n: np.concatenate([_NO_IDS, *(p[n] for p in parts)]) for n in FIELD_LAYOUT}
-    beta, v_peak = (_per_neuron([r[k] for r in raws], specs, np.int64) for k in ("beta", "v_peak"))
-    return FixedBatch(**columns), (STEP_INPUTS["@alpha"], beta, v_peak)
+        with _config_error(f"population {spec.name!r}"):
+            fields, beta, v_peak = encode_neuron(spec.params, spec.v0)
+        rows.append(dict(vars(fields), beta=beta, v_peak=v_peak))
+    column = lambda name: _per_neuron([row[name] for row in rows], specs, np.int64)
+    return (
+        CompartmentFields(*map(column, FIELD_LAYOUT)),
+        (STEP_INPUTS["@alpha"], column("beta"), column("v_peak")),
+    )
 
 
 def _weight_raw(weight: float, route: str) -> int:
-    _encode(weight, WEIGHT_FMT, f"{route}: weight")
-    try:
-        return syn.encode_weight(weight).raw
-    except syn.WeightError as exc:
-        raise ConfigError(f"{route}: {exc}") from exc
+    with _config_error(route):
+        raw = encode_checked("weight", weight, WEIGHT_FMT)
+        if weight != 0.0 and raw == 0:
+            raise ValueError(
+                f"weight {weight} quantises to zero (below {WEIGHT_FMT.lsb} resolution)"
+            )
+    return raw
 
 
 class Network:
@@ -297,7 +305,8 @@ class Network:
         """Broadcast the dopamine deviation to every neuron; on the fixed
         backend it must fit its field."""
         if self.backend == "fixed":
-            raw = _encode(delta_dop, DDOP_FMT, "delta_dop")
+            with _config_error("dopamine"):
+                raw = encode_checked("delta_dop", delta_dop, DDOP_FMT)
             delta_dop = np.full(self.size, raw, dtype=np.int64)
         self.state.delta_dop = delta_dop
 

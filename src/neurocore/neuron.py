@@ -9,7 +9,8 @@ at import into two generated functions of the same source but for how they
 clip and select: ``step_fields`` on one compartment's field values as
 Python ints, which ``step_fixed`` wraps in an unpack and a pack of the state
 words, and ``step_fields_batch`` on whole populations of int64 arrays, which
-``step_fixed_batch`` runs.
+``step_fixed_batch`` runs.  ``encode_neuron`` is the one map from a
+configured neuron to the raw field values both run on.
 
 Update rule, with dt = DT_MS = 1/8 ms:
 
@@ -25,12 +26,13 @@ step in which the crossing happened.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from operator import attrgetter
 
 import numpy as np
 
-from .fxp import Q12, U_FMT, V_FMT, Fixed, encode, sat_raw
+# sat_raw has no caller here; the benchmark's probes wrap it by this name
+from .fxp import DDOP_FMT, Q12, U_FMT, V_FMT, Fixed, encode, encode_checked, sat_raw
 from .schedule import (
     ARRAYS,
     FIELD_FORMATS,
@@ -74,8 +76,6 @@ class NeuronParams:
 class NeuronState:
     v: float
     u: float
-    i_syn: float = 0.0
-    delta_dop: float = 0.0
 
 
 def initial_state(params: NeuronParams, v0: float | None = None) -> NeuronState:
@@ -114,26 +114,22 @@ def step_float(
     if not (math.isfinite(v) and math.isfinite(u) and math.isfinite(i_input)):
         raise SimulationError(f"non-finite neuron state: v={v}, u={u}, I={i_input}")
     v, u, spiked = float_update(params, v, u, i_input)
-    return NeuronState(v, u, state.i_syn, state.delta_dop), spiked
+    return NeuronState(v, u), spiked
 
 
 # ---------------------------------------------------------------------------
 # Compartment-state memory words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompartmentFields:
-    """Raw fixed-point field values of one compartment."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-    isyn: int
-    iconst: int
-    delta_dop: int
-    v: int
-    u: int
+CompartmentFields = make_dataclass(
+    "CompartmentFields",
+    list(FIELD_LAYOUT),
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Raw fixed-point field values, in ``FIELD_LAYOUT`` order: Python "
+        "ints for one compartment, int64 arrays for a population.",
+    },
+)
 
 
 @dataclass(frozen=True)
@@ -174,17 +170,31 @@ def unpack(words: CompartmentWords) -> CompartmentFields:
     })
 
 
-def _raw_fields(params: NeuronParams, state: NeuronState) -> dict[str, int]:
-    values = dict(
-        a=params.a, b=params.b, c=params.c, d=params.d, isyn=state.i_syn,
-        iconst=params.i_const, delta_dop=state.delta_dop, v=state.v, u=state.u,
+# The format each configured value is encoded into: its field's, beta's as
+# the steps pass it, and v's for v_peak, which the schedule compares with v.
+_VALUE_FORMATS = {name: FIELD_FORMATS[name] for name in "abcd"} | dict(
+    i_const=FIELD_FORMATS["iconst"], v0=FIELD_FORMATS["v"], beta=DDOP_FMT,
+    v_peak=FIELD_FORMATS["v"],
+)
+
+
+def encode_neuron(
+    params: NeuronParams, v0: float | None = None
+) -> tuple[CompartmentFields, int, int]:
+    """The rest state of a configured neuron at ``v0`` (default ``c``) as raw
+    fields, and the raw ``beta`` and ``v_peak`` its steps pass.
+
+    ``isyn`` and ``delta_dop`` start at 0, and ``u`` is ``b * v`` by the
+    core's own multiply, not encoded host-side.  A value that would saturate
+    its field raises ``ValueError`` naming it.
+    """
+    values = {**vars(params), "v0": params.c if v0 is None else v0}
+    raw = {name: encode_checked(name, values[name], fmt) for name, fmt in _VALUE_FORMATS.items()}
+    fields = CompartmentFields(
+        a=raw["a"], b=raw["b"], c=raw["c"], d=raw["d"], isyn=0, iconst=raw["i_const"],
+        delta_dop=0, v=raw["v0"], u=U_FMT.saturate((raw["b"] * raw["v0"]) >> Q12),
     )
-    return {name: encode(x, FIELD_FORMATS[name]).raw for name, x in values.items()}
-
-
-def encode_compartment(params: NeuronParams, state: NeuronState) -> CompartmentWords:
-    """Encode parameters and dynamic state into packed compartment words."""
-    return pack(CompartmentFields(**_raw_fields(params, state)))
+    return fields, raw["beta"], raw["v_peak"]
 
 
 # ---------------------------------------------------------------------------
@@ -229,41 +239,11 @@ def step_fixed(
         if not fmt.min_raw <= raw <= fmt.max_raw:
             raise ValueError(f"{name} raw {raw} outside its compiled range {fmt}")
     *fields, spiked = step_fields(*_field_values(unpack(words)), *inputs)
-    return pack(CompartmentFields(**dict(zip(FIELD_LAYOUT, fields)))), spiked
-
-
-@dataclass
-class FixedBatch:
-    """Unpacked per-neuron raw state of one population (int64 arrays)."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    isyn: np.ndarray
-    iconst: np.ndarray
-    delta_dop: np.ndarray
-    v: np.ndarray
-    u: np.ndarray
-
-    @classmethod
-    def from_params(
-        cls, params: NeuronParams, size: int, v0: float | None = None
-    ) -> "FixedBatch":
-        """Rest state at v0 (default c); u is derived from the stored b and v
-        with the core's own multiply, not encoded host-side."""
-        raw = _raw_fields(params, NeuronState(v=params.c if v0 is None else v0, u=0.0))
-        batch = cls(**{name: np.full(size, x, dtype=np.int64) for name, x in raw.items()})
-        batch.u = sat_raw((batch.b * batch.v) >> Q12, U_FMT)
-        return batch
-
-    def words(self, i: int) -> CompartmentWords:
-        fields = {name: int(getattr(self, name)[i]) for name in FIELD_LAYOUT}
-        return pack(CompartmentFields(**fields))
+    return pack(CompartmentFields(*fields)), spiked
 
 
 def step_fixed_batch(
-    batch: FixedBatch,
+    batch: CompartmentFields,
     da_raw,
     alpha_raw: int,
     beta_raw: int = 0,
@@ -274,9 +254,9 @@ def step_fixed_batch(
     ``batch`` in place.
 
     ``da_raw`` is the per-neuron accumulator value at 3 fraction bits; each
-    field of ``batch`` must hold values of its format, and each other
-    argument values of the range the schedule was compiled for: the
-    ``schedule.INPUTS`` ranges of ``step_fields_batch``, or those of
+    field of ``batch`` must hold an int64 array of values of its format, and
+    each other argument values of the range the schedule was compiled for:
+    the ``schedule.INPUTS`` ranges of ``step_fields_batch``, or those of
     ``compiled``, an array form compiled for narrower ranges that runs in
     its place.  Returns the boolean spike mask.
     """

@@ -16,7 +16,7 @@ it cannot carry the demonstration current of 10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .analysis import SpikeTrain, cv_isi
 from .fxp import DA_FMT, V_FMT, encode
 from .neuron import (
     DT_MS,
-    FixedBatch,
     NeuronParams,
+    encode_neuron,
     initial_state,
     step_fields,
     step_float,
@@ -118,9 +118,8 @@ def _run_fixed(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, li
     """The compiled schedule on one compartment's field values, carried from
     step to step as Python ints; the state words are never packed."""
     v_scale = float(V_FMT.scale)
-    v_peak = encode(params.v_peak, V_FMT).raw
-    rest = FixedBatch.from_params(params, 1, v0=REST_V)
-    fields = [int(getattr(rest, name)[0]) for name in FIELD_LAYOUT]
+    rest, _, v_peak = encode_neuron(params, REST_V)
+    fields = astuple(rest)
     v_mv, spikes = [], []
     for ms, current in protocol:
         # the stimulus enters through the accumulator port with decay off
@@ -139,7 +138,7 @@ def _run_float(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, li
     v_mv, spikes = [], []
     for ms, current in protocol:
         for _ in range(round(ms / DT_MS)):
-            state, spiked = step_float(params, state, current)
+            state, spiked = step_float(params, state, params.i_const + current)
             if spiked:
                 spikes.append(len(v_mv))
             v_mv.append(state.v)

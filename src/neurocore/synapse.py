@@ -24,23 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fxp import ISYN_FMT, WEIGHT_FMT, Fixed, FixedFormat, encode
+from .fxp import ISYN_FMT, Fixed, encode
 from .neuron import DT_MS
 
 SYNAPTIC_TAU_MS = 15.0
-
-
-class WeightError(ValueError):
-    """A nonzero weight that quantises to zero in the weight format."""
-
-
-def encode_weight(weight: float, fmt: FixedFormat = WEIGHT_FMT) -> Fixed:
-    encoded = encode(weight, fmt)
-    if weight != 0.0 and encoded.raw == 0:
-        raise WeightError(
-            f"weight {weight} quantises to zero (below {fmt.lsb} resolution)"
-        )
-    return encoded
 
 
 def alpha_factor() -> float:

@@ -78,6 +78,24 @@ class TestInvalidInput:
         assert "duration_ms" in single_error_line(capsys)
         assert not (out_dir / "rates_summary.json").exists()
 
+    def test_gonogo_rejects_non_utf8_config(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        cfg.write_bytes(cfg.read_bytes().replace(b"# Default", b"# D\xe9fault", 1))
+        out_dir = tmp_path / "o"
+        assert main(["gonogo", "--config", str(cfg), "--out", str(out_dir)]) == 2
+        assert f"{cfg}: not UTF-8 text" in single_error_line(capsys)
+        assert not out_dir.exists()
+
+    def test_float_overflow_exits_1(self, tmp_path, capsys):
+        # an overflow of the float membrane update must not read as spikes
+        cfg = small_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("weight = -7.5", "weight = -1e300", 1))
+        out_dir = tmp_path / "o"
+        argv = ["gonogo", "--config", str(cfg), "--backend", "float", "--out", str(out_dir)]
+        assert main(argv) == 1
+        assert "overflow" in single_error_line(capsys)
+        assert not (out_dir / "rates_summary.json").exists()
+
     def test_gonogo_rejects_negative_seed(self, tmp_path, capsys):
         out_dir = tmp_path / "o"
         assert main(["gonogo", "--seed", "-1", "--out", str(out_dir)]) == 2

@@ -29,6 +29,19 @@ d = 8
 i_const = 5
 """
 
+GENERATOR_AND_CONNECTION = """
+[generator G]
+size = 2
+rate_hz = 10
+targets = only
+weight = 1
+prob = 0.5
+
+[connection only -> only]
+weight = -1
+prob = 0.1
+"""
+
 # The published circuit, written out independently of data/bg_default.cfg.
 # Per-group neuron parameters (a, b, c, d, i_const, beta).
 CIRCUIT_NEURONS = {
@@ -125,9 +138,21 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config_text(MINIMAL + "\n[plasticity]\nrate = 1\n")
 
-    def test_unknown_simulation_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_text(MINIMAL.replace("seed = 3", "sede = 3"))
+    @pytest.mark.parametrize(
+        "line, section",
+        [
+            ("seed = 3", "simulation"),
+            ("i_const = 5", "population only"),
+            ("rate_hz = 10", "generator G"),
+            ("prob = 0.1", "connection only -> only"),
+        ],
+        ids=["simulation", "population", "generator", "connection"],
+    )
+    def test_unknown_key_rejected(self, line, section):
+        text = MINIMAL + GENERATOR_AND_CONNECTION
+        parse_config_text(text)
+        with pytest.raises(ConfigError, match=rf"<config>: \[{section}\] has unknown key 'betta'"):
+            parse_config_text(text.replace(line, f"{line}\nbetta = 0.6", 1))
 
     def test_simulation_values_validated_with_source(self):
         with pytest.raises(ConfigError, match=r"<config>: \[simulation\] settle_ms"):

@@ -14,7 +14,7 @@ from neurocore.network import (
     PopulationSpec,
     build_connections,
 )
-from neurocore.neuron import NeuronParams, initial_state, step_float
+from neurocore.neuron import NeuronParams, SimulationError, initial_state, step_float
 
 RS = NeuronParams(a=0.02, b=0.2, c=-65, d=8)
 
@@ -73,6 +73,11 @@ class TestBuildConnections:
         with pytest.raises(ConfigError):
             ConnectionSpec("A", "B", weight=1.0, prob=1.5)
 
+    @pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ConfigError, match="A -> B: weight .* is not finite"):
+            ConnectionSpec("A", "B", weight=weight, prob=0.5)
+
     def test_synapse_listing(self):
         # a source ahead of A shifts A's pre ids; B's neurons follow A's; the
         # fixed backend stores raw Q12 weights
@@ -115,6 +120,17 @@ class TestEngine:
         net = Network([], [], seed=1)
         assert net.step() == []
         assert net.step_index == 1
+
+    def test_float_overflow_raises(self):
+        # inhibition of -1e300 overflows the membrane update; the reset must
+        # not turn the overflow into spikes
+        net = Network(
+            [PopulationSpec("P", 10, rate_hz=500.0), PopulationSpec("A", 10, params=RS)],
+            [ConnectionSpec("P", "A", -1e300, 1.0)],
+            backend="float",
+        )
+        with pytest.raises(SimulationError, match="overflow"):
+            net.run(400)
 
     def test_zero_steps_empty_record(self):
         net = single_pop_net("float")

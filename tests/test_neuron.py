@@ -1,20 +1,20 @@
 """Neuron dynamics: float reference, compartment words, fixed pipeline."""
 
 import hashlib
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from neurocore import network, neuron
-from neurocore.fxp import DA_FMT, DDOP_FMT, ISYN_FMT, REG_FMT, V_FMT, Fixed, encode
+from neurocore.fxp import DA_FMT, DDOP_FMT, ISYN_FMT, REG_FMT, U_FMT, V_FMT, Fixed, encode
 from neurocore.neuron import (
     CompartmentFields,
-    FixedBatch,
     NeuronParams,
     NeuronState,
     SimulationError,
-    encode_compartment,
+    encode_neuron,
     initial_state,
     pack,
     step_fixed,
@@ -27,6 +27,23 @@ from neurocore.synapse import alpha_fixed
 
 RS = NeuronParams(a=0.02, b=0.2, c=-65, d=8)
 FS = NeuronParams(a=0.1, b=0.2, c=-65, d=2)
+
+
+def words_at(params, v, u):
+    """The packed words of ``params`` at (v, u), with isyn and delta_dop 0."""
+    fields, _, _ = encode_neuron(params, v)
+    return pack(replace(fields, u=encode(u, U_FMT).raw))
+
+
+def population(params, n, v0=None):
+    """``n`` neurons at the encoded rest state of ``params``, as int64 arrays."""
+    fields, _, _ = encode_neuron(params, v0)
+    return CompartmentFields(**{k: np.full(n, x, dtype=np.int64) for k, x in vars(fields).items()})
+
+
+def words_of(batch, i):
+    """The packed words of neuron ``i`` of a population."""
+    return pack(CompartmentFields(**{k: int(x[i]) for k, x in vars(batch).items()}))
 
 
 class TestParams:
@@ -82,6 +99,18 @@ class TestStepFloat:
             step_float(RS, NeuronState(v=float("nan"), u=0.0), 0.0)
 
 
+class TestEncodeNeuron:
+    def test_rest_state_fields(self):
+        fields, beta, v_peak = encode_neuron(replace(RS, i_const=5.0, beta=-0.6), -70.0)
+        # u = b v by the core's multiply: 819 * -286720 >> 12, not encode(-14)
+        assert fields == CompartmentFields(
+            a=82, b=819, c=-266240, d=32768, isyn=0, iconst=20480, delta_dop=0,
+            v=-286720, u=-57330,
+        )
+        assert (beta, v_peak) == (encode(-0.6, DDOP_FMT).raw, encode(30.0, V_FMT).raw)
+        assert encode_neuron(RS)[0].v == encode(RS.c, V_FMT).raw
+
+
 class TestCompartmentWords:
     def _random_fields(self, rng):
         def raw(width):
@@ -123,12 +152,12 @@ class TestCompartmentWords:
 class TestStepFixed:
     def test_accumulator_aligned_nine_bits(self):
         # a unit on the 3-fraction-bit grid becomes a unit in Q12
-        words = encode_compartment(RS, NeuronState(v=-70.0, u=-14.0))
+        words = words_at(RS, -70.0, -14.0)
         new, _ = step_fixed(words, Fixed(8, DA_FMT), alpha=Fixed(0, ISYN_FMT))
         assert unpack(new).isyn == 4096
 
     def test_equilibrium_matches_float_oracle(self):
-        words = encode_compartment(RS, NeuronState(v=-70.0, u=-14.0))
+        words = words_at(RS, -70.0, -14.0)
         float_state = NeuronState(v=-70.0, u=-14.0)
         zero = Fixed(0, DA_FMT)
         alpha = alpha_fixed()
@@ -140,7 +169,7 @@ class TestStepFixed:
         assert abs(v_fixed - float_state.v) <= V_FMT.lsb
 
     def test_reset_rule_exact(self):
-        words = encode_compartment(RS, NeuronState(v=31.0, u=-10.0))
+        words = words_at(RS, 31.0, -10.0)
         new, spiked = step_fixed(words, Fixed(0, DA_FMT), alpha_fixed())
         assert spiked
         fields = unpack(new)
@@ -148,7 +177,7 @@ class TestStepFixed:
         assert fields.u == encode(-10.0 + 8.0, V_FMT).raw
 
     def test_spike_resets_to_c_and_adds_d(self):
-        words = encode_compartment(FS, NeuronState(v=-70.0, u=-14.0))
+        words = words_at(FS, -70.0, -14.0)
         da = encode(10.0, DA_FMT)
         fired_at_c = False
         for _ in range(2000):
@@ -164,8 +193,8 @@ class TestStepFixed:
         # same trajectory with d zeroed out isolates the reset increment
         da = encode(10.0, DA_FMT)
         zero_d = NeuronParams(a=RS.a, b=RS.b, c=RS.c, d=0.0)
-        words_d = encode_compartment(RS, NeuronState(v=-70.0, u=-14.0))
-        words_0 = encode_compartment(zero_d, NeuronState(v=-70.0, u=-14.0))
+        words_d = words_at(RS, -70.0, -14.0)
+        words_0 = words_at(zero_d, -70.0, -14.0)
         for _ in range(2000):
             words_d, spiked_d = step_fixed(words_d, da, Fixed(0, ISYN_FMT))
             words_0, spiked_0 = step_fixed(words_0, da, Fixed(0, ISYN_FMT))
@@ -184,12 +213,12 @@ class TestStepFixed:
     )
     def test_input_outside_compiled_range_rejected(self, da, alpha):
         # the interval analysis dropped clips on the assumption of these ranges
-        words = encode_compartment(RS, NeuronState(v=-70.0, u=-14.0))
+        words = words_at(RS, -70.0, -14.0)
         with pytest.raises(ValueError, match="outside its compiled range"):
             step_fixed(words, da, alpha)
 
     def test_boundedness_under_extreme_input(self):
-        words = encode_compartment(RS, NeuronState(v=-70.0, u=-14.0))
+        words = words_at(RS, -70.0, -14.0)
         da_max = Fixed(DA_FMT.max_raw, DA_FMT)
         for _ in range(500):
             words, _ = step_fixed(words, da_max, alpha_fixed())
@@ -246,7 +275,7 @@ def test_golden_corner_scalar(case):
 @pytest.mark.parametrize("case", GOLDEN)
 def test_golden_corner_batch(case):
     (fields, da, beta), (isyn, v, u, spiked) = GOLDEN[case]
-    batch = FixedBatch(**{k: np.array([x], dtype=np.int64) for k, x in fields.items()})
+    batch = CompartmentFields(**{k: np.array([x], dtype=np.int64) for k, x in fields.items()})
     got = step_fixed_batch(batch, np.array([da], dtype=np.int64), alpha_fixed().raw, beta or 0)
     assert (batch.isyn[0], batch.v[0], batch.u[0], bool(got[0])) == (isyn, v, u, spiked)
 
@@ -262,7 +291,7 @@ def test_full_range_states_match_recorded_digest():
         fields = {name: draw(width, 10) for name, (_, _, width) in neuron.FIELD_LAYOUT.items()}
         da = draw(16, 10)
         alpha, beta, v_peak = (int(draw(w, 1)[0]) for w in (16, 16, 24))
-        batch = FixedBatch(**{k: x.astype(np.int64) for k, x in fields.items()})
+        batch = CompartmentFields(**{k: x.astype(np.int64) for k, x in fields.items()})
         spiked = step_fixed_batch(batch, da, alpha, beta, v_peak_raw=v_peak)
         for i in range(10):
             words, s = step_fixed(
@@ -272,7 +301,7 @@ def test_full_range_states_match_recorded_digest():
                 beta=Fixed(beta, DDOP_FMT),
                 v_peak=Fixed(v_peak, V_FMT),
             )
-            assert words == batch.words(i) and s == bool(spiked[i])
+            assert words == words_of(batch, i) and s == bool(spiked[i])
             digest.update(repr((words, s)).encode())
     assert digest.hexdigest() == "457a715d488e086a6f8276f267fd1bf43963ca8884f9382d262b37d72015eb93"
 
@@ -312,13 +341,13 @@ def test_schedule_text_is_what_runs(monkeypatch):
     text = resources.files("neurocore").joinpath("data/izhikevich_schedule.txt").read_text()
     mutated = text.replace("shr $dv <- $dv, 3", "shr $dv <- $dv, 4")
     assert mutated != text
-    words = encode_compartment(RS, NeuronState(v=-60.0, u=-12.0))
-    batch = FixedBatch.from_params(RS, 3, v0=-60.0)
+    words = words_at(RS, -60.0, -12.0)
+    batch = population(RS, 3, v0=-60.0)
     da = encode(10.0, DA_FMT)
 
     def run_all(network_form):
         scalar = step_fixed(words, da, alpha_fixed())
-        trials = [FixedBatch(**vars(batch)) for _ in range(2)]
+        trials = [CompartmentFields(**vars(batch)) for _ in range(2)]
         step_fixed_batch(trials[0], np.full(3, da.raw), alpha_fixed().raw)
         step_fixed_batch(trials[1], np.full(3, da.raw), alpha_fixed().raw, compiled=network_form)
         return scalar, trials[0].v.tolist(), trials[1].v.tolist()
@@ -337,7 +366,7 @@ class TestBatchAgreesWithScalar:
     def test_bit_exact_over_random_states(self):
         rng = np.random.default_rng(7)
         n = 64
-        batch = FixedBatch.from_params(RS, n)
+        batch = population(RS, n)
         batch.v = rng.integers(-400_000, 130_000, n).astype(np.int64)
         batch.u = rng.integers(-100_000, 100_000, n).astype(np.int64)
         batch.isyn = rng.integers(-80_000, 80_000, n).astype(np.int64)
@@ -346,7 +375,7 @@ class TestBatchAgreesWithScalar:
         beta = encode(0.6, ISYN_FMT)
         da = rng.integers(-64, 64, n).astype(np.int64)
 
-        scalar_words = [batch.words(i) for i in range(n)]
+        scalar_words = [words_of(batch, i) for i in range(n)]
         for step in range(50):
             spiked = step_fixed_batch(
                 batch, da, alpha.raw, beta.raw
@@ -356,14 +385,14 @@ class TestBatchAgreesWithScalar:
                     scalar_words[i], Fixed(int(da[i]), DA_FMT), alpha, beta=beta
                 )
                 assert scalar_spiked == bool(spiked[i]), (step, i)
-                assert scalar_words[i] == batch.words(i), (step, i)
+                assert scalar_words[i] == words_of(batch, i), (step, i)
 
 
 class TestBackendAgreement:
     @pytest.mark.parametrize("params", [RS, FS], ids=["RS", "FS"])
     def test_first_spike_within_two_steps(self, params):
         state = initial_state(params, v0=-70.0)
-        batch = FixedBatch.from_params(params, 1, v0=-70.0)
+        batch = population(params, 1, v0=-70.0)
         da = np.array([encode(10.0, DA_FMT).raw], dtype=np.int64)
         first_float = first_fixed = None
         for t in range(8000):

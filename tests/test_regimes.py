@@ -2,15 +2,17 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from neurocore.fxp import DA_FMT, ISYN_FMT, V_FMT, Fixed, encode
-from neurocore.neuron import DT_MS, FixedBatch, step_fixed, unpack
+from neurocore.neuron import DT_MS, encode_neuron, pack, step_fixed, unpack
 from neurocore.regimes import (
     REGIME_PARAMS,
     REST_V,
+    constant_current,
     run_batch,
     run_demonstrations,
     run_single,
@@ -71,7 +73,7 @@ def test_carried_fields_equal_word_level_steps(name):
     the same trace."""
     params = REGIME_PARAMS[name]
     protocol = ((30.0, 10.0), (10.0, -10.0))
-    words = FixedBatch.from_params(params, 1, v0=REST_V).words(0)
+    words = pack(encode_neuron(params, REST_V)[0])
     v_peak = encode(params.v_peak, V_FMT)
     v_mv, spikes = [], []
     for ms, current in protocol:
@@ -85,6 +87,27 @@ def test_carried_fields_equal_word_level_steps(name):
     assert spikes, "the protocol should make every regime fire"
     assert run.spike_steps == spikes
     assert run.v_mv.tolist() == v_mv
+
+
+@pytest.mark.parametrize(
+    "changed, message",
+    [
+        (dict(i_const=10.0), "i_const = 10 saturates"),
+        (dict(v_peak=3000.0), "v_peak = 3000 saturates"),
+    ],
+    ids=["i_const", "v_peak"],
+)
+def test_fixed_run_never_clips_silently(changed, message):
+    with pytest.raises(ValueError, match=message):
+        run_single(replace(REGIME_PARAMS["RS"], **changed), constant_current(0.0, 100.0), "fixed")
+
+
+@pytest.mark.parametrize("backend", ["fixed", "float"])
+def test_bias_current_adds_to_the_protocol_current(backend):
+    rs = REGIME_PARAMS["RS"]
+    biased = run_single(replace(rs, i_const=5.0), constant_current(0.0, 500.0), backend)
+    driven = run_single(rs, constant_current(5.0, 500.0), backend)
+    assert biased.spike_steps and biased.spike_steps == driven.spike_steps
 
 
 def test_unknown_backend_rejected():

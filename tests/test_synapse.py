@@ -7,20 +7,27 @@ shipped schedule, so they are checked through ``neuron.step_fixed``.
 
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from neurocore.fxp import DA_FMT, DDOP_FMT, ISYN_FMT, V_FMT, Fixed, decode, encode, quantize_raw
-from neurocore.neuron import NeuronParams, NeuronState, encode_compartment, step_fixed, unpack
-from neurocore.synapse import (
-    PoissonSource,
-    WeightError,
-    alpha_factor,
-    alpha_fixed,
-    encode_weight,
+from neurocore.fxp import (
+    DA_FMT,
+    DDOP_FMT,
+    ISYN_FMT,
+    U_FMT,
+    V_FMT,
+    WEIGHT_FMT,
+    Fixed,
+    decode,
+    encode,
+    quantize_raw,
 )
+from neurocore.network import ConnectionSpec, Network, PopulationSpec
+from neurocore.neuron import NeuronParams, encode_neuron, pack, step_fixed, unpack
+from neurocore.synapse import PoissonSource, alpha_factor, alpha_fixed
 
 RS = NeuronParams(a=0.02, b=0.2, c=-65, d=8)
 
@@ -28,11 +35,8 @@ RS = NeuronParams(a=0.02, b=0.2, c=-65, d=8)
 class TestWeights:
     def test_table_weights_survive_quantisation(self):
         for w in (-7.5, -2.25, -1.5, -1.0, -0.3, 0.05, 1.125, 2.25, 5.0):
-            assert encode_weight(w).raw != 0
-
-    def test_vanishing_weight_rejected(self):
-        with pytest.raises(WeightError):
-            encode_weight(1e-5)
+            net = Network([PopulationSpec("A", 2, params=RS)], [ConnectionSpec("A", "A", w, 1.0)])
+            assert np.all(net.synapses.weight != 0)
 
 
 class TestAccumulate:
@@ -40,14 +44,14 @@ class TestAccumulate:
         assert int(quantize_raw(sum([]))) == 0
 
     def test_two_spikes_weight_five(self):
-        w = encode_weight(5.0)
+        w = encode(5.0, WEIGHT_FMT)
         acc = int(quantize_raw(w.raw + w.raw))
         assert acc == 80  # 2 * 5 * 2^3 on the 3-fraction-bit grid
         assert decode(Fixed(acc, DA_FMT)) == 10.0
 
     def test_small_weight_vanishes_on_grid(self):
         # round(0.05 * 8) = 0: below one accumulator LSB of 0.125
-        assert int(quantize_raw(encode_weight(0.05).raw)) == 0
+        assert int(quantize_raw(encode(0.05, WEIGHT_FMT).raw)) == 0
 
     def test_saturates(self):
         assert int(quantize_raw(2 * ISYN_FMT.max_raw)) == DA_FMT.max_raw
@@ -72,9 +76,13 @@ class TestAccumulate:
 def rest_words(i_syn=0.0, i_const=0.0, delta_dop=0.0):
     """RS at its rest point (-70, -14), where the membrane derivative is
     exactly the input current I."""
-    params = NeuronParams(a=RS.a, b=RS.b, c=RS.c, d=RS.d, i_const=i_const)
-    state = NeuronState(v=-70.0, u=-14.0, i_syn=i_syn, delta_dop=delta_dop)
-    return encode_compartment(params, state)
+    fields, _, _ = encode_neuron(replace(RS, i_const=i_const), -70.0)
+    return pack(replace(
+        fields,
+        u=encode(-14.0, U_FMT).raw,
+        isyn=encode(i_syn, ISYN_FMT).raw,
+        delta_dop=encode(delta_dop, DDOP_FMT).raw,
+    ))
 
 
 class TestIsynStep:
@@ -83,7 +91,7 @@ class TestIsynStep:
         assert unpack(new).isyn == 0
 
     def test_single_spike_contributes_its_weight(self):
-        acc = Fixed(int(quantize_raw(encode_weight(5.0).raw)), DA_FMT)
+        acc = Fixed(int(quantize_raw(encode(5.0, WEIGHT_FMT).raw)), DA_FMT)
         new, _ = step_fixed(rest_words(), acc, alpha_fixed())
         assert unpack(new).isyn == encode(5.0, ISYN_FMT).raw
 
