@@ -108,9 +108,16 @@ def encode(x: float, fmt: FixedFormat = REG_FMT) -> Fixed:
     return Fixed(fmt.saturate(_round_half_away(x * fmt.scale)), fmt)
 
 
+def require_finite(name: str, x: float) -> None:
+    """Raise ``ValueError`` naming ``name`` if ``x`` is NaN or infinite."""
+    if not math.isfinite(x):
+        raise ValueError(f"{name} = {x} is not finite")
+
+
 def encode_checked(name: str, x: float, fmt: FixedFormat) -> int:
-    """The raw encoding of the value ``name = x``, which must lie in the range
-    of ``fmt``: a value that would saturate raises ``ValueError``."""
+    """The raw encoding of the value ``name = x``, which must be finite and
+    lie in the range of ``fmt``: any other value raises ``ValueError``."""
+    require_finite(name, x)
     low, high = fmt.min_raw * fmt.lsb, fmt.max_raw * fmt.lsb
     if not low <= x <= high:
         raise ValueError(

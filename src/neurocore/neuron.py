@@ -32,7 +32,17 @@ from operator import attrgetter
 import numpy as np
 
 # sat_raw has no caller here; the benchmark's probes wrap it by this name
-from .fxp import DDOP_FMT, Q12, U_FMT, V_FMT, Fixed, encode, encode_checked, sat_raw
+from .fxp import (
+    DDOP_FMT,
+    Q12,
+    U_FMT,
+    V_FMT,
+    Fixed,
+    encode,
+    encode_checked,
+    require_finite,
+    sat_raw,
+)
 from .schedule import (
     ARRAYS,
     FIELD_FORMATS,
@@ -66,6 +76,8 @@ class NeuronParams:
     i_const: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            require_finite(name, value)
         if self.a <= 0:
             raise ValueError(f"a must be positive, got {self.a}")
         if self.v_peak <= self.c:

@@ -14,17 +14,20 @@ with alpha = 1 - dt/tau.  On the fixed backend these two lines are blocks of
 the shipped block schedule (:mod:`neurocore.schedule`), run by
 :mod:`neurocore.neuron`.  Poisson sources draw from counter-based random
 streams keyed by (seed, source, step): each source keeps one generator,
-re-keyed and repositioned on every call, so spike trains are reproducible
-under any execution order.
+keyed and set at the step with its whole state reset for every step it
+draws, so spike trains are reproducible under any execution order.  A
+source draws a block of steps at a time, a fixed count of random numbers,
+and serves each step's spikes from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fxp import ISYN_FMT, Fixed, encode
+from .fxp import ISYN_FMT, Fixed, encode, require_finite
 from .neuron import DT_MS
 
 SYNAPTIC_TAU_MS = 15.0
@@ -43,6 +46,61 @@ def alpha_fixed() -> Fixed:
 # Poisson spike sources
 # ---------------------------------------------------------------------------
 
+_BLOCK_NUMBERS = 4096  # random numbers one refill of a source draws, in whole steps
+_LAST_COUNTER = 2**64 - 1  # the largest step a Philox counter word holds
+
+
+def _raw_limit(p: float) -> int:
+    """The largest raw Philox output whose ``Generator.random()`` is below ``p``.
+
+    numpy draws a double as ``(raw >> 11) * 2**-53``, exactly, so for
+    0 < p <= 1 the draw is below ``p`` exactly when ``raw >> 11`` is below
+    ``ceil(p * 2**53)``, that is when ``raw`` is at most this limit.  It
+    never exceeds ``2**64 - 1``, so the compare runs on uint64 as is.
+    """
+    return math.ceil(p * 2**53) * 2**11 - 1
+
+
+class _StepDraws:
+    """A source's one kept generator and its block of drawn steps: the spikes
+    of step ``first + k`` are ``spikes[cuts[k]:cuts[k + 1]]``."""
+
+    def __init__(self, stream_id: int):
+        self.philox = np.random.Philox(0)  # every row sets its whole state
+        # one state dict for every row: only the seed and the step change
+        self.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, stream_id]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # empty: the next draw runs the counter
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self.seed, self.first, self.cuts, self.spikes = None, 0, [0], None
+
+    def refill(self, step: int, seed: int, size: int, p: float) -> None:
+        """Draw the steps from ``step`` on, ``_BLOCK_NUMBERS`` numbers' worth,
+        at least one step and none past the counter's last."""
+        # the first row always runs, so a step outside the counter's range
+        # raises from the state setter as it would alone
+        rows = max(1, min(_BLOCK_NUMBERS // size, _LAST_COUNTER - step + 1))
+        counter = self.state["state"]["counter"]
+        self.state["state"]["key"][0] = seed
+        raws = []
+        for row in range(rows):
+            counter[3] = step + row
+            self.philox.state = self.state
+            raws.append(self.philox.random_raw(size))
+        spikes = (np.concatenate(raws) <= _raw_limit(p)).nonzero()[0]
+        if rows == 1:
+            cuts = [0, len(spikes)]
+        else:
+            cuts = np.searchsorted(spikes, range(0, rows * size + 1, size)).tolist()
+            spikes %= size
+        spikes.flags.writeable = False  # callers share the served rows
+        self.seed, self.first, self.cuts, self.spikes = seed, step, cuts, spikes
+
+
 @dataclass(frozen=True)
 class PoissonSource:
     """Independent per-neuron Bernoulli firing at rate*dt per step."""
@@ -51,41 +109,38 @@ class PoissonSource:
     rate_hz: float
     size: int
     stream_id: int = 0
-    _philox: np.random.Philox = field(init=False, repr=False, compare=False)
-    _generator: np.random.Generator = field(init=False, repr=False, compare=False)
+    _draws: _StepDraws = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        require_finite("rate_hz", self.rate_hz)
         if self.rate_hz < 0:
             raise ValueError(f"rate must be >= 0, got {self.rate_hz}")
         if self.size <= 0:
             raise ValueError(f"size must be positive, got {self.size}")
         if self.spike_probability() > 1.0:
             raise ValueError(f"rate {self.rate_hz} Hz exceeds one spike per step")
-        philox = np.random.Philox(0)  # every draw sets its whole state
-        object.__setattr__(self, "_philox", philox)
-        object.__setattr__(self, "_generator", np.random.Generator(philox))
+        object.__setattr__(self, "_draws", _StepDraws(self.stream_id))
 
     def spike_probability(self) -> float:
         return self.rate_hz * DT_MS / 1000.0
 
     def spikes_at(self, step: int, seed: int) -> np.ndarray:
-        """Indices of neurons firing this step.
+        """Indices of neurons firing this step, read-only.
 
         The draw is a pure function of (seed, stream_id, step, neuron index):
-        the source's one kept generator is re-keyed with (seed, stream_id)
-        and repositioned at the step, with its whole state reset, so nothing
-        carries over between calls.  Two threads must not draw from one
-        source at once.
+        the numbers of a step come from the source's one kept generator,
+        keyed with (seed, stream_id) and set at the step, with its whole
+        state reset, so nothing carries over between steps.  A step outside
+        the cached block, or another seed, draws a new block from that step
+        on, a fixed count of numbers in whole steps.  Two threads must not
+        draw from one source at once.
         """
         p = self.spike_probability()
         if p == 0.0:
             return np.empty(0, dtype=np.int64)
-        self._philox.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, step], "key": [seed, self.stream_id]},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,  # empty: the next draw runs the counter
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return np.flatnonzero(self._generator.random(self.size) < p)
+        draws = self._draws
+        row = step - draws.first
+        if seed != draws.seed or not 0 <= row < len(draws.cuts) - 1:
+            draws.refill(step, seed, self.size, p)
+            row = 0
+        return draws.spikes[draws.cuts[row]:draws.cuts[row + 1]]

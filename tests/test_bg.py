@@ -105,6 +105,15 @@ class TestDopamine:
         net.set_dopamine(9.0)
         assert net.state.delta_dop == 9.0
 
+    @pytest.mark.parametrize("backend", ["fixed", "float"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_set_dopamine_rejects_non_finite(self, backend, bad):
+        # a NaN on the float backend would otherwise surface steps later as
+        # a diverged membrane potential
+        net = build_bg(resized(5, 5, backend=backend))
+        with pytest.raises(ConfigError, match=f"^dopamine: delta_dop = {bad} is not finite$"):
+            net.set_dopamine(bad)
+
     def test_gain_endpoints(self):
         # delta_dop = +1: D1 synaptic gain 1.6, D2 gain 0.4 (and mirrored at -1)
         pops = load_default_config().populations

@@ -15,6 +15,7 @@ from neurocore.fxp import (
     FixedFormat,
     decode,
     encode,
+    encode_checked,
     mul_rescale,
     neg,
     quantize_raw,
@@ -72,6 +73,16 @@ class TestEncode:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
             encode(bad, Q24_12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_checked_reports_non_finite_not_saturation(self, bad):
+        with pytest.raises(ValueError, match=f"^delta_dop = {bad} is not finite$"):
+            encode_checked("delta_dop", bad, Q16_12)
+
+    def test_checked_reports_saturation(self):
+        with pytest.raises(ValueError, match="delta_dop = 9 saturates its 16-bit field"):
+            encode_checked("delta_dop", 9.0, Q16_12)
+        assert encode_checked("delta_dop", -8.0, Q16_12) == Q16_12.min_raw
 
 
 class TestDecode:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neurocore import network
 from neurocore.network import (
@@ -107,6 +108,34 @@ class TestBuildConnections:
         assert table.post_idx.tolist() == [0, 1, 2, 1, 2, 0]
         assert table.weight.tolist() == [0.5, 0.5, 1.5, 0.25, 1.5, 0.25]
         assert table.targets_of(np.array([0, 2])).tolist() == [0, 1, 4, 5]
+
+
+@st.composite
+def tables_and_ids(draw, lengths):
+    """A CSR table whose rows may be empty, and pre ids into it, repeats
+    allowed, their count within the ``lengths`` bounds."""
+    row_lengths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=20))
+    indptr = np.concatenate([[0], np.cumsum(row_lengths)]).astype(np.int64)
+    ids = draw(st.lists(st.integers(0, len(row_lengths) - 1),
+                        min_size=lengths[0], max_size=lengths[1]))
+    return indptr, np.array(ids, dtype=np.int64)
+
+
+class TestTargetsOf:
+    # both sides of the few-rows selection
+    @pytest.mark.parametrize(
+        "lengths", [(0, network._FEW_ROWS), (network._FEW_ROWS + 1, 64)], ids=["few", "many"]
+    )
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_rows_in_given_order(self, lengths, data):
+        indptr, ids = data.draw(tables_and_ids(lengths))
+        size = int(indptr[-1])
+        table = network.SynapseGroup(indptr, np.zeros(size, np.int32), np.zeros(size))
+        got = table.targets_of(ids)
+        want = [slot for i in ids.tolist() for slot in range(indptr[i], indptr[i + 1])]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
 
 
 def single_pop_net(backend, i_const=10.0, size=1, seed=1):
@@ -310,6 +339,11 @@ class TestValidation:
             PopulationSpec("A", 2)
         with pytest.raises(ConfigError):
             PopulationSpec("A", 2, params=RS, rate_hz=5.0)
+
+    def test_non_finite_v0_rejected(self):
+        # on the float backend it would surface only as a diverged membrane
+        with pytest.raises(ConfigError, match="^population 'A': v0 = nan is not finite$"):
+            PopulationSpec("A", 2, params=RS, v0=math.nan)
 
     def test_unknown_backend(self):
         with pytest.raises(ConfigError, match="backend"):

@@ -55,6 +55,14 @@ class TestParams:
         with pytest.raises(ValueError):
             NeuronParams(a=0.02, b=0.2, c=40, d=8)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d", "v_peak", "beta", "i_const"])
+    def test_non_finite_rejected(self, name, value):
+        # an infinite bias current would otherwise spike every step on the
+        # float backend, and a NaN passes every ordered comparison
+        with pytest.raises(ValueError, match=f"^{name} = {value} is not finite$"):
+            replace(RS, **{name: value})
+
 
 class TestStepFloat:
     def test_equilibrium_is_stationary(self):

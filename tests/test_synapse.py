@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from neurocore import synapse
 from neurocore.fxp import (
     DA_FMT,
     DDOP_FMT,
@@ -195,6 +196,11 @@ class TestPoisson:
         with pytest.raises(ValueError):
             PoissonSource("too-fast", rate_hz=9000.0, size=1)
 
+    def test_nan_rate_rejected(self):
+        # a NaN passes both range checks and would fail only at the first draw
+        with pytest.raises(ValueError, match="^rate_hz = nan is not finite$"):
+            PoissonSource("nan", rate_hz=float("nan"), size=1)
+
 
 def fresh_draw(source, step, seed):
     """``spikes_at`` as a fresh generator per call computes it."""
@@ -207,16 +213,43 @@ def fresh_draw(source, step, seed):
 
 
 class TestKeptGenerator:
-    """One kept generator per source, reset on every call, draws what a
-    fresh generator per call would."""
+    """One kept generator per source, reset for every step it draws, and a
+    block of steps drawn per refill: every call returns what a fresh
+    generator per call would."""
 
-    @pytest.mark.parametrize("size", [1, 3, 5, 100])
-    def test_steps_in_order_reversed_and_repeated(self, size):
-        # sizes that are not multiples of 4 leave draws in Philox's buffer
-        src = PoissonSource("ctx", rate_hz=4000.0, size=size, stream_id=2)
-        steps = [*range(40), *reversed(range(40)), 7, 7, 7, 2**40, 2**63]
+    @staticmethod
+    def check(src, steps, seed=5):
         for step in steps:
-            assert np.array_equal(src.spikes_at(step, seed=5), fresh_draw(src, step, 5))
+            got = src.spikes_at(step, seed)
+            assert np.array_equal(got, fresh_draw(src, step, seed)), step
+            assert not got.flags.writeable  # served rows stay as drawn
+
+    @pytest.mark.parametrize("size", [1, 3, 5, 100, synapse._BLOCK_NUMBERS + 1])
+    def test_steps_in_order_reversed_and_repeated(self, size):
+        # sizes that are not multiples of 4 leave draws in Philox's buffer;
+        # the largest size draws one step per block
+        src = PoissonSource("ctx", rate_hz=4000.0, size=size, stream_id=2)
+        rows = max(1, synapse._BLOCK_NUMBERS // size)
+        edges = [rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 3 * rows + 7]
+        steps = [*range(45), *edges, *reversed(range(45)), *reversed(edges), 7, 7, 7, 8]
+        self.check(src, [*steps, 2**40, 2**40 + rows - 1, 2**40 - 1, 2**63])
+
+    def test_seed_switch_mid_block(self):
+        src = PoissonSource("ctx", rate_hz=4000.0, size=5, stream_id=1)
+        for step in range(20):
+            for seed in (1, 2, 1):
+                self.check(src, [step], seed)
+
+    def test_last_counter_clamps_the_block(self):
+        last = 2**64 - 1
+        src = PoissonSource("ctx", rate_hz=4000.0, size=3, stream_id=4)
+        self.check(src, [last - 2, last - 1, last, last - 5, last, last - 1])
+        # a step the counter cannot hold fails as a fresh generator would
+        with pytest.raises(OverflowError):
+            fresh_draw(src, last + 1, 5)
+        with pytest.raises(OverflowError):
+            src.spikes_at(last + 1, seed=5)
+        self.check(src, [last])
 
     def test_sources_and_seeds_interleaved(self):
         sources = [
@@ -231,11 +264,33 @@ class TestKeptGenerator:
     def test_deep_copy_draws_the_same(self):
         # the benchmark deep-copies built networks, sources included
         src = PoissonSource("ctx", rate_hz=4000.0, size=5, stream_id=3)
-        src.spikes_at(11, seed=1)  # leaves state behind in the original
+        src.spikes_at(11, seed=1)  # leaves a block behind in the original
         twin = copy.deepcopy(src)
         assert twin == src
-        for step in (0, 11, 3, 2**40):
+        for step in (12, 0, 11, 3, 2**40, 13):
             want = fresh_draw(src, step, 1)
             assert np.array_equal(twin.spikes_at(step, seed=1), want)
             assert np.array_equal(src.spikes_at(step, seed=1), want)
 
+    def test_deep_copy_mid_block_is_independent(self):
+        src = PoissonSource("ctx", rate_hz=4000.0, size=5, stream_id=3)
+        src.spikes_at(20, seed=1)
+        twin = copy.deepcopy(src)
+        self.check(twin, [21, 22], seed=2)  # the twin refills at another seed
+        self.check(src, [21, 22, 23], seed=1)  # the original still serves its block
+        self.check(twin, [24], seed=1)
+
+
+@pytest.mark.parametrize(
+    "p", [1.0, 1 - 2**-53, 0.5, 1 / 3, 0.001875, 5e-324], ids=str
+)
+def test_raw_limit_is_the_random_compare(p):
+    # numpy's Philox random() is (raw >> 11) * 2**-53: a raw draw at most the
+    # limit is a double below p, and the next raw up is not
+    limit = synapse._raw_limit(p)
+    assert (limit >> 11) * 2**-53 < p
+    assert limit == 2**64 - 1 or ((limit + 1) >> 11) * 2**-53 >= p
+    for key in range(200):
+        raw = np.random.Philox(key=[key, 7]).random_raw(64)
+        draws = np.random.Generator(np.random.Philox(key=[key, 7])).random(64)
+        assert np.array_equal(raw <= limit, draws < p)
