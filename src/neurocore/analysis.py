@@ -24,10 +24,6 @@ class InsufficientSpikesError(ValueError):
     """Fewer than two spikes in a train handed to the timing metric."""
 
 
-class DegenerateReferenceError(ValueError):
-    """Reference train with a zero first interval."""
-
-
 @dataclass(frozen=True)
 class SpikeTrain:
     """Strictly increasing spike times in milliseconds."""
@@ -56,8 +52,6 @@ def errt(reference: SpikeTrain, test: SpikeTrain) -> float:
             f"need at least 2 spikes per train, got {len(reference)} and {len(test)}"
         )
     gap_ref, gap_test = reference.intervals()[0], test.intervals()[0]
-    if gap_ref == 0:
-        raise DegenerateReferenceError("reference inter-spike interval is zero")
     return abs(gap_test - gap_ref) / gap_ref * 100.0
 
 
@@ -69,7 +63,7 @@ def cv_isi(train: SpikeTrain, after_ms: float = 0.0) -> float:
     gaps = [b - a for a, b in zip(times, times[1:])]
     mean = sum(gaps) / len(gaps)
     var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
-    return math.sqrt(var) / mean if mean > 0 else math.inf
+    return math.sqrt(var) / mean
 
 
 # ---------------------------------------------------------------------------
@@ -94,29 +88,25 @@ def export_raster_csv(record: SpikeRecord, path: str | Path) -> Path:
 def export_raster_svg(
     record: SpikeRecord,
     path: str | Path,
-    populations: list[str] | None = None,
-    population_sizes: dict[str, int] | None = None,
+    populations: list[str],
+    population_sizes: dict[str, int],
 ) -> Path:
     """Write a static scatter raster: x = time (ms), y = neuron index,
-    one labelled band per population."""
+    one labelled band per named population, in order, scaled to its size."""
     path = Path(path)
-    pops = populations if populations is not None else record.populations()
-    sizes = population_sizes or {}
-    for _, pop, neuron in record.events:
-        sizes[pop] = max(sizes.get(pop, 1), neuron + 1)
     last_step = max((step for step, _, _ in record.events), default=1)
     t_max = max(last_step * DT_MS, DT_MS)
 
     width, band_height, margin_left, margin_top = 900, 80, 90, 24
     plot_w = width - margin_left - 20
-    height = margin_top + band_height * max(len(pops), 1) + 40
+    height = margin_top + band_height * max(len(populations), 1) + 40
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    band_of = {pop: i for i, pop in enumerate(pops)}
+    band_of = {pop: i for i, pop in enumerate(populations)}
     for pop, band in band_of.items():
         y0 = margin_top + band * band_height
         parts.append(
@@ -133,9 +123,9 @@ def export_raster_svg(
             continue
         x = margin_left + (step * DT_MS) / t_max * plot_w
         y0 = margin_top + band_of[pop] * band_height
-        y = y0 + band_height - (neuron + 0.5) / sizes[pop] * band_height
+        y = y0 + band_height - (neuron + 0.5) / population_sizes[pop] * band_height
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="0.8" fill="#1f3c88"/>')
-    axis_y = margin_top + band_height * max(len(pops), 1)
+    axis_y = margin_top + band_height * max(len(populations), 1)
     parts.append(
         f'<line x1="{margin_left}" y1="{axis_y}" x2="{margin_left + plot_w}" '
         f'y2="{axis_y}" stroke="black"/>'

@@ -28,7 +28,7 @@ from pathlib import Path
 from . import analysis, regimes
 from .bg import run_gonogo
 from .config import check_duration, default_config_text, load_default_config, parse_config
-from .network import STEP_INPUTS, ConfigError
+from .network import BACKENDS, STEP_INPUTS, ConfigError
 from .neuron import DT_MS, SimulationError
 from .schedule import (
     ScheduleError,
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_go = sub.add_parser("gonogo", help="run the Go/No-Go dopamine conditions")
     p_go.add_argument("--config", default=None, help="network config file")
     p_go.add_argument("--seed", type=int, default=None)
-    p_go.add_argument("--backend", choices=("fixed", "float"), default=None)
+    p_go.add_argument("--backend", choices=BACKENDS, default=None)
     p_go.add_argument("--duration-ms", type=float, default=None)
     p_go.add_argument("--out", default=None, help="output directory")
     p_go.set_defaults(func=cmd_gonogo)
@@ -139,6 +139,7 @@ def cmd_gonogo(args) -> int:
     total_steps = len(results) * config.steps
 
     sizes = {name: size for name, (size, _) in config.populations.items()}
+    sizes |= {g.name: g.size for g in config.generators}
     recorded = list(config.record) if config.record else list(config.populations)
     summary = {
         "metadata": {
@@ -156,7 +157,7 @@ def cmd_gonogo(args) -> int:
             result.record,
             out / f"raster_{condition}.svg",
             populations=recorded,
-            population_sizes={n: sizes[n] for n in recorded if n in sizes},
+            population_sizes={n: sizes[n] for n in recorded},
         )
         summary["conditions"][condition] = {
             "delta_dop": result.delta_dop,

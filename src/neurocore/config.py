@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .network import BACKENDS, ConfigError, ConnectionSpec, PopulationSpec
+from .network import BACKENDS, ConfigError, ConnectionSpec, PopulationSpec, config_errors
 from .neuron import DT_MS, NeuronParams
-from .synapse import PoissonSource
+from .synapse import PoissonSource, require_key
 
 DEFAULT_CONFIG_RESOURCE = "bg_default.cfg"
 
@@ -57,10 +57,10 @@ class RunConfig:
                 f"settle_ms must satisfy 0 <= settle_ms < duration_ms "
                 f"({self.duration_ms:g}), got {self.settle_ms:g}"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+        with config_errors():
+            require_key("seed", self.seed)
         if self.backend not in BACKENDS:
-            raise ConfigError(f"backend must be fixed|float, got {self.backend!r}")
+            raise ConfigError(f"backend must be {'|'.join(BACKENDS)}, got {self.backend!r}")
 
     @property
     def steps(self) -> int:
@@ -149,12 +149,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
     if not populations:
         raise ConfigError(f"{source}: no [population ...] sections")
-    try:
+    with config_errors(f"{source}: [simulation] "):
         config = RunConfig(
             populations=populations, generators=generators, connections=connections, **sim
         )
-    except ConfigError as exc:
-        raise ConfigError(f"{source}: [simulation] {exc}") from exc
     _check_references(config, source)
     return config
 
@@ -177,36 +175,22 @@ def _number(items, key, section, source, cast=float):
         number = cast(value)
     except ValueError as exc:
         raise ConfigError(f"{source}: [{section}] {key} = {value!r} is not a number") from exc
-    if not math.isfinite(number):
+    if cast is float and not math.isfinite(number):
         raise ConfigError(f"{source}: [{section}] {key} = {value!r} is not finite")
     return number
 
 
 def _parse_simulation(items: dict, source: str) -> dict:
-    sim: dict = {}
-    casts = {
-        "duration_ms": float,
-        "settle_ms": float,
-        "seed": int,
-        "backend": str,
-        "out": str,
-        "record": str,
-    }
-    _check_keys(items, casts, "simulation", source)
-    for key, value in items.items():
-        if key == "record":
-            sim["record"] = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key == "out":
-            sim["out_dir"] = value.strip()
-        elif casts[key] is str:
-            sim[key] = value.strip()
-        else:
-            try:
-                sim[key] = casts[key](value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{source}: [simulation] {key} = {value!r} is not a number"
-                ) from exc
+    numbers = {"duration_ms": float, "settle_ms": float, "seed": int}
+    _check_keys(items, (*numbers, "backend", "out", "record"), "simulation", source)
+    sim = {key: _number(items, key, "simulation", source, cast)
+           for key, cast in numbers.items() if key in items}
+    if "backend" in items:
+        sim["backend"] = items["backend"].strip()
+    if "out" in items:
+        sim["out_dir"] = items["out"].strip()
+    if "record" in items:
+        sim["record"] = tuple(v.strip() for v in items["record"].split(",") if v.strip())
     return sim
 
 
@@ -219,10 +203,8 @@ def _parse_population(name: str, items: dict, source: str) -> tuple[int, NeuronP
     kwargs["beta"] = _number(items, "beta", section, source) if "beta" in items else 0.0
     if "v_peak" in items:
         kwargs["v_peak"] = _number(items, "v_peak", section, source)
-    try:
+    with config_errors(f"{source}: [{section}] "):
         params = NeuronParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: [{section}]: {exc}") from exc
     if size <= 0:
         raise ConfigError(f"{source}: [{section}] size must be positive")
     return size, params
@@ -244,11 +226,9 @@ def _parse_generator(name: str, items: dict, source: str) -> GeneratorSpec:
         weight=_number(items, "weight", section, source),
         prob=_number(items, "prob", section, source),
     )
-    try:
+    with config_errors(f"{source}: [{section}] "):
         PoissonSource(name, generator.rate_hz, generator.size)
         ConnectionSpec(name, targets[0], generator.weight, generator.prob)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: [{section}] {exc}") from exc
     return generator
 
 
@@ -260,10 +240,8 @@ def _parse_connection(section: str, items: dict, source: str) -> ConnectionSpec:
     _check_keys(items, ("weight", "prob"), section, source)
     weight = _number(items, "weight", section, source)
     prob = _number(items, "prob", section, source)
-    try:
+    with config_errors(f"{source}: [{section}] "):
         return ConnectionSpec(pre=pre.strip(), post=post.strip(), weight=weight, prob=prob)
-    except ConfigError as exc:
-        raise ConfigError(f"{source}: [{section}] {exc}") from exc
 
 
 def _check_references(config: RunConfig, source: str) -> None:

@@ -72,10 +72,6 @@ class Fixed:
                 f"raw {self.raw} outside representable range of {self.fmt}"
             )
 
-    @property
-    def value(self) -> float:
-        return decode(self)
-
 
 # Compartment-state field formats.  State variables carry 12 fraction bits;
 # the dendrite accumulator carries 3 (its total width is not pinned by the

@@ -5,10 +5,10 @@ concatenated in spec order and named by slices.  All synapses share one CSR
 table: a row per pre id, ids in event order (sources, then neurons), each
 row in connection order.  Each step runs strictly ordered phases:
 
-  1. deliver the previous step's spikes: gather their rows, one
-     ``np.arange`` a row for a few pre ids and vectorised for many, and sum
-     the weights per neuron with one ``np.bincount``; a step with nothing
-     pending skips all of it and passes a kept zero input instead,
+  1. deliver the previous step's spikes: join their rows' slot ranges, cut
+     once at the build, and sum the weights per neuron with one
+     ``np.bincount``; a step with nothing pending skips all of it and passes
+     a kept zero input instead,
   2. Poisson sources draw this step's spikes, each served from a block of
      steps its one kept generator draws at a time,
   3. one state update advances every neuron (synaptic decay, dopamine
@@ -53,13 +53,6 @@ from .schedule import (
 BACKENDS = ("fixed", "float")
 _NO_IDS = np.empty(0, dtype=np.int64)
 _DRAW_BLOCK = 1 << 20  # random numbers one connection draws at a time
-# Up to this many pre ids, a delivery gathers their rows one ``np.arange``
-# each, and beyond it vectorised.  On the default circuit (62 synapses a
-# row, 1.6 ids pending a step on average; 2-core x86 VM, numpy 2.4) one id
-# takes 2.4 us per row against 8.4 us vectorised, the two meet near 7 ids,
-# and at 16 ids the vectorised form takes 10.8 us against 23.5 us.  A
-# circuit fifty times larger has dozens pending a step, on the vectorised side.
-_FEW_ROWS = 6
 # The ranges of the schedule inputs every step passes: the one decay raw,
 # beta as ``neuron.encode_neuron`` encodes it, DA from ``quantize_raw`` and
 # v_peak in v's field.  The array form compiled for them keeps only the
@@ -73,14 +66,14 @@ class ConfigError(ValueError):
 
 
 @contextmanager
-def _config_error(where: str):
-    """Report a configured value that is rejected, one that is not finite or
-    that its fixed-point field cannot hold, as a ``ConfigError`` naming
-    ``where``."""
+def config_errors(prefix: str = ""):
+    """Report a configured value that is rejected, one that is out of range,
+    not finite or that its fixed-point field cannot hold, as a
+    ``ConfigError`` that starts with ``prefix``."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -91,7 +84,6 @@ class PopulationSpec:
     size: int
     params: NeuronParams | None = None
     rate_hz: float | None = None
-    v0: float | None = None  # initial membrane potential, default c
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -100,9 +92,6 @@ class PopulationSpec:
             raise ConfigError(
                 f"population {self.name!r}: exactly one of params/rate_hz required"
             )
-        if self.v0 is not None:
-            with _config_error(f"population {self.name!r}"):
-                require_finite("v0", self.v0)
 
     @property
     def kind(self) -> str:
@@ -157,19 +146,14 @@ class SynapseGroup:
 
     def __init__(self, indptr: np.ndarray, post_idx: np.ndarray, weight: np.ndarray):
         self.indptr, self.post_idx, self.weight = indptr, post_idx, weight
+        # each row's slots, a view of one range
+        slots, bounds = np.arange(len(post_idx), dtype=np.int64), indptr.tolist()
+        self._rows = [slots[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def targets_of(self, spiking: np.ndarray) -> np.ndarray:
         """Synapse slots of the given pre ids, row after row."""
-        if len(spiking) <= _FEW_ROWS:
-            indptr = self.indptr
-            return np.concatenate(
-                [_NO_IDS, *[np.arange(indptr[i], indptr[i + 1]) for i in spiking.tolist()]]
-            )
-        starts = self.indptr[spiking]
-        counts = self.indptr[spiking + 1] - starts
-        ends = np.cumsum(counts)
-        # the k-th slot out is its row's start plus k less the row's first output position
-        return np.arange(counts.sum()) + np.repeat(starts - ends + counts, counts)
+        rows = self._rows
+        return np.concatenate([_NO_IDS, *[rows[i] for i in spiking.tolist()]])
 
 
 class SpikeRecord:
@@ -183,13 +167,6 @@ class SpikeRecord:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SpikeRecord) and self.events == other.events
-
-    def populations(self) -> list[str]:
-        seen = dict.fromkeys(pop for _, pop, _ in self.events)
-        return list(seen)
 
 
 def _slices(specs: list[PopulationSpec]) -> dict[str, slice]:
@@ -210,19 +187,20 @@ class _FloatPop:
     def __init__(self, specs: list[PopulationSpec]):
         for name in ("a", "b", "c", "d", "v_peak", "beta", "i_const"):
             setattr(self, name, _per_neuron([vars(s.params)[name] for s in specs], specs, float))
-        self.v = _per_neuron([s.params.c if s.v0 is None else s.v0 for s in specs], specs, float)
+        self.v = self.c.copy()
         self.u = self.b * self.v
         self.isyn = np.zeros(len(self.v))
         self.delta_dop = 0.0
         self.alpha = syn.alpha_factor()
 
     def step(self, acc: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(self.v)):
-            raise SimulationError("membrane potential diverged on the float backend")
-        # an overflow would otherwise reach the reset as inf and read as a spike
+        # an overflow would otherwise reach the reset as inf and read as a
+        # spike; a delivered sum past float64 is inf without raising
         try:
             with np.errstate(over="raise", invalid="raise"):
                 self.isyn = self.alpha * self.isyn + acc
+                if not np.all(np.isfinite(self.isyn)):
+                    raise SimulationError("float backend: synaptic input overflowed float64")
                 current = self.i_const + self.isyn * (1.0 + self.beta * self.delta_dop)
                 self.v, self.u, spiked = float_update(self, self.v, self.u, current, np.where)
         except FloatingPointError as exc:
@@ -235,8 +213,8 @@ def _fixed_state(specs: list[PopulationSpec]) -> tuple[CompartmentFields, tuple]
     alpha, beta and v_peak raws of its update.  Values never clip silently."""
     rows = []
     for spec in specs:
-        with _config_error(f"population {spec.name!r}"):
-            fields, beta, v_peak = encode_neuron(spec.params, spec.v0)
+        with config_errors(f"population {spec.name!r}: "):
+            fields, beta, v_peak = encode_neuron(spec.params)
         rows.append(dict(vars(fields), beta=beta, v_peak=v_peak))
     column = lambda name: _per_neuron([row[name] for row in rows], specs, np.int64)
     return (
@@ -246,7 +224,7 @@ def _fixed_state(specs: list[PopulationSpec]) -> tuple[CompartmentFields, tuple]
 
 
 def _weight_raw(weight: float, route: str) -> int:
-    with _config_error(route):
+    with config_errors(f"{route}: "):
         raw = encode_checked("weight", weight, WEIGHT_FMT)
         if weight != 0.0 and raw == 0:
             raise ValueError(
@@ -267,6 +245,8 @@ class Network:
     ):
         if backend not in BACKENDS:
             raise ConfigError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
+        with config_errors():
+            syn.require_key("seed", seed)
         specs = {p.name: p for p in populations}
         if len(specs) != len(populations):
             raise ConfigError("duplicate population names")
@@ -326,7 +306,7 @@ class Network:
     def set_dopamine(self, delta_dop: float) -> None:
         """Broadcast the dopamine deviation to every neuron; it must be
         finite, and on the fixed backend fit its field."""
-        with _config_error("dopamine"):
+        with config_errors("dopamine: "):
             if self.backend == "fixed":
                 raw = encode_checked("delta_dop", delta_dop, DDOP_FMT)
                 delta_dop = np.full(self.size, raw, dtype=np.int64)

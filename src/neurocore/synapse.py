@@ -50,6 +50,13 @@ _BLOCK_NUMBERS = 4096  # random numbers one refill of a source draws, in whole s
 _LAST_COUNTER = 2**64 - 1  # the largest step a Philox counter word holds
 
 
+def require_key(name: str, value: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` fits a 64-bit
+    Philox key word, as a seed and a stream id must."""
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+
+
 def _raw_limit(p: float) -> int:
     """The largest raw Philox output whose ``Generator.random()`` is below ``p``.
 
@@ -92,11 +99,8 @@ class _StepDraws:
             self.philox.state = self.state
             raws.append(self.philox.random_raw(size))
         spikes = (np.concatenate(raws) <= _raw_limit(p)).nonzero()[0]
-        if rows == 1:
-            cuts = [0, len(spikes)]
-        else:
-            cuts = np.searchsorted(spikes, range(0, rows * size + 1, size)).tolist()
-            spikes %= size
+        cuts = spikes.searchsorted(np.arange(0, rows * size + 1, size)).tolist()
+        spikes %= size
         spikes.flags.writeable = False  # callers share the served rows
         self.seed, self.first, self.cuts, self.spikes = seed, step, cuts, spikes
 
@@ -119,6 +123,7 @@ class PoissonSource:
             raise ValueError(f"size must be positive, got {self.size}")
         if self.spike_probability() > 1.0:
             raise ValueError(f"rate {self.rate_hz} Hz exceeds one spike per step")
+        require_key("stream_id", self.stream_id)
         object.__setattr__(self, "_draws", _StepDraws(self.stream_id))
 
     def spike_probability(self) -> float:

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from neurocore.analysis import (
-    DegenerateReferenceError,
     InsufficientSpikesError,
     SpikeTrain,
     cv_isi,
@@ -52,14 +51,6 @@ class TestErrt:
         with pytest.raises(InsufficientSpikesError):
             errt(train(1, 2), train(1.0))
 
-    def test_degenerate_reference(self):
-        # a zero first interval cannot arise from a valid train (times are
-        # strictly increasing), so bypass the constructor to hit the guard
-        degenerate = SpikeTrain.__new__(SpikeTrain)
-        object.__setattr__(degenerate, "times", (0.0, 0.0))
-        with pytest.raises(DegenerateReferenceError):
-            errt(degenerate, train(0, 11))
-
     def test_only_first_two_spikes_count(self):
         reference = train(0, 10, 100)
         test = train(0, 10, 500)
@@ -100,15 +91,25 @@ class TestRasterExport:
         assert lines[3] == "5,0.625,B,1"
 
     def test_svg_contains_bands_and_events(self, tmp_path):
-        path = export_raster_svg(self._record(), tmp_path / "raster.svg")
+        path = export_raster_svg(
+            self._record(), tmp_path / "raster.svg", ["A", "B"], {"A": 4, "B": 2}
+        )
         svg = path.read_text()
         assert svg.startswith("<svg")
         assert svg.count("<circle") == 4
         assert ">A<" in svg and ">B<" in svg
         assert "time (ms)" in svg
 
+    def test_svg_bands_are_the_given_populations_at_their_sizes(self, tmp_path):
+        sizes = {"A": 8}
+        svg = export_raster_svg(self._record(), tmp_path / "a.svg", ["A"], sizes).read_text()
+        # only A's events are drawn; neuron 0 sits half a row above its band's foot
+        assert svg.count("<circle") == 3 and ">B<" not in svg
+        assert 'cy="99.0"' in svg  # 24 + 80 - 0.5 / 8 * 80
+        assert sizes == {"A": 8}
+
     def test_empty_svg_has_axes_only(self, tmp_path):
-        path = export_raster_svg(SpikeRecord(), tmp_path / "empty.svg")
+        path = export_raster_svg(SpikeRecord(), tmp_path / "empty.svg", ["A"], {"A": 4})
         svg = path.read_text()
         assert "<circle" not in svg
         assert "<line" in svg

@@ -96,6 +96,20 @@ class TestInvalidInput:
         assert "overflow" in single_error_line(capsys)
         assert not (out_dir / "rates_summary.json").exists()
 
+    def test_float_input_sum_overflow_exits_1(self, tmp_path, capsys):
+        # a delivered sum past float64 is inf without a floating-point error
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(
+            "[simulation]\nduration_ms = 5\nsettle_ms = 0\n\n"
+            "[population A]\nsize = 3\na = 0.02\nb = 0.2\nc = -65\nd = 8\n\n"
+            "[generator P]\nsize = 10\nrate_hz = 4000\ntargets = A\nweight = 1e308\nprob = 1\n"
+        )
+        out_dir = tmp_path / "o"
+        argv = ["gonogo", "--config", str(cfg), "--backend", "float", "--out", str(out_dir)]
+        assert main(argv) == 1
+        assert "overflow" in single_error_line(capsys)
+        assert not (out_dir / "rates_summary.json").exists()
+
     def test_gonogo_rejects_negative_seed(self, tmp_path, capsys):
         out_dir = tmp_path / "o"
         assert main(["gonogo", "--seed", "-1", "--out", str(out_dir)]) == 2

@@ -193,6 +193,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"^<config>: \[generator G\] .*prob 1.5 outside"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("a = 0.02", "a = -1", r"\[population only\] a must be positive, got -1.0"),
+            ("seed = 3", "seed = -1", r"\[simulation\] seed must lie in \[0, 2\*\*64\), got -1"),
+            ("seed = 3", "seed = 1.5", r"\[simulation\] seed = '1.5' is not a number"),
+            ("duration_ms = 250", "duration_ms = inf",
+             r"\[simulation\] duration_ms = 'inf' is not finite"),
+            ("backend = float", "backend = gpu",
+             r"\[simulation\] backend must be fixed\|float, got 'gpu'"),
+        ],
+    )
+    def test_rejected_value_reads_file_section_message(self, old, new, message):
+        with pytest.raises(ConfigError, match=rf"^<config>: {message}$"):
+            parse_config_text(MINIMAL.replace(old, new))
+
     def test_seed_spans_the_64_bit_key(self):
         config = parse_config_text(MINIMAL)
         assert replace(config, seed=2**64 - 1).seed == 2**64 - 1

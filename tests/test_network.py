@@ -111,25 +111,21 @@ class TestBuildConnections:
 
 
 @st.composite
-def tables_and_ids(draw, lengths):
-    """A CSR table whose rows may be empty, and pre ids into it, repeats
-    allowed, their count within the ``lengths`` bounds."""
+def tables_and_ids(draw):
+    """A CSR table whose rows may be empty, and 0 to 300 pre ids into it,
+    repeats allowed; a circuit fifty times the default has 60 to 80 ids
+    pending on most steps."""
     row_lengths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=20))
     indptr = np.concatenate([[0], np.cumsum(row_lengths)]).astype(np.int64)
-    ids = draw(st.lists(st.integers(0, len(row_lengths) - 1),
-                        min_size=lengths[0], max_size=lengths[1]))
+    ids = draw(st.lists(st.integers(0, len(row_lengths) - 1), max_size=300))
     return indptr, np.array(ids, dtype=np.int64)
 
 
 class TestTargetsOf:
-    # both sides of the few-rows selection
-    @pytest.mark.parametrize(
-        "lengths", [(0, network._FEW_ROWS), (network._FEW_ROWS + 1, 64)], ids=["few", "many"]
-    )
-    @settings(max_examples=200)
+    @settings(max_examples=300)
     @given(data=st.data())
-    def test_rows_in_given_order(self, lengths, data):
-        indptr, ids = data.draw(tables_and_ids(lengths))
+    def test_rows_in_given_order(self, data):
+        indptr, ids = data.draw(tables_and_ids())
         size = int(indptr[-1])
         table = network.SynapseGroup(indptr, np.zeros(size, np.int32), np.zeros(size))
         got = table.targets_of(ids)
@@ -161,6 +157,17 @@ class TestEngine:
         with pytest.raises(SimulationError, match="overflow"):
             net.run(400)
 
+    def test_float_input_sum_past_float64_raises(self):
+        # the delivered sum is inf with no floating-point error, and the reset
+        # would put v back to c; the fixed backend rejects this weight outright
+        net = Network(
+            [PopulationSpec("P", 10, rate_hz=4000.0), PopulationSpec("A", 3, params=RS)],
+            [ConnectionSpec("P", "A", 1e308, 1.0)],
+            backend="float",
+        )
+        with pytest.raises(SimulationError, match="overflow"):
+            net.run(40)
+
     def test_zero_steps_empty_record(self):
         net = single_pop_net("float")
         record = net.run(0)
@@ -183,16 +190,17 @@ class TestEngine:
 
     def test_float_network_is_step_float_bit_for_bit(self):
         # no synapses, so each neuron's total current is its i_const; the
-        # second population starts past its peak, which runs the pre-reset path
+        # second population is set past its peak, which runs the pre-reset path
         params = {
             "P": NeuronParams(a=0.02, b=0.2, c=-65, d=8, i_const=10.0, v_peak=25.0),
             "Q": NeuronParams(a=0.1, b=0.25, c=-55, d=2, i_const=6.5, v_peak=35.0),
         }
         v0 = {"P": None, "Q": 40.0}
         net = Network(
-            [PopulationSpec(name, 2, params=p, v0=v0[name]) for name, p in params.items()],
-            [], backend="float",
+            [PopulationSpec(name, 2, params=p) for name, p in params.items()], [], backend="float"
         )
+        q = net.slices["Q"]
+        net.state.v[q], net.state.u[q] = 40.0, params["Q"].b * 40.0
         steps = 2000
         v, u = np.empty((steps, net.size)), np.empty((steps, net.size))
         spikes = {name: [] for name in params}
@@ -286,9 +294,9 @@ class TestEngine:
         pops, conns = build()
         rec1 = Network(pops, conns, seed=9, backend="fixed").run(1500)
         rec2 = Network(pops, conns, seed=9, backend="fixed").run(1500)
-        assert rec1 == rec2
+        assert len(rec1) > 0 and rec1.events == rec2.events
         rec4 = Network(pops, conns, seed=10, backend="fixed").run(1500)
-        assert rec1 != rec4
+        assert rec1.events != rec4.events
 
     def test_backends_agree_on_isolated_population(self):
         firsts = {}
@@ -340,10 +348,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PopulationSpec("A", 2, params=RS, rate_hz=5.0)
 
-    def test_non_finite_v0_rejected(self):
-        # on the float backend it would surface only as a diverged membrane
-        with pytest.raises(ConfigError, match="^population 'A': v0 = nan is not finite$"):
-            PopulationSpec("A", 2, params=RS, v0=math.nan)
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected_at_build(self, seed):
+        with pytest.raises(ConfigError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            Network([PopulationSpec("S", 2, rate_hz=10.0)], [], seed=seed)
 
     def test_unknown_backend(self):
         with pytest.raises(ConfigError, match="backend"):
@@ -359,7 +367,8 @@ class TestValidation:
         [
             (dict(params=replace(RS, i_const=10.0)), None, "'A': i_const = 10 saturates"),
             (dict(params=replace(RS, beta=-9.0)), None, "'A': beta = -9 saturates"),
-            (dict(params=RS, v0=-3000.0), None, "'A': v0 = -3000 saturates"),
+            # c is also the initial v
+            (dict(params=replace(RS, c=-3000.0)), None, "'A': c = -3000 saturates"),
             (dict(params=RS), 5000.0, "A -> A: weight = 5000 saturates"),
             (dict(params=RS), 1e-5, "A -> A: weight 1e-05 quantises to zero"),
             # the schedule compares v_peak with v, a 24-bit field

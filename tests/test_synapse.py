@@ -201,6 +201,12 @@ class TestPoisson:
         with pytest.raises(ValueError, match="^rate_hz = nan is not finite$"):
             PoissonSource("nan", rate_hz=float("nan"), size=1)
 
+    @pytest.mark.parametrize("stream_id", [-1, 2**64])
+    def test_stream_id_outside_64_bits_rejected(self, stream_id):
+        # it keys the Philox generator, which would fail only at the first draw
+        with pytest.raises(ValueError, match=rf"^stream_id must lie in .*, got {stream_id}$"):
+            PoissonSource("x", 10.0, 5, stream_id=stream_id)
+
 
 def fresh_draw(source, step, seed):
     """``spikes_at`` as a fresh generator per call computes it."""
