@@ -111,21 +111,24 @@ class TestBuildConnections:
 
 
 @st.composite
-def tables_and_ids(draw):
-    """A CSR table whose rows may be empty, and 0 to 300 pre ids into it,
-    repeats allowed; a circuit fifty times the default has 60 to 80 ids
-    pending on most steps."""
+def tables_and_ids(draw, lengths):
+    """A CSR table whose rows may be empty, and pre ids into it, repeats
+    allowed, their count within the ``lengths`` bounds; a circuit fifty times
+    the default has 60 to 80 ids pending on most steps."""
     row_lengths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=20))
     indptr = np.concatenate([[0], np.cumsum(row_lengths)]).astype(np.int64)
-    ids = draw(st.lists(st.integers(0, len(row_lengths) - 1), max_size=300))
+    ids = draw(st.lists(st.integers(0, len(row_lengths) - 1),
+                        min_size=lengths[0], max_size=lengths[1]))
     return indptr, np.array(ids, dtype=np.int64)
 
 
 class TestTargetsOf:
-    @settings(max_examples=300)
+    # a handful of ids, as on most steps of the default circuit, and many
+    @pytest.mark.parametrize("lengths", [(0, 6), (7, 300)], ids=["few", "many"])
+    @settings(max_examples=200)
     @given(data=st.data())
-    def test_rows_in_given_order(self, data):
-        indptr, ids = data.draw(tables_and_ids())
+    def test_rows_in_given_order(self, lengths, data):
+        indptr, ids = data.draw(tables_and_ids(lengths))
         size = int(indptr[-1])
         table = network.SynapseGroup(indptr, np.zeros(size, np.int32), np.zeros(size))
         got = table.targets_of(ids)
