@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .network import BACKENDS, ConfigError, ConnectionSpec, PopulationSpec, config_errors
+from .network import BACKENDS, MAX_IDS, ConfigError, ConnectionSpec, PopulationSpec, config_errors
 from .neuron import DT_MS, NeuronParams
 from .synapse import PoissonSource, require_key
 
@@ -180,6 +180,12 @@ def _number(items, key, section, source, cast=float):
     return number
 
 
+def _size(items, section, source) -> int:
+    if not 0 < (size := _number(items, "size", section, source, int)) <= MAX_IDS:
+        raise ConfigError(f"{source}: [{section}] size {size} outside [1, {MAX_IDS}]")
+    return size
+
+
 def _parse_simulation(items: dict, source: str) -> dict:
     numbers = {"duration_ms": float, "settle_ms": float, "seed": int}
     _check_keys(items, (*numbers, "backend", "out", "record"), "simulation", source)
@@ -197,7 +203,7 @@ def _parse_simulation(items: dict, source: str) -> dict:
 def _parse_population(name: str, items: dict, source: str) -> tuple[int, NeuronParams]:
     section = f"population {name}"
     _check_keys(items, ("size", "a", "b", "c", "d", "i_const", "beta", "v_peak"), section, source)
-    size = _number(items, "size", section, source, int)
+    size = _size(items, section, source)
     kwargs = {key: _number(items, key, section, source) for key in ("a", "b", "c", "d")}
     kwargs["i_const"] = _number(items, "i_const", section, source) if "i_const" in items else 0.0
     kwargs["beta"] = _number(items, "beta", section, source) if "beta" in items else 0.0
@@ -205,8 +211,6 @@ def _parse_population(name: str, items: dict, source: str) -> tuple[int, NeuronP
         kwargs["v_peak"] = _number(items, "v_peak", section, source)
     with config_errors(f"{source}: [{section}] "):
         params = NeuronParams(**kwargs)
-    if size <= 0:
-        raise ConfigError(f"{source}: [{section}] size must be positive")
     return size, params
 
 
@@ -220,7 +224,7 @@ def _parse_generator(name: str, items: dict, source: str) -> GeneratorSpec:
         raise ConfigError(f"{source}: [{section}] has an empty target list")
     generator = GeneratorSpec(
         name=name,
-        size=_number(items, "size", section, source, int),
+        size=_size(items, section, source),
         rate_hz=_number(items, "rate_hz", section, source),
         targets=targets,
         weight=_number(items, "weight", section, source),

@@ -199,9 +199,9 @@ def quantize_raw(raw_q12, fmt: FixedFormat = DA_FMT) -> np.ndarray:
 
     Round to nearest, ties away from zero, then saturate.  Used when the
     per-step synaptic sum is handed to the dendrite-accumulator register.
+    For x < 0, ``(x + half - 1) >> s`` is -((-x + half) >> s), |x| rounded.
     """
     shift = Q12 - fmt.frac_bits
     half = 1 << (shift - 1)
     raw_q12 = np.asarray(raw_q12)
-    mag = (np.abs(raw_q12) + half) >> shift
-    return sat_raw(np.sign(raw_q12) * mag, fmt)
+    return sat_raw((raw_q12 + (half - (raw_q12 < 0))) >> shift, fmt)

@@ -53,6 +53,7 @@ from .schedule import (
 BACKENDS = ("fixed", "float")
 _NO_IDS = np.empty(0, dtype=np.int64)
 _DRAW_BLOCK = 1 << 20  # random numbers one connection draws at a time
+MAX_IDS = (1 << 31) - 1  # pre and post ids are int32 in the synapse table
 # The ranges of the schedule inputs every step passes: the one decay raw,
 # beta as ``neuron.encode_neuron`` encodes it, DA from ``quantize_raw`` and
 # v_peak in v's field.  The array form compiled for them keeps only the
@@ -86,8 +87,8 @@ class PopulationSpec:
     rate_hz: float | None = None
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ConfigError(f"population {self.name!r}: size must be positive")
+        if not 0 < self.size <= MAX_IDS:
+            raise ConfigError(f"population {self.name!r}: size {self.size} outside [1, {MAX_IDS}]")
         if (self.params is None) == (self.rate_hz is None):
             raise ConfigError(
                 f"population {self.name!r}: exactly one of params/rate_hz required"
@@ -243,6 +244,8 @@ class Network:
         seed: int = 1,
         backend: str = "fixed",
     ):
+        if (total := sum(p.size for p in populations)) > MAX_IDS:
+            raise ConfigError(f"{total} sources and neurons, more than the {MAX_IDS} ids indexed")
         if backend not in BACKENDS:
             raise ConfigError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
         with config_errors():
@@ -290,7 +293,7 @@ class Network:
         pre_idx = np.concatenate([_NO_IDS, *pre_ids], dtype=np.int32)
         del pre_ids
         order = np.argsort(pre_idx, kind="stable")
-        indptr = np.zeros(sum(p.size for p in populations) + 1, dtype=np.int64)
+        indptr = np.zeros(total + 1, dtype=np.int64)
         np.cumsum(np.bincount(pre_idx, minlength=len(indptr) - 1), out=indptr[1:])
         del pre_idx
         post_idx = np.concatenate([_NO_IDS, *post_ids], dtype=np.int32)[order]

@@ -25,7 +25,8 @@ shows the clip can never bind.  The input ranges are an argument of the
 compiler, so a caller that guarantees narrower inputs than ``INPUTS`` (the
 network always passes one ``@alpha``, for one) gets a function with fewer
 clips.  The same analysis rejects a schedule in which some intermediate
-could leave int64.
+could leave int64.  The array form binds integers as 0-d int64 arrays,
+cheaper numpy operands than ints, and skips selects no flag sets.
 """
 
 from __future__ import annotations
@@ -251,14 +252,14 @@ def izhikevich_schedule() -> BlockSchedule:
 # Compiler
 # ---------------------------------------------------------------------------
 
-# Python source of each op's value (``sel`` takes its source from the Form)
-# and, for the interval analysis, its unscaled result on Python ints
+# Python source of each op's value (``sel``'s is the Form's, ``{2}`` is the
+# rescale shift) and, for the interval analysis, its unscaled int result
 _OPS = {
     "mov": ("{0}", None),
     "add": ("{0} + {1}", operator.add),
     "sub": ("{0} - {1}", operator.sub),
-    "mul": (f"({{0}} * {{1}}) >> {Q12}", operator.mul),
-    "mulw": (f"({{0}} * {{1}}) >> {KQ_FRAC}", operator.mul),
+    "mul": ("({0} * {1}) >> {2}", operator.mul),
+    "mulw": ("({0} * {1}) >> {2}", operator.mul),
     "shl": ("{0} << {1}", operator.lshift),
     "shr": ("{0} >> {1}", operator.rshift),
     "gt": ("{0} > {1}", None),
@@ -273,12 +274,15 @@ _NAME = re.compile(r"[$@][A-Za-z_]\w*", re.ASCII)
 class Form:
     """How generated code clips a local ``{x}`` to a ``{bound}`` and selects
     ``{1}`` where ``{0}`` else ``{2}``, for one kind of value; ``names`` are
-    the globals that code looks up."""
+    the globals that code looks up.  An array form tests with ``none_set``
+    that no ``{0}`` is set, where a ``skip`` select returns ``{2}``, and binds
+    every integer once as a 0-d int64 array global, not a literal."""
 
     lower: str
     upper: str
     select: str
     names: dict = field(default_factory=dict)
+    none_set: str | None = None
 
 
 INTS = Form(
@@ -290,21 +294,26 @@ ARRAYS = Form(
     lower="{x} = _maximum({x}, {bound})",
     upper="{x} = _minimum({x}, {bound})",
     select="_where({0}, {1}, {2})",
-    names={"_maximum": np.maximum, "_minimum": np.minimum, "_where": np.where},
+    names={"_maximum": np.maximum, "_minimum": np.minimum, "_where": np.where,
+           "_count_nonzero": np.count_nonzero},
+    none_set="not _count_nonzero({0})",
 )
 
 
 @dataclass(frozen=True)
 class PlannedOp:
     """One op as generated code runs it: the Python local it writes, its
-    operands as Python source, and the bound of each side of its clip that
-    can bind (None where the interval analysis shows it never does)."""
+    operands as Python locals or integers, and each bound of its clip that
+    can bind (None where the interval analysis shows it never does).  A
+    ``skip`` ``sel d <- f, x, y`` may return ``y`` where no ``f`` is set: ``y``
+    is a population-shaped array of ``where``'s dtype in ``d``'s format, ``d`` if a field."""
 
     dest: str
     mnemonic: str
-    args: tuple[str, ...]
+    args: tuple[str | int, ...]
     lower: int | None
     upper: int | None
+    skip: bool
 
     @property
     def clips(self) -> bool:
@@ -316,17 +325,13 @@ def _local(name: str) -> str:
     return {"$": "r_", "@": "k_"}.get(name[0], "") + name.lstrip("$@")
 
 
-def _int_source(value: int) -> str:
-    return f"({int(value)})" if value < 0 else str(int(value))
-
-
-def _operand(token: str, known: dict, where: str) -> tuple[str, tuple[int, int]]:
-    """Python source and value interval of one source operand."""
+def _operand(token: str, known: dict, where: str) -> tuple[str | int, tuple[int, int]]:
+    """Python local or integer, and value interval, of one source operand."""
     if token in known:
         return known[token]
     value = _literal(token, where)
     if value is not None:
-        return str(value), (value, value)
+        return value, (value, value)
     if not _NAME.fullmatch(token):
         raise ScheduleError(f"{where}: {token!r} is not a register or constant name")
     if token.startswith("$"):
@@ -384,10 +389,12 @@ def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[Planne
     violations = validate_schedule(schedule)
     if violations:
         raise ScheduleError(violations[0].describe())
-    # Python source and value interval of every identifier an op can read
+    # Python local or integer, and value interval, of every identifier an op can read
     known = {name: (_local(name), _span(x)) for name, x in {**FIELD_FORMATS, **inputs}.items()}
     for name, value in CONSTANTS.items():
-        known[name] = _int_source(value), (value, value)
+        known[name] = value, (value, value)
+    # what holds a population-shaped array, and what a 0/1 flag (bool in arrays)
+    shaped, flags = set(FIELD_FORMATS), set()
     plan = []
     for block in schedule.blocks:
         for op in block.ops:
@@ -409,11 +416,19 @@ def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[Planne
             square = op.mnemonic in _RESCALE and op.sources[0] == op.sources[1]
             lo, hi = _interval(op.mnemonic, [span for _, span in operands], where, square)
             clip = lambda x: min(max(x, fmt.min_raw), fmt.max_raw)
+            y, (y_lo, y_hi) = op.sources[-1], operands[-1][1]
+            skip = (op.mnemonic == "sel" and y in shaped and fmt.min_raw <= y_lo
+                    and y_hi <= fmt.max_raw and (op.dest == y or op.dest not in FIELD_FORMATS)
+                    and (y not in flags or op.sources[1] in flags))
             known[op.dest] = _local(op.dest), (clip(lo), clip(hi))
+            (shaped.add if shaped.intersection(op.sources) else shaped.discard)(op.dest)
+            # a gt gives a bool array, and so does a mov of one or a sel of two
+            kept = op.mnemonic in ("mov", "sel") and flags.issuperset(op.sources[-2:])
+            (flags.add if op.mnemonic == "gt" or kept else flags.discard)(op.dest)
             plan.append(PlannedOp(
                 _local(op.dest), op.mnemonic, tuple(src for src, _ in operands),
                 fmt.min_raw if lo < fmt.min_raw else None,
-                fmt.max_raw if hi > fmt.max_raw else None,
+                fmt.max_raw if hi > fmt.max_raw else None, skip,
             ))
     return plan
 
@@ -431,25 +446,43 @@ def compile_schedule(
     :func:`plan_schedule`), and returns the fields in the same order
     followed by the registers named in ``results``.  Registers are locals,
     each clip the interval analysis keeps is inline, and ``form`` says how
-    clips and ``sel`` are written: ``INTS`` for Python ints, ``ARRAYS`` for
-    int64 arrays.  The source is built only from the tables above, checked
-    register names and integer values, never from raw schedule text.
+    clips, ``sel`` and integers are written: ``INTS`` for Python ints,
+    ``ARRAYS`` for int64 arrays.  The source is built only from the tables
+    above, checked register names and integer values, never from raw text.
     """
     plan = plan_schedule(schedule, inputs)
     written = {op.dest for op in plan}
     for name in results:
         if not (name.startswith("$") and _NAME.fullmatch(name) and _local(name) in written):
             raise ScheduleError(f"result {name!r} is not a register the schedule writes")
+    namespace = dict(form.names)
+
+    def source(arg: str | int) -> str | int:
+        if isinstance(arg, str) or form.none_set is None:
+            return arg
+        name = f"_i{arg}".replace("-", "m")
+        namespace[name] = np.array(arg, dtype=np.int64)
+        return name
+
     lines = [f"def step({', '.join(_local(name) for name in (*FIELD_FORMATS, *inputs))}):"]
+    tested = set()  # flags whose test a ``_none_`` local holds
     for op in plan:
         template = form.select if op.mnemonic == "sel" else _OPS[op.mnemonic][0]
-        lines.append(f"    {op.dest} = {template.format(*op.args)}")
+        args = (*op.args, _RESCALE[op.mnemonic]) if op.mnemonic in _RESCALE else op.args
+        indent = "    "
+        if op.skip and form.none_set is not None:
+            flag, indent = op.args[0], "        "
+            if flag not in tested:
+                lines.append(f"    _none_{flag} = {form.none_set.format(flag)}")
+            lines += [f"    if _none_{flag}:", f"{indent}{op.dest} = {op.args[2]}", "    else:"]
+            tested.add(flag)
+        lines.append(f"{indent}{op.dest} = {template.format(*map(source, args))}")
         if op.lower is not None:
-            lines.append("    " + form.lower.format(x=op.dest, bound=op.lower))
+            lines.append(indent + form.lower.format(x=op.dest, bound=source(op.lower)))
         if op.upper is not None:
-            lines.append("    " + form.upper.format(x=op.dest, bound=op.upper))
+            lines.append(indent + form.upper.format(x=op.dest, bound=source(op.upper)))
+        tested.discard(op.dest)
     returned = [*FIELD_FORMATS, *(_local(name) for name in results)]
     lines.append(f"    return {', '.join(returned)}")
-    namespace = dict(form.names)
     exec(compile("\n".join(lines) + "\n", "<schedule>", "exec"), namespace)
     return namespace["step"]

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, artifact layout."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import neurocore
 from neurocore.cli import main
 
 
@@ -188,11 +193,15 @@ class TestInvalidCircuit:
             ("i_const = 5", "i_const = 5\nv_peak = 3000",
              "population 'GPe': v_peak = 3000 saturates its 24-bit field, "
              "range [-2048.0, 2047.99975"),
+            ("size = 20", f"size = {10**30}",
+             f"small.cfg: [population STR_D1] size {10**30} outside [1, 2147483647]"),
+            ("size = 20\nrate_hz = 15", f"size = {10**30}\nrate_hz = 15",
+             f"small.cfg: [generator G_Ctx1] size {10**30} outside [1, 2147483647]"),
         ],
         ids=[
             "rate-9000", "rate-negative", "rate-nan", "weight-quantises-to-zero",
             "weight-nan", "a-nan", "i_const-saturates", "weight-saturates",
-            "v_peak-saturates",
+            "v_peak-saturates", "size-past-int32-ids", "generator-size-past-int32-ids",
         ],
     )
     def test_gonogo_rejects(self, tmp_path, capsys, old, new, message):
@@ -363,3 +372,15 @@ class TestPrintConfig:
         out = capsys.readouterr().out
         assert "[population GPe]" in out
         assert "[connection STN -> GPi/SNr]" in out
+
+    def test_python_m_neurocore(self, capsys):
+        """``python -m neurocore`` runs the same entry point, as it must in a
+        checkout that is not installed."""
+        src = Path(neurocore.__file__).parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "neurocore", "print-config"],
+            capture_output=True, text=True, env=os.environ | {"PYTHONPATH": path}, timeout=60,
+        )
+        assert main(["print-config"]) == 0
+        assert (run.returncode, run.stdout, run.stderr) == (0, capsys.readouterr().out, "")

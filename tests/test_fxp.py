@@ -13,6 +13,7 @@ from neurocore.fxp import (
     V_FMT,
     Fixed,
     FixedFormat,
+    _round_half_away,
     decode,
     encode,
     encode_checked,
@@ -165,6 +166,17 @@ class TestQuantizeRaw:
         raws = np.array([-1000, -256, -255, 0, 255, 256, 1000])
         out = quantize_raw(raws)
         assert out.tolist() == [-2, -1, 0, 0, 0, 1, 2]
+
+    def test_matches_scalar_rounding_everywhere(self):
+        """Every raw in [-70000, 70000], all the +-256 mod 512 ties among
+        them, and +-1024 around both saturation ends (+-32767.5 * 512)."""
+        edge = int(32767.5 * 512)
+        raws = np.concatenate([
+            np.arange(-70_000, 70_001),
+            *(np.arange(end - 1024, end + 1025) for end in (-edge, edge)),
+        ])
+        want = [DA_FMT.saturate(_round_half_away(x / 512)) for x in raws.tolist()]
+        assert quantize_raw(raws).tolist() == want
 
 
 # ---------------------------------------------------------------------------

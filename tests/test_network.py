@@ -345,6 +345,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="duplicate"):
             Network([PopulationSpec("A", 2, params=RS)] * 2, [])
 
+    @pytest.mark.parametrize("size", [0, 2**31, 10**30])
+    def test_size_the_synapse_table_cannot_index_rejected(self, size):
+        message = rf"^population 'A': size {size} outside \[1, 2147483647\]$"
+        with pytest.raises(ConfigError, match=message):
+            PopulationSpec("A", size, params=RS)
+
+    def test_more_ids_than_the_synapse_table_indexes_rejected_first(self):
+        # checked before anything a population sizes is allocated: three
+        # populations of 2**30 would otherwise ask for tens of GB
+        pops = [PopulationSpec(f"S{i}", 2**30, rate_hz=10.0) for i in range(3)]
+        with pytest.raises(ConfigError, match=f"^{3 * 2**30} sources and neurons, more than"):
+            Network(pops, [])
+
     def test_population_needs_exactly_one_kind(self):
         with pytest.raises(ConfigError):
             PopulationSpec("A", 2)

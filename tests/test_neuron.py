@@ -343,6 +343,39 @@ def test_network_form_is_the_shipped_schedule():
         assert np.array_equal(g, w)
 
 
+@pytest.mark.parametrize("crossing", [None, 0, -1, "stored"],
+                         ids=["none", "first", "last", "stored-past-peak"])
+@pytest.mark.parametrize("form", ["batch", "network"])
+def test_array_forms_match_scalar_when_few_flags_are_set(form, crossing):
+    """Batches in which no neuron crosses, exactly the first or the last one
+    does, or one holds a stored v past the peak: the array forms return a
+    select's else operand where no flag is set, and still equal the scalar
+    step neuron by neuron."""
+    run = {"batch": neuron.step_fields_batch, "network": network.step_fields_network}[form]
+    rng = np.random.default_rng(20261019)
+    n = 9
+    fields, beta, v_peak = encode_neuron(replace(RS, beta=0.6))
+    batch = {name: np.full(n, x, dtype=np.int64) for name, x in vars(fields).items()}
+    batch["v"] = rng.integers(encode(-75.0, V_FMT).raw, encode(-60.0, V_FMT).raw, n)
+    batch["u"] = (batch["b"] * batch["v"]) >> 12
+    batch["isyn"] = rng.integers(-4096, 4096, n)
+    batch["delta_dop"][:] = encode(1.0, DDOP_FMT).raw
+    if crossing == "stored":
+        crossing, batch["v"][4] = 4, v_peak + 4096
+    elif crossing is not None:
+        batch["v"][crossing] = v_peak - 1  # just below the peak: crosses now
+    da = rng.integers(-8, 8, n)
+    inputs = (da, alpha_fixed().raw, np.full(n, beta), np.full(n, v_peak))
+    *got, spiked = run(*batch.values(), *inputs)
+    assert spiked.dtype == bool
+    assert np.flatnonzero(spiked).tolist() == ([] if crossing is None else [crossing % n])
+    assert len({id(x) for x in got}) == len(got)  # no two fields share an array
+    for i in range(n):
+        want = neuron.step_fields(*(int(x[i]) for x in batch.values()),
+                                  *(int(np.broadcast_to(x, n)[i]) for x in inputs))
+        assert (*(int(x[i]) for x in got), bool(spiked[i])) == want
+
+
 def test_schedule_text_is_what_runs(monkeypatch):
     """The shipped text, compiled afresh, reproduces both steppers and the
     network's array form; one changed shift count in it changes all three."""

@@ -1,9 +1,11 @@
 """Block-schedule validation, parsing and compilation."""
 
+import numpy as np
 import pytest
 
 from neurocore.fxp import REG_FMT, V_FMT
 from neurocore.schedule import (
+    ARRAYS,
     CONSTANTS,
     FIELD_LAYOUT,
     INPUTS,
@@ -195,6 +197,62 @@ class TestCompiler:
         ))
         assert (square.lower, square.upper) == (None, REG_FMT.max_raw)
         assert (product.lower, product.upper) == (REG_FMT.min_raw, REG_FMT.max_raw)
+
+    def test_select_skipped_only_where_its_else_operand_is_safe(self):
+        """A select may return its else operand where no flag is set only if
+        that operand is an array of the population's shape and of the dtype
+        ``where`` gives, and, for a field, the destination itself; the array
+        form keeps every result of that shape either way."""
+        sels = {
+            "v": ("u", "v", True),  # the field itself
+            "$reg": ("v", "$sum", True),  # a register computed from fields
+            "$flag": ("$f", "$g", True),  # a flag where where gives one
+            "$const": ("v", "@one", False),
+            "$input": ("v", "DA", False),
+            "u": ("u", "v", False),  # a different field
+            "iconst": ("v", "iconst", False),  # a field holding a constant
+            "$bool": ("v", "$g", False),  # a flag where where gives ints
+        }
+        ops = [Op("gt", "$f", ("v", "@vpeak")), Op("gt", "$g", ("u", "v")),
+               Op("add", "$sum", ("v", "u")), Op("mov", "iconst", ("@one",))]
+        ops += [Op("sel", dest, ("$f", x, y)) for dest, (x, y, _) in sels.items()]
+        plan = {op.dest: op.skip for op in plan_schedule(program(*ops)) if op.mnemonic == "sel"}
+        assert plan == {dest.replace("$", "r_"): skip for dest, (_, _, skip) in sels.items()}
+
+        registers = tuple(name for name in sels if name.startswith("$"))
+        arrays = compile_schedule(program(*ops), ARRAYS, results=registers)
+        ints = compile_schedule(program(*ops), results=registers)
+        n = 5
+        fields = {name: np.arange(n) - 2 for name in FIELD_LAYOUT}
+        inputs = (3, 0, 0, V_FMT.max_raw)  # DA, alpha, beta, v_peak: no flag $f set
+        got = arrays(*fields.values(), *inputs)
+        for i in range(n):
+            want = ints(*(int(x[i]) for x in fields.values()), *inputs)
+            assert [x.shape for x in got] == [(n,)] * len(got)
+            assert [x[i].item() for x in got] == list(want)
+        assert got[-1].dtype == np.int64  # $bool: where's dtype, not the flag's
+
+    def test_a_flag_is_tested_once_until_it_is_written_again(self):
+        """Skipped selects on one flag share one ``_count_nonzero``; a write
+        to the flag between them tests it afresh, so no stale test runs."""
+        ops = [Op("add", "$sum", ("v", "u")), Op("gt", "$f", ("v", "@vpeak")),
+               Op("sel", "$a", ("$f", "v", "$sum")), Op("sel", "$b", ("$f", "u", "$sum")),
+               Op("gt", "$f", ("u", "v")), Op("sel", "$c", ("$f", "v", "$sum")),
+               Op("sel", "$k", ("@one", "v", "$sum"))]
+        results = ("$a", "$b", "$c", "$k")
+        arrays = compile_schedule(program(*ops), ARRAYS, results=results)
+        ints = compile_schedule(program(*ops), results=results)
+        tested = []
+        arrays.__globals__["_count_nonzero"] = lambda x: tested.append(x) or np.count_nonzero(x)
+        n = 5
+        fields = {name: np.arange(n) - 2 for name in FIELD_LAYOUT}
+        fields["u"] = 2 - np.arange(n)  # u > v at 0 and 1 only: the second $f is set there
+        inputs = (3, 0, 0, V_FMT.max_raw)  # the first $f is set nowhere
+        got = arrays(*fields.values(), *inputs)
+        assert len(tested) == 3  # the first $f, the second $f, @one
+        for i in range(n):
+            want = ints(*(int(x[i]) for x in fields.values()), *inputs)
+            assert [x[i].item() for x in got] == list(want)
 
     def test_exact_input_drops_clips(self):
         shipped = izhikevich_schedule()
