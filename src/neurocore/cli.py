@@ -26,7 +26,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, regimes
-from .bg import run_gonogo
+from .bg import build_bg, run_gonogo
 from .config import check_duration, default_config_text, load_default_config, parse_config
 from .network import BACKENDS, STEP_INPUTS, ConfigError
 from .neuron import DT_MS, SimulationError
@@ -76,15 +76,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(flag_value: str | None) -> Path:
-    out = Path(flag_value or os.environ.get(ENV_OUT, "out"))
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(path: str) -> Path:
+    """Make the output directory; a path that cannot be one is a usage error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out}: {exc.strerror or exc}") from None
     return out
 
 
 def cmd_regimes(args) -> int:
     check_duration(args.duration_ms)
-    out = _out_dir(args.out)
+    out = _out_dir(args.out or os.environ.get(ENV_OUT, "out"))
     all_passed = True
     report_lines = []
     for backend in ("float", "fixed"):
@@ -130,12 +134,12 @@ def cmd_gonogo(args) -> int:
             raise ConfigError(f"{ENV_SEED}={os.environ[ENV_SEED]!r} is not an integer") from exc
     overrides = {"seed": seed, "backend": args.backend, "duration_ms": args.duration_ms}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    out = Path(args.out or os.environ.get(ENV_OUT) or config.out_dir)
+    build_bg(config)  # a circuit its build rejects exits before the directory is made
+    out = _out_dir(args.out or os.environ.get(ENV_OUT) or config.out_dir)
 
     t0 = time.perf_counter()
     results = run_gonogo(config)
     elapsed = time.perf_counter() - t0
-    out.mkdir(parents=True, exist_ok=True)
     total_steps = len(results) * config.steps
 
     sizes = {name: size for name, (size, _) in config.populations.items()}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,13 @@ class FixedFormat:
     def lsb(self) -> float:
         """Real value of one raw unit."""
         return 1.0 / self.scale
+
+    @cached_property
+    def _requantize(self) -> tuple:
+        # quantize_raw's zero, half, shift and bounds as 0-d int64 arrays
+        shift = Q12 - self.frac_bits
+        values = (0, 1 << (shift - 1), shift, self.min_raw, self.max_raw)
+        return tuple(np.array(x, dtype=np.int64) for x in values)
 
     def saturate(self, raw: int) -> int:
         if raw < self.min_raw:
@@ -172,8 +180,8 @@ def shl(a: Fixed, n: int, out_fmt: FixedFormat | None = None) -> Fixed:
 # ---------------------------------------------------------------------------
 
 def sat_raw(raw: np.ndarray, fmt: FixedFormat) -> np.ndarray:
-    # np.minimum/np.maximum: np.clip's per-call overhead dominates at the
-    # population sizes the network runs
+    # np.clip's Python wrapper costs about twice np.maximum and np.minimum
+    # together at network sizes; the ndarray.clip method is the cheap clip
     return np.minimum(np.maximum(raw, fmt.min_raw), fmt.max_raw)
 
 
@@ -201,7 +209,6 @@ def quantize_raw(raw_q12, fmt: FixedFormat = DA_FMT) -> np.ndarray:
     per-step synaptic sum is handed to the dendrite-accumulator register.
     For x < 0, ``(x + half - 1) >> s`` is -((-x + half) >> s), |x| rounded.
     """
-    shift = Q12 - fmt.frac_bits
-    half = 1 << (shift - 1)
+    zero, half, shift, low, high = fmt._requantize
     raw_q12 = np.asarray(raw_q12)
-    return sat_raw((raw_q12 + (half - (raw_q12 < 0))) >> shift, fmt)
+    return ((raw_q12 + half - (raw_q12 < zero)) >> shift).clip(low, high)

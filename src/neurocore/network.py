@@ -158,13 +158,22 @@ class SynapseGroup:
 
 
 class SpikeRecord:
-    """Append-only record of (step, population, neuron) spike events."""
+    """Append-only record of (step, population, neuron) spike events:
+    ``append`` keeps the indices it is given, which must not change after,
+    and reading ``events`` adds them to its one list as Python ints."""
 
     def __init__(self) -> None:
-        self.events: list[tuple[int, str, int]] = []
+        self._events, self._appended = [], []
 
     def append(self, step: int, population: str, indices) -> None:
-        self.events.extend((step, population, int(i)) for i in indices)
+        self._appended.append((step, population, indices))
+
+    @property
+    def events(self) -> list[tuple[int, str, int]]:
+        self._events.extend((step, population, i) for step, population, indices in self._appended
+                            for i in np.asarray(indices).tolist())
+        self._appended.clear()
+        return self._events
 
     def __len__(self) -> int:
         return len(self.events)
@@ -305,6 +314,7 @@ class Network:
         # delivery gives, a zero DA or a float +0.0 per neuron
         self._no_input = np.zeros(self.size, dtype=np.int64 if backend == "fixed" else float)
         self._no_input.flags.writeable = False
+        self.set_dopamine(0.0)
 
     def set_dopamine(self, delta_dop: float) -> None:
         """Broadcast the dopamine deviation to every neuron; it must be
@@ -316,6 +326,9 @@ class Network:
             else:
                 require_finite("delta_dop", delta_dop)
         self.state.delta_dop = delta_dop
+        if self.backend == "fixed":  # the step's ops that read only the build and the level
+            fields = (getattr(self.state, name) for name in FIELD_LAYOUT)
+            self._hoisted = step_fields_network.hoist(*fields, *self._constants)
 
     def synapse_count(self) -> int:
         return len(self.synapses.post_idx)
@@ -342,7 +355,8 @@ class Network:
         # phase 3: one update of every neuron
         if self.backend == "fixed":
             spiked = step_fixed_batch(
-                self.state, acc, *self._constants, compiled=step_fields_network
+                self.state, acc, *self._constants,
+                compiled=step_fields_network, hoisted=self._hoisted,
             )
         else:
             spiked = self.state.step(acc)

@@ -217,9 +217,9 @@ _VPEAK_RAW = encode(V_PEAK_DEFAULT, V_FMT).raw
 _field_values = attrgetter(*FIELD_LAYOUT)
 
 _SCHEDULE = izhikevich_schedule()
-# step(*fields, DA, alpha, beta, v_peak) -> (*fields, spiked), fields in
-# FIELD_LAYOUT order: Python ints are the faster values for one compartment,
-# int64 arrays for a population
+# step(*fields, DA, alpha, beta, v_peak, *step.hoist(*fields, alpha, beta,
+# v_peak)) -> (*fields, spiked), fields in FIELD_LAYOUT order: Python ints are
+# the faster values for one compartment, int64 arrays for a population
 step_fields = compile_schedule(_SCHEDULE)
 step_fields_batch = compile_schedule(_SCHEDULE, ARRAYS)
 
@@ -250,7 +250,8 @@ def step_fixed(
     for (name, fmt), raw in zip(INPUTS.items(), inputs):
         if not fmt.min_raw <= raw <= fmt.max_raw:
             raise ValueError(f"{name} raw {raw} outside its compiled range {fmt}")
-    *fields, spiked = step_fields(*_field_values(unpack(words)), *inputs)
+    fields = _field_values(unpack(words))
+    *fields, spiked = step_fields(*fields, *inputs, *step_fields.hoist(*fields, *inputs[1:]))
     return pack(CompartmentFields(*fields)), spiked
 
 
@@ -261,6 +262,7 @@ def step_fixed_batch(
     beta_raw: int = 0,
     v_peak_raw: int = _VPEAK_RAW,
     compiled=None,
+    hoisted: tuple | None = None,
 ) -> np.ndarray:
     """One step of the shipped block schedule on a whole population; mutates
     ``batch`` in place.
@@ -270,11 +272,13 @@ def step_fixed_batch(
     each other argument values of the range the schedule was compiled for:
     the ``schedule.INPUTS`` ranges of ``step_fields_batch``, or those of
     ``compiled``, an array form compiled for narrower ranges that runs in
-    its place.  Returns the boolean spike mask.
+    its place, with ``hoisted``, what its ``hoist`` returns for ``batch``
+    and these constants, if given.  Returns the boolean spike mask.
     """
-    *fields, spiked = (compiled or step_fields_batch)(
-        *_field_values(batch), da_raw, alpha_raw, beta_raw, v_peak_raw
-    )
+    step, fields = compiled or step_fields_batch, _field_values(batch)
+    if hoisted is None:
+        hoisted = step.hoist(*fields, alpha_raw, beta_raw, v_peak_raw)
+    *fields, spiked = step(*fields, da_raw, alpha_raw, beta_raw, v_peak_raw, *hoisted)
     for name, values in zip(FIELD_LAYOUT, fields):
         setattr(batch, name, values)
     return spiked

@@ -120,13 +120,14 @@ def _run_fixed(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, li
     v_scale = float(V_FMT.scale)
     rest, _, v_peak = encode_neuron(params, REST_V)
     fields = astuple(rest)
+    hoisted = step_fields.hoist(*fields, 0, 0, v_peak)
     v_mv, spikes = [], []
     for ms, current in protocol:
         # the stimulus enters through the accumulator port with decay off
         # (alpha 0) and no dopamine gain (beta 0)
         da = encode(current, DA_FMT).raw
         for _ in range(round(ms / DT_MS)):
-            *fields, spiked = step_fields(*fields, da, 0, 0, v_peak)
+            *fields, spiked = step_fields(*fields, da, 0, 0, v_peak, *hoisted)
             if spiked:
                 spikes.append(len(v_mv))
             v_mv.append(fields[_V] / v_scale)

@@ -26,7 +26,8 @@ compiler, so a caller that guarantees narrower inputs than ``INPUTS`` (the
 network always passes one ``@alpha``, for one) gets a function with fewer
 clips.  The same analysis rejects a schedule in which some intermediate
 could leave int64.  The array form binds integers as 0-d int64 arrays,
-cheaper numpy operands than ints, and skips selects no flag sets.
+cheaper numpy operands than ints, and both forms skip selects no flag sets
+and take the ops on values fixed for a run as arguments, computed once.
 """
 
 from __future__ import annotations
@@ -252,14 +253,14 @@ def izhikevich_schedule() -> BlockSchedule:
 # Compiler
 # ---------------------------------------------------------------------------
 
-# Python source of each op's value (``sel``'s is the Form's, ``{2}`` is the
-# rescale shift) and, for the interval analysis, its unscaled int result
+# Python source of each op's value (``sel``'s is the Form's) before any
+# rescale shift and, for the interval analysis, its unscaled int result
 _OPS = {
     "mov": ("{0}", None),
     "add": ("{0} + {1}", operator.add),
     "sub": ("{0} - {1}", operator.sub),
-    "mul": ("({0} * {1}) >> {2}", operator.mul),
-    "mulw": ("({0} * {1}) >> {2}", operator.mul),
+    "mul": ("{0} * {1}", operator.mul),
+    "mulw": ("{0} * {1}", operator.mul),
     "shl": ("{0} << {1}", operator.lshift),
     "shr": ("{0} >> {1}", operator.rshift),
     "gt": ("{0} > {1}", None),
@@ -272,31 +273,37 @@ _NAME = re.compile(r"[$@][A-Za-z_]\w*", re.ASCII)
 
 @dataclass(frozen=True)
 class Form:
-    """How generated code clips a local ``{x}`` to a ``{bound}`` and selects
-    ``{1}`` where ``{0}`` else ``{2}``, for one kind of value; ``names`` are
-    the globals that code looks up.  An array form tests with ``none_set``
-    that no ``{0}`` is set, where a ``skip`` select returns ``{2}``, and binds
-    every integer once as a 0-d int64 array global, not a literal."""
+    """How generated code clips a local ``{x}`` to a ``{bound}`` (with
+    ``clip``, to both in one statement) and selects ``{1}`` where ``{0}``
+    else ``{2}``, for one kind of value; ``names`` are the globals that code
+    looks up.  It tests with ``none_set`` that no ``{0}`` is set, where a
+    ``skip`` select returns ``{2}``, and a ``bind`` form binds every integer
+    once as a 0-d int64 array global, not a literal."""
 
     lower: str
     upper: str
     select: str
+    none_set: str
     names: dict = field(default_factory=dict)
-    none_set: str | None = None
+    clip: str | None = None
+    bind: bool = False
 
 
 INTS = Form(
     lower="if {x} < {bound}: {x} = {bound}",
     upper="if {x} > {bound}: {x} = {bound}",
     select="{1} if {0} else {2}",
+    none_set="not {0}",
 )
 ARRAYS = Form(
     lower="{x} = _maximum({x}, {bound})",
     upper="{x} = _minimum({x}, {bound})",
     select="_where({0}, {1}, {2})",
+    none_set="not _count_nonzero({0})",
     names={"_maximum": np.maximum, "_minimum": np.minimum, "_where": np.where,
            "_count_nonzero": np.count_nonzero},
-    none_set="not _count_nonzero({0})",
+    clip="{x} = {x}.clip({lower}, {upper})",  # one call, not two
+    bind=True,
 )
 
 
@@ -367,19 +374,12 @@ def _interval(mnemonic: str, operands: list, where: str, square: bool = False) -
     return lo >> shift, hi >> shift
 
 
-def _span(value) -> tuple[int, int]:
-    """The raw interval of a format, or of one exact raw value."""
-    if isinstance(value, int):
-        return value, value
-    return value.min_raw, value.max_raw
-
-
 def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[PlannedOp]:
     """Check ``schedule`` and run the interval analysis over it, op by op.
 
     Fields start at their formats' ranges, ``CONSTANTS`` at their values
-    and each of ``inputs`` at its format's range, or at its value where it
-    is an int, the one raw every call passes.  Raises ScheduleError for a
+    and each of ``inputs`` at its format's range or, where it is an int
+    (the one raw every call passes), as that constant.  Raises ScheduleError for a
     word-rule violation, an unknown op, a wrong operand count, a malformed
     register name, a literal that is not ASCII digits, an unknown constant,
     a register read before it is written, a write to anything but a field
@@ -390,9 +390,8 @@ def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[Planne
     if violations:
         raise ScheduleError(violations[0].describe())
     # Python local or integer, and value interval, of every identifier an op can read
-    known = {name: (_local(name), _span(x)) for name, x in {**FIELD_FORMATS, **inputs}.items()}
-    for name, value in CONSTANTS.items():
-        known[name] = value, (value, value)
+    known = {name: (x, (x, x)) if isinstance(x, int) else (_local(name), (x.min_raw, x.max_raw))
+             for name, x in {**FIELD_FORMATS, **inputs, **CONSTANTS}.items()}
     # what holds a population-shaped array, and what a 0/1 flag (bool in arrays)
     shaped, flags = set(FIELD_FORMATS), set()
     plan = []
@@ -439,50 +438,115 @@ def compile_schedule(
     results: tuple[str, ...] = ("$spk",),
     inputs: dict = INPUTS,
 ):
-    """Compile ``schedule`` into one straight-line Python function.
+    """Compile ``schedule`` into one straight-line Python function, ``step``.
 
-    The function takes every field in ``FIELD_LAYOUT`` order, then the
-    ``inputs`` in their order, each within its range (see
-    :func:`plan_schedule`), and returns the fields in the same order
-    followed by the registers named in ``results``.  Registers are locals,
-    each clip the interval analysis keeps is inline, and ``form`` says how
-    clips, ``sel`` and integers are written: ``INTS`` for Python ints,
-    ``ARRAYS`` for int64 arrays.  The source is built only from the tables
-    above, checked register names and integer values, never from raw text.
+    ``step`` takes every field in ``FIELD_LAYOUT`` order, the ``inputs`` in
+    their order, each within its range (see :func:`plan_schedule`), and what
+    ``step.hoist`` returns for those fields and ``@`` inputs: the values of
+    the ops that read only literals, constants, ``@`` inputs, fields never
+    written and such values (``$mod``, ``$gain``), which a caller computes
+    once while they hold.  It returns the fields in the same order and the
+    registers named in ``results``.  Registers are locals, each clip the
+    interval analysis keeps is inline, and ``form`` says how clips, ``sel``
+    and integers are written: ``INTS`` for Python ints, ``ARRAYS`` for int64
+    arrays.  Exact rewrites drop operations: a product by a multiple of its
+    rescale 2^s is one by the quotient, a product whose one reader shifts it
+    right in place shifts once by both counts, and an op only a skipped
+    select's ``x`` reads runs in its branch, on operands held where it
+    stood.  The source is built only from the tables above, checked
+    register names and integer values, never from raw text.
     """
     plan = plan_schedule(schedule, inputs)
-    written = {op.dest for op in plan}
+    dests = [op.dest for op in plan]
     for name in results:
-        if not (name.startswith("$") and _NAME.fullmatch(name) and _local(name) in written):
+        if not (name.startswith("$") and _NAME.fullmatch(name) and _local(name) in dests):
             raise ScheduleError(f"result {name!r} is not a register the schedule writes")
     namespace = dict(form.names)
 
     def source(arg: str | int) -> str | int:
-        if isinstance(arg, str) or form.none_set is None:
+        if isinstance(arg, str) or not form.bind:
             return arg
         name = f"_i{arg}".replace("-", "m")
         namespace[name] = np.array(arg, dtype=np.int64)
         return name
 
-    lines = [f"def step({', '.join(_local(name) for name in (*FIELD_FORMATS, *inputs))}):"]
-    tested = set()  # flags whose test a ``_none_`` local holds
-    for op in plan:
-        template = form.select if op.mnemonic == "sel" else _OPS[op.mnemonic][0]
-        args = (*op.args, _RESCALE[op.mnemonic]) if op.mnemonic in _RESCALE else op.args
-        indent = "    "
-        if op.skip and form.none_set is not None:
-            flag, indent = op.args[0], "        "
-            if flag not in tested:
-                lines.append(f"    _none_{flag} = {form.none_set.format(flag)}")
-            lines += [f"    if _none_{flag}:", f"{indent}{op.dest} = {op.args[2]}", "    else:"]
-            tested.add(flag)
-        lines.append(f"{indent}{op.dest} = {template.format(*map(source, args))}")
-        if op.lower is not None:
-            lines.append(indent + form.lower.format(x=op.dest, bound=source(op.lower)))
-        if op.upper is not None:
-            lines.append(indent + form.upper.format(x=op.dest, bound=source(op.upper)))
-        tested.discard(op.dest)
-    returned = [*FIELD_FORMATS, *(_local(name) for name in results)]
-    lines.append(f"    return {', '.join(returned)}")
+    # the (op, operand position) of each read of what an op writes, (None, 0)
+    # where it is returned; the ops on values fixed for a run, to hoist
+    group = [_local(name) for name in inputs if name.startswith("@")]
+    last, readers, hoisted = {}, [[] for _ in plan], set()
+    fixed = {*group, *FIELD_FORMATS} - set(dests)
+    for i, op in enumerate(plan):
+        for pos, arg in enumerate(op.args):
+            if arg in last:
+                readers[last[arg]].append((i, pos))
+        last[op.dest] = i
+        if (op.mnemonic != "mov" and op.dest.startswith("r_") and dests.count(op.dest) == 1
+                and all(isinstance(a, int) or a in fixed for a in op.args)):
+            hoisted.add(i)
+            fixed.add(op.dest)
+    for name in last.keys() & {*FIELD_FORMATS, *map(_local, results)}:
+        readers[last[name]].append((None, 0))
+    passed = [dests[i] for i in sorted(hoisted) if any(j not in hoisted for j, _ in readers[i])]
+    # product -> the shr of it in place, its one reader; skipped select -> the
+    # op only its x reads, on the operands that op's ``held`` lines keep
+    fused, sunk, held = {}, {}, {}
+    for i, op in enumerate(plan):
+        j, pos = readers[i][0] if len(readers[i]) == 1 else (None, 0)
+        if j is None or i in hoisted or i in fused.values():
+            continue
+        count = plan[j].args[-1]
+        if (op.mnemonic in _RESCALE and not op.clips and plan[j].mnemonic == "shr" and pos == 0
+                and dests[j] == op.dest and isinstance(count, int)
+                and _RESCALE[op.mnemonic] + count <= 63):
+            fused[i] = j
+        elif plan[j].skip and pos == 1 and op.dest.startswith("r_"):
+            later = set(dests[i + 1:j]).intersection(op.args)
+            held[i] = [f"    _{i}_{a} = {a}" for a in sorted(later)]
+            sunk[j] = i, tuple(f"_{i}_{a}" if a in later else a for a in op.args)
+
+    def emit(i: int, indent: str, args: tuple) -> list[str]:
+        op, clip = plan[i], plan[fused.get(i, i)]
+        value = (form.select if op.mnemonic == "sel" else _OPS[op.mnemonic][0]).format(
+            *map(source, args))
+        if op.mnemonic in _RESCALE:
+            k, x = args if isinstance(args[0], int) else args[::-1]
+            shift = _RESCALE[op.mnemonic]
+            if isinstance(k, int) and k % (1 << shift) == 0:
+                value, shift = f"{source(k >> shift)} * {source(x)}", 0
+            shift += plan[fused[i]].args[1] if i in fused else 0
+            value = f"({value}) >> {source(shift)}" if shift else value
+        lines = [f"{indent}{op.dest} = {value}"]
+        lo, hi = (None if bound is None else source(bound) for bound in (clip.lower, clip.upper))
+        if form.clip and lo is not None and hi is not None:
+            return [*lines, indent + form.clip.format(x=op.dest, lower=lo, upper=hi)]
+        sides = ((form.lower, lo), (form.upper, hi))
+        return lines + [indent + t.format(x=op.dest, bound=b) for t, b in sides if b is not None]
+
+    def function(signature: str, ops: list[int], returned: str) -> list[str]:
+        lines, tested = [f"def {signature}:"], set()  # flags a ``_none_`` local tests
+        for i in ops:
+            op, indent = plan[i], "    "
+            if i in held:  # it runs in its select's branch, on operands held here
+                lines += held[i]
+                continue
+            if op.skip:
+                (flag, _, y), indent = op.args, "        "
+                none = f"_none_{flag}".replace("-", "m")  # an exact input may be negative
+                if flag not in tested:
+                    lines.append(f"    {none} = {form.none_set.format(flag)}")
+                tested.add(flag)
+                lines += [f"    if {none}:", f"{indent}{op.dest} = {y}", "    else:"]
+                lines += emit(sunk[i][0], indent, sunk[i][1]) if i in sunk else []
+            lines += emit(i, indent, op.args)
+            tested.discard(op.dest)
+        return [*lines, f"    return {returned}"]
+
+    fields = list(map(_local, FIELD_FORMATS))
+    lines = function(f"hoist({', '.join(fields + group)})", sorted(hoisted),
+                     f"({''.join(name + ', ' for name in passed)})")
+    rest = [i for i in range(len(plan)) if i not in hoisted and i not in fused.values()]
+    lines += function(f"step({', '.join([*fields, *map(_local, inputs), *passed])})", rest,
+                      ", ".join([*fields, *map(_local, results)]))
     exec(compile("\n".join(lines) + "\n", "<schedule>", "exec"), namespace)
+    namespace["step"].hoist = namespace["hoist"]
     return namespace["step"]

@@ -1,5 +1,6 @@
 """Basal ganglia build, dopamine handling, and circuit structure."""
 
+import copy
 import hashlib
 from dataclasses import replace
 
@@ -122,6 +123,32 @@ class TestDopamine:
             g2 = 1.0 + pops["STR_D2"][1].beta * ddop
             assert g1 == pytest.approx(d1_gain)
             assert g2 == pytest.approx(d2_gain)
+
+    def test_last_dopamine_level_is_what_runs(self):
+        """The fixed step reads the dopamine gain computed once per level:
+        setting one level, then another, runs exactly as the second alone."""
+        runs = []
+        for levels in ((1.0, -1.0), (-1.0,), (1.0,)):
+            net = build_bg(load_default_config())
+            for ddop in levels:
+                net.set_dopamine(ddop)
+            runs.append(net.run(800).events)
+        assert runs[0] == runs[1] != runs[2]
+
+    def test_copy_taken_mid_run_continues_identically(self):
+        """A deep copy carries its own computed gain: it runs on as the
+        original would have, whatever the original is set to after."""
+        whole = build_bg(load_default_config())
+        whole.set_dopamine(1.0)
+        events = whole.run(800).events
+        net = build_bg(load_default_config())
+        net.set_dopamine(1.0)
+        net.run(400)
+        twin = copy.deepcopy(net)
+        net.set_dopamine(-1.0)
+        continued = twin.run(400).events
+        assert continued == [e for e in events if e[0] >= 400]
+        assert net.run(400).events != continued
 
     def test_dopamine_inert_without_cortical_input(self):
         # striatum disconnected from the generators: beta has nothing to act

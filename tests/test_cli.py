@@ -170,6 +170,19 @@ class TestInvalidInput:
         assert "duration_ms" in single_error_line(capsys)
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["gonogo", "regimes"])
+    def test_unusable_out_dir_fails_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        """An --out under a regular file exits 2 with one line, and gonogo
+        never starts the simulation."""
+        (tmp_path / "file").write_text("")
+        ran = []
+        monkeypatch.setattr(neurocore.cli, "run_gonogo", lambda cfg: ran.append(cfg))
+        extra = ["--config", str(small_config(tmp_path))] if command == "gonogo" else []
+        assert main([command, *extra, "--out", str(tmp_path / "file" / "x")]) == 2
+        assert "output directory" in single_error_line(capsys)
+        assert ran == []
+
 
 class TestInvalidCircuit:
     """Circuit values that crashed, ran silently wrong or clipped: exit 2,

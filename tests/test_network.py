@@ -325,6 +325,26 @@ class TestEngine:
         assert all(pop == "src" for _, pop, _ in explicit.events)
 
 
+def test_record_reads_equal_an_eager_list():
+    """Appends, lengths and event lists interleaved: every read equals the
+    list built eagerly, of Python ints in append order, and stays one list."""
+    record, eager = network.SpikeRecord(), []
+    events = record.events
+    rng = np.random.default_rng(3)
+    for step in range(60):
+        indices = rng.choice(50, rng.integers(0, 4), replace=False)
+        if step % 4 == 0:
+            indices = indices.tolist()
+        record.append(step, f"P{step % 3}", indices)
+        eager.extend((step, f"P{step % 3}", int(i)) for i in indices)
+        if step % 3 == 0:
+            assert len(record) == len(eager)
+        if step % 5 == 0:
+            assert record.events == eager
+    assert record.events is events and events == eager
+    assert {type(i) for _, _, i in events} == {int}
+
+
 class TestValidation:
     def test_unknown_population_in_connection(self):
         with pytest.raises(ConfigError, match="unknown population"):

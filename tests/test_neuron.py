@@ -46,6 +46,13 @@ def words_of(batch, i):
     return pack(CompartmentFields(**{k: int(x[i]) for k, x in vars(batch).items()}))
 
 
+def hoisting(form, *args):
+    """A compiled ``form`` on ``args`` (the fields, DA and the group
+    constants) and the values its ``hoist`` computes from them."""
+    n = len(FIELD_FORMATS)
+    return form(*args, *form.hoist(*args[:n], *args[n + 1:]))
+
+
 class TestParams:
     def test_nonpositive_a_rejected(self):
         with pytest.raises(ValueError):
@@ -337,8 +344,8 @@ def test_network_form_is_the_shipped_schedule():
         draw(inputs["@beta"]),
         draw(inputs["@vpeak"]),
     )
-    got = network.step_fields_network(*args)
-    want = neuron.step_fields_batch(*args)
+    got = hoisting(network.step_fields_network, *args)
+    want = hoisting(neuron.step_fields_batch, *args)
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
 
@@ -366,14 +373,33 @@ def test_array_forms_match_scalar_when_few_flags_are_set(form, crossing):
         batch["v"][crossing] = v_peak - 1  # just below the peak: crosses now
     da = rng.integers(-8, 8, n)
     inputs = (da, alpha_fixed().raw, np.full(n, beta), np.full(n, v_peak))
-    *got, spiked = run(*batch.values(), *inputs)
+    *got, spiked = hoisting(run, *batch.values(), *inputs)
     assert spiked.dtype == bool
     assert np.flatnonzero(spiked).tolist() == ([] if crossing is None else [crossing % n])
     assert len({id(x) for x in got}) == len(got)  # no two fields share an array
     for i in range(n):
-        want = neuron.step_fields(*(int(x[i]) for x in batch.values()),
-                                  *(int(np.broadcast_to(x, n)[i]) for x in inputs))
+        want = hoisting(neuron.step_fields, *(int(x[i]) for x in batch.values()),
+                        *(int(np.broadcast_to(x, n)[i]) for x in inputs))
         assert (*(int(x[i]) for x in got), bool(spiked[i])) == want
+
+
+@pytest.mark.parametrize("form", ["scalar", "batch", "network"])
+def test_stored_past_peak_resets_from_u_before_the_update(form):
+    """A stored v past the peak resets to c with u + d of the u the step
+    started from, not of the updated u, in every form: the sum is computed
+    only where some neuron is past the peak, after u has been updated."""
+    fields, beta, v_peak = encode_neuron(RS)
+    state = dict(vars(fields), v=v_peak + 4096, u=-40_000)
+    a, b, v, u = state["a"], state["b"], state["v"], state["u"]
+    assert (a * (((b * v) >> 12) - u)) >> 15  # u would move this step
+    args = [*state.values(), 0, alpha_fixed().raw, beta, v_peak]
+    if form != "scalar":
+        args = [np.array([x], dtype=np.int64) for x in args]
+    run = {"scalar": neuron.step_fields, "batch": neuron.step_fields_batch,
+           "network": network.step_fields_network}[form]
+    *got, spiked = hoisting(run, *args)
+    got = dict(zip(FIELD_FORMATS, (int(np.ravel(x)[0]) for x in got)))
+    assert (got["v"], got["u"], bool(np.ravel(spiked)[0])) == (state["c"], u + state["d"], True)
 
 
 def test_schedule_text_is_what_runs(monkeypatch):

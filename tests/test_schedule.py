@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from neurocore.fxp import REG_FMT, V_FMT
+from neurocore.fxp import ICONST_FMT, REG_FMT, U_FMT, V_FMT
 from neurocore.schedule import (
     ARRAYS,
     CONSTANTS,
     FIELD_LAYOUT,
     INPUTS,
+    INTS,
     KQ_FRAC,
     Block,
     BlockSchedule,
@@ -225,9 +226,9 @@ class TestCompiler:
         n = 5
         fields = {name: np.arange(n) - 2 for name in FIELD_LAYOUT}
         inputs = (3, 0, 0, V_FMT.max_raw)  # DA, alpha, beta, v_peak: no flag $f set
-        got = arrays(*fields.values(), *inputs)
+        got = hoisting(arrays, *fields.values(), *inputs)
         for i in range(n):
-            want = ints(*(int(x[i]) for x in fields.values()), *inputs)
+            want = hoisting(ints, *(int(x[i]) for x in fields.values()), *inputs)
             assert [x.shape for x in got] == [(n,)] * len(got)
             assert [x[i].item() for x in got] == list(want)
         assert got[-1].dtype == np.int64  # $bool: where's dtype, not the flag's
@@ -248,11 +249,19 @@ class TestCompiler:
         fields = {name: np.arange(n) - 2 for name in FIELD_LAYOUT}
         fields["u"] = 2 - np.arange(n)  # u > v at 0 and 1 only: the second $f is set there
         inputs = (3, 0, 0, V_FMT.max_raw)  # the first $f is set nowhere
-        got = arrays(*fields.values(), *inputs)
+        got = hoisting(arrays, *fields.values(), *inputs)
         assert len(tested) == 3  # the first $f, the second $f, @one
         for i in range(n):
-            want = ints(*(int(x[i]) for x in fields.values()), *inputs)
+            want = hoisting(ints, *(int(x[i]) for x in fields.values()), *inputs)
             assert [x[i].item() for x in got] == list(want)
+
+    @pytest.mark.parametrize("form", [INTS, ARRAYS], ids=["ints", "arrays"])
+    def test_exact_input_is_a_constant(self, form):
+        """An input compiled for one raw is read as that constant, a negative
+        one too, even as the flag of a skipped select."""
+        run = compile_schedule(program(Op("sel", "$x", ("@alpha", "v", "u"))), form,
+                               results=("$x",), inputs=INPUTS | {"@alpha": -3})
+        assert call(run, v=6, u=7)[-1] == 6
 
     def test_exact_input_drops_clips(self):
         shipped = izhikevich_schedule()
@@ -262,6 +271,75 @@ class TestCompiler:
         assert full["r_decay"].clips and not exact["r_decay"].clips
 
 
+def ends(fmt, seed):
+    """Both ends of a format's range, values next to them and to zero, and
+    random values between."""
+    rng = np.random.default_rng(seed)
+    near = [fmt.min_raw, fmt.min_raw + 1, -1, 0, 1, fmt.max_raw - 1, fmt.max_raw]
+    return near + rng.integers(fmt.min_raw, fmt.max_raw + 1, 20).tolist()
+
+
+class TestRewrites:
+    """The exact rewrites the compiler emits, checked against the ops as
+    written on Python ints and on int64 arrays, over every pair of operand
+    values from both ends of their ranges."""
+
+    @staticmethod
+    def run_both(ops, results, want, **ranges):
+        """Both forms of ``ops`` on every combination of the given fields'
+        values equal ``want`` of them; returns the array form's globals."""
+        grid = np.meshgrid(*(ends(fmt, i) for i, fmt in enumerate(ranges.values())))
+        fields = dict(zip(ranges, (np.ravel(x).astype(np.int64) for x in grid)))
+        arrays = compile_schedule(program(*ops), ARRAYS, results=results)
+        ints = compile_schedule(program(*ops), results=results)
+        expected = [want(*(int(x[i]) for x in fields.values())) for i in range(len(grid[0].flat))]
+        got = call(arrays, **fields)[len(FIELD_LAYOUT):]
+        assert [tuple(int(x[i]) for x in got) for i in range(len(expected))] == expected
+        for i, values in enumerate(zip(*fields.values())):
+            scalar = call(ints, **dict(zip(fields, map(int, values))))
+            assert scalar[len(FIELD_LAYOUT):] == expected[i]
+        return arrays.__globals__
+
+    @pytest.mark.parametrize("mnemonic, shift", [("mul", 12), ("mulw", KQ_FRAC)])
+    def test_fused_shift_is_two_shifts(self, mnemonic, shift):
+        """floor(floor(x / 2^s) / 2^3) = floor(x / 2^(s + 3))"""
+        ops = [Op(mnemonic, "$p", ("iconst", "v")), Op("shr", "$p", ("$p", "3"))]
+        names = self.run_both(ops, ("$p",), lambda v, iconst: (((iconst * v) >> shift) >> 3,),
+                              v=V_FMT, iconst=ICONST_FMT)
+        assert f"_i{shift + 3}" in names and "_i3" not in names
+
+    def test_no_fused_shift_past_a_clip_or_a_second_reader(self):
+        ops = [Op("mul", "$p", ("v", "u")), Op("add", "$q", ("v", "iconst")),
+               Op("mul", "$r", ("$q", "iconst")), Op("add", "$s", ("$r", "$r")),
+               Op("shr", "$p", ("$p", "3")), Op("shr", "$r", ("$r", "3"))]
+        reg = lambda x: min(max(x, REG_FMT.min_raw), REG_FMT.max_raw)
+
+        def want(v, u, iconst):
+            r = ((v + iconst) * iconst) >> 12
+            return reg((v * u) >> 12) >> 3, r >> 3, 2 * r
+
+        names = self.run_both(ops, ("$p", "$r", "$s"), want, v=V_FMT, u=U_FMT, iconst=ICONST_FMT)
+        assert "_i3" in names and "_i15" not in names
+
+    @pytest.mark.parametrize("mnemonic, shift, k", [
+        ("mul", 12, 20480), ("mul", 12, -3 << 12), ("mul", 12, 1 << 12),
+        ("mulw", KQ_FRAC, 3 << KQ_FRAC), ("mul", 12, 20481),
+    ])
+    def test_product_by_a_multiple_of_its_rescale(self, monkeypatch, mnemonic, shift, k):
+        """(K * x) >> s = (K >> s) * x where 2^s divides K; other K keep the shift."""
+        monkeypatch.setitem(CONSTANTS, "@k", k)
+        names = self.run_both([Op(mnemonic, "$q", ("@k", "v"))], ("$q",),
+                              lambda v: ((k * v) >> shift,), v=V_FMT)
+        assert (f"_i{shift}" not in names) == (k % (1 << shift) == 0)
+
+
+def hoisting(form, *args):
+    """A compiled ``form`` on ``args`` (the fields, DA and the group
+    constants) and the values its ``hoist`` computes from them."""
+    n = len(FIELD_LAYOUT)
+    return form(*args, *form.hoist(*args[:n], *args[n + 1:]))
+
+
 def call(run, **fields):
     """``run`` on the given fields, every other field and input 0."""
-    return run(*(dict.fromkeys(FIELD_LAYOUT, 0) | fields).values(), *[0] * len(INPUTS))
+    return hoisting(run, *(dict.fromkeys(FIELD_LAYOUT, 0) | fields).values(), *[0] * len(INPUTS))
