@@ -31,11 +31,15 @@ from .config import check_duration, default_config_text, load_default_config, pa
 from .network import BACKENDS, STEP_INPUTS, ConfigError
 from .neuron import DT_MS, SimulationError
 from .schedule import (
+    ARRAYS,
+    INPUTS,
+    INTS,
     ScheduleError,
     compile_schedule,
     izhikevich_schedule,
     parse_schedule,
     plan_schedule,
+    run_corners,
     validate_schedule,
 )
 
@@ -198,7 +202,8 @@ def cmd_validate_schedule(args) -> int:
         origin = "shipped izhikevich-core schedule"
     violations = validate_schedule(schedule)
     if not violations:
-        compile_schedule(schedule)
+        for form, inputs in ((INTS, INPUTS), (ARRAYS, INPUTS), (ARRAYS, STEP_INPUTS)):
+            run_corners(compile_schedule(schedule, form, inputs=inputs), form, inputs)
         plan = plan_schedule(schedule)
         kept = sum(op.clips for op in plan)
         in_network = sum(op.clips for op in plan_schedule(schedule, STEP_INPUTS))

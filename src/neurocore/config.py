@@ -124,6 +124,12 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     parser.optionxform = str
     try:
         parser.read_string(text, source=source)
+    except configparser.ParsingError as exc:  # its message spans lines
+        # the first line rejected: one before any section, or one without '='
+        lineno = exc.lineno if hasattr(exc, "lineno") else exc.errors[0][0]
+        line = text.split("\n")[lineno - 1].strip()
+        message = f"{line!r} is not 'key = value' in a [section]"
+        raise ConfigError(f"{source}: line {lineno}: {message}") from exc
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -14,8 +14,8 @@ stays bit-for-bit equal to the scalar pipeline.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -51,13 +51,6 @@ class FixedFormat:
     def lsb(self) -> float:
         """Real value of one raw unit."""
         return 1.0 / self.scale
-
-    @cached_property
-    def _requantize(self) -> tuple:
-        # quantize_raw's zero, half, shift and bounds as 0-d int64 arrays
-        shift = Q12 - self.frac_bits
-        values = (0, 1 << (shift - 1), shift, self.min_raw, self.max_raw)
-        return tuple(np.array(x, dtype=np.int64) for x in values)
 
     def saturate(self, raw: int) -> int:
         if raw < self.min_raw:
@@ -95,6 +88,10 @@ ISYN_FMT = FixedFormat(24, Q12)
 ICONST_FMT = FixedFormat(16, Q12)
 DDOP_FMT = FixedFormat(16, Q12)
 DA_FMT = FixedFormat(16, 3)
+# The Q12 sums the accumulator port takes, DA_FMT's values at Q12: those that
+# round onto DA_FMT's grid without saturating.  No format spans this range.
+DA_PORT = namedtuple("RawRange", "min_raw max_raw")(
+    DA_FMT.min_raw << Q12 - DA_FMT.frac_bits, DA_FMT.max_raw << Q12 - DA_FMT.frac_bits)
 REG_FMT = FixedFormat(32, Q12)
 WEIGHT_FMT = FixedFormat(24, Q12)
 
@@ -205,10 +202,10 @@ def shl_raw(a, n: int, fmt: FixedFormat) -> np.ndarray:
 def quantize_raw(raw_q12, fmt: FixedFormat = DA_FMT) -> np.ndarray:
     """Requantize a Q12 raw sum onto a coarser fraction grid.
 
-    Round to nearest, ties away from zero, then saturate.  Used when the
-    per-step synaptic sum is handed to the dendrite-accumulator register.
-    For x < 0, ``(x + half - 1) >> s`` is -((-x + half) >> s), |x| rounded.
+    Round to nearest, ties away from zero, then saturate: the rounding the
+    shipped schedule's ``rnd`` applies to the accumulator's sum, kept for
+    the benchmark's probes.  For x < 0, ``(x + half - 1) >> s`` is
+    -((-x + half) >> s), |x| rounded.
     """
-    zero, half, shift, low, high = fmt._requantize
-    raw_q12 = np.asarray(raw_q12)
-    return ((raw_q12 + half - (raw_q12 < zero)) >> shift).clip(low, high)
+    shift, raw_q12 = Q12 - fmt.frac_bits, np.asarray(raw_q12)
+    return ((raw_q12 + (1 << shift - 1) - (raw_q12 < 0)) >> shift).clip(fmt.min_raw, fmt.max_raw)

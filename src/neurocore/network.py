@@ -7,17 +7,18 @@ row in connection order.  Each step runs strictly ordered phases:
 
   1. deliver the previous step's spikes: join their rows' slot ranges, cut
      once at the build, and sum the weights per neuron with one
-     ``np.bincount``; a step with nothing pending skips all of it and passes
-     a kept zero input instead,
+     ``np.bincount``, on the fixed backend the Q12 ``DA`` input that the
+     schedule rounds (clipped to ``DA_PORT`` where the build cannot bound it
+     there); a step with nothing pending passes a kept zero input instead,
   2. Poisson sources draw this step's spikes, each served from a block of
      steps its one kept generator draws at a time,
   3. one state update advances every neuron (synaptic decay, dopamine
      modulation, membrane update, threshold/reset); on the fixed backend it
      runs the array form of the schedule compiled, once at import, for the
      input ranges the build enforces,
-  4. one ``nonzero`` over the whole spike mask, cut at the population
-     bounds when any neuron spiked, gives the (population, indices) events,
-     which are recorded and delivered on the next step.
+  4. one ``nonzero`` over the whole spike mask gives the ids delivered on
+     the next step, which ``run`` records as they are and ``step`` cuts at
+     the population bounds into (population, indices) events.
 
 Spikes therefore take exactly one step of axonal delay at dt = 1/8 ms.
 Integer sums do not depend on order and float sums follow table order, so a
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import synapse as syn
-from .fxp import DA_FMT, DDOP_FMT, WEIGHT_FMT, encode_checked, quantize_raw, require_finite
+# quantize_raw has no caller here; the benchmark's probes wrap it by this name
+from .fxp import DA_PORT, DDOP_FMT, WEIGHT_FMT, encode_checked, quantize_raw, require_finite
 from .neuron import (
     CompartmentFields,
     NeuronParams,
@@ -55,8 +57,8 @@ _NO_IDS = np.empty(0, dtype=np.int64)
 _DRAW_BLOCK = 1 << 20  # random numbers one connection draws at a time
 MAX_IDS = (1 << 31) - 1  # pre and post ids are int32 in the synapse table
 # The ranges of the schedule inputs every step passes: the one decay raw,
-# beta as ``neuron.encode_neuron`` encodes it, DA from ``quantize_raw`` and
-# v_peak in v's field.  The array form compiled for them keeps only the
+# beta as ``neuron.encode_neuron`` encodes it, DA in ``DA_PORT`` and v_peak
+# in v's field.  The array form compiled for them keeps only the
 # clips that can bind here.
 STEP_INPUTS = INPUTS | {"@alpha": syn.alpha_fixed().raw, "@beta": DDOP_FMT}
 step_fields_network = compile_schedule(izhikevich_schedule(), ARRAYS, inputs=STEP_INPUTS)
@@ -160,19 +162,33 @@ class SynapseGroup:
 class SpikeRecord:
     """Append-only record of (step, population, neuron) spike events:
     ``append`` keeps the indices it is given, which must not change after,
-    and reading ``events`` adds them to its one list as Python ints."""
+    of one population or, given a ``(names, starts)`` table, ids to cut at
+    ``starts`` (None names one not recorded); reading ``events`` cuts them
+    and adds them to its one list as Python ints, in append order."""
 
     def __init__(self) -> None:
         self._events, self._appended = [], []
 
-    def append(self, step: int, population: str, indices) -> None:
+    def append(self, step: int, population: str | tuple, indices) -> None:
         self._appended.append((step, population, indices))
 
     @property
     def events(self) -> list[tuple[int, str, int]]:
-        self._events.extend((step, population, i) for step, population, indices in self._appended
-                            for i in np.asarray(indices).tolist())
-        self._appended.clear()
+        if self._appended:
+            steps, tables, indices = zip(*self._appended)
+            self._appended.clear()
+            # each table's ids moved 2**32 apart, so that one searchsorted cuts all
+            unique = {id(t): ((t,), (0,)) if isinstance(t, str) else t for t in tables}
+            shift = {key: k << 32 for k, key in enumerate(unique)}
+            names = [name for group, _ in unique.values() for name in group]
+            starts = np.array([shift[key] + x for key, (_, s) in unique.items() for x in s])
+            lengths = [len(x) for x in indices]
+            ids = np.concatenate([_NO_IDS, *(np.asarray(x, dtype=np.int64) for x in indices)])
+            ids += np.repeat([shift[id(t)] for t in tables], lengths)
+            where = starts.searchsorted(ids, "right") - 1
+            self._events.extend(event for event in zip(
+                np.repeat(steps, lengths).tolist(), [names[i] for i in where.tolist()],
+                (ids - starts[where]).tolist()) if event[1] is not None)
         return self._events
 
     def __len__(self) -> int:
@@ -276,14 +292,15 @@ class Network:
         # pre ids follow event order: the sources, then the neurons
         self._ids = _slices([specs[name] for name in self.sources] + neurons)
         self._first_neuron_id = sum(specs[name].size for name in self.sources)
-        # where each population starts, then where the last one ends
-        self._bounds = np.array([0] + [s.stop for s in self.slices.values()])
+        # every population and where it starts: what ``run`` records by default
+        self._table = (tuple(self.slices), tuple(s.start for s in self.slices.values()))
         if backend == "fixed":
             self.state, self._constants = _fixed_state(neurons)
         else:
             self.state = _FloatPop(neurons)
 
         pre_ids, post_ids, weights = [], [], []
+        reach = dict.fromkeys(self.slices, (0, 0))  # each population's least and most input
         for index, conn in enumerate(connections):
             route = f"connection {conn.pre} -> {conn.post}"
             unknown = [name for name in (conn.pre, conn.post) if name not in specs]
@@ -292,6 +309,8 @@ class Network:
             if conn.post in self.sources:
                 raise ConfigError(f"{route}: sources cannot receive input")
             weights.append(_weight_raw(conn.weight, route) if backend == "fixed" else conn.weight)
+            low, high, summed = *reach[conn.post], weights[-1] * specs[conn.pre].size
+            reach[conn.post] = (low + min(summed, 0), high + max(summed, 0))
             rng = np.random.default_rng([seed, 0x5EED, index])
             pre, post = build_connections(conn, specs[conn.pre].size, specs[conn.post].size, rng)
             pre_ids.append(np.add(pre, self._ids[conn.pre].start, dtype=np.int32))
@@ -310,6 +329,8 @@ class Network:
         weights = np.array(weights, dtype=np.int32 if backend == "fixed" else np.float64)
         self.synapses = SynapseGroup(indptr, post_idx, np.repeat(weights, counts)[order])
         self._pending = _NO_IDS
+        self._saturates = backend == "fixed" and any(
+            low < DA_PORT.min_raw or high > DA_PORT.max_raw for low, high in reach.values())
         # the input of a step with nothing to deliver: what an empty
         # delivery gives, a zero DA or a float +0.0 per neuron
         self._no_input = np.zeros(self.size, dtype=np.int64 if backend == "fixed" else float)
@@ -333,22 +354,26 @@ class Network:
     def synapse_count(self) -> int:
         return len(self.synapses.post_idx)
 
-    def step(self) -> list[tuple[str, np.ndarray]]:
-        """Advance one timestep; returns this step's (population, indices) events."""
+    def step(self, recording: tuple | None = None) -> list[tuple[str, np.ndarray]] | None:
+        """Advance one timestep; returns this step's (population, indices)
+        events.  Given ``run``'s ``(record, table, sources)``, it appends the
+        named sources' spikes and the spiking neurons' ids to the record instead."""
         # phase 1: deliver last step's spikes, if there are any
         if len(self._pending):
             table = self.synapses
             slots = table.targets_of(self._pending)
             acc = np.bincount(table.post_idx[slots], table.weight[slots], minlength=self.size)
-            if self.backend == "fixed":
-                acc = quantize_raw(acc.astype(np.int64), DA_FMT)
+            if self.backend == "fixed":  # the Q12 sum, which the schedule rounds
+                acc = acc.astype(np.int64)
+                if self._saturates:  # rounding is monotone: past the port, as at its ends
+                    acc = acc.clip(DA_PORT.min_raw, DA_PORT.max_raw)
         else:
             acc = self._no_input
 
         # phase 2: sources draw
-        events: list[tuple[str, np.ndarray]] = []
+        step_now, events = self.step_index, []
         for source in self.sources.values():
-            indices = source.spikes_at(self.step_index, self.seed)
+            indices = source.spikes_at(step_now, self.seed)
             if len(indices):
                 events.append((source.name, indices))
 
@@ -361,18 +386,27 @@ class Network:
         else:
             spiked = self.state.step(acc)
 
-        # phase 4: cut the spiking neurons at the population bounds into
-        # events, and hand every spike to the next step
+        # phase 4: hand every spike to the next step as a pre id, and record
+        # the spiking neurons' ids or cut them at the population bounds
         spiking = spiked.nonzero()[0]
         ids = [indices + self._ids[name].start for name, indices in events]
         if len(spiking):
-            cuts = np.searchsorted(spiking, self._bounds).tolist()
+            ids.append(spiking + self._first_neuron_id)
+        self._pending = np.concatenate(ids) if ids else _NO_IDS
+        self.step_index += 1
+        if recording is not None:
+            record, table, sources = recording
+            for name, indices in events:
+                if name in sources:
+                    record.append(step_now, name, indices)
+            if len(spiking):
+                record.append(step_now, table, spiking)
+            return None
+        if len(spiking):
+            cuts = np.searchsorted(spiking, [*self._table[1], self.size]).tolist()
             for (name, where), lo, hi in zip(self.slices.items(), cuts, cuts[1:]):
                 if hi > lo:
                     events.append((name, spiking[lo:hi] - where.start))
-            ids.append(spiking + self._first_neuron_id)
-        self._pending = np.concatenate([_NO_IDS, *ids])
-        self.step_index += 1
         return events
 
     def run(
@@ -388,11 +422,12 @@ class Network:
         """
         if steps < 0:
             raise ConfigError(f"steps must be >= 0, got {steps}")
-        recorded = set(self.slices) if record is None else set(record)
         out = into if into is not None else SpikeRecord()
+        recording = (out, self._table, ())
+        if record is not None:
+            recorded = set(record)
+            names = tuple(name if name in recorded else None for name in self.slices)
+            recording = (out, (names, self._table[1]), recorded.intersection(self.sources))
         for _ in range(steps):
-            step_now = self.step_index
-            for name, indices in self.step():
-                if name in recorded:
-                    out.append(step_now, name, indices)
+            self.step(recording)
         return out

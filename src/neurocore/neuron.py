@@ -215,6 +215,7 @@ def encode_neuron(
 
 _VPEAK_RAW = encode(V_PEAK_DEFAULT, V_FMT).raw
 _field_values = attrgetter(*FIELD_LAYOUT)
+_FIELD_INDEX = {name: i for i, name in enumerate(FIELD_LAYOUT)}
 
 _SCHEDULE = izhikevich_schedule()
 # step(*fields, DA, alpha, beta, v_peak, *step.hoist(*fields, alpha, beta,
@@ -234,7 +235,8 @@ def step_fixed(
 ) -> tuple[CompartmentWords, bool]:
     """One step of the shipped block schedule on one compartment.
 
-    ``da_input`` is the dendrite-accumulator value (3 fraction bits),
+    ``da_input`` is the summed synaptic input at up to 12 fraction bits (a
+    ``DA_FMT`` value, or a Q12 sum the schedule rounds onto that grid),
     ``alpha`` the synaptic decay factor; ``beta`` and ``v_peak`` are
     group-level constants shared by all compartments of a neuron group.
     Everything else lives in the packed state words.  Each raw value must
@@ -242,7 +244,7 @@ def step_fixed(
     compiled for.
     """
     inputs = (
-        da_input.raw,
+        da_input.raw << Q12 - da_input.fmt.frac_bits,
         alpha.raw,
         0 if beta is None else beta.raw,
         _VPEAK_RAW if v_peak is None else v_peak.raw,
@@ -267,9 +269,10 @@ def step_fixed_batch(
     """One step of the shipped block schedule on a whole population; mutates
     ``batch`` in place.
 
-    ``da_raw`` is the per-neuron accumulator value at 3 fraction bits; each
-    field of ``batch`` must hold an int64 array of values of its format, and
-    each other argument values of the range the schedule was compiled for:
+    ``da_raw`` is the per-neuron summed synaptic input at Q12, which the
+    schedule rounds onto the accumulator grid; each field of ``batch`` must
+    hold an int64 array of values of its format, and each other argument
+    values of the range the schedule was compiled for:
     the ``schedule.INPUTS`` ranges of ``step_fields_batch``, or those of
     ``compiled``, an array form compiled for narrower ranges that runs in
     its place, with ``hoisted``, what its ``hoist`` returns for ``batch``
@@ -279,6 +282,6 @@ def step_fixed_batch(
     if hoisted is None:
         hoisted = step.hoist(*fields, alpha_raw, beta_raw, v_peak_raw)
     *fields, spiked = step(*fields, da_raw, alpha_raw, beta_raw, v_peak_raw, *hoisted)
-    for name, values in zip(FIELD_LAYOUT, fields):
-        setattr(batch, name, values)
+    for name in step.writes:
+        setattr(batch, name, fields[_FIELD_INDEX[name]])
     return spiked

@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .analysis import SpikeTrain, cv_isi
-from .fxp import DA_FMT, V_FMT, encode
+from .fxp import DA_FMT, Q12, V_FMT, encode
 from .neuron import (
     DT_MS,
     NeuronParams,
@@ -123,9 +123,9 @@ def _run_fixed(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, li
     hoisted = step_fields.hoist(*fields, 0, 0, v_peak)
     v_mv, spikes = [], []
     for ms, current in protocol:
-        # the stimulus enters through the accumulator port with decay off
-        # (alpha 0) and no dopamine gain (beta 0)
-        da = encode(current, DA_FMT).raw
+        # the stimulus enters through the accumulator port, as a Q12 sum on
+        # its grid, with decay off (alpha 0) and no dopamine gain (beta 0)
+        da = encode(current, DA_FMT).raw << Q12 - DA_FMT.frac_bits
         for _ in range(round(ms / DT_MS)):
             *fields, spiked = step_fields(*fields, da, 0, 0, v_peak, *hoisted)
             if spiked:

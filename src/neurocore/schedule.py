@@ -8,7 +8,7 @@ are spilled through registers.  Identifier conventions in the ops:
     bare name   compartment-state field (``v``, ``u``, ``a`` ...)
     ``$name``   register
     ``@name``   group-level constant
-    ``DA``      the dendrite-accumulator input port
+    ``DA``      the dendrite-accumulator input port, a Q12 sum
     digits      an ASCII decimal literal (shift counts)
 
 The shipped schedule, ``data/izhikevich_schedule.txt``, *is* the fixed-point
@@ -17,8 +17,10 @@ straight-line Python function from it, and :mod:`neurocore.neuron` runs that
 function on one compartment's unpacked fields (Python ints) and on whole
 populations (int64 arrays).  The ops are ``mov``, ``add``, ``sub``, ``mul``
 (product ``>> 12``), ``mulw`` (product ``>> KQ_FRAC``), ``shl``, ``shr``
-(arithmetic), ``gt`` (a 0/1 flag) and ``sel d <- f, x, y`` (``x`` if ``f``
-else ``y``).  Every write saturates to its destination, a field to its
+(arithmetic), ``rnd`` (to whole ``DA_FMT`` units, ties away from zero, and
+their range ``DA_PORT``: what the shipped text does to the Q12 sum ``DA``
+takes), ``gt`` (a 0/1 flag) and ``sel d <- f, x, y`` (``x`` if ``f`` else
+``y``).  Every write saturates to its destination, a field to its
 ``FIELD_FORMATS`` format and a register to ``REG_FMT``, except where an
 interval analysis from the known range of every field, input and constant
 shows the clip can never bind.  The input ranges are an argument of the
@@ -43,6 +45,7 @@ from .fxp import (
     AB_FMT,
     CD_FMT,
     DA_FMT,
+    DA_PORT,
     DDOP_FMT,
     ICONST_FMT,
     ISYN_FMT,
@@ -92,7 +95,7 @@ CONSTANTS = {
 # The input port and the group constants passed on every call, in the order
 # the compiled function takes them after the fields, each with the range the
 # compiler assumes for it by default.  ``@beta`` may span the whole register.
-INPUTS = {"DA": DA_FMT, "@alpha": ISYN_FMT, "@beta": REG_FMT, "@vpeak": V_FMT}
+INPUTS = {"DA": DA_PORT, "@alpha": ISYN_FMT, "@beta": REG_FMT, "@vpeak": V_FMT}
 
 
 class ScheduleError(ValueError):
@@ -253,8 +256,9 @@ def izhikevich_schedule() -> BlockSchedule:
 # Compiler
 # ---------------------------------------------------------------------------
 
-# Python source of each op's value (``sel``'s is the Form's) before any
-# rescale shift and, for the interval analysis, its unscaled int result
+_GRID = 1 << Q12 - DA_FMT.frac_bits  # one DA_FMT unit at Q12, the grid ``rnd`` rounds to
+# Python source of each op's value (``sel``'s and ``rnd``'s are the Form's)
+# before any rescale shift and, for the interval analysis, its unscaled int result
 _OPS = {
     "mov": ("{0}", None),
     "add": ("{0} + {1}", operator.add),
@@ -264,8 +268,9 @@ _OPS = {
     "shl": ("{0} << {1}", operator.lshift),
     "shr": ("{0} >> {1}", operator.rshift),
     "gt": ("{0} > {1}", None),
+    "rnd": (None, lambda x: (x + _GRID // 2 - (x < 0)) & -_GRID),
 }
-_ARITY = {name: 1 if name == "mov" else 2 for name in _OPS} | {"sel": 3}
+_ARITY = {name: 1 if name in ("mov", "rnd") else 2 for name in _OPS} | {"sel": 3}
 _RESCALE = {"mul": Q12, "mulw": KQ_FRAC}
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _NAME = re.compile(r"[$@][A-Za-z_]\w*", re.ASCII)
@@ -274,16 +279,19 @@ _NAME = re.compile(r"[$@][A-Za-z_]\w*", re.ASCII)
 @dataclass(frozen=True)
 class Form:
     """How generated code clips a local ``{x}`` to a ``{bound}`` (with
-    ``clip``, to both in one statement) and selects ``{1}`` where ``{0}``
-    else ``{2}``, for one kind of value; ``names`` are the globals that code
-    looks up.  It tests with ``none_set`` that no ``{0}`` is set, where a
-    ``skip`` select returns ``{2}``, and a ``bind`` form binds every integer
-    once as a 0-d int64 array global, not a literal."""
+    ``clip``, an array to both in one statement), selects ``{1}`` where
+    ``{0}`` else ``{2}`` and rounds ``{0}`` half away from zero to a unit's
+    multiple (``{1}`` half the unit, ``{2}`` minus it, ``{3}`` zero), for one
+    kind of value; ``names`` are the globals that code looks up.  It tests
+    with ``none_set`` that no ``{0}`` is set, where a ``skip`` select returns
+    ``{2}``, and a ``bind`` form binds every integer once as a 0-d int64
+    array global, not a literal."""
 
     lower: str
     upper: str
     select: str
     none_set: str
+    round: str
     names: dict = field(default_factory=dict)
     clip: str | None = None
     bind: bool = False
@@ -294,12 +302,14 @@ INTS = Form(
     upper="if {x} > {bound}: {x} = {bound}",
     select="{1} if {0} else {2}",
     none_set="not {0}",
+    round="-(({1} - {0}) & {2}) if {0} < 0 else ({0} + {1}) & {2}",  # a branch: cheaper here
 )
 ARRAYS = Form(
     lower="{x} = _maximum({x}, {bound})",
     upper="{x} = _minimum({x}, {bound})",
     select="_where({0}, {1}, {2})",
     none_set="not _count_nonzero({0})",
+    round="({0} + {1} - ({0} < {3})) & {2}",  # x < 0: (x + half - 1) rounds |x| half up
     names={"_maximum": np.maximum, "_minimum": np.minimum, "_where": np.where,
            "_count_nonzero": np.count_nonzero},
     clip="{x} = {x}.clip({lower}, {upper})",  # one call, not two
@@ -310,8 +320,9 @@ ARRAYS = Form(
 @dataclass(frozen=True)
 class PlannedOp:
     """One op as generated code runs it: the Python local it writes, its
-    operands as Python locals or integers, and each bound of its clip that
-    can bind (None where the interval analysis shows it never does).  A
+    operands as Python locals or integers, each bound of its clip that can
+    bind (None where the interval analysis shows it never does) and whether
+    it is ``shaped``, an array in the array form whatever the inputs.  A
     ``skip`` ``sel d <- f, x, y`` may return ``y`` where no ``f`` is set: ``y``
     is a population-shaped array of ``where``'s dtype in ``d``'s format, ``d`` if a field."""
 
@@ -321,6 +332,7 @@ class PlannedOp:
     lower: int | None
     upper: int | None
     skip: bool
+    shaped: bool
 
     @property
     def clips(self) -> bool:
@@ -357,8 +369,8 @@ def _interval(mnemonic: str, operands: list, where: str, square: bool = False) -
     """
     if mnemonic == "gt":
         return 0, 1
-    if mnemonic == "mov":
-        lo, hi = operands[0]
+    if mnemonic in ("mov", "rnd"):
+        lo, hi = map(_OPS[mnemonic][1] or int, operands[0])
     elif mnemonic == "sel":
         (lo1, hi1), (lo2, hi2) = operands[1:]
         lo, hi = min(lo1, lo2), max(hi1, hi2)
@@ -414,10 +426,13 @@ def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[Planne
                 raise ScheduleError(f"{where}: {op.dest!r} cannot be written")
             square = op.mnemonic in _RESCALE and op.sources[0] == op.sources[1]
             lo, hi = _interval(op.mnemonic, [span for _, span in operands], where, square)
-            clip = lambda x: min(max(x, fmt.min_raw), fmt.max_raw)
+            low, high = fmt.min_raw, fmt.max_raw
+            if op.mnemonic == "rnd":
+                low, high = max(low, DA_PORT.min_raw), min(high, DA_PORT.max_raw)
+            clip = lambda x: min(max(x, low), high)
             y, (y_lo, y_hi) = op.sources[-1], operands[-1][1]
-            skip = (op.mnemonic == "sel" and y in shaped and fmt.min_raw <= y_lo
-                    and y_hi <= fmt.max_raw and (op.dest == y or op.dest not in FIELD_FORMATS)
+            skip = (op.mnemonic == "sel" and y in shaped and low <= y_lo
+                    and y_hi <= high and (op.dest == y or op.dest not in FIELD_FORMATS)
                     and (y not in flags or op.sources[1] in flags))
             known[op.dest] = _local(op.dest), (clip(lo), clip(hi))
             (shaped.add if shaped.intersection(op.sources) else shaped.discard)(op.dest)
@@ -426,8 +441,7 @@ def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[Planne
             (flags.add if op.mnemonic == "gt" or kept else flags.discard)(op.dest)
             plan.append(PlannedOp(
                 _local(op.dest), op.mnemonic, tuple(src for src, _ in operands),
-                fmt.min_raw if lo < fmt.min_raw else None,
-                fmt.max_raw if hi > fmt.max_raw else None, skip,
+                low if lo < low else None, high if hi > high else None, skip, op.dest in shaped,
             ))
     return plan
 
@@ -446,7 +460,8 @@ def compile_schedule(
     the ops that read only literals, constants, ``@`` inputs, fields never
     written and such values (``$mod``, ``$gain``), which a caller computes
     once while they hold.  It returns the fields in the same order and the
-    registers named in ``results``.  Registers are locals, each clip the
+    registers named in ``results`` (``step.writes`` names the fields it
+    writes).  Registers are locals, each clip the
     interval analysis keeps is inline, and ``form`` says how clips, ``sel``
     and integers are written: ``INTS`` for Python ints, ``ARRAYS`` for int64
     arrays.  Exact rewrites drop operations: a product by a multiple of its
@@ -506,8 +521,10 @@ def compile_schedule(
 
     def emit(i: int, indent: str, args: tuple) -> list[str]:
         op, clip = plan[i], plan[fused.get(i, i)]
-        value = (form.select if op.mnemonic == "sel" else _OPS[op.mnemonic][0]).format(
-            *map(source, args))
+        if op.mnemonic == "rnd":
+            args = (args[0], _GRID // 2, -_GRID, 0)
+        template = {"sel": form.select, "rnd": form.round}.get(op.mnemonic)
+        value = (template or _OPS[op.mnemonic][0]).format(*map(source, args))
         if op.mnemonic in _RESCALE:
             k, x = args if isinstance(args[0], int) else args[::-1]
             shift = _RESCALE[op.mnemonic]
@@ -517,7 +534,7 @@ def compile_schedule(
             value = f"({value}) >> {source(shift)}" if shift else value
         lines = [f"{indent}{op.dest} = {value}"]
         lo, hi = (None if bound is None else source(bound) for bound in (clip.lower, clip.upper))
-        if form.clip and lo is not None and hi is not None:
+        if form.clip and lo is not None and hi is not None and clip.shaped:
             return [*lines, indent + form.clip.format(x=op.dest, lower=lo, upper=hi)]
         sides = ((form.lower, lo), (form.upper, hi))
         return lines + [indent + t.format(x=op.dest, bound=b) for t, b in sides if b is not None]
@@ -548,5 +565,21 @@ def compile_schedule(
     lines += function(f"step({', '.join([*fields, *map(_local, inputs), *passed])})", rest,
                       ", ".join([*fields, *map(_local, results)]))
     exec(compile("\n".join(lines) + "\n", "<schedule>", "exec"), namespace)
-    namespace["step"].hoist = namespace["hoist"]
-    return namespace["step"]
+    step = namespace["step"]
+    step.hoist, step.writes = namespace["hoist"], tuple(f for f in FIELD_FORMATS if f in dests)
+    return step
+
+
+def run_corners(step, form: Form = INTS, inputs: dict = INPUTS) -> None:
+    """Run ``step``, compiled as ``form`` for ``inputs``, and its ``hoist`` at
+    both ends of every field's and input's range, each ``@`` input a Python
+    int; raises ScheduleError where it fails, a defect of this compiler."""
+    ends = {k: (x, x) if isinstance(x, int) else (x.min_raw, x.max_raw)
+            for k, x in {**FIELD_FORMATS, **inputs}.items()}
+    for end in (0, 1):
+        args = {k: np.array(x) if form.bind and k[0] != "@" else x[end] for k, x in ends.items()}
+        try:
+            step(*args.values(), *step.hoist(*(x for k, x in args.items() if k != "DA")))
+        except Exception as exc:  # reported as a schedule that does not run
+            kind = "array" if form.bind else "int"
+            raise ScheduleError(f"the {kind} form fails to run: {exc!r}") from exc

@@ -2,10 +2,10 @@
 
 The per-step synaptic input of a neuron is the sum of the weights of all
 pre-synaptic spikes delivered that step.  On the fixed-point backend the
-weights are held at 12 fraction bits and the network requantises the sum
-onto the 3-fraction-bit dendrite-accumulator grid
-(:func:`neurocore.fxp.quantize_raw`) before it enters the neuron.  The
-synaptic current then decays exponentially and is modulated by dopamine:
+weights are held at 12 fraction bits and the network passes their Q12 sum
+to the neuron; the first op of the shipped block schedule requantises it
+onto the 3-fraction-bit dendrite-accumulator grid.  The synaptic current
+then decays exponentially and is modulated by dopamine:
 
     I_syn[t+dt] = alpha * I_syn[t] + (accumulated input)
     I[t]        = I_const + I_syn[t] * (1 + beta * delta_dop)
@@ -17,7 +17,7 @@ streams keyed by (seed, source, step): each source keeps one generator,
 keyed and set at the step with its whole state reset for every step it
 draws, so spike trains are reproducible under any execution order.  A
 source draws a block of steps at a time, a fixed count of random numbers,
-and serves each step's spikes from it.
+and serves each step's spikes from it as a view kept at the draw.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _raw_limit(p: float) -> int:
 
 class _StepDraws:
     """A source's one kept generator and its block of drawn steps: the spikes
-    of step ``first + k`` are ``spikes[cuts[k]:cuts[k + 1]]``."""
+    of step ``first + k`` are ``rows[k]``, read-only views of one array."""
 
     def __init__(self, stream_id: int):
         self.philox = np.random.Philox(0)  # every row sets its whole state
@@ -83,7 +83,7 @@ class _StepDraws:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self.seed, self.first, self.cuts, self.spikes = None, 0, [0], None
+        self.seed, self.first, self.rows = None, 0, []
 
     def refill(self, step: int, seed: int, size: int, p: float) -> None:
         """Draw the steps from ``step`` on, ``_BLOCK_NUMBERS`` numbers' worth,
@@ -102,7 +102,8 @@ class _StepDraws:
         cuts = spikes.searchsorted(np.arange(0, rows * size + 1, size)).tolist()
         spikes %= size
         spikes.flags.writeable = False  # callers share the served rows
-        self.seed, self.first, self.cuts, self.spikes = seed, step, cuts, spikes
+        self.seed, self.first = seed, step
+        self.rows = [spikes[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 @dataclass(frozen=True)
@@ -140,12 +141,12 @@ class PoissonSource:
         on, a fixed count of numbers in whole steps.  Two threads must not
         draw from one source at once.
         """
+        draws = self._draws
+        row = step - draws.first
+        if seed == draws.seed and 0 <= row < len(draws.rows):
+            return draws.rows[row]
         p = self.spike_probability()
         if p == 0.0:
             return np.empty(0, dtype=np.int64)
-        draws = self._draws
-        row = step - draws.first
-        if seed != draws.seed or not 0 <= row < len(draws.cuts) - 1:
-            draws.refill(step, seed, self.size, p)
-            row = 0
-        return draws.spikes[draws.cuts[row]:draws.cuts[row + 1]]
+        draws.refill(step, seed, self.size, p)
+        return draws.rows[0]

@@ -4,11 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import neurocore
+from neurocore import schedule
 from neurocore.cli import main
 
 
@@ -226,7 +229,46 @@ class TestInvalidCircuit:
         assert not out_dir.exists()
 
 
+class TestUnparseableConfig:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: "x = 1\n" + text,
+             "small.cfg: line 1: 'x = 1' is not 'key = value' in a [section]"),
+            (lambda text: text.replace("size = 20", "size 20", 1),
+             "'size 20' is not 'key = value' in a [section]"),
+        ],
+        ids=["key-before-any-section", "line-without-equals"],
+    )
+    def test_one_error_line(self, tmp_path, capsys, edit, message):
+        """configparser's messages for these two span several lines."""
+        cfg = small_config(tmp_path)
+        cfg.write_text(edit(cfg.read_text()))
+        out_dir = tmp_path / "o"
+        assert main(["gonogo", "--config", str(cfg), "--out", str(out_dir)]) == 2
+        line = single_error_line(capsys)
+        assert message in line and "small.cfg: line " in line
+        assert not out_dir.exists()
+
+
 class TestValidateSchedule:
+    def test_schedule_whose_clip_reads_only_inputs_runs(self, tmp_path, capsys):
+        """Ops on group inputs alone, in ``step`` and in ``hoist``, whose
+        one-call clip once raised on Python ints: the forms now run."""
+        text = resources.files("neurocore").joinpath("data/izhikevich_schedule.txt").read_text()
+        for op in ("sub isyn <- @alpha, @beta", "sub $k <- @alpha, @beta"):
+            path = tmp_path / "inputs.sched"
+            anchor = "op: mov isyn <- $isyn\n"
+            path.write_text(text.replace(anchor, f"{anchor}op: {op}\n"))
+            assert main(["validate-schedule", "--schedule", str(path)]) == 0
+            assert "compiles; 14 of 37 clips kept" in capsys.readouterr().out
+
+    def test_form_that_fails_to_run_exits_2(self, monkeypatch, capsys):
+        broken = replace(schedule.ARRAYS, clip="{x} = {x}.no_such_clip({lower}, {upper})")
+        monkeypatch.setattr(neurocore.cli, "ARRAYS", broken)
+        assert main(["validate-schedule"]) == 2
+        assert "the array form fails to run: AttributeError" in single_error_line(capsys)
+
     def test_shipped_schedule_ok(self, capsys):
         assert main(["validate-schedule"]) == 0
         out = capsys.readouterr().out

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neurocore import network
+from neurocore.bg import build_bg
+from neurocore.config import load_default_config
+from neurocore.fxp import DA_FMT, DA_PORT, Fixed, quantize_raw
 from neurocore.network import (
     ConfigError,
     ConnectionSpec,
@@ -15,7 +18,16 @@ from neurocore.network import (
     PopulationSpec,
     build_connections,
 )
-from neurocore.neuron import NeuronParams, SimulationError, initial_state, step_float
+from neurocore.neuron import (
+    CompartmentFields,
+    NeuronParams,
+    SimulationError,
+    initial_state,
+    pack,
+    step_fixed,
+    step_float,
+)
+from neurocore.synapse import alpha_fixed
 
 RS = NeuronParams(a=0.02, b=0.2, c=-65, d=8)
 
@@ -418,3 +430,75 @@ class TestValidation:
             Network(pops, conns, backend="fixed")
         # the float backend has no fields to saturate
         Network(pops, conns, backend="float").run(5)
+
+
+class TestRunRecordsWhatStepReturns:
+    """``run`` records each step's spiking neurons as one array of ids, cut
+    into populations only when the record is read; its events equal those
+    ``step`` returns, cut at every step, over one second of the shipped
+    circuit at seed 1."""
+
+    STEPS = 8000  # one second
+
+    @pytest.fixture(scope="class")
+    def stepped(self):
+        net = build_bg(replace(load_default_config(), seed=1))
+        return [(t, name, i) for t in range(self.STEPS)
+                for name, indices in net.step() for i in indices.tolist()]
+
+    @pytest.mark.parametrize("record", [{"STN", "GPe"}, {"G_Ctx1", "STN"}],
+                             ids=["subset", "source-named"])
+    def test_recorded_populations(self, stepped, record):
+        got = build_bg(replace(load_default_config(), seed=1)).run(self.STEPS, record=record)
+        assert got.events == [event for event in stepped if event[1] in record]
+        assert {pop for _, pop, _ in got.events} == record
+
+    def test_default_record_reused_across_runs(self, stepped):
+        net, record = build_bg(replace(load_default_config(), seed=1)), network.SpikeRecord()
+        want = [event for event in stepped if event[1] in net.slices]
+        lengths = [1, 7, 992, 3000, 1, 3999]
+        for steps in lengths:
+            assert net.run(steps, into=record) is record
+            assert len(record) == sum(1 for t, _, _ in want if t < net.step_index)
+        assert sum(lengths) == self.STEPS and record.events == want
+
+
+def words(state, i):
+    """The packed state words of neuron ``i`` of a fixed-backend state."""
+    return pack(CompartmentFields(**{k: int(x[i]) for k, x in vars(state).items()}))
+
+
+def test_sums_past_the_port_saturate_as_quantize_raw_did(monkeypatch):
+    """A circuit whose summed input can leave ``DA_PORT``: the build clips
+    each sum to the port, where it requantises (``fxp.quantize_raw``, what
+    the network passed before the schedule rounded) as the sum itself does,
+    and every neuron ends each step where the scalar stepper takes it from
+    that accumulator value."""
+    pops = [PopulationSpec("up", 40, rate_hz=4000.0), PopulationSpec("down", 40, rate_hz=4000.0),
+            PopulationSpec("A", 30, params=RS), PopulationSpec("B", 30, params=RS)]
+    conns = [ConnectionSpec("up", "A", 2047.0, 0.5), ConnectionSpec("down", "A", -2048.0, 0.5),
+             ConnectionSpec("up", "B", 0.3, 0.5), ConnectionSpec("down", "B", -0.05, 0.5)]
+    net = Network(pops, conns, seed=5)
+    assert net._saturates and not build_bg(replace(load_default_config(), seed=1))._saturates
+    passed, step_fixed_batch = [], network.step_fixed_batch
+
+    def passing(batch, da, *args, **kwargs):
+        passed.append(da)
+        return step_fixed_batch(batch, da, *args, **kwargs)
+
+    monkeypatch.setattr(network, "step_fixed_batch", passing)
+    table, past = net.synapses, 0
+    for _ in range(6):
+        sums = np.zeros(net.size, dtype=np.int64)
+        for pre in net._pending.tolist():
+            for slot in range(table.indptr[pre], table.indptr[pre + 1]):
+                sums[table.post_idx[slot]] += int(table.weight[slot])
+        past += np.count_nonzero((sums < DA_PORT.min_raw) | (sums > DA_PORT.max_raw))
+        before = [words(net.state, i) for i in range(net.size)]
+        net.step()
+        assert DA_PORT.min_raw <= passed[-1].min() and passed[-1].max() <= DA_PORT.max_raw
+        assert np.array_equal(quantize_raw(passed[-1]), quantize_raw(sums))
+        for i, start in enumerate(before):
+            want, _ = step_fixed(start, Fixed(int(quantize_raw(sums[i])), DA_FMT), alpha_fixed())
+            assert words(net.state, i) == want
+    assert past > 20

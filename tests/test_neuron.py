@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from neurocore import network, neuron
-from neurocore.fxp import DA_FMT, DDOP_FMT, ISYN_FMT, REG_FMT, U_FMT, V_FMT, Fixed, encode
+from neurocore.fxp import DA_FMT, DA_PORT, DDOP_FMT, ISYN_FMT, REG_FMT, U_FMT, V_FMT, Fixed, encode
 from neurocore.neuron import (
     CompartmentFields,
     NeuronParams,
@@ -223,7 +223,7 @@ class TestStepFixed:
 
     @pytest.mark.parametrize(
         "da, alpha",
-        [(Fixed(DA_FMT.max_raw + 1, REG_FMT), alpha_fixed()), (Fixed(0, DA_FMT), Fixed(1 << 24, REG_FMT))],
+        [(Fixed(DA_PORT.max_raw + 1, REG_FMT), alpha_fixed()), (Fixed(0, DA_FMT), Fixed(1 << 24, REG_FMT))],
         ids=["da", "alpha"],
     )
     def test_input_outside_compiled_range_rejected(self, da, alpha):
@@ -291,7 +291,7 @@ def test_golden_corner_scalar(case):
 def test_golden_corner_batch(case):
     (fields, da, beta), (isyn, v, u, spiked) = GOLDEN[case]
     batch = CompartmentFields(**{k: np.array([x], dtype=np.int64) for k, x in fields.items()})
-    got = step_fixed_batch(batch, np.array([da], dtype=np.int64), alpha_fixed().raw, beta or 0)
+    got = step_fixed_batch(batch, np.array([da << 9], dtype=np.int64), alpha_fixed().raw, beta or 0)
     assert (batch.isyn[0], batch.v[0], batch.u[0], bool(got[0])) == (isyn, v, u, spiked)
 
 
@@ -307,7 +307,7 @@ def test_full_range_states_match_recorded_digest():
         da = draw(16, 10)
         alpha, beta, v_peak = (int(draw(w, 1)[0]) for w in (16, 16, 24))
         batch = CompartmentFields(**{k: x.astype(np.int64) for k, x in fields.items()})
-        spiked = step_fixed_batch(batch, da, alpha, beta, v_peak_raw=v_peak)
+        spiked = step_fixed_batch(batch, da << 9, alpha, beta, v_peak_raw=v_peak)
         for i in range(10):
             words, s = step_fixed(
                 pack(CompartmentFields(**{k: int(x[i]) for k, x in fields.items()})),
@@ -371,7 +371,7 @@ def test_array_forms_match_scalar_when_few_flags_are_set(form, crossing):
         crossing, batch["v"][4] = 4, v_peak + 4096
     elif crossing is not None:
         batch["v"][crossing] = v_peak - 1  # just below the peak: crosses now
-    da = rng.integers(-8, 8, n)
+    da = rng.integers(-8, 8, n) << 9
     inputs = (da, alpha_fixed().raw, np.full(n, beta), np.full(n, v_peak))
     *got, spiked = hoisting(run, *batch.values(), *inputs)
     assert spiked.dtype == bool
@@ -415,8 +415,9 @@ def test_schedule_text_is_what_runs(monkeypatch):
     def run_all(network_form):
         scalar = step_fixed(words, da, alpha_fixed())
         trials = [CompartmentFields(**vars(batch)) for _ in range(2)]
-        step_fixed_batch(trials[0], np.full(3, da.raw), alpha_fixed().raw)
-        step_fixed_batch(trials[1], np.full(3, da.raw), alpha_fixed().raw, compiled=network_form)
+        step_fixed_batch(trials[0], np.full(3, da.raw << 9), alpha_fixed().raw)
+        step_fixed_batch(trials[1], np.full(3, da.raw << 9), alpha_fixed().raw,
+                         compiled=network_form)
         return scalar, trials[0].v.tolist(), trials[1].v.tolist()
 
     shipped = run_all(network.step_fields_network)
@@ -445,7 +446,7 @@ class TestBatchAgreesWithScalar:
         scalar_words = [words_of(batch, i) for i in range(n)]
         for step in range(50):
             spiked = step_fixed_batch(
-                batch, da, alpha.raw, beta.raw
+                batch, da << 9, alpha.raw, beta.raw
             )
             for i in range(n):
                 scalar_words[i], scalar_spiked = step_fixed(
@@ -460,7 +461,7 @@ class TestBackendAgreement:
     def test_first_spike_within_two_steps(self, params):
         state = initial_state(params, v0=-70.0)
         batch = population(params, 1, v0=-70.0)
-        da = np.array([encode(10.0, DA_FMT).raw], dtype=np.int64)
+        da = np.array([encode(10.0, DA_FMT).raw << 9], dtype=np.int64)
         first_float = first_fixed = None
         for t in range(8000):
             if first_float is None:

@@ -183,7 +183,7 @@ class TestCompiler:
             Op("add", "v", ("v", "u")),  # but not the 24-bit field
             Op("mul", "$full", ("@beta", "v")),  # beyond the register both ways
             Op("add", "$up", ("@one", "$full")),  # then only above: @one > 0
-            Op("mul", "$in", ("@alpha", "DA")),  # known input ranges
+            Op("add", "$in", ("@alpha", "DA")),  # known input ranges
         ))}
         assert not ops["r_wide"].clips
         assert (ops["v"].lower, ops["v"].upper) == (V_FMT.min_raw, V_FMT.max_raw)
