@@ -103,13 +103,13 @@ SCHEDULES = {"shipped": (TEXT, ("$spk",)),
              "saturating-rnd": (mutant("rnd $k <- $decay"), ("$spk", "$k"))}
 
 
-@pytest.mark.parametrize("text", SCHEDULES.values(), ids=SCHEDULES)
+@pytest.mark.parametrize("name", SCHEDULES)
 @pytest.mark.parametrize("inputs", [INPUTS, network.STEP_INPUTS], ids=["full-range", "network"])
-def test_compiled_forms_equal_the_interpreter(text, inputs):
-    text, results = text
+def test_compiled_forms_equal_the_interpreter(name, inputs):
     """``INTS`` on Python ints, and ``ARRAYS`` with the group inputs as
     per-neuron arrays and as Python ints, each with its ``hoist``, equal the
     interpreter on states drawn over every range."""
+    text, results = SCHEDULES[name]
     schedule = parse_schedule(text)
     rng = np.random.default_rng(20261019)
     n, batches = 200, 8
