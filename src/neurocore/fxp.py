@@ -205,7 +205,9 @@ def quantize_raw(raw_q12, fmt: FixedFormat = DA_FMT) -> np.ndarray:
     Round to nearest, ties away from zero, then saturate: the rounding the
     shipped schedule's ``rnd`` applies to the accumulator's sum, kept for
     the benchmark's probes.  For x < 0, ``(x + half - 1) >> s`` is
-    -((-x + half) >> s), |x| rounded.
+    -((-x + half) >> s), |x| rounded.  A grid as fine as Q12 or finer is exact.
     """
     shift, raw_q12 = Q12 - fmt.frac_bits, np.asarray(raw_q12)
+    if shift <= 0:
+        return (raw_q12 << -shift).clip(fmt.min_raw, fmt.max_raw)
     return ((raw_q12 + (1 << shift - 1) - (raw_q12 < 0)) >> shift).clip(fmt.min_raw, fmt.max_raw)

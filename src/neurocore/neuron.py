@@ -215,7 +215,6 @@ def encode_neuron(
 
 _VPEAK_RAW = encode(V_PEAK_DEFAULT, V_FMT).raw
 _field_values = attrgetter(*FIELD_LAYOUT)
-_FIELD_INDEX = {name: i for i, name in enumerate(FIELD_LAYOUT)}
 
 _SCHEDULE = izhikevich_schedule()
 # step(*fields, DA, alpha, beta, v_peak, *step.hoist(*fields, alpha, beta,
@@ -278,10 +277,7 @@ def step_fixed_batch(
     its place, with ``hoisted``, what its ``hoist`` returns for ``batch``
     and these constants, if given.  Returns the boolean spike mask.
     """
-    step, fields = compiled or step_fields_batch, _field_values(batch)
+    step = compiled or step_fields_batch
     if hoisted is None:
-        hoisted = step.hoist(*fields, alpha_raw, beta_raw, v_peak_raw)
-    *fields, spiked = step(*fields, da_raw, alpha_raw, beta_raw, v_peak_raw, *hoisted)
-    for name in step.writes:
-        setattr(batch, name, fields[_FIELD_INDEX[name]])
-    return spiked
+        hoisted = step.hoist(*_field_values(batch), alpha_raw, beta_raw, v_peak_raw)
+    return step.update(batch, da_raw, alpha_raw, beta_raw, v_peak_raw, *hoisted)

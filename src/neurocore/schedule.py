@@ -280,21 +280,27 @@ _NAME = re.compile(r"[$@][A-Za-z_]\w*", re.ASCII)
 class Form:
     """How generated code clips a local ``{x}`` to a ``{bound}`` (with
     ``clip``, an array to both in one statement), selects ``{1}`` where
-    ``{0}`` else ``{2}`` and rounds ``{0}`` half away from zero to a unit's
-    multiple (``{1}`` half the unit, ``{2}`` minus it, ``{3}`` zero), for one
+    ``{0}`` else ``{2}``, rounds ``{0}`` half away from zero to a unit's
+    multiple (``{1}`` half the unit, ``{2}`` minus it, ``{3}`` zero) into
+    ``{d}`` and shifts a product ``{0}`` right by ``{1}`` into ``{d}``, for one
     kind of value; ``names`` are the globals that code looks up.  It tests
     with ``none_set`` that no ``{0}`` is set, where a ``skip`` select returns
     ``{2}``, and a ``bind`` form binds every integer once as a 0-d int64
-    array global, not a literal."""
+    array global, not a literal.  A form with ``copy`` writes results into
+    arrays its call made and no longer reads: an op with ``_`` and its
+    mnemonic's ufunc and ``out=``, a clip with ``{out}``, and a select with
+    ``copy``, ``{1}`` into ``{2}`` where ``{0}``."""
 
     lower: str
     upper: str
     select: str
     none_set: str
     round: str
+    rescale: str
     names: dict = field(default_factory=dict)
     clip: str | None = None
     bind: bool = False
+    copy: str | None = None
 
 
 INTS = Form(
@@ -303,17 +309,24 @@ INTS = Form(
     select="{1} if {0} else {2}",
     none_set="not {0}",
     round="-(({1} - {0}) & {2}) if {0} < 0 else ({0} + {1}) & {2}",  # a branch: cheaper here
+    rescale="({0}) >> {1}",
 )
 ARRAYS = Form(
-    lower="{x} = _maximum({x}, {bound})",
-    upper="{x} = _minimum({x}, {bound})",
+    lower="{x} = _maximum({x}, {bound}{out})",
+    upper="{x} = _minimum({x}, {bound}{out})",
     select="_where({0}, {1}, {2})",
     none_set="not _count_nonzero({0})",
-    round="({0} + {1} - ({0} < {3})) & {2}",  # x < 0: (x + half - 1) rounds |x| half up
+    # x < 0: (x - 1 + half) rounds |x| half up; each statement after the
+    # first writes into the array the first made
+    round="{0} - ({0} < {3}); {d} += {1}; {d} &= {2}",
+    rescale="{0}; {d} >>= {1}",
     names={"_maximum": np.maximum, "_minimum": np.minimum, "_where": np.where,
-           "_count_nonzero": np.count_nonzero},
-    clip="{x} = {x}.clip({lower}, {upper})",  # one call, not two
+           "_count_nonzero": np.count_nonzero, "_copyto": np.copyto, "_add": np.add,
+           "_sub": np.subtract, "_mul": np.multiply, "_mulw": np.multiply,
+           "_shl": np.left_shift, "_shr": np.right_shift, "_gt": np.greater},
+    clip="{x} = {x}.clip({lower}, {upper}{out})",  # one call, not two
     bind=True,
+    copy="_copyto({2}, {1}, where={0})",
 )
 
 
@@ -321,10 +334,11 @@ ARRAYS = Form(
 class PlannedOp:
     """One op as generated code runs it: the Python local it writes, its
     operands as Python locals or integers, each bound of its clip that can
-    bind (None where the interval analysis shows it never does) and whether
-    it is ``shaped``, an array in the array form whatever the inputs.  A
-    ``skip`` ``sel d <- f, x, y`` may return ``y`` where no ``f`` is set: ``y``
-    is a population-shaped array of ``where``'s dtype in ``d``'s format, ``d`` if a field."""
+    bind (None where the interval analysis shows it never does), whether
+    it is ``shaped``, an array in the array form whatever the inputs, and
+    whether it is a ``flag``, a bool there.  A ``skip`` ``sel d <- f, x, y``
+    may return ``y`` where no ``f`` is set: ``y`` is a population-shaped
+    array of ``where``'s dtype in ``d``'s format, ``d`` if a field."""
 
     dest: str
     mnemonic: str
@@ -333,6 +347,7 @@ class PlannedOp:
     upper: int | None
     skip: bool
     shaped: bool
+    flag: bool
 
     @property
     def clips(self) -> bool:
@@ -442,6 +457,7 @@ def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[Planne
             plan.append(PlannedOp(
                 _local(op.dest), op.mnemonic, tuple(src for src, _ in operands),
                 low if lo < low else None, high if hi > high else None, skip, op.dest in shaped,
+                op.dest in flags,
             ))
     return plan
 
@@ -503,7 +519,7 @@ def compile_schedule(
         readers[last[name]].append((None, 0))
     passed = [dests[i] for i in sorted(hoisted) if any(j not in hoisted for j, _ in readers[i])]
     # product -> the shr of it in place, its one reader; skipped select -> the
-    # op only its x reads, on the operands that op's ``held`` lines keep
+    # op only its x reads, on the operands that op's ``held`` copies keep
     fused, sunk, held = {}, {}, {}
     for i, op in enumerate(plan):
         j, pos = readers[i][0] if len(readers[i]) == 1 else (None, 0)
@@ -516,36 +532,76 @@ def compile_schedule(
             fused[i] = j
         elif plan[j].skip and pos == 1 and op.dest.startswith("r_"):
             later = set(dests[i + 1:j]).intersection(op.args)
-            held[i] = [f"    _{i}_{a} = {a}" for a in sorted(later)]
+            held[i] = sorted(later)
             sunk[j] = i, tuple(f"_{i}_{a}" if a in later else a for a in op.args)
+    # where each op runs, a sunk one just before its select, and the operands
+    # of each op that are flags (bool arrays, which numpy adds as logical or)
+    at, flags, flagged = {i: j - 0.5 for j, (i, _) in sunk.items()}, set(), []
+    for op in plan:
+        flagged.append(flags.intersection(op.args))
+        (flags.add if op.flag else flags.discard)(op.dest)
 
-    def emit(i: int, indent: str, args: tuple) -> list[str]:
-        op, clip = plan[i], plan[fused.get(i, i)]
-        if op.mnemonic == "rnd":
-            args = (args[0], _GRID // 2, -_GRID, 0)
-        template = {"sel": form.select, "rnd": form.round}.get(op.mnemonic)
-        value = (template or _OPS[op.mnemonic][0]).format(*map(source, args))
-        if op.mnemonic in _RESCALE:
-            k, x = args if isinstance(args[0], int) else args[::-1]
-            shift = _RESCALE[op.mnemonic]
-            if isinstance(k, int) and k % (1 << shift) == 0:
-                value, shift = f"{source(k >> shift)} * {source(x)}", 0
-            shift += plan[fused[i]].args[1] if i in fused else 0
-            value = f"({value}) >> {source(shift)}" if shift else value
-        lines = [f"{indent}{op.dest} = {value}"]
-        lo, hi = (None if bound is None else source(bound) for bound in (clip.lower, clip.upper))
-        if form.clip and lo is not None and hi is not None and clip.shaped:
-            return [*lines, indent + form.clip.format(x=op.dest, lower=lo, upper=hi)]
-        sides = ((form.lower, lo), (form.upper, hi))
-        return lines + [indent + t.format(x=op.dest, bound=b) for t, b in sides if b is not None]
+    def function(ops: list[int]) -> list[str]:
+        """The body running ``ops``.  A form with ``copy`` writes an op's
+        result into an operand's array that this call made, of the result's
+        dtype, that no later op reads (a sunk op reads at its select, a
+        returned value at the end): ``owner`` maps each local to the op that
+        made the array it holds and ``until`` each such array to its last read."""
+        lines, tested, owner, until = [], set(), {}, {}  # flags a ``_none_`` local tests
 
-    def function(signature: str, ops: list[int], returned: str) -> list[str]:
-        lines, tested = [f"def {signature}:"], set()  # flags a ``_none_`` local tests
+        def emit(i: int, indent: str, args: tuple) -> list[str]:
+            op, clip, d = plan[i], plan[fused.get(i, i)], plan[i].dest
+            ends = [at.get(j, j) if j in ops else len(plan) for j, _ in readers[fused.get(i, i)]]
+            free = [a for a in args if form.copy and a in owner and until[owner[a]] <= at.get(i, i)
+                    and plan[owner[a]].flag == op.flag]
+            if form.bind and op.mnemonic not in ("mov", "sel", "gt") and flagged[i] == set(op.args):
+                args = (f"({source(0)} + {args[0]})", *args[1:])  # as ints, not bools
+            out = free[0] if free and op.mnemonic not in ("mov", "rnd", "sel") else None
+            if op.mnemonic == "rnd":
+                args = (args[0], _GRID // 2, -_GRID, 0)
+            template = {"sel": form.select, "rnd": form.round}.get(op.mnemonic)
+            value = (template or _OPS[op.mnemonic][0]).format(*map(source, args), d=d)
+            if op.mnemonic in _RESCALE:
+                k, x = args if isinstance(args[0], int) else args[::-1]
+                shift = _RESCALE[op.mnemonic]
+                if isinstance(k, int) and k % (1 << shift) == 0:
+                    args, shift = (k >> shift, x), 0
+                    value = f"{source(args[0])} * {source(x)}"
+                shift += plan[fused[i]].args[1] if i in fused else 0
+            if out is not None:
+                value = f"_{op.mnemonic}({', '.join(map(str, map(source, args)))}, out={out})"
+            if op.mnemonic in _RESCALE and shift:
+                value = form.rescale.format(value, source(shift), d=d)
+            lines = [f"{indent}{d} = {value}"]
+            # the op that made the array d now holds, and whether a clip may write into it
+            mine, inplace = (i, op.shaped) if out is None else (owner[out], True)
+            if op.mnemonic == "sel" and args[2] in free and op.args[0] in flagged[i]:
+                mine, inplace = owner[args[2]], True
+                lines = [indent + form.copy.format(*map(source, args))]
+                lines += [f"{indent}{d} = {args[2]}"] if d != args[2] else []
+            elif op.mnemonic == "mov":
+                mine, inplace = owner.get(args[0]), args[0] in free
+                if clip.clips and not inplace:  # the clip makes an array
+                    mine, inplace = i, op.shaped
+            owner.pop(d, None)
+            if inplace or op.mnemonic == "mov" and mine is not None:
+                owner[d], until[mine] = mine, max(until.get(mine, -1), *ends, -1)
+            out = f", out={d}" if inplace else ""
+            lo, hi = (None if bound is None else source(bound) for bound in (clip.lower, clip.upper))
+            if form.clip and lo is not None and hi is not None and clip.shaped:
+                return [*lines, indent + form.clip.format(x=d, lower=lo, upper=hi, out=out)]
+            sides = ((form.lower, lo), (form.upper, hi))
+            return lines + [indent + t.format(x=d, bound=b, out=out) for t, b in sides if b is not None]
+
         for i in ops:
             op, indent = plan[i], "    "
             if i in held:  # it runs in its select's branch, on operands held here
-                lines += held[i]
+                for a in held[i]:
+                    lines.append(f"    _{i}_{a} = {a}")
+                    if a in owner:
+                        owner[f"_{i}_{a}"] = owner[a]
                 continue
+            was = owner.get(op.args[-1])
             if op.skip:
                 (flag, _, y), indent = op.args, "        "
                 none = f"_none_{flag}".replace("-", "m")  # an exact input may be negative
@@ -555,18 +611,26 @@ def compile_schedule(
                 lines += [f"    if {none}:", f"{indent}{op.dest} = {y}", "    else:"]
                 lines += emit(sunk[i][0], indent, sunk[i][1]) if i in sunk else []
             lines += emit(i, indent, op.args)
+            if op.skip and owner.get(op.dest) != was:  # y's array where no flag is set
+                owner.pop(op.dest, None)
             tested.discard(op.dest)
-        return [*lines, f"    return {returned}"]
+        return lines
 
-    fields = list(map(_local, FIELD_FORMATS))
-    lines = function(f"hoist({', '.join(fields + group)})", sorted(hoisted),
-                     f"({''.join(name + ', ' for name in passed)})")
+    fields, ins = list(map(_local, FIELD_FORMATS)), [*map(_local, inputs), *passed]
     rest = [i for i in range(len(plan)) if i not in hoisted and i not in fused.values()]
-    lines += function(f"step({', '.join([*fields, *map(_local, inputs), *passed])})", rest,
-                      ", ".join([*fields, *map(_local, results)]))
+    body, read = function(rest), [f for f in fields if any(f in plan[i].args for i in rest)]
+    writes = [f for f in fields if f in dests]
+    lines = [f"def hoist({', '.join(fields + group)}):", *function(sorted(hoisted)),
+             f"    return ({''.join(name + ', ' for name in passed)})",
+             f"def step({', '.join(fields + ins)}):", *body,
+             f"    return {', '.join([*fields, *map(_local, results)])}",
+             f"def update(_s, {', '.join(ins)}):",
+             *[f"    {', '.join(read)} = {', '.join('_s.' + f for f in read)}"][:len(read)], *body,
+             *[f"    {', '.join('_s.' + f for f in writes)} = {', '.join(writes)}"][:len(writes)],
+             f"    return {', '.join(map(_local, results))}"]
     exec(compile("\n".join(lines) + "\n", "<schedule>", "exec"), namespace)
     step = namespace["step"]
-    step.hoist, step.writes = namespace["hoist"], tuple(f for f in FIELD_FORMATS if f in dests)
+    step.hoist, step.update = namespace["hoist"], namespace["update"]
     return step
 
 

@@ -178,6 +178,18 @@ class TestQuantizeRaw:
         want = [DA_FMT.saturate(_round_half_away(x / 512)) for x in raws.tolist()]
         assert quantize_raw(raws).tolist() == want
 
+    @pytest.mark.parametrize("frac_bits", [12, 14])
+    def test_a_grid_as_fine_as_q12_is_exact_then_saturates(self, frac_bits):
+        """A target with at least 12 fraction bits needs no rounding: the raw
+        moves onto the finer grid exactly, and saturates at both ends."""
+        fmt, scale = FixedFormat(16, frac_bits), 1 << (frac_bits - 12)
+        assert int(quantize_raw(5, fmt)) == 5 * scale
+        assert quantize_raw(np.array([-3, 0, 7]), fmt).tolist() == [-3 * scale, 0, 7 * scale]
+        top = fmt.max_raw // scale
+        assert int(quantize_raw(top, fmt)) == top * scale
+        assert int(quantize_raw(top + 1, fmt)) == fmt.max_raw
+        assert int(quantize_raw(-40_000, fmt)) == fmt.min_raw
+
 
 # ---------------------------------------------------------------------------
 # Properties
