@@ -523,7 +523,7 @@ def compile_schedule(
     fused, sunk, held = {}, {}, {}
     for i, op in enumerate(plan):
         j, pos = readers[i][0] if len(readers[i]) == 1 else (None, 0)
-        if j is None or i in hoisted or i in fused.values():
+        if j is None or i in hoisted or i in fused.values() or i in sunk:
             continue
         count = plan[j].args[-1]
         if (op.mnemonic in _RESCALE and not op.clips and plan[j].mnemonic == "shr" and pos == 0
@@ -574,18 +574,21 @@ def compile_schedule(
                 value = form.rescale.format(value, source(shift), d=d)
             lines = [f"{indent}{d} = {value}"]
             # the op that made the array d now holds, and whether a clip may write into it
-            mine, inplace = (i, op.shaped) if out is None else (owner[out], True)
+            mine = owner[out] if out is not None else i if op.shaped else None
             if op.mnemonic == "sel" and args[2] in free and op.args[0] in flagged[i]:
-                mine, inplace = owner[args[2]], True
+                mine = owner[args[2]]
                 lines = [indent + form.copy.format(*map(source, args))]
                 lines += [f"{indent}{d} = {args[2]}"] if d != args[2] else []
-            elif op.mnemonic == "mov":
-                mine, inplace = owner.get(args[0]), args[0] in free
-                if clip.clips and not inplace:  # the clip makes an array
-                    mine, inplace = i, op.shaped
+            elif op.mnemonic == "mov" and (args[0] in free or not clip.clips):
+                mine = owner.get(args[0])
+            inplace = mine is not None and (op.mnemonic != "mov" or args[0] in free)
+            ys = owner.get(args[2]) if op.skip else None  # d's array where no flag is set
             owner.pop(d, None)
-            if inplace or op.mnemonic == "mov" and mine is not None:
-                owner[d], until[mine] = mine, max(until.get(mine, -1), *ends, -1)
+            for array in (mine, ys):
+                if array is not None:
+                    owner[d], until[array] = array, max(until.get(array, -1), *ends, -1)
+            if op.skip and mine != ys:  # y's array on one branch, a new one on the other
+                owner.pop(d, None)
             out = f", out={d}" if inplace else ""
             lo, hi = (None if bound is None else source(bound) for bound in (clip.lower, clip.upper))
             if form.clip and lo is not None and hi is not None and clip.shaped:
@@ -601,7 +604,6 @@ def compile_schedule(
                     if a in owner:
                         owner[f"_{i}_{a}"] = owner[a]
                 continue
-            was = owner.get(op.args[-1])
             if op.skip:
                 (flag, _, y), indent = op.args, "        "
                 none = f"_none_{flag}".replace("-", "m")  # an exact input may be negative
@@ -611,8 +613,6 @@ def compile_schedule(
                 lines += [f"    if {none}:", f"{indent}{op.dest} = {y}", "    else:"]
                 lines += emit(sunk[i][0], indent, sunk[i][1]) if i in sunk else []
             lines += emit(i, indent, op.args)
-            if op.skip and owner.get(op.dest) != was:  # y's array where no flag is set
-                owner.pop(op.dest, None)
             tested.discard(op.dest)
         return lines
 

@@ -148,6 +148,20 @@ class TestTargetsOf:
         assert got.dtype == np.int64
         assert got.tolist() == want
 
+    @pytest.mark.parametrize("lengths", [(1, 1), (1, 6), (7, 300)], ids=["one", "few", "many"])
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_summed_rows_equal_the_gathered_slots(self, lengths, data):
+        """Delivery reads each row as a slice; it sums, in the same order,
+        the weights a gather of ``targets_of``'s slots would."""
+        indptr, ids = data.draw(tables_and_ids(lengths))
+        size = int(indptr[-1])
+        table = network.SynapseGroup(indptr, np.arange(size, dtype=np.int32)[::-1] % 7,
+                                     np.linspace(-1.5, 2.0, size))
+        slots = table.targets_of(ids)
+        want = np.bincount(table.post_idx[slots], table.weight[slots], minlength=9)
+        assert np.array_equal(table.summed(ids, 9), want)
+
 
 def single_pop_net(backend, i_const=10.0, size=1, seed=1):
     pop = PopulationSpec("solo", size, params=NeuronParams(
@@ -355,6 +369,20 @@ def test_record_reads_equal_an_eager_list():
             assert record.events == eager
     assert record.events is events and events == eager
     assert {type(i) for _, _, i in events} == {int}
+
+
+def test_networks_stepped_alternately_equal_each_alone():
+    """Two networks of one config, stepped in turn, record what one records
+    alone: no array one step writes into is another network's, or the
+    next step's input."""
+    cfg = replace(load_default_config(), seed=1)
+    pair, alone = [build_bg(cfg) for _ in range(2)], build_bg(cfg)
+    records = [network.SpikeRecord() for _ in pair]
+    for _ in range(400):
+        for net, record in zip(pair, records):
+            net.run(1, into=record)
+    want = alone.run(400).events
+    assert len(want) > 100 and all(record.events == want for record in records)
 
 
 class TestValidation:

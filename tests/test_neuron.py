@@ -26,6 +26,7 @@ from neurocore.schedule import ARRAYS, FIELD_FORMATS, compile_schedule, parse_sc
 from neurocore.synapse import alpha_fixed
 
 RS = NeuronParams(a=0.02, b=0.2, c=-65, d=8)
+V_PEAK = neuron.V_PEAK_DEFAULT
 FS = NeuronParams(a=0.1, b=0.2, c=-65, d=2)
 
 
@@ -348,6 +349,52 @@ def test_network_form_is_the_shipped_schedule():
     want = hoisting(neuron.step_fields_batch, *args)
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
+
+
+class Counted(np.ndarray):
+    """An array that counts the ufuncs run on it, operators, clips and
+    augmented assignments included: each call, and each call that makes a
+    new array, one given no ``out``."""
+
+    calls = allocations = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        Counted.calls += 1
+        Counted.allocations += out is None
+        plain = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(x.view(np.ndarray) for x in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return out[0] if out else result.view(Counted) if isinstance(result, np.ndarray) else result
+
+
+@pytest.mark.parametrize("crossing, calls, allocations", [(False, 35, 9), (True, 39, 10)],
+                         ids=["quiet", "crossing"])
+def test_network_step_calls_and_allocations(monkeypatch, crossing, calls, allocations):
+    """The numpy calls one network step makes, counted by wrapping what the
+    network form binds and every array it is given, and the calls among
+    them that allocate: on a quiet step, and on one where a neuron crosses
+    the peak, so the two selects of ``$post`` run as masked copies."""
+    net = network.Network([network.PopulationSpec("P", 600, params=RS)], [])
+    step = network.step_fields_network
+    for name in ("_where", "_count_nonzero", "_copyto"):  # the bound numpy calls that are no ufuncs
+        def counting(*args, _call=step.__globals__[name], **kwargs):
+            Counted.calls += 1
+            Counted.allocations += _call is np.where
+            result = _call(*args, **kwargs)
+            return result.view(Counted) if isinstance(result, np.ndarray) else result
+        monkeypatch.setitem(step.__globals__, name, counting)
+    counted = lambda x: x.view(Counted) if isinstance(x, np.ndarray) else x
+    state = CompartmentFields(**{k: counted(x) for k, x in vars(net.state).items()})
+    da = np.zeros(600, dtype=np.int64)
+    if crossing:
+        state.v[7] = encode(V_PEAK, V_FMT).raw - 1
+        da[7] = encode(100.0, DA_FMT).raw << 9
+    Counted.calls = Counted.allocations = 0
+    spiked = step_fixed_batch(state, counted(da), *map(counted, net._constants), compiled=step,
+                              hoisted=tuple(map(counted, net._hoisted)))
+    assert np.flatnonzero(spiked).tolist() == ([7] if crossing else [])
+    assert (Counted.calls, Counted.allocations) == (calls, allocations)
 
 
 @pytest.mark.parametrize("crossing", [None, 0, -1, "stored"],

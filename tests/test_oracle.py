@@ -4,10 +4,13 @@ ints, and saturates every write to its destination's format.  It has no
 interval analysis and no rewrites, so every clip the compiler drops, every
 op it hoists, fuses or sinks and every select it skips is checked here."""
 
+import functools
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from neurocore import network
 from neurocore.fxp import DA_FMT, DA_PORT, REG_FMT
@@ -15,14 +18,27 @@ from neurocore.schedule import (
     ARRAYS,
     CONSTANTS,
     FIELD_FORMATS,
+    FIELD_LAYOUT,
     INPUTS,
     INTS,
     KQ_FRAC,
+    Block,
+    BlockSchedule,
+    Op,
+    ScheduleError,
     compile_schedule,
     parse_schedule,
+    plan_schedule,
 )
 
 TEXT = resources.files("neurocore").joinpath("data/izhikevich_schedule.txt").read_text()
+
+
+def _round(x: list) -> int:
+    """To whole ``DA_FMT`` units at Q12, ties away from zero."""
+    unit = 2 ** (12 - DA_FMT.frac_bits)
+    units, rest = divmod(abs(x[0]), unit)
+    return (units + (2 * rest >= unit)) * unit * (-1 if x[0] < 0 else 1)
 
 
 # each op's unsaturated result from its operands' values, as the text states it
@@ -30,28 +46,35 @@ ARITHMETIC = {
     "mov": lambda x: x[0], "add": lambda x: x[0] + x[1], "sub": lambda x: x[0] - x[1],
     "mul": lambda x: x[0] * x[1] // 4096, "mulw": lambda x: x[0] * x[1] // 2**KQ_FRAC,
     "shl": lambda x: x[0] * 2 ** x[1], "shr": lambda x: x[0] // 2 ** x[1],
-    "gt": lambda x: int(x[0] > x[1]), "sel": lambda x: x[1] if x[0] else x[2],
+    "gt": lambda x: int(x[0] > x[1]), "sel": lambda x: x[1] if x[0] else x[2], "rnd": _round,
 }
+
+
+@functools.cache
+def ops_of(schedule) -> list[tuple]:
+    """Each op of ``schedule`` as its arithmetic, destination, operands (a
+    name or a literal's value) and the range its write saturates to: its
+    destination's, and for ``rnd`` also that of whole ``DA_FMT`` units."""
+    ops = []
+    for op in (op for block in schedule.blocks for op in block.ops):
+        fmt = FIELD_FORMATS.get(op.dest, REG_FMT)
+        low, high = fmt.min_raw, fmt.max_raw
+        if op.mnemonic == "rnd":
+            unit = 2 ** (12 - DA_FMT.frac_bits)
+            low, high = max(low, DA_FMT.min_raw * unit), min(high, DA_FMT.max_raw * unit)
+        sources = [int(s) if s.isdigit() else s for s in op.sources]
+        ops.append((ARITHMETIC[op.mnemonic], op.dest, sources, low, high))
+    return ops
 
 
 def interpret(schedule, values: dict, results=("$spk",)) -> tuple:
     """The fields in ``FIELD_FORMATS`` order and the ``results`` registers
     after one step of ``schedule`` from ``values``, the raw of every field
-    and input."""
+    and input: each op as the text states it, its write saturated."""
     values = {**values, **CONSTANTS}
-    for block in schedule.blocks:
-        for op in block.ops:
-            x = [int(s) if s.isdigit() else values[s] for s in op.sources]
-            fmt = FIELD_FORMATS.get(op.dest, REG_FMT)
-            low, high = fmt.min_raw, fmt.max_raw
-            if op.mnemonic == "rnd":  # to whole DA_FMT units, ties away from zero, and their range
-                unit = 2 ** (12 - DA_FMT.frac_bits)
-                units, rest = divmod(abs(x[0]), unit)
-                result = (units + (2 * rest >= unit)) * unit * (-1 if x[0] < 0 else 1)
-                low, high = max(low, DA_FMT.min_raw * unit), min(high, DA_FMT.max_raw * unit)
-            else:
-                result = ARITHMETIC[op.mnemonic](x)
-            values[op.dest] = min(max(result, low), high)
+    for arithmetic, dest, sources, low, high in ops_of(schedule):
+        result = arithmetic([values[s] if isinstance(s, str) else s for s in sources])
+        values[dest] = min(max(result, low), high)
     return (*(values[name] for name in FIELD_FORMATS), *(values[name] for name in results))
 
 
@@ -77,9 +100,21 @@ def draw_inputs(rng, inputs, n):
 
 
 def run(step, args: dict) -> tuple:
-    """``step`` and its ``hoist`` on ``args``, every field and input in order."""
+    """``step`` and its ``hoist`` on ``args``, every field and input in order;
+    asserts that nothing passed in, ``hoist``'s values included, is written,
+    and that ``step.update`` stores the same fields into an object."""
     fixed = [x for name, x in args.items() if name in FIELD_FORMATS or name[0] == "@"]
-    return step(*args.values(), *step.hoist(*fixed))
+    passed = (*args.values(), *step.hoist(*fixed))
+    before = [np.copy(x) for x in passed]
+    got = step(*passed)
+    assert all(np.array_equal(x, b) for x, b in zip(passed, before, strict=True))
+    n = len(FIELD_FORMATS)
+    state = SimpleNamespace(**dict(zip(FIELD_FORMATS, passed)))
+    results = step.update(state, *passed[n:])
+    assert all(np.array_equal(x, b) for x, b in zip(passed, before, strict=True))
+    stored = [*vars(state).values(), *(results if len(got) > n + 1 else [results])]
+    assert all(np.array_equal(x, y) for x, y in zip(stored, got, strict=True))
+    return got
 
 
 def rows(got, n: int) -> list[tuple]:
@@ -95,12 +130,24 @@ def mutant(line: str) -> str:
 
 # each text and the registers its step returns: the shipped text; the two
 # ops whose one-call clip once ran on Python ints, a field written in
-# ``step`` and a register computed in ``hoist``; and a rounding that can
-# saturate, as the port's range keeps the shipped one from doing
+# ``step`` and a register computed in ``hoist``; a rounding that can
+# saturate, as the port's range keeps the shipped one from doing; and three
+# that an op writing into an array some later op still reads would break: a
+# copy read after its source is rewritten, a temporary a sunk op reads at
+# its select after another op last read it, and a select's else operand
+# read after the select
 SCHEDULES = {"shipped": (TEXT, ("$spk",)),
              "field-of-inputs": (mutant("sub isyn <- @alpha, @beta"), ("$spk",)),
              "register-of-inputs": (mutant("sub $k <- @alpha, @beta"), ("$spk", "$k")),
-             "saturating-rnd": (mutant("rnd $k <- $decay"), ("$spk", "$k"))}
+             "saturating-rnd": (mutant("rnd $k <- $decay"), ("$spk", "$k")),
+             "copy-of-rewritten": (mutant("add $t <- $decay, $da\nop: mov $c <- $t\n"
+                                          "op: add $t <- $t, @one"), ("$spk", "$c", "$t")),
+             "sunk-read": (mutant("add $x <- $decay, @one\nop: add $w <- $x, $x\n"
+                                  "op: add $z <- $x, $da\nop: gt $f <- $z, $decay\n"
+                                  "op: sel $r <- $f, $w, $z"), ("$spk", "$r")),
+             "else-read-after": (mutant("add $y <- $decay, @one\nop: gt $g <- $y, $isyn\n"
+                                        "op: sel $s <- $g, $da, $y\nop: add $q <- $y, $s"),
+                                 ("$spk", "$s", "$q"))}
 
 
 @pytest.mark.parametrize("name", SCHEDULES)
@@ -147,3 +194,83 @@ def test_accumulator_rounds_ties_away_from_zero(form):
         if form is ARRAYS:
             state = {k: x if k[0] == "@" else np.array([x]) for k, x in state.items()}
         assert int(np.ravel(run(step, state)[-1])[0]) == rounded
+
+
+ARITY = {"mov": 1, "rnd": 1, "sel": 3, **dict.fromkeys(["add", "sub", "mul", "mulw", "gt"], 2)}
+# short runs of ops the array form writes in place, copies into or sinks: a
+# select into its else operand, a select whose x only it reads, and a copy
+# whose source is rewritten; each letter a drawn register, each p an operand
+MOTIFS = (("gt f p p", "add y p p", "sel y f p y"),
+          ("gt f p p", "add y p p", "add x p p", "sel z f x y"),
+          ("add t p p", "mov c t", "add t t p"))
+
+
+@st.composite
+def generated(draw):
+    """A short schedule, one op per block, and one or two registers it
+    returns: each op reads fields of its block's word, registers written
+    before it, inputs, constants and literals, and writes a register, often
+    one it reads, or a field; a select mostly tests a flag and picks
+    registers, and a motif runs now and then.  Movs, shifts by literals,
+    products by ``@one`` (a quotient), ops on inputs only (hoisted) and
+    selects that skip, sink or copy all occur."""
+    registers, flags, ops = [], [], []
+    for _ in range(draw(st.integers(1, 7))):
+        word = draw(st.sampled_from([0, 1, 2]))
+        fields = [name for name, (w, _, _) in FIELD_LAYOUT.items() if w == word]
+        motif = draw(st.sampled_from([()] * 3 + list(MOTIFS)))
+        names = {c: draw(st.sampled_from(["$r0", "$r1", "$r2", "$r3"])) for c in "fyxztc"}
+        for line in motif or [None]:
+            pool = st.sampled_from([*fields, *INPUTS, *CONSTANTS, *registers, *registers])
+            if line:
+                mnemonic, *tokens = line.split()
+                dest, *sources = [names.get(t) or draw(pool) for t in tokens]
+            else:
+                mnemonic = draw(st.sampled_from([*ARITY, "shl", "shr", "mov", "gt", "sel", "sel"]))
+                if mnemonic in ("shl", "shr"):
+                    sources = (draw(pool), str(draw(st.integers(0, 12))))
+                elif mnemonic == "sel":
+                    picks = st.sampled_from(registers) if registers else pool
+                    last = st.sampled_from(registers[-1:]) if registers else pool
+                    sources = (draw(st.sampled_from(flags) if flags else pool),
+                               draw(st.one_of(last, picks)), draw(picks))
+                else:
+                    sources = tuple(draw(st.one_of(pool, st.integers(0, 9).map(str)) if i else pool)
+                                    for i in range(ARITY[mnemonic]))
+                dest = draw(st.sampled_from([*fields, "$r0", "$r1", "$r2", "$r3",
+                                             *{sources[0], sources[-1]}]))
+                if dest[0] != "$" and dest not in fields:
+                    dest = "$r0"
+            registers += [dest] if dest[0] == "$" else []
+            flags = [f for f in flags if f != dest] + [dest] * (mnemonic == "gt" and dest[0] == "$")
+            ops.append(Block(f"b{len(ops)}", word, (Op(mnemonic, dest, tuple(sources)),)))
+    assume(registers)
+    results = draw(st.lists(st.sampled_from(registers), min_size=1, max_size=2, unique=True))
+    return BlockSchedule("generated", tuple(ops)), tuple(results)
+
+
+@settings(derandomize=True, max_examples=70, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(case=generated(), network_inputs=st.booleans())
+def test_generated_schedules_equal_the_interpreter(case, network_inputs):
+    """Every form, ``hoist`` included, on generated schedules that the
+    planner accepts: ``INTS`` per state, ``ARRAYS`` on a batch with group
+    inputs per neuron and on one neuron at a time with them as Python ints,
+    where a skipped select takes either branch."""
+    schedule, results = case
+    inputs = network.STEP_INPUTS if network_inputs else INPUTS
+    try:
+        plan_schedule(schedule, inputs)
+    except ScheduleError:
+        assume(False)
+    n = 24
+    values = draw_inputs(np.random.default_rng(n), inputs, n)
+    states = [dict(zip(values, state)) for state in zip(*(x.tolist() for x in values.values()))]
+    want = [interpret(schedule, state, results) for state in states]
+    ints = compile_schedule(schedule, INTS, results, inputs)
+    assert [run(ints, state) for state in states] == want
+    arrays = compile_schedule(schedule, ARRAYS, results, inputs)
+    assert rows(run(arrays, values), n) == want
+    for state, expect in zip(states, want):
+        one = {k: x if k[0] == "@" else np.array([x]) for k, x in state.items()}
+        assert rows(run(arrays, one), 1) == [expect]
