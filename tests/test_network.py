@@ -149,7 +149,7 @@ class TestTargetsOf:
         assert got.tolist() == want
 
     @pytest.mark.parametrize("lengths", [(1, 1), (1, 6), (7, 300)], ids=["one", "few", "many"])
-    @settings(max_examples=100)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_summed_rows_equal_the_gathered_slots(self, lengths, data):
         """Delivery reads each row as a slice; it sums, in the same order,

@@ -198,10 +198,11 @@ def test_accumulator_rounds_ties_away_from_zero(form):
 
 ARITY = {"mov": 1, "rnd": 1, "sel": 3, **dict.fromkeys(["add", "sub", "mul", "mulw", "gt"], 2)}
 # short runs of ops the array form writes in place, copies into or sinks: a
-# select into its else operand, a select whose x only it reads, and a copy
-# whose source is rewritten; each letter a drawn register, each p an operand
+# select into its else operand, a select whose x only it reads, computed
+# from a temporary another op reads after it, and a copy whose source is
+# rewritten; each letter a register of its own, each p a drawn operand
 MOTIFS = (("gt f p p", "add y p p", "sel y f p y"),
-          ("gt f p p", "add y p p", "add x p p", "sel z f x y"),
+          ("gt f p p", "add t p p", "add x t t", "add y t p", "sel z f x y"),
           ("add t p p", "mov c t", "add t t p"))
 
 
@@ -219,12 +220,13 @@ def generated(draw):
         word = draw(st.sampled_from([0, 1, 2]))
         fields = [name for name, (w, _, _) in FIELD_LAYOUT.items() if w == word]
         motif = draw(st.sampled_from([()] * 3 + list(MOTIFS)))
-        names = {c: draw(st.sampled_from(["$r0", "$r1", "$r2", "$r3"])) for c in "fyxztc"}
+        names = dict(zip("fyxztc", draw(st.permutations([f"$r{r}" for r in range(6)]))))
         for line in motif or [None]:
             pool = st.sampled_from([*fields, *INPUTS, *CONSTANTS, *registers, *registers])
-            if line:
+            if line:  # its operands mostly fields, so that its values are arrays
                 mnemonic, *tokens = line.split()
-                dest, *sources = [names.get(t) or draw(pool) for t in tokens]
+                dest, *sources = [names.get(t) or draw(st.one_of(st.sampled_from(fields), pool))
+                                  for t in tokens]
             else:
                 mnemonic = draw(st.sampled_from([*ARITY, "shl", "shr", "mov", "gt", "sel", "sel"]))
                 if mnemonic in ("shl", "shr"):
