@@ -5,11 +5,11 @@ concatenated in spec order and named by slices.  All synapses share one CSR
 table: a row per pre id, ids in event order (sources, then neurons), each
 row in connection order.  Each step runs strictly ordered phases:
 
-  1. deliver the previous step's spikes: join their rows' slot ranges, cut
-     once at the build, and sum the weights per neuron with one
-     ``np.bincount``, on the fixed backend the Q12 ``DA`` input that the
-     schedule rounds (clipped to ``DA_PORT`` where the build cannot bound it
-     there); a step with nothing pending passes a kept zero input instead,
+  1. deliver the previous step's spikes: sum the float64 weights of their
+     rows, each read as a slice, per neuron with one ``np.bincount``, on the
+     fixed backend the Q12 ``DA`` input that the schedule rounds (clipped to
+     ``DA_PORT`` where the build cannot bound it there); a step with nothing
+     pending passes a kept read-only zero input instead,
   2. Poisson sources draw this step's spikes, each served from a block of
      steps its one kept generator draws at a time,
   3. one state update advances every neuron (synaptic decay, dopamine
@@ -154,13 +154,11 @@ class SynapseGroup:
 
     def targets_of(self, spiking: np.ndarray) -> np.ndarray:
         """Synapse slots of the given pre ids, row after row."""
-        bounds = self._bounds
-        return np.concatenate([_NO_IDS, *(np.arange(bounds[i], bounds[i + 1])
-                                          for i in spiking.tolist())])
+        b = self._bounds
+        return np.concatenate([_NO_IDS, *(np.arange(b[i], b[i + 1]) for i in spiking.tolist())])
 
     def summed(self, spiking: np.ndarray, size: int) -> np.ndarray:
-        """The weights of the given pre ids' synapses summed per post index,
-        row after row, each row read as a slice: no slots, no gather."""
+        """Given pre ids' weights summed per post index, rows read as slices."""
         bounds, post, weight = self._bounds, self.post_idx, self.weight
         rows = [slice(bounds[i], bounds[i + 1]) for i in spiking.tolist()]
         if len(rows) == 1:  # a third of the default circuit's deliveries: views, no copy
@@ -336,8 +334,8 @@ class Network:
         del pre_idx
         post_idx = np.concatenate([_NO_IDS, *post_ids], dtype=np.int32)[order]
         del post_ids
-        weights = np.array(weights, dtype=np.float64)
-        self.synapses = SynapseGroup(indptr, post_idx, np.repeat(weights, counts)[order])
+        weights = np.repeat(np.array(weights, dtype=np.float64), counts)[order]
+        self.synapses = SynapseGroup(indptr, post_idx, weights)
         self._pending = _NO_IDS
         self._saturates = backend == "fixed" and any(
             low < DA_PORT.min_raw or high > DA_PORT.max_raw for low, high in reach.values())
@@ -357,9 +355,9 @@ class Network:
             else:
                 require_finite("delta_dop", delta_dop)
         self.state.delta_dop = delta_dop
-        if self.backend == "fixed":  # the step's ops that read only the build and the level
+        if self.backend == "fixed":  # the form, and its ops that read only the build and the level
             fields = (getattr(self.state, name) for name in FIELD_LAYOUT)
-            self._hoisted = step_fields_network.hoist(*fields, *self._constants)
+            self._form = step_fields_network, step_fields_network.hoist(*fields, *self._constants)
 
     def synapse_count(self) -> int:
         return len(self.synapses.post_idx)
@@ -387,10 +385,7 @@ class Network:
 
         # phase 3: one update of every neuron
         if self.backend == "fixed":
-            spiked = step_fixed_batch(
-                self.state, acc, *self._constants,
-                compiled=step_fields_network, hoisted=self._hoisted,
-            )
+            spiked = step_fixed_batch(self.state, acc, *self._constants, *self._form)
         else:
             spiked = self.state.step(acc)
 

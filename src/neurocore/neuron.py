@@ -265,17 +265,17 @@ def step_fixed_batch(
     compiled=None,
     hoisted: tuple | None = None,
 ) -> np.ndarray:
-    """One step of the shipped block schedule on a whole population; mutates
-    ``batch`` in place.
+    """One step of the shipped block schedule on a whole population; stores
+    the fields it writes, new arrays, into ``batch``.
 
     ``da_raw`` is the per-neuron summed synaptic input at Q12, which the
     schedule rounds onto the accumulator grid; each field of ``batch`` must
     hold an int64 array of values of its format, and each other argument
-    values of the range the schedule was compiled for:
-    the ``schedule.INPUTS`` ranges of ``step_fields_batch``, or those of
-    ``compiled``, an array form compiled for narrower ranges that runs in
-    its place, with ``hoisted``, what its ``hoist`` returns for ``batch``
-    and these constants, if given.  Returns the boolean spike mask.
+    values of the range the schedule was compiled for: the
+    ``schedule.INPUTS`` ranges of ``step_fields_batch``, or those of
+    ``compiled``, an array form compiled for narrower ranges that runs in its
+    place, with ``hoisted``, what its ``hoist`` returns for ``batch`` and
+    these constants, if given.  Returns the boolean spike mask.
     """
     step = compiled or step_fields_batch
     if hoisted is None:

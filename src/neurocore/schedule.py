@@ -258,17 +258,18 @@ def izhikevich_schedule() -> BlockSchedule:
 
 _GRID = 1 << Q12 - DA_FMT.frac_bits  # one DA_FMT unit at Q12, the grid ``rnd`` rounds to
 # Python source of each op's value (``sel``'s and ``rnd``'s are the Form's)
-# before any rescale shift and, for the interval analysis, its unscaled int result
+# before any rescale shift, for the interval analysis its unscaled int
+# result, and the ufunc that writes it into an array
 _OPS = {
-    "mov": ("{0}", None),
-    "add": ("{0} + {1}", operator.add),
-    "sub": ("{0} - {1}", operator.sub),
-    "mul": ("{0} * {1}", operator.mul),
-    "mulw": ("{0} * {1}", operator.mul),
-    "shl": ("{0} << {1}", operator.lshift),
-    "shr": ("{0} >> {1}", operator.rshift),
-    "gt": ("{0} > {1}", None),
-    "rnd": (None, lambda x: (x + _GRID // 2 - (x < 0)) & -_GRID),
+    "mov": ("{0}", None, None),
+    "add": ("{0} + {1}", operator.add, np.add),
+    "sub": ("{0} - {1}", operator.sub, np.subtract),
+    "mul": ("{0} * {1}", operator.mul, np.multiply),
+    "mulw": ("{0} * {1}", operator.mul, np.multiply),
+    "shl": ("{0} << {1}", operator.lshift, np.left_shift),
+    "shr": ("{0} >> {1}", operator.rshift, np.right_shift),
+    "gt": ("{0} > {1}", None, np.greater),
+    "rnd": (None, lambda x: (x + _GRID // 2 - (x < 0)) & -_GRID, None),
 }
 _ARITY = {name: 1 if name in ("mov", "rnd") else 2 for name in _OPS} | {"sel": 3}
 _RESCALE = {"mul": Q12, "mulw": KQ_FRAC}
@@ -281,22 +282,21 @@ class Form:
     """How generated code clips a local ``{x}`` to a ``{bound}`` (with
     ``clip``, an array to both in one statement), selects ``{1}`` where
     ``{0}`` else ``{2}``, rounds ``{0}`` half away from zero to a unit's
-    multiple (``{1}`` half the unit, ``{2}`` minus it, ``{3}`` zero) into
-    ``{d}`` and shifts a product ``{0}`` right by ``{1}`` into ``{d}``, for one
-    kind of value; ``names`` are the globals that code looks up.  It tests
-    with ``none_set`` that no ``{0}`` is set, where a ``skip`` select returns
+    multiple (``{1}`` half the unit, ``{2}`` minus it, ``{3}`` zero) and
+    shifts a product ``{0}`` right by ``{1}``, into ``{d}``, for one kind of
+    value; ``names`` are the globals that code looks up.  It tests with
+    ``none_set`` that no ``{0}`` is set, where a ``skip`` select returns
     ``{2}``, and a ``bind`` form binds every integer once as a 0-d int64
-    array global, not a literal.  A form with ``copy`` writes results into
-    arrays its call made and no longer reads: an op with ``_`` and its
-    mnemonic's ufunc and ``out=``, a clip with ``{out}``, and a select with
-    ``copy``, ``{1}`` into ``{2}`` where ``{0}``."""
+    array global, not a literal.  A ``copy`` form writes a result into an
+    array its call made and no later op reads: a ufunc ``_{mnemonic}`` with
+    ``out=``, a clip with ``{out}``, a select as ``copy``."""
 
     lower: str
     upper: str
     select: str
     none_set: str
     round: str
-    rescale: str
+    rescale: str = "({0}) >> {1}"
     names: dict = field(default_factory=dict)
     clip: str | None = None
     bind: bool = False
@@ -309,7 +309,6 @@ INTS = Form(
     select="{1} if {0} else {2}",
     none_set="not {0}",
     round="-(({1} - {0}) & {2}) if {0} < 0 else ({0} + {1}) & {2}",  # a branch: cheaper here
-    rescale="({0}) >> {1}",
 )
 ARRAYS = Form(
     lower="{x} = _maximum({x}, {bound}{out})",
@@ -321,12 +320,11 @@ ARRAYS = Form(
     round="{0} - ({0} < {3}); {d} += {1}; {d} &= {2}",
     rescale="{0}; {d} >>= {1}",
     names={"_maximum": np.maximum, "_minimum": np.minimum, "_where": np.where,
-           "_count_nonzero": np.count_nonzero, "_copyto": np.copyto, "_add": np.add,
-           "_sub": np.subtract, "_mul": np.multiply, "_mulw": np.multiply,
-           "_shl": np.left_shift, "_shr": np.right_shift, "_gt": np.greater},
+           "_count_nonzero": np.count_nonzero, "_copyto": np.copyto,
+           **{f"_{name}": ufunc for name, (_, _, ufunc) in _OPS.items() if ufunc}},
     clip="{x} = {x}.clip({lower}, {upper}{out})",  # one call, not two
     bind=True,
-    copy="_copyto({2}, {1}, where={0})",
+    copy="_copyto({2}, {1}, where={0}); {d} = {2}",
 )
 
 
@@ -334,11 +332,11 @@ ARRAYS = Form(
 class PlannedOp:
     """One op as generated code runs it: the Python local it writes, its
     operands as Python locals or integers, each bound of its clip that can
-    bind (None where the interval analysis shows it never does), whether
-    it is ``shaped``, an array in the array form whatever the inputs, and
-    whether it is a ``flag``, a bool there.  A ``skip`` ``sel d <- f, x, y``
-    may return ``y`` where no ``f`` is set: ``y`` is a population-shaped
-    array of ``where``'s dtype in ``d``'s format, ``d`` if a field."""
+    bind (None where the interval analysis shows it never does), whether it
+    is ``shaped``, an array in the array form whatever the inputs, and a
+    ``flag``, a bool there.  A ``skip`` ``sel d <- f, x, y`` may return ``y``
+    where no ``f`` is set: ``y`` is a population-shaped array of ``where``'s
+    dtype in ``d``'s format, ``d`` if a field."""
 
     dest: str
     mnemonic: str
@@ -476,16 +474,22 @@ def compile_schedule(
     the ops that read only literals, constants, ``@`` inputs, fields never
     written and such values (``$mod``, ``$gain``), which a caller computes
     once while they hold.  It returns the fields in the same order and the
-    registers named in ``results`` (``step.writes`` names the fields it
-    writes).  Registers are locals, each clip the
-    interval analysis keeps is inline, and ``form`` says how clips, ``sel``
-    and integers are written: ``INTS`` for Python ints, ``ARRAYS`` for int64
-    arrays.  Exact rewrites drop operations: a product by a multiple of its
-    rescale 2^s is one by the quotient, a product whose one reader shifts it
-    right in place shifts once by both counts, and an op only a skipped
-    select's ``x`` reads runs in its branch, on operands held where it
-    stood.  The source is built only from the tables above, checked
-    register names and integer values, never from raw text.
+    registers named in ``results``; ``step.update`` takes an object holding
+    the fields instead, stores into it those the schedule writes and returns
+    the registers.  Registers are locals, each clip the interval analysis
+    keeps is inline, and ``form`` says how clips, ``sel`` and integers are
+    written: ``INTS`` for Python ints, ``ARRAYS`` for int64 arrays.  There an
+    op writes into an operand's array that the same call made, of its
+    result's dtype, that no later op reads (``owner`` and ``until`` below;
+    a sunk op reads at its select, a returned value at the end), a clip into
+    what it clips, and a select on a flag copies ``x`` into such a ``y``
+    where the flag is set; nothing passed in is written.  Exact rewrites
+    drop operations: a product by a multiple of its rescale 2^s is one by
+    the quotient, a product whose one reader shifts it right in place shifts
+    once by both counts, and an op only a skipped select's ``x`` reads runs
+    in its branch, on operands held where it stood.  The source is built
+    only from the tables above, checked register names and integer values,
+    never from raw text.
     """
     plan = plan_schedule(schedule, inputs)
     dests = [op.dest for op in plan]
@@ -519,7 +523,7 @@ def compile_schedule(
         readers[last[name]].append((None, 0))
     passed = [dests[i] for i in sorted(hoisted) if any(j not in hoisted for j, _ in readers[i])]
     # product -> the shr of it in place, its one reader; skipped select -> the
-    # op only its x reads, on the operands that op's ``held`` copies keep
+    # op only its x reads, on the operands that op's ``held`` lines keep
     fused, sunk, held = {}, {}, {}
     for i, op in enumerate(plan):
         j, pos = readers[i][0] if len(readers[i]) == 1 else (None, 0)
@@ -532,77 +536,59 @@ def compile_schedule(
             fused[i] = j
         elif plan[j].skip and pos == 1 and op.dest.startswith("r_"):
             later = set(dests[i + 1:j]).intersection(op.args)
-            held[i] = sorted(later)
+            held[i] = [f"    _{i}_{a} = {a}" for a in sorted(later)]
             sunk[j] = i, tuple(f"_{i}_{a}" if a in later else a for a in op.args)
-    # where each op runs, a sunk one just before its select, and the operands
-    # of each op that are flags (bool arrays, which numpy adds as logical or)
+    # where each op runs, a sunk one just before its select, and its flag operands
     at, flags, flagged = {i: j - 0.5 for j, (i, _) in sunk.items()}, set(), []
     for op in plan:
         flagged.append(flags.intersection(op.args))
         (flags.add if op.flag else flags.discard)(op.dest)
 
-    def function(ops: list[int]) -> list[str]:
-        """The body running ``ops``.  A form with ``copy`` writes an op's
-        result into an operand's array that this call made, of the result's
-        dtype, that no later op reads (a sunk op reads at its select, a
-        returned value at the end): ``owner`` maps each local to the op that
-        made the array it holds and ``until`` each such array to its last read."""
+    def function(ops: list[int]) -> list[str]:  # the body running ``ops``
+        # a local -> the op that made its array in this call -> that array's last read
         lines, tested, owner, until = [], set(), {}, {}  # flags a ``_none_`` local tests
 
         def emit(i: int, indent: str, args: tuple) -> list[str]:
             op, clip, d = plan[i], plan[fused.get(i, i)], plan[i].dest
             ends = [at.get(j, j) if j in ops else len(plan) for j, _ in readers[fused.get(i, i)]]
             free = [a for a in args if form.copy and a in owner and until[owner[a]] <= at.get(i, i)
-                    and plan[owner[a]].flag == op.flag]
-            if form.bind and op.mnemonic not in ("mov", "sel", "gt") and flagged[i] == set(op.args):
-                args = (f"({source(0)} + {args[0]})", *args[1:])  # as ints, not bools
-            out = free[0] if free and op.mnemonic not in ("mov", "rnd", "sel") else None
+                    and plan[owner[a]].flag == op.flag]  # arrays no later op reads
+            if form.bind and op.mnemonic not in ("mov", "sel", "gt") and flagged[i] >= {*op.args}:
+                args = (f"({source(0)} + {args[0]})", *args[1:])  # numpy adds bools as or
+            copy = op.mnemonic == "sel" and args[2] in free and op.args[0] in flagged[i]
+            out = args[2] if copy else free[0] if free and f"_{op.mnemonic}" in namespace else None
             if op.mnemonic == "rnd":
                 args = (args[0], _GRID // 2, -_GRID, 0)
-            template = {"sel": form.select, "rnd": form.round}.get(op.mnemonic)
-            value = (template or _OPS[op.mnemonic][0]).format(*map(source, args), d=d)
-            if op.mnemonic in _RESCALE:
+            shift = _RESCALE.get(op.mnemonic, 0)
+            if shift:
                 k, x = args if isinstance(args[0], int) else args[::-1]
-                shift = _RESCALE[op.mnemonic]
                 if isinstance(k, int) and k % (1 << shift) == 0:
                     args, shift = (k >> shift, x), 0
-                    value = f"{source(args[0])} * {source(x)}"
                 shift += plan[fused[i]].args[1] if i in fused else 0
-            if out is not None:
-                value = f"_{op.mnemonic}({', '.join(map(str, map(source, args)))}, out={out})"
-            if op.mnemonic in _RESCALE and shift:
-                value = form.rescale.format(value, source(shift), d=d)
-            lines = [f"{indent}{d} = {value}"]
-            # the op that made the array d now holds, and whether a clip may write into it
+            template = {"sel": form.copy if copy else form.select, "rnd": form.round}.get(
+                op.mnemonic, f"_{op.mnemonic}({{0}}, {{1}}, out={out})" if out else None)
+            value = (template or _OPS[op.mnemonic][0]).format(*map(source, args), d=d)
+            value = form.rescale.format(value, source(shift), d=d) if shift else value
+            lines = [indent + (value if copy else f"{d} = {value}")]
             mine = owner[out] if out is not None else i if op.shaped else None
-            if op.mnemonic == "sel" and args[2] in free and op.args[0] in flagged[i]:
-                mine = owner[args[2]]
-                lines = [indent + form.copy.format(*map(source, args))]
-                lines += [f"{indent}{d} = {args[2]}"] if d != args[2] else []
-            elif op.mnemonic == "mov" and (args[0] in free or not clip.clips):
+            if op.mnemonic == "mov" and (args[0] in free or not clip.clips):
                 mine = owner.get(args[0])
             inplace = mine is not None and (op.mnemonic != "mov" or args[0] in free)
-            ys = owner.get(args[2]) if op.skip else None  # d's array where no flag is set
+            ys = owner.get(args[2]) if op.skip else mine  # d's array where no flag is set
+            until.update({a: max(until.get(a, -1), *ends, -1) for a in {mine, ys} - {None}})
             owner.pop(d, None)
-            for array in (mine, ys):
-                if array is not None:
-                    owner[d], until[array] = array, max(until.get(array, -1), *ends, -1)
-            if op.skip and mine != ys:  # y's array on one branch, a new one on the other
-                owner.pop(d, None)
+            owner.update({d: mine} if mine is not None and mine == ys else {})
             out = f", out={d}" if inplace else ""
-            lo, hi = (None if bound is None else source(bound) for bound in (clip.lower, clip.upper))
+            lo, hi = (None if b is None else source(b) for b in (clip.lower, clip.upper))
             if form.clip and lo is not None and hi is not None and clip.shaped:
                 return [*lines, indent + form.clip.format(x=d, lower=lo, upper=hi, out=out)]
-            sides = ((form.lower, lo), (form.upper, hi))
-            return lines + [indent + t.format(x=d, bound=b, out=out) for t, b in sides if b is not None]
+            sides = [(t, b) for t, b in ((form.lower, lo), (form.upper, hi)) if b is not None]
+            return lines + [indent + t.format(x=d, bound=b, out=out) for t, b in sides]
 
         for i in ops:
             op, indent = plan[i], "    "
             if i in held:  # it runs in its select's branch, on operands held here
-                for a in held[i]:
-                    lines.append(f"    _{i}_{a} = {a}")
-                    if a in owner:
-                        owner[f"_{i}_{a}"] = owner[a]
+                lines += held[i]
                 continue
             if op.skip:
                 (flag, _, y), indent = op.args, "        "
@@ -618,14 +604,13 @@ def compile_schedule(
 
     fields, ins = list(map(_local, FIELD_FORMATS)), [*map(_local, inputs), *passed]
     rest = [i for i in range(len(plan)) if i not in hoisted and i not in fused.values()]
-    body, read = function(rest), [f for f in fields if any(f in plan[i].args for i in rest)]
-    writes = [f for f in fields if f in dests]
+    body, writes = function(rest), [f for f in fields if f in dests]
     lines = [f"def hoist({', '.join(fields + group)}):", *function(sorted(hoisted)),
              f"    return ({''.join(name + ', ' for name in passed)})",
              f"def step({', '.join(fields + ins)}):", *body,
              f"    return {', '.join([*fields, *map(_local, results)])}",
              f"def update(_s, {', '.join(ins)}):",
-             *[f"    {', '.join(read)} = {', '.join('_s.' + f for f in read)}"][:len(read)], *body,
+             f"    {', '.join(fields)} = {', '.join('_s.' + f for f in fields)}", *body,
              *[f"    {', '.join('_s.' + f for f in writes)} = {', '.join(writes)}"][:len(writes)],
              f"    return {', '.join(map(_local, results))}"]
     exec(compile("\n".join(lines) + "\n", "<schedule>", "exec"), namespace)

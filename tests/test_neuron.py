@@ -392,7 +392,7 @@ def test_network_step_calls_and_allocations(monkeypatch, crossing, calls, alloca
         da[7] = encode(100.0, DA_FMT).raw << 9
     Counted.calls = Counted.allocations = 0
     spiked = step_fixed_batch(state, counted(da), *map(counted, net._constants), compiled=step,
-                              hoisted=tuple(map(counted, net._hoisted)))
+                              hoisted=tuple(map(counted, net._form[1])))
     assert np.flatnonzero(spiked).tolist() == ([7] if crossing else [])
     assert (Counted.calls, Counted.allocations) == (calls, allocations)
 
