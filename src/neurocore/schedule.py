@@ -282,7 +282,7 @@ class Form:
     """How generated code clips a local ``{x}`` to a ``{bound}`` (with
     ``clip``, an array to both in one statement), selects ``{1}`` where
     ``{0}`` else ``{2}``, rounds ``{0}`` half away from zero to a unit's
-    multiple (``{1}`` half the unit, ``{2}`` minus it, ``{3}`` zero) and
+    multiple (``{1}`` half the unit, ``{2}`` minus it, ``{3}`` 63) and
     shifts a product ``{0}`` right by ``{1}``, into ``{d}``, for one kind of
     value; ``names`` are the globals that code looks up.  It tests with
     ``none_set`` that no ``{0}`` is set, where a ``skip`` select returns
@@ -315,9 +315,9 @@ ARRAYS = Form(
     upper="{x} = _minimum({x}, {bound}{out})",
     select="_where({0}, {1}, {2})",
     none_set="not _count_nonzero({0})",
-    # x < 0: (x - 1 + half) rounds |x| half up; each statement after the
-    # first writes into the array the first made
-    round="{0} - ({0} < {3}); {d} += {1}; {d} &= {2}",
+    # x >> 63 is -1 where x < 0, where (x - 1 + half) rounds |x| half up;
+    # each statement after the first writes into the array the first made
+    round="{0} + ({0} >> {3}); {d} += {1}; {d} &= {2}",
     rescale="{0}; {d} >>= {1}",
     names={"_maximum": np.maximum, "_minimum": np.minimum, "_where": np.where,
            "_count_nonzero": np.count_nonzero, "_copyto": np.copyto,
@@ -558,7 +558,7 @@ def compile_schedule(
             copy = op.mnemonic == "sel" and args[2] in free and op.args[0] in flagged[i]
             out = args[2] if copy else free[0] if free and f"_{op.mnemonic}" in namespace else None
             if op.mnemonic == "rnd":
-                args = (args[0], _GRID // 2, -_GRID, 0)
+                args = (args[0], _GRID // 2, -_GRID, 63)
             shift = _RESCALE.get(op.mnemonic, 0)
             if shift:
                 k, x = args if isinstance(args[0], int) else args[::-1]
