@@ -334,8 +334,9 @@ class Network:
         del pre_idx
         post_idx = np.concatenate([_NO_IDS, *post_ids], dtype=np.int32)[order]
         del post_ids
-        weights = np.repeat(np.array(weights, dtype=np.float64), counts)[order]
-        self.synapses = SynapseGroup(indptr, post_idx, weights)
+        weights = np.array(weights, dtype=np.int32 if backend == "fixed" else np.float64)
+        weights, order = np.repeat(weights, counts)[order], None  # gathered before it widens
+        self.synapses = SynapseGroup(indptr, post_idx, weights.astype(np.float64, copy=False))
         self._pending = _NO_IDS
         self._saturates = backend == "fixed" and any(
             low < DA_PORT.min_raw or high > DA_PORT.max_raw for low, high in reach.values())

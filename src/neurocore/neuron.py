@@ -277,7 +277,6 @@ def step_fixed_batch(
     place, with ``hoisted``, what its ``hoist`` returns for ``batch`` and
     these constants, if given.  Returns the boolean spike mask.
     """
-    step = compiled or step_fields_batch
-    if hoisted is None:
-        hoisted = step.hoist(*_field_values(batch), alpha_raw, beta_raw, v_peak_raw)
-    return step.update(batch, da_raw, alpha_raw, beta_raw, v_peak_raw, *hoisted)
+    step, inputs = compiled or step_fields_batch, (alpha_raw, beta_raw, v_peak_raw)
+    hoisted = step.hoist(*_field_values(batch), *inputs) if hoisted is None else hoisted
+    return step.update(batch, da_raw, *inputs, *hoisted)
