@@ -26,7 +26,6 @@ from neurocore.schedule import ARRAYS, FIELD_FORMATS, compile_schedule, parse_sc
 from neurocore.synapse import alpha_fixed
 
 RS = NeuronParams(a=0.02, b=0.2, c=-65, d=8)
-V_PEAK = neuron.V_PEAK_DEFAULT
 FS = NeuronParams(a=0.1, b=0.2, c=-65, d=2)
 
 
@@ -388,7 +387,7 @@ def test_network_step_calls_and_allocations(monkeypatch, crossing, calls, alloca
     state = CompartmentFields(**{k: counted(x) for k, x in vars(net.state).items()})
     da = np.zeros(600, dtype=np.int64)
     if crossing:
-        state.v[7] = encode(V_PEAK, V_FMT).raw - 1
+        state.v[7] = encode(neuron.V_PEAK_DEFAULT, V_FMT).raw - 1  # crosses on this step
         da[7] = encode(100.0, DA_FMT).raw << 9
     Counted.calls = Counted.allocations = 0
     spiked = step_fixed_batch(state, counted(da), *map(counted, net._constants), compiled=step,
