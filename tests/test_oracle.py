@@ -50,7 +50,7 @@ ARITHMETIC = {
 }
 
 
-@functools.cache
+@functools.lru_cache(maxsize=128)  # one entry per schedule; a shrinking run draws thousands
 def ops_of(schedule) -> list[tuple]:
     """Each op of ``schedule`` as its arithmetic, destination, operands (a
     name or a literal's value) and the range its write saturates to: its
@@ -199,22 +199,23 @@ def test_accumulator_rounds_ties_away_from_zero(form):
 ARITY = {"mov": 1, "rnd": 1, "sel": 3, **dict.fromkeys(["add", "sub", "mul", "mulw", "gt"], 2)}
 # short runs of ops the array form writes in place, copies into or sinks: a
 # select into its else operand, a select whose x only it reads, computed
-# from a temporary another op reads after it, and a copy whose source is
-# rewritten; each letter a register of its own, each p a drawn operand
+# from a temporary (of DA, so not hoisted) another op reads after it, and a
+# copy whose source is rewritten; each letter a register of its own, each p
+# a drawn operand
 MOTIFS = (("gt f p p", "add y p p", "sel y f p y"),
-          ("gt f p p", "add t p p", "add x t t", "add y t p", "sel z f x y"),
+          ("gt f p p", "add t DA p", "add x t t", "add y t p", "sel z f x y"),
           ("add t p p", "mov c t", "add t t p"))
 
 
 @st.composite
 def generated(draw):
-    """A short schedule, one op per block, and one or two registers it
-    returns: each op reads fields of its block's word, registers written
-    before it, inputs, constants and literals, and writes a register, often
-    one it reads, or a field; a select mostly tests a flag and picks
-    registers, and a motif runs now and then.  Movs, shifts by literals,
-    products by ``@one`` (a quotient), ops on inputs only (hoisted) and
-    selects that skip, sink or copy all occur."""
+    """A short schedule, one op per block, and the registers it returns, the
+    last it writes and perhaps one more: each op reads fields of its block's
+    word, registers written before it, inputs, constants and literals, and
+    writes a register, often one it reads, or a field; a select mostly tests
+    a flag and picks registers, and a motif runs now and then.  Movs, shifts
+    by literals, products by ``@one`` (a quotient), ops on inputs only
+    (hoisted) and selects that skip, sink or copy all occur."""
     registers, flags, ops = [], [], []
     for _ in range(draw(st.integers(1, 7))):
         word = draw(st.sampled_from([0, 1, 2]))
@@ -225,8 +226,8 @@ def generated(draw):
             pool = st.sampled_from([*fields, *INPUTS, *CONSTANTS, *registers, *registers])
             if line:  # its operands mostly fields, so that its values are arrays
                 mnemonic, *tokens = line.split()
-                dest, *sources = [names.get(t) or draw(st.one_of(st.sampled_from(fields), pool))
-                                  for t in tokens]
+                dest, *sources = [names.get(t) or (t if t == "DA" else draw(
+                    st.one_of(st.sampled_from(fields), pool))) for t in tokens]
             else:
                 mnemonic = draw(st.sampled_from([*ARITY, "shl", "shr", "mov", "gt", "sel", "sel"]))
                 if mnemonic in ("shl", "shr"):
@@ -247,11 +248,11 @@ def generated(draw):
             flags = [f for f in flags if f != dest] + [dest] * (mnemonic == "gt" and dest[0] == "$")
             ops.append(Block(f"b{len(ops)}", word, (Op(mnemonic, dest, tuple(sources)),)))
     assume(registers)
-    results = draw(st.lists(st.sampled_from(registers), min_size=1, max_size=2, unique=True))
+    results = dict.fromkeys([registers[-1], *draw(st.lists(st.sampled_from(registers), max_size=1))])
     return BlockSchedule("generated", tuple(ops)), tuple(results)
 
 
-@settings(derandomize=True, max_examples=70, deadline=None,
+@settings(derandomize=True, max_examples=70, deadline=None, report_multiple_bugs=False,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(case=generated(), network_inputs=st.booleans())
 def test_generated_schedules_equal_the_interpreter(case, network_inputs):
