@@ -578,12 +578,12 @@ def compile_schedule(
             until.update({a: max(until.get(a, -1), *ends, -1) for a in {mine, ys} - {None}})
             owner.pop(d, None)
             owner.update({d: mine} if mine is not None and mine == ys else {})
-            out = f", out={d}" if inplace else ""
+            into = f", out={d}" if inplace else ""
             lo, hi = (None if b is None else source(b) for b in (clip.lower, clip.upper))
             if form.clip and lo is not None and hi is not None and clip.shaped:
-                return [*lines, indent + form.clip.format(x=d, lower=lo, upper=hi, out=out)]
+                return [*lines, indent + form.clip.format(x=d, lower=lo, upper=hi, out=into)]
             sides = [(t, b) for t, b in ((form.lower, lo), (form.upper, hi)) if b is not None]
-            return lines + [indent + t.format(x=d, bound=b, out=out) for t, b in sides]
+            return lines + [indent + t.format(x=d, bound=b, out=into) for t, b in sides]
 
         for i in ops:
             op, indent = plan[i], "    "
