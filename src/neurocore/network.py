@@ -161,8 +161,6 @@ class SynapseGroup:
         """Given pre ids' weights summed per post index, rows read as slices."""
         bounds, post, weight = self._bounds, self.post_idx, self.weight
         rows = [slice(bounds[i], bounds[i + 1]) for i in spiking.tolist()]
-        if len(rows) == 1:  # a third of the default circuit's deliveries: views, no copy
-            return np.bincount(post[rows[0]], weight[rows[0]], minlength=size)
         return np.bincount(np.concatenate([post[r] for r in rows]),
                            np.concatenate([weight[r] for r in rows]), minlength=size)
 

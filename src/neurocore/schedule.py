@@ -474,8 +474,8 @@ def compile_schedule(
     the ops that read only literals, constants, ``@`` inputs, fields never
     written and such values (``$mod``, ``$gain``), which a caller computes
     once while they hold.  It returns the fields in the same order and the
-    registers named in ``results``; ``step.update`` takes an object holding
-    the fields instead, stores into it those the schedule writes and returns
+    registers named in ``results``; a ``copy`` form's ``step.update`` (None
+    in the others) takes an object holding the fields instead, stores into it those the schedule writes and returns
     the registers.  Registers are locals, each clip the interval analysis
     keeps is inline, and ``form`` says how clips, ``sel`` and integers are
     written: ``INTS`` for Python ints, ``ARRAYS`` for int64 arrays.  There an
@@ -608,14 +608,15 @@ def compile_schedule(
     lines = [f"def hoist({', '.join(fields + group)}):", *function(sorted(hoisted)),
              f"    return ({''.join(name + ', ' for name in passed)})",
              f"def step({', '.join(fields + ins)}):", *body,
-             f"    return {', '.join([*fields, *map(_local, results)])}",
-             f"def update(_s, {', '.join(ins)}):",
-             f"    {', '.join(fields)} = {', '.join('_s.' + f for f in fields)}", *body,
-             *[f"    {', '.join('_s.' + f for f in writes)} = {', '.join(writes)}"][:len(writes)],
-             f"    return {', '.join(map(_local, results))}"]
+             f"    return {', '.join([*fields, *map(_local, results)])}"]
+    if form.copy:  # the entry step_fixed_batch runs
+        lines += [f"def update(_s, {', '.join(ins)}):",
+                  f"    {', '.join(fields)} = {', '.join('_s.' + f for f in fields)}", *body,
+                  *[f"    {', '.join('_s.' + f for f in writes)} = {', '.join(writes)}"][:len(writes)],
+                  f"    return {', '.join(map(_local, results))}"]
     exec(compile("\n".join(lines) + "\n", "<schedule>", "exec"), namespace)
     step = namespace["step"]
-    step.hoist, step.update = namespace["hoist"], namespace["update"]
+    step.hoist, step.update = namespace["hoist"], namespace.get("update")
     return step
 
 

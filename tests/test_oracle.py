@@ -102,12 +102,15 @@ def draw_inputs(rng, inputs, n):
 def run(step, args: dict) -> tuple:
     """``step`` and its ``hoist`` on ``args``, every field and input in order;
     asserts that nothing passed in, ``hoist``'s values included, is written,
-    and that ``step.update`` stores the same fields into an object."""
+    and that ``step.update``, where the form has one, stores the same fields
+    into an object."""
     fixed = [x for name, x in args.items() if name in FIELD_FORMATS or name[0] == "@"]
     passed = (*args.values(), *step.hoist(*fixed))
     before = [np.copy(x) for x in passed]
     got = step(*passed)
     assert all(np.array_equal(x, b) for x, b in zip(passed, before, strict=True))
+    if step.update is None:
+        return got
     n = len(FIELD_FORMATS)
     state = SimpleNamespace(**dict(zip(FIELD_FORMATS, passed)))
     results = step.update(state, *passed[n:])
