@@ -38,6 +38,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -320,7 +321,7 @@ ARRAYS = Form(
     round="{0} + ({0} >> {3}); {d} += {1}; {d} &= {2}",
     rescale="{0}; {d} >>= {1}",
     names={"_maximum": np.maximum, "_minimum": np.minimum, "_where": np.where,
-           "_count_nonzero": np.count_nonzero, "_copyto": np.copyto,
+           "_count_nonzero": np.count_nonzero, "_copyto": np.copyto, "_fields": SimpleNamespace,
            **{f"_{name}": ufunc for name, (_, _, ufunc) in _OPS.items() if ufunc}},
     clip="{x} = {x}.clip({lower}, {upper}{out})",  # one call, not two
     bind=True,
@@ -452,11 +453,9 @@ def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[Planne
             # a gt gives a bool array, and so does a mov of one or a sel of two
             kept = op.mnemonic in ("mov", "sel") and flags.issuperset(op.sources[-2:])
             (flags.add if op.mnemonic == "gt" or kept else flags.discard)(op.dest)
-            plan.append(PlannedOp(
-                _local(op.dest), op.mnemonic, tuple(src for src, _ in operands),
-                low if lo < low else None, high if hi > high else None, skip, op.dest in shaped,
-                op.dest in flags,
-            ))
+            plan.append(PlannedOp(_local(op.dest), op.mnemonic, tuple(s for s, _ in operands),
+                                  low if lo < low else None, high if hi > high else None, skip,
+                                  op.dest in shaped, op.dest in flags))
     return plan
 
 
@@ -469,27 +468,26 @@ def compile_schedule(
     """Compile ``schedule`` into one straight-line Python function, ``step``.
 
     ``step`` takes every field in ``FIELD_LAYOUT`` order, the ``inputs`` in
-    their order, each within its range (see :func:`plan_schedule`), and what
+    their order, each within its range (:func:`plan_schedule`), and what
     ``step.hoist`` returns for those fields and ``@`` inputs: the values of
     the ops that read only literals, constants, ``@`` inputs, fields never
     written and such values (``$mod``, ``$gain``), which a caller computes
     once while they hold.  It returns the fields in the same order and the
-    registers named in ``results``; a ``copy`` form's ``step.update`` (None
-    in the others) takes an object holding the fields instead, stores into it those the schedule writes and returns
-    the registers.  Registers are locals, each clip the interval analysis
-    keeps is inline, and ``form`` says how clips, ``sel`` and integers are
-    written: ``INTS`` for Python ints, ``ARRAYS`` for int64 arrays.  There an
-    op writes into an operand's array that the same call made, of its
-    result's dtype, that no later op reads (``owner`` and ``until`` below;
-    a sunk op reads at its select, a returned value at the end), a clip into
-    what it clips, and a select on a flag copies ``x`` into such a ``y``
-    where the flag is set; nothing passed in is written.  Exact rewrites
-    drop operations: a product by a multiple of its rescale 2^s is one by
-    the quotient, a product whose one reader shifts it right in place shifts
-    once by both counts, and an op only a skipped select's ``x`` reads runs
-    in its branch, on operands held where it stood.  The source is built
-    only from the tables above, checked register names and integer values,
-    never from raw text.
+    registers named in ``results``.  A ``copy`` form's ``step`` calls
+    ``step.update`` (None in others), which runs the body on an object of
+    the fields and stores those written.  Registers are locals, each clip
+    the interval analysis keeps is inline, and ``form`` says how clips,
+    ``sel`` and integers are written: ``INTS`` for Python ints, ``ARRAYS``
+    for int64 arrays.  There an op writes into an operand's array that the
+    same call made, of its result's dtype, that no later op reads (a sunk op
+    at its select, a returned value at the end), a clip in place, and a
+    select on a flag copies ``x`` into such a ``y`` where the flag is set;
+    nothing passed in is written.  Exact rewrites drop operations: a product
+    by a multiple of its rescale 2^s is one by the quotient, a product whose
+    one reader shifts it right in place shifts once by both counts, and an
+    op only a skipped select's ``x`` reads runs in its branch, on operands
+    held where it stood.  The source is built only from the tables above,
+    checked register names and integer values, never from raw text.
     """
     plan = plan_schedule(schedule, inputs)
     dests = [op.dest for op in plan]
@@ -604,16 +602,19 @@ def compile_schedule(
 
     fields, ins = list(map(_local, FIELD_FORMATS)), [*map(_local, inputs), *passed]
     rest = [i for i in range(len(plan)) if i not in hoisted and i not in fused.values()]
-    body, writes = function(rest), [f for f in fields if f in dests]
+    body, writes, res = function(rest), [f for f in fields if f in dests], [*map(_local, results)]
     lines = [f"def hoist({', '.join(fields + group)}):", *function(sorted(hoisted)),
              f"    return ({''.join(name + ', ' for name in passed)})",
              f"def step({', '.join(fields + ins)}):", *body,
-             f"    return {', '.join([*fields, *map(_local, results)])}"]
-    if form.copy:  # the entry step_fixed_batch runs
-        lines += [f"def update(_s, {', '.join(ins)}):",
-                  f"    {', '.join(fields)} = {', '.join('_s.' + f for f in fields)}", *body,
-                  *[f"    {', '.join('_s.' + f for f in writes)} = {', '.join(writes)}"][:len(writes)],
-                  f"    return {', '.join(map(_local, results))}"]
+             f"    return {', '.join(fields + res)}"]
+    if form.copy:  # the body once, in the entry step_fixed_batch runs; step calls it
+        load, store = (", ".join(f"_s.{f}" for f in names) for names in (fields, writes))
+        lines[-len(body) - 1:] = [
+            f"    _s = _fields({', '.join(f'{f}={f}' for f in fields)})",
+            f"    {', '.join(res) or '_'} = update(_s, {', '.join(ins)})",
+            f"    return {', '.join([load, *res])}",
+            f"def update(_s, {', '.join(ins)}):", f"    {', '.join(fields)} = {load}", *body,
+            *[f"    {store} = {', '.join(writes)}"][:len(writes)], f"    return {', '.join(res)}"]
     exec(compile("\n".join(lines) + "\n", "<schedule>", "exec"), namespace)
     step = namespace["step"]
     step.hoist, step.update = namespace["hoist"], namespace.get("update")
