@@ -27,28 +27,25 @@ from pathlib import Path
 
 from . import analysis, regimes
 from .bg import build_bg, run_gonogo
+from .compiler import ARRAYS, INTS, compile_schedule, plan_schedule, run_corners
 from .config import check_duration, default_config_text, load_default_config, parse_config
 from .network import BACKENDS, STEP_INPUTS, ConfigError
 from .neuron import DT_MS, SimulationError
-from .schedule import (
-    ARRAYS,
-    INPUTS,
-    INTS,
-    ScheduleError,
-    compile_schedule,
-    izhikevich_schedule,
-    parse_schedule,
-    plan_schedule,
-    run_corners,
-    validate_schedule,
-)
+from .schedule import INPUTS, ScheduleError, izhikevich_schedule, parse_schedule, validate_schedule
 
 ENV_SEED = "NEUROCORE_SEED"
 ENV_OUT = "NEUROCORE_OUT"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line with one ``error:`` line, as any invalid input."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="neurocore",
         description="Fixed-point neurocore emulator and Go/No-Go experiment runner.",
     )

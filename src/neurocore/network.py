@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import synapse as syn
+from .compiler import ARRAYS, compile_schedule
 # quantize_raw has no caller here; the benchmark's probes wrap it by this name
 from .fxp import DA_PORT, DDOP_FMT, WEIGHT_FMT, encode_checked, quantize_raw, require_finite
 from .neuron import (
@@ -44,13 +45,7 @@ from .neuron import (
     float_update,
     step_fixed_batch,
 )
-from .schedule import (
-    ARRAYS,
-    FIELD_LAYOUT,
-    INPUTS,
-    compile_schedule,
-    izhikevich_schedule,
-)
+from .schedule import FIELD_LAYOUT, INPUTS, izhikevich_schedule
 
 BACKENDS = ("fixed", "float")
 _NO_IDS = np.empty(0, dtype=np.int64)

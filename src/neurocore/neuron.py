@@ -1,15 +1,16 @@
 """Izhikevich neuron in two interchangeable arithmetics.
 
 ``float_update`` is the floating-point reference of the discrete Euler
-update, written once: ``step_float`` runs it on one neuron's floats and the
-network's float backend on per-neuron arrays.  The fixed-point arithmetic
-is defined in one place, the shipped block schedule
+update, written once: ``step_float`` and the regime runs run it on one
+neuron's floats, the network's float backend on per-neuron arrays.  The
+fixed-point arithmetic is defined in one place, the shipped block schedule
 ``data/izhikevich_schedule.txt`` (see :mod:`neurocore.schedule`), compiled
-at import into two generated functions of the same source but for how they
-clip and select: ``step_fields`` on one compartment's field values as
-Python ints, which ``step_fixed`` wraps in an unpack and a pack of the state
-words, and ``step_fields_batch`` on whole populations of int64 arrays, which
-``step_fixed_batch`` runs.  ``encode_neuron`` is the one map from a
+at import (:mod:`neurocore.compiler`) into two generated functions of the
+same source but for how they clip and select: ``step_fields`` on one
+compartment's field values as Python ints, which ``step_fixed`` wraps in an
+unpack and a pack of the state words and whose ``loop`` runs many steps to
+a call, and ``step_fields_batch`` on whole populations of int64 arrays,
+which ``step_fixed_batch`` runs.  ``encode_neuron`` is the one map from a
 configured neuron to the raw field values both run on.
 
 Update rule, with dt = DT_MS = 1/8 ms:
@@ -31,6 +32,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from .compiler import ARRAYS, compile_schedule
 # sat_raw has no caller here; the benchmark's probes wrap it by this name
 from .fxp import (
     DDOP_FMT,
@@ -43,17 +45,8 @@ from .fxp import (
     require_finite,
     sat_raw,
 )
-from .schedule import (
-    ARRAYS,
-    FIELD_FORMATS,
-    FIELD_LAYOUT,
-    INPUTS,
-    K_BIAS,
-    K_LIN,
-    K_QUAD,
-    compile_schedule,
-    izhikevich_schedule,
-)
+from .schedule import (FIELD_FORMATS, FIELD_LAYOUT, INPUTS, K_BIAS, K_LIN, K_QUAD,
+                       izhikevich_schedule)
 
 V_PEAK_DEFAULT = 30.0
 DT_MS = 0.125  # the schedule's timestep multiply is >> 3
@@ -218,7 +211,8 @@ _field_values = attrgetter(*FIELD_LAYOUT)
 
 _SCHEDULE = izhikevich_schedule()
 # step(*fields, DA, alpha, beta, v_peak, *step.hoist(*fields, alpha, beta,
-# v_peak)) -> (*fields, spiked), fields in FIELD_LAYOUT order: Python ints are
+# v_peak)) -> (*fields, spiked), fields in FIELD_LAYOUT order, and the same
+# arguments, then n, vs, spikes to step.loop for n steps: Python ints are
 # the faster values for one compartment, int64 arrays for a population
 step_fields = compile_schedule(_SCHEDULE)
 step_fields_batch = compile_schedule(_SCHEDULE, ARRAYS)

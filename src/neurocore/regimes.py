@@ -10,27 +10,31 @@ train alone.
 On the fixed backend the stimulus enters through the dendrite-accumulator
 port with the synaptic decay disabled, so the neuron sees exactly the
 programmed current each step (all protocol currents are representable on
-the accumulator grid).  The 16-bit bias-current field saturates at 8, so
-it cannot carry the demonstration current of 10.
+the accumulator grid, and one past its range raises ``ValueError``).  The
+16-bit bias-current field saturates at 8, so it cannot carry the
+demonstration current of 10.  Each protocol segment is one call of the
+compiled schedule's loop; the float backend carries ``v`` and ``u`` through
+``float_update`` step by step.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from math import isfinite
 
 import numpy as np
 
 from .analysis import SpikeTrain, cv_isi
-from .fxp import DA_FMT, Q12, V_FMT, encode
+from .fxp import DA_FMT, Q12, V_FMT, encode_checked
 from .neuron import (
     DT_MS,
     NeuronParams,
+    SimulationError,
     encode_neuron,
+    float_update,
     initial_state,
     step_fields,
-    step_float,
 )
-from .schedule import FIELD_LAYOUT
 
 REST_V = -70.0
 DEMO_CURRENT = 10.0
@@ -111,38 +115,38 @@ def timing_comparison(
     }
 
 
-_V = list(FIELD_LAYOUT).index("v")
-
-
 def _run_fixed(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, list[int]]:
-    """The compiled schedule on one compartment's field values, carried from
-    step to step as Python ints; the state words are never packed."""
-    v_scale = float(V_FMT.scale)
+    """The compiled schedule's loop on one compartment's field values, held
+    as Python ints through each protocol segment in one call; the state
+    words are never packed."""
     rest, _, v_peak = encode_neuron(params, REST_V)
     fields = astuple(rest)
     hoisted = step_fields.hoist(*fields, 0, 0, v_peak)
-    v_mv, spikes = [], []
+    v_raw, spikes = [], []
     for ms, current in protocol:
         # the stimulus enters through the accumulator port, as a Q12 sum on
         # its grid, with decay off (alpha 0) and no dopamine gain (beta 0)
-        da = encode(current, DA_FMT).raw << Q12 - DA_FMT.frac_bits
-        for _ in range(round(ms / DT_MS)):
-            *fields, spiked = step_fields(*fields, da, 0, 0, v_peak, *hoisted)
-            if spiked:
-                spikes.append(len(v_mv))
-            v_mv.append(fields[_V] / v_scale)
-    return np.array(v_mv), spikes
+        da = encode_checked("current", current, DA_FMT) << Q12 - DA_FMT.frac_bits
+        *fields, _ = step_fields.loop(*fields, da, 0, 0, v_peak, *hoisted,
+                                      round(ms / DT_MS), v_raw, spikes)
+    return np.array(v_raw) / V_FMT.scale, spikes
 
 
 def _run_float(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, list[int]]:
-    state = initial_state(params, v0=REST_V)
+    """The float reference, ``float_update`` on ``v`` and ``u`` carried as
+    floats from step to step."""
+    rest = initial_state(params, v0=REST_V)
+    v, u = rest.v, rest.u
     v_mv, spikes = [], []
     for ms, current in protocol:
+        i = params.i_const + current
         for _ in range(round(ms / DT_MS)):
-            state, spiked = step_float(params, state, params.i_const + current)
+            if not (isfinite(v) and isfinite(u) and isfinite(i)):
+                raise SimulationError(f"non-finite neuron state: v={v}, u={u}, I={i}")
+            v, u, spiked = float_update(params, v, u, i)
             if spiked:
                 spikes.append(len(v_mv))
-            v_mv.append(state.v)
+            v_mv.append(v)
     return np.array(v_mv), spikes
 
 

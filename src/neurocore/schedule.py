@@ -1,5 +1,5 @@
-"""Block schedules: the microcode of the neurocore, its validator and its
-compiler.
+"""Block schedules: the microcode of the neurocore, its text format and its
+validator.
 
 A schedule is an ordered list of computation blocks.  Each block may access
 fields from at most one compartment-state word; values needed across words
@@ -12,40 +12,24 @@ are spilled through registers.  Identifier conventions in the ops:
     digits      an ASCII decimal literal (shift counts)
 
 The shipped schedule, ``data/izhikevich_schedule.txt``, *is* the fixed-point
-Izhikevich arithmetic: :func:`compile_schedule` generates the source of one
-straight-line Python function from it, and :mod:`neurocore.neuron` runs that
-function on one compartment's unpacked fields (Python ints) and on whole
-populations (int64 arrays).  The ops are ``mov``, ``add``, ``sub``, ``mul``
-(product ``>> 12``), ``mulw`` (product ``>> KQ_FRAC``), ``shl``, ``shr``
-(arithmetic), ``rnd`` (to whole ``DA_FMT`` units, ties away from zero, and
-their range ``DA_PORT``: what the shipped text does to the Q12 sum ``DA``
-takes), ``gt`` (a 0/1 flag) and ``sel d <- f, x, y`` (``x`` if ``f`` else
-``y``).  Every write saturates to its destination, a field to its
-``FIELD_FORMATS`` format and a register to ``REG_FMT``, except where an
-interval analysis from the known range of every field, input and constant
-shows the clip can never bind.  The input ranges are an argument of the
-compiler, so a caller that guarantees narrower inputs than ``INPUTS`` (the
-network always passes one ``@alpha``, for one) gets a function with fewer
-clips.  The same analysis rejects a schedule in which some intermediate
-could leave int64.  The array form binds integers as 0-d int64 arrays,
-cheaper numpy operands than ints, and both forms skip selects no flag sets
-and take the ops on values fixed for a run as arguments, computed once.
+Izhikevich arithmetic, which :mod:`neurocore.compiler` turns into Python.
+The ops are ``mov``, ``add``, ``sub``, ``mul`` (product ``>> 12``), ``mulw``
+(product ``>> KQ_FRAC``), ``shl``, ``shr`` (arithmetic), ``rnd`` (to whole
+``DA_FMT`` units, ties away from zero, and their range ``DA_PORT``: what the
+shipped text does to the Q12 sum ``DA`` takes), ``gt`` (a 0/1 flag) and
+``sel d <- f, x, y`` (``x`` if ``f`` else ``y``).  Every write saturates to
+its destination, a field to its ``FIELD_FORMATS`` format and a register to
+``REG_FMT``.
 """
 
 from __future__ import annotations
 
-import operator
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from types import SimpleNamespace
-
-import numpy as np
 
 from .fxp import (
     AB_FMT,
     CD_FMT,
-    DA_FMT,
     DA_PORT,
     DDOP_FMT,
     ICONST_FMT,
@@ -251,386 +235,3 @@ def izhikevich_schedule() -> BlockSchedule:
     """The shipped schedule: the fixed-point Izhikevich arithmetic."""
     text = resources.files("neurocore").joinpath("data/izhikevich_schedule.txt").read_text()
     return parse_schedule(text)
-
-
-# ---------------------------------------------------------------------------
-# Compiler
-# ---------------------------------------------------------------------------
-
-_GRID = 1 << Q12 - DA_FMT.frac_bits  # one DA_FMT unit at Q12, the grid ``rnd`` rounds to
-# Python source of each op's value (``sel``'s and ``rnd``'s are the Form's)
-# before any rescale shift, for the interval analysis its unscaled int
-# result, and the ufunc that writes it into an array
-_OPS = {
-    "mov": ("{0}", None, None),
-    "add": ("{0} + {1}", operator.add, np.add),
-    "sub": ("{0} - {1}", operator.sub, np.subtract),
-    "mul": ("{0} * {1}", operator.mul, np.multiply),
-    "mulw": ("{0} * {1}", operator.mul, np.multiply),
-    "shl": ("{0} << {1}", operator.lshift, np.left_shift),
-    "shr": ("{0} >> {1}", operator.rshift, np.right_shift),
-    "gt": ("{0} > {1}", None, np.greater),
-    "rnd": (None, lambda x: (x + _GRID // 2 - (x < 0)) & -_GRID, None),
-}
-_ARITY = {name: 1 if name in ("mov", "rnd") else 2 for name in _OPS} | {"sel": 3}
-_RESCALE = {"mul": Q12, "mulw": KQ_FRAC}
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-_NAME = re.compile(r"[$@][A-Za-z_]\w*", re.ASCII)
-
-
-@dataclass(frozen=True)
-class Form:
-    """How generated code clips a local ``{x}`` to a ``{bound}`` (with
-    ``clip``, an array to both in one statement), selects ``{1}`` where
-    ``{0}`` else ``{2}``, rounds ``{0}`` half away from zero to a unit's
-    multiple (``{1}`` half the unit, ``{2}`` minus it, ``{3}`` 63) and
-    shifts a product ``{0}`` right by ``{1}``, into ``{d}``, for one kind of
-    value; ``names`` are the globals that code looks up.  It tests with
-    ``none_set`` that no ``{0}`` is set, where a ``skip`` select returns
-    ``{2}``, and a ``bind`` form binds every integer once as a 0-d int64
-    array global, not a literal.  A ``copy`` form writes a result into an
-    array its call made and no later op reads: a ufunc ``_{mnemonic}`` with
-    ``out=``, a clip with ``{out}``, a select as ``copy``."""
-
-    lower: str
-    upper: str
-    select: str
-    none_set: str
-    round: str
-    rescale: str = "({0}) >> {1}"
-    names: dict = field(default_factory=dict)
-    clip: str | None = None
-    bind: bool = False
-    copy: str | None = None
-
-
-INTS = Form(
-    lower="if {x} < {bound}: {x} = {bound}",
-    upper="if {x} > {bound}: {x} = {bound}",
-    select="{1} if {0} else {2}",
-    none_set="not {0}",
-    round="-(({1} - {0}) & {2}) if {0} < 0 else ({0} + {1}) & {2}",  # a branch: cheaper here
-)
-ARRAYS = Form(
-    lower="{x} = _maximum({x}, {bound}{out})",
-    upper="{x} = _minimum({x}, {bound}{out})",
-    select="_where({0}, {1}, {2})",
-    none_set="not _count_nonzero({0})",
-    # x >> 63 is -1 where x < 0, where (x - 1 + half) rounds |x| half up;
-    # each statement after the first writes into the array the first made
-    round="{0} + ({0} >> {3}); {d} += {1}; {d} &= {2}",
-    rescale="{0}; {d} >>= {1}",
-    names={"_maximum": np.maximum, "_minimum": np.minimum, "_where": np.where,
-           "_count_nonzero": np.count_nonzero, "_copyto": np.copyto, "_fields": SimpleNamespace,
-           **{f"_{name}": ufunc for name, (_, _, ufunc) in _OPS.items() if ufunc}},
-    clip="{x} = {x}.clip({lower}, {upper}{out})",  # one call, not two
-    bind=True,
-    copy="_copyto({2}, {1}, where={0}); {d} = {2}",
-)
-
-
-@dataclass(frozen=True)
-class PlannedOp:
-    """One op as generated code runs it: the Python local it writes, its
-    operands as Python locals or integers, each bound of its clip that can
-    bind (None where the interval analysis shows it never does), whether it
-    is ``shaped``, an array in the array form whatever the inputs, and a
-    ``flag``, a bool there.  A ``skip`` ``sel d <- f, x, y`` may return ``y``
-    where no ``f`` is set: ``y`` is a population-shaped array of ``where``'s
-    dtype in ``d``'s format, ``d`` if a field."""
-
-    dest: str
-    mnemonic: str
-    args: tuple[str | int, ...]
-    lower: int | None
-    upper: int | None
-    skip: bool
-    shaped: bool
-    flag: bool
-
-    @property
-    def clips(self) -> bool:
-        return self.lower is not None or self.upper is not None
-
-
-def _local(name: str) -> str:
-    """The Python local holding a field, input, register or constant."""
-    return {"$": "r_", "@": "k_"}.get(name[0], "") + name.lstrip("$@")
-
-
-def _operand(token: str, known: dict, where: str) -> tuple[str | int, tuple[int, int]]:
-    """Python local or integer, and value interval, of one source operand."""
-    if token in known:
-        return known[token]
-    value = _literal(token, where)
-    if value is not None:
-        return value, (value, value)
-    if not _NAME.fullmatch(token):
-        raise ScheduleError(f"{where}: {token!r} is not a register or constant name")
-    if token.startswith("$"):
-        raise ScheduleError(f"{where}: register {token} read before it is written")
-    raise ScheduleError(f"{where}: unknown constant {token!r}")
-
-
-def _interval(mnemonic: str, operands: list, where: str, square: bool = False) -> tuple[int, int]:
-    """Interval of an op's result from its operands' intervals.
-
-    Each int op is monotone in each operand, so its extremes over a box of
-    operand values lie at the corners.  A ``square`` product, of one operand
-    by itself, is never negative.  Raises ScheduleError where a shift count
-    can leave [0, 63] or the unscaled result can leave int64, where int64
-    arrays would wrap and Python ints would not.
-    """
-    if mnemonic == "gt":
-        return 0, 1
-    if mnemonic in ("mov", "rnd"):
-        lo, hi = map(_OPS[mnemonic][1] or int, operands[0])
-    elif mnemonic == "sel":
-        (lo1, hi1), (lo2, hi2) = operands[1:]
-        lo, hi = min(lo1, lo2), max(hi1, hi2)
-    else:
-        if mnemonic in ("shl", "shr") and not 0 <= operands[1][0] <= operands[1][1] <= 63:
-            raise ScheduleError(f"{where}: shift count can leave [0, 63]")
-        fn = _OPS[mnemonic][1]
-        corners = [fn(x, y) for x in operands[0] for y in operands[1]]
-        lo, hi = 0 if square else min(corners), max(corners)
-    if lo < _INT64_MIN or hi > _INT64_MAX:
-        raise ScheduleError(f"{where}: an intermediate can leave int64, range [{lo}, {hi}]")
-    shift = _RESCALE.get(mnemonic, 0)
-    return lo >> shift, hi >> shift
-
-
-def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[PlannedOp]:
-    """Check ``schedule`` and run the interval analysis over it, op by op.
-
-    Fields start at their formats' ranges, ``CONSTANTS`` at their values
-    and each of ``inputs`` at its format's range or, where it is an int
-    (the one raw every call passes), as that constant.  Raises ScheduleError for a
-    word-rule violation, an unknown op, a wrong operand count, a malformed
-    register name, a literal that is not ASCII digits, an unknown constant,
-    a register read before it is written, a write to anything but a field
-    or register, a shift count that can leave [0, 63] and an intermediate
-    that can leave int64.
-    """
-    violations = validate_schedule(schedule)
-    if violations:
-        raise ScheduleError(violations[0].describe())
-    # Python local or integer, and value interval, of every identifier an op can read
-    known = {name: (x, (x, x)) if isinstance(x, int) else (_local(name), (x.min_raw, x.max_raw))
-             for name, x in {**FIELD_FORMATS, **inputs, **CONSTANTS}.items()}
-    # what holds a population-shaped array, and what a 0/1 flag (bool in arrays)
-    shaped, flags = set(FIELD_FORMATS), set()
-    plan = []
-    for block in schedule.blocks:
-        for op in block.ops:
-            where = f"block {block.name!r}: {op.render()!r}"
-            arity = _ARITY.get(op.mnemonic)
-            if arity is None:
-                raise ScheduleError(f"{where}: unknown op {op.mnemonic!r}")
-            if len(op.sources) != arity:
-                raise ScheduleError(f"{where}: {op.mnemonic} takes {arity} operand(s)")
-            operands = [_operand(src, known, where) for src in op.sources]
-            if op.dest in FIELD_FORMATS:
-                fmt = FIELD_FORMATS[op.dest]
-            elif op.dest.startswith("$"):
-                if not _NAME.fullmatch(op.dest):
-                    raise ScheduleError(f"{where}: {op.dest!r} is not a register name")
-                fmt = REG_FMT
-            else:
-                raise ScheduleError(f"{where}: {op.dest!r} cannot be written")
-            square = op.mnemonic in _RESCALE and op.sources[0] == op.sources[1]
-            lo, hi = _interval(op.mnemonic, [span for _, span in operands], where, square)
-            low, high = fmt.min_raw, fmt.max_raw
-            if op.mnemonic == "rnd":
-                low, high = max(low, DA_PORT.min_raw), min(high, DA_PORT.max_raw)
-            clip = lambda x: min(max(x, low), high)
-            y, (y_lo, y_hi) = op.sources[-1], operands[-1][1]
-            skip = (op.mnemonic == "sel" and y in shaped and low <= y_lo
-                    and y_hi <= high and (op.dest == y or op.dest not in FIELD_FORMATS)
-                    and (y not in flags or op.sources[1] in flags))
-            known[op.dest] = _local(op.dest), (clip(lo), clip(hi))
-            (shaped.add if shaped.intersection(op.sources) else shaped.discard)(op.dest)
-            # a gt gives a bool array, and so does a mov of one or a sel of two
-            kept = op.mnemonic in ("mov", "sel") and flags.issuperset(op.sources[-2:])
-            (flags.add if op.mnemonic == "gt" or kept else flags.discard)(op.dest)
-            plan.append(PlannedOp(_local(op.dest), op.mnemonic, tuple(s for s, _ in operands),
-                                  low if lo < low else None, high if hi > high else None, skip,
-                                  op.dest in shaped, op.dest in flags))
-    return plan
-
-
-def compile_schedule(
-    schedule: BlockSchedule,
-    form: Form = INTS,
-    results: tuple[str, ...] = ("$spk",),
-    inputs: dict = INPUTS,
-):
-    """Compile ``schedule`` into one straight-line Python function, ``step``.
-
-    ``step`` takes every field in ``FIELD_LAYOUT`` order, the ``inputs`` in
-    their order, each within its range (:func:`plan_schedule`), and what
-    ``step.hoist`` returns for those fields and ``@`` inputs: the values of
-    the ops that read only literals, constants, ``@`` inputs, fields never
-    written and such values (``$mod``, ``$gain``), which a caller computes
-    once while they hold.  It returns the fields in the same order and the
-    registers named in ``results``.  A ``copy`` form's ``step`` calls
-    ``step.update`` (None in others), which runs the body on an object of
-    the fields and stores those written.  Registers are locals, each clip
-    the interval analysis keeps is inline, and ``form`` says how clips,
-    ``sel`` and integers are written: ``INTS`` for Python ints, ``ARRAYS``
-    for int64 arrays.  There an op writes into an operand's array that the
-    same call made, of its result's dtype, that no later op reads (a sunk op
-    at its select, a returned value at the end), a clip in place, and a
-    select on a flag copies ``x`` into such a ``y`` where the flag is set;
-    nothing passed in is written.  Exact rewrites drop operations: a product
-    by a multiple of its rescale 2^s is one by the quotient, a product whose
-    one reader shifts it right in place shifts once by both counts, and an
-    op only a skipped select's ``x`` reads runs in its branch, on operands
-    held where it stood.  The source is built only from the tables above,
-    checked register names and integer values, never from raw text.
-    """
-    plan = plan_schedule(schedule, inputs)
-    dests = [op.dest for op in plan]
-    for name in results:
-        if not (name.startswith("$") and _NAME.fullmatch(name) and _local(name) in dests):
-            raise ScheduleError(f"result {name!r} is not a register the schedule writes")
-    namespace = dict(form.names)
-
-    def source(arg: str | int) -> str | int:
-        if isinstance(arg, str) or not form.bind:
-            return arg
-        name = f"_i{arg}".replace("-", "m")
-        namespace[name] = np.array(arg, dtype=np.int64)
-        return name
-
-    # the (op, operand position) of each read of what an op writes, (None, 0)
-    # where it is returned; the ops on values fixed for a run, to hoist
-    group = [_local(name) for name in inputs if name.startswith("@")]
-    last, readers, hoisted = {}, [[] for _ in plan], set()
-    fixed = {*group, *FIELD_FORMATS} - set(dests)
-    for i, op in enumerate(plan):
-        for pos, arg in enumerate(op.args):
-            if arg in last:
-                readers[last[arg]].append((i, pos))
-        last[op.dest] = i
-        if (op.mnemonic != "mov" and op.dest.startswith("r_") and dests.count(op.dest) == 1
-                and all(isinstance(a, int) or a in fixed for a in op.args)):
-            hoisted.add(i)
-            fixed.add(op.dest)
-    for name in last.keys() & {*FIELD_FORMATS, *map(_local, results)}:
-        readers[last[name]].append((None, 0))
-    passed = [dests[i] for i in sorted(hoisted) if any(j not in hoisted for j, _ in readers[i])]
-    # product -> the shr of it in place, its one reader; skipped select -> the
-    # op only its x reads, on the operands that op's ``held`` lines keep
-    fused, sunk, held = {}, {}, {}
-    for i, op in enumerate(plan):
-        j, pos = readers[i][0] if len(readers[i]) == 1 else (None, 0)
-        if j is None or i in hoisted or i in fused.values() or i in sunk:
-            continue
-        count = plan[j].args[-1]
-        if (op.mnemonic in _RESCALE and not op.clips and plan[j].mnemonic == "shr" and pos == 0
-                and dests[j] == op.dest and isinstance(count, int)
-                and _RESCALE[op.mnemonic] + count <= 63):
-            fused[i] = j
-        elif plan[j].skip and pos == 1 and op.dest.startswith("r_"):
-            later = set(dests[i + 1:j]).intersection(op.args)
-            held[i] = [f"    _{i}_{a} = {a}" for a in sorted(later)]
-            sunk[j] = i, tuple(f"_{i}_{a}" if a in later else a for a in op.args)
-    # where each op runs, a sunk one just before its select, and its flag operands
-    at, flags, flagged = {i: j - 0.5 for j, (i, _) in sunk.items()}, set(), []
-    for op in plan:
-        flagged.append(flags.intersection(op.args))
-        (flags.add if op.flag else flags.discard)(op.dest)
-
-    def function(ops: list[int]) -> list[str]:  # the body running ``ops``
-        # a local -> the op that made its array in this call -> that array's last read
-        lines, tested, owner, until = [], set(), {}, {}  # flags a ``_none_`` local tests
-
-        def emit(i: int, indent: str, args: tuple) -> list[str]:
-            op, clip, d = plan[i], plan[fused.get(i, i)], plan[i].dest
-            ends = [at.get(j, j) if j in ops else len(plan) for j, _ in readers[fused.get(i, i)]]
-            free = [a for a in args if form.copy and a in owner and until[owner[a]] <= at.get(i, i)
-                    and plan[owner[a]].flag == op.flag]  # arrays no later op reads
-            if form.bind and op.mnemonic not in ("mov", "sel", "gt") and flagged[i] >= {*op.args}:
-                args = (f"({source(0)} + {args[0]})", *args[1:])  # numpy adds bools as or
-            copy = op.mnemonic == "sel" and args[2] in free and op.args[0] in flagged[i]
-            out = args[2] if copy else free[0] if free and f"_{op.mnemonic}" in namespace else None
-            if op.mnemonic == "rnd":
-                args = (args[0], _GRID // 2, -_GRID, 63)
-            shift = _RESCALE.get(op.mnemonic, 0)
-            if shift:
-                k, x = args if isinstance(args[0], int) else args[::-1]
-                if isinstance(k, int) and k % (1 << shift) == 0:
-                    args, shift = (k >> shift, x), 0
-                shift += plan[fused[i]].args[1] if i in fused else 0
-            template = {"sel": form.copy if copy else form.select, "rnd": form.round}.get(
-                op.mnemonic, f"_{op.mnemonic}({{0}}, {{1}}, out={out})" if out else None)
-            value = (template or _OPS[op.mnemonic][0]).format(*map(source, args), d=d)
-            value = form.rescale.format(value, source(shift), d=d) if shift else value
-            lines = [indent + (value if copy else f"{d} = {value}")]
-            mine = owner[out] if out is not None else i if op.shaped else None
-            if op.mnemonic == "mov" and (args[0] in free or not clip.clips):
-                mine = owner.get(args[0])
-            inplace = mine is not None and (op.mnemonic != "mov" or args[0] in free)
-            ys = owner.get(args[2]) if op.skip else mine  # d's array where no flag is set
-            until.update({a: max(until.get(a, -1), *ends, -1) for a in {mine, ys} - {None}})
-            owner.pop(d, None)
-            owner.update({d: mine} if mine is not None and mine == ys else {})
-            into = f", out={d}" if inplace else ""
-            lo, hi = (None if b is None else source(b) for b in (clip.lower, clip.upper))
-            if form.clip and lo is not None and hi is not None and clip.shaped:
-                return [*lines, indent + form.clip.format(x=d, lower=lo, upper=hi, out=into)]
-            sides = [(t, b) for t, b in ((form.lower, lo), (form.upper, hi)) if b is not None]
-            return lines + [indent + t.format(x=d, bound=b, out=into) for t, b in sides]
-
-        for i in ops:
-            op, indent = plan[i], "    "
-            if i in held:  # it runs in its select's branch, on operands held here
-                lines += held[i]
-                continue
-            if op.skip:
-                (flag, _, y), indent = op.args, "        "
-                none = f"_none_{flag}".replace("-", "m")  # an exact input may be negative
-                if flag not in tested:
-                    lines.append(f"    {none} = {form.none_set.format(flag)}")
-                tested.add(flag)
-                lines += [f"    if {none}:", f"{indent}{op.dest} = {y}", "    else:"]
-                lines += emit(sunk[i][0], indent, sunk[i][1]) if i in sunk else []
-            lines += emit(i, indent, op.args)
-            tested.discard(op.dest)
-        return lines
-
-    fields, ins = list(map(_local, FIELD_FORMATS)), [*map(_local, inputs), *passed]
-    rest = [i for i in range(len(plan)) if i not in hoisted and i not in fused.values()]
-    body, writes, res = function(rest), [f for f in fields if f in dests], [*map(_local, results)]
-    lines = [f"def hoist({', '.join(fields + group)}):", *function(sorted(hoisted)),
-             f"    return ({''.join(name + ', ' for name in passed)})",
-             f"def step({', '.join(fields + ins)}):", *body,
-             f"    return {', '.join(fields + res)}"]
-    if form.copy:  # the body once, in the entry step_fixed_batch runs; step calls it
-        load, store = (", ".join(f"_s.{f}" for f in names) for names in (fields, writes))
-        lines[-len(body) - 1:] = [
-            f"    _s = _fields({', '.join(f'{f}={f}' for f in fields)})",
-            f"    {', '.join(res) or '_'} = update(_s, {', '.join(ins)})",
-            f"    return {', '.join([load, *res])}",
-            f"def update(_s, {', '.join(ins)}):", f"    {', '.join(fields)} = {load}", *body,
-            *[f"    {store} = {', '.join(writes)}"][:len(writes)], f"    return {', '.join(res)}"]
-    exec(compile("\n".join(lines) + "\n", "<schedule>", "exec"), namespace)
-    step = namespace["step"]
-    step.hoist, step.update = namespace["hoist"], namespace.get("update")
-    return step
-
-
-def run_corners(step, form: Form = INTS, inputs: dict = INPUTS) -> None:
-    """Run ``step``, compiled as ``form`` for ``inputs``, and its ``hoist`` at
-    both ends of every field's and input's range, each ``@`` input a Python
-    int; raises ScheduleError where it fails, a defect of this compiler."""
-    ends = {k: (x, x) if isinstance(x, int) else (x.min_raw, x.max_raw)
-            for k, x in {**FIELD_FORMATS, **inputs}.items()}
-    for end in (0, 1):
-        args = {k: np.array(x) if form.bind and k[0] != "@" else x[end] for k, x in ends.items()}
-        try:
-            step(*args.values(), *step.hoist(*(x for k, x in args.items() if k != "DA")))
-        except Exception as exc:  # reported as a schedule that does not run
-            kind = "array" if form.bind else "int"
-            raise ScheduleError(f"the {kind} form fails to run: {exc!r}") from exc

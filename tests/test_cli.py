@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import neurocore
-from neurocore import schedule
+from neurocore import compiler
 from neurocore.cli import main
 
 
@@ -36,20 +36,35 @@ def single_error_line(capsys) -> str:
 
 
 class TestExitCodes:
-    def test_unknown_subcommand_exits_2(self):
+    def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+        assert "invalid choice: 'frobnicate'" in single_error_line(capsys)
 
-    def test_missing_subcommand_exits_2(self):
+    def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+        assert "required: command" in single_error_line(capsys)
 
-    def test_bad_flag_exits_2(self):
+    def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["errt", "--no-such-flag"])
         assert excinfo.value.code == 2
+        assert "--no-such-flag" in single_error_line(capsys)
+
+    def test_bad_int_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gonogo", "--seed", "abc"])
+        assert excinfo.value.code == 2
+        assert "--seed: invalid int value: 'abc'" in single_error_line(capsys)
+
+    def test_bad_float_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["regimes", "--duration-ms", "abc"])
+        assert excinfo.value.code == 2
+        assert "--duration-ms: invalid float value: 'abc'" in single_error_line(capsys)
 
     def test_config_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -62,10 +77,11 @@ class TestExitCodes:
         code = main(["gonogo", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2
 
-    def test_threads_flag_removed(self):
+    def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["gonogo", "--threads", "2"])
         assert excinfo.value.code == 2
+        assert "--threads" in single_error_line(capsys)
 
     def test_threads_config_key_rejected(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
@@ -264,7 +280,7 @@ class TestValidateSchedule:
             assert "compiles; 14 of 37 clips kept" in capsys.readouterr().out
 
     def test_form_that_fails_to_run_exits_2(self, monkeypatch, capsys):
-        broken = replace(schedule.ARRAYS, clip="{x} = {x}.no_such_clip({lower}, {upper})")
+        broken = replace(compiler.ARRAYS, clip="{x} = {x}.no_such_clip({lower}, {upper})")
         monkeypatch.setattr(neurocore.cli, "ARRAYS", broken)
         assert main(["validate-schedule"]) == 2
         assert "the array form fails to run: AttributeError" in single_error_line(capsys)

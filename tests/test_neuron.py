@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from neurocore import network, neuron
+from neurocore.compiler import ARRAYS, compile_schedule
 from neurocore.fxp import DA_FMT, DA_PORT, DDOP_FMT, ISYN_FMT, REG_FMT, U_FMT, V_FMT, Fixed, encode
 from neurocore.neuron import (
     CompartmentFields,
@@ -22,7 +23,7 @@ from neurocore.neuron import (
     step_float,
     unpack,
 )
-from neurocore.schedule import ARRAYS, FIELD_FORMATS, compile_schedule, parse_schedule
+from neurocore.schedule import FIELD_FORMATS, parse_schedule
 from neurocore.synapse import alpha_fixed
 
 RS = NeuronParams(a=0.02, b=0.2, c=-65, d=8)
@@ -367,13 +368,22 @@ class Counted(np.ndarray):
         return out[0] if out else result.view(Counted) if isinstance(result, np.ndarray) else result
 
 
-@pytest.mark.parametrize("crossing, calls, allocations", [(False, 35, 9), (True, 39, 10)],
-                         ids=["quiet", "crossing"])
-def test_network_step_calls_and_allocations(monkeypatch, crossing, calls, allocations):
+# as the network form's generated source counts them: 35 calls on a quiet
+# step, 9 of them allocating (the three products that start a value, DA's
+# two, the two comparisons with the peak, and the square and 5 v); each
+# flag's select pair runs 4 more where it is set, a masked copy into v, a
+# sum into a new array (allocating), a masked copy into u and a clip; and a
+# set $pre also copies it into $post for $spk: 35 + 4 + 4 + 1 = 44 calls
+@pytest.mark.parametrize("kind, calls, allocations",
+                         [("quiet", 35, 9), ("crossing", 39, 10), ("stored", 44, 11)],
+                         ids=["quiet", "crossing", "stored-past-peak"])
+def test_network_step_calls_and_allocations(monkeypatch, kind, calls, allocations):
     """The numpy calls one network step makes, counted by wrapping what the
     network form binds and every array it is given, and the calls among
-    them that allocate: on a quiet step, and on one where a neuron crosses
-    the peak, so the two selects of ``$post`` run as masked copies."""
+    them that allocate: on a quiet step, on one where a neuron crosses the
+    peak, so the two selects of ``$post`` run as masked copies, and on one
+    where a neuron's stored v is past it, which sets ``$pre`` and ``$post``
+    both."""
     net = network.Network([network.PopulationSpec("P", 600, params=RS)], [])
     step = network.step_fields_network
     for name in ("_where", "_count_nonzero", "_copyto"):  # the bound numpy calls that are no ufuncs
@@ -386,13 +396,16 @@ def test_network_step_calls_and_allocations(monkeypatch, crossing, calls, alloca
     counted = lambda x: x.view(Counted) if isinstance(x, np.ndarray) else x
     state = CompartmentFields(**{k: counted(x) for k, x in vars(net.state).items()})
     da = np.zeros(600, dtype=np.int64)
-    if crossing:
-        state.v[7] = encode(neuron.V_PEAK_DEFAULT, V_FMT).raw - 1  # crosses on this step
+    v_peak = encode(neuron.V_PEAK_DEFAULT, V_FMT).raw
+    if kind == "crossing":
+        state.v[7] = v_peak - 1  # crosses on this step
         da[7] = encode(100.0, DA_FMT).raw << 9
+    elif kind == "stored":
+        state.v[7] = v_peak + 4096
     Counted.calls = Counted.allocations = 0
     spiked = step_fixed_batch(state, counted(da), *map(counted, net._constants), compiled=step,
                               hoisted=tuple(map(counted, net._form[1])))
-    assert np.flatnonzero(spiked).tolist() == ([7] if crossing else [])
+    assert np.flatnonzero(spiked).tolist() == ([] if kind == "quiet" else [7])
     assert (Counted.calls, Counted.allocations) == (calls, allocations)
 
 

@@ -13,22 +13,21 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from neurocore import network
-from neurocore.fxp import DA_FMT, DA_PORT, REG_FMT
+from neurocore.compiler import ARRAYS, INTS, compile_schedule, plan_schedule
+from neurocore.fxp import DA_FMT, DA_PORT, REG_FMT, encode
+from neurocore.neuron import encode_neuron
+from neurocore.regimes import REGIME_PARAMS
 from neurocore.schedule import (
-    ARRAYS,
     CONSTANTS,
     FIELD_FORMATS,
     FIELD_LAYOUT,
     INPUTS,
-    INTS,
     KQ_FRAC,
     Block,
     BlockSchedule,
     Op,
     ScheduleError,
-    compile_schedule,
     parse_schedule,
-    plan_schedule,
 )
 
 TEXT = resources.files("neurocore").joinpath("data/izhikevich_schedule.txt").read_text()
@@ -120,6 +119,31 @@ def run(step, args: dict) -> tuple:
     return got
 
 
+def stepped(schedule, step, state: dict, results, k: int) -> list[tuple]:
+    """``k`` interpreter steps, ``k`` calls of the int form's ``step`` and its
+    ``loop`` over ``k`` steps, each step from ``state`` with the fields the
+    last returned: asserts that all three agree, that the loop records each
+    step's ``v`` and the steps whose first result is set, and that a loop of
+    no steps returns the fields as given.  Returns the interpreter's
+    outputs, one tuple per step."""
+    n = len(FIELD_FORMATS)
+    fields = [state[name] for name in FIELD_FORMATS]
+    ins = [x for name, x in state.items() if name not in FIELD_FORMATS]
+    hoisted = step.hoist(*fields, *(x for name, x in state.items() if name[0] == "@"))
+    want, values, got = [], dict(state), fields
+    for _ in range(k):
+        want.append(interpret(schedule, values, results))
+        values.update(zip(FIELD_FORMATS, want[-1]))
+        got = step(*got[:n], *ins, *hoisted)
+        assert got == want[-1]
+    vs, spikes = [], []
+    assert step.loop(*fields, *ins, *hoisted, k, vs, spikes) == want[-1]
+    assert vs == [out[list(FIELD_FORMATS).index("v")] for out in want]
+    assert spikes == [t for t, out in enumerate(want) if out[n]]
+    assert step.loop(*fields, *ins, *hoisted, 0, vs, spikes)[:n] == tuple(fields)
+    return want
+
+
 def rows(got, n: int) -> list[tuple]:
     """The outputs of an array form, one tuple of Python ints per neuron."""
     return list(zip(*(np.broadcast_to(x, n).tolist() for x in got)))
@@ -176,6 +200,29 @@ def test_compiled_forms_equal_the_interpreter(name, inputs):
         group = {k: x for k, x in args.items() if k[0] == "@"}
         expect = [interpret(schedule, {**state, **group}, results) for state in states[part]]
         assert rows(run(arrays, args), n) == expect
+
+
+@pytest.mark.parametrize("name", SCHEDULES)
+def test_loop_equals_repeated_steps(name):
+    """The int form's ``loop`` over ``k`` steps equals ``k`` calls of its
+    ``step`` and ``k`` interpreter steps: on drawn states, and from the RS
+    rest state driven by a constant input with v just below the peak, which
+    crosses it, and with a stored v past it; both spike on their first step
+    and, where the input reaches v (not where ``isyn`` is overwritten), again
+    later."""
+    text, results = SCHEDULES[name]
+    schedule = parse_schedule(text)
+    step = compile_schedule(schedule, INTS, results)
+    values = draw_inputs(np.random.default_rng(20261019), INPUTS, 60)
+    for state in zip(*(x.tolist() for x in values.values())):
+        stepped(schedule, step, dict(zip(values, state)), results, 4)
+    fields, _, v_peak = encode_neuron(REGIME_PARAMS["RS"])
+    da = encode(10.0, DA_FMT).raw << 12 - DA_FMT.frac_bits
+    driven = {**vars(fields), "DA": da, "@alpha": 0, "@beta": 0, "@vpeak": v_peak}
+    for v in (v_peak - 1, v_peak + 4096):
+        want = stepped(schedule, step, {**driven, "v": v}, results, 400)
+        spiked = [t for t, out in enumerate(want) if out[len(FIELD_FORMATS)]]
+        assert spiked[0] == 0 and (len(spiked) > 1 or name == "field-of-inputs")
 
 
 @pytest.mark.parametrize("form", [INTS, ARRAYS], ids=["ints", "arrays"])
@@ -260,7 +307,8 @@ def generated(draw):
 @given(case=generated(), network_inputs=st.booleans())
 def test_generated_schedules_equal_the_interpreter(case, network_inputs):
     """Every form, ``hoist`` included, on generated schedules that the
-    planner accepts: ``INTS`` per state, ``ARRAYS`` on a batch with group
+    planner accepts: ``INTS`` per state and its ``loop`` over three steps,
+    ``ARRAYS`` on a batch with group
     inputs per neuron and on one neuron at a time with them as Python ints,
     where a skipped select takes either branch."""
     schedule, results = case
@@ -275,6 +323,8 @@ def test_generated_schedules_equal_the_interpreter(case, network_inputs):
     want = [interpret(schedule, state, results) for state in states]
     ints = compile_schedule(schedule, INTS, results, inputs)
     assert [run(ints, state) for state in states] == want
+    for state in states[:6]:
+        stepped(schedule, ints, state, results, 3)
     arrays = compile_schedule(schedule, ARRAYS, results, inputs)
     assert rows(run(arrays, values), n) == want
     for state, expect in zip(states, want):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from neurocore.fxp import DA_FMT, ISYN_FMT, V_FMT, Fixed, encode
-from neurocore.neuron import DT_MS, encode_neuron, pack, step_fixed, unpack
+from neurocore.neuron import DT_MS, SimulationError, encode_neuron, pack, step_fixed, unpack
 from neurocore.regimes import (
     REGIME_PARAMS,
     REST_V,
@@ -100,6 +100,33 @@ def test_carried_fields_equal_word_level_steps(name):
 def test_fixed_run_never_clips_silently(changed, message):
     with pytest.raises(ValueError, match=message):
         run_single(replace(REGIME_PARAMS["RS"], **changed), constant_current(0.0, 100.0), "fixed")
+
+
+@pytest.mark.parametrize("current", [1e9, -4096.5, 4096.0])
+def test_fixed_run_rejects_a_current_past_the_accumulator(current):
+    """A protocol current outside ``DA_FMT``'s range raises, not clips to
+    ±4096 (where the float backend would run the real value)."""
+    with pytest.raises(ValueError, match="current = .* saturates its 16-bit field"):
+        run_single(REGIME_PARAMS["RS"], ((1.0, 0.0), (1.0, current)), "fixed")
+
+
+def test_fixed_run_takes_the_accumulator_ends():
+    low, high = DA_FMT.min_raw / DA_FMT.scale, DA_FMT.max_raw / DA_FMT.scale
+    for current in (low, high):
+        assert len(run_single(REGIME_PARAMS["RS"], constant_current(current, 1.0), "fixed").v_mv) == 8
+
+
+@pytest.mark.parametrize("current", [float("inf"), float("nan")])
+def test_float_run_raises_on_a_non_finite_current(current):
+    with pytest.raises(SimulationError, match="non-finite neuron state"):
+        run_single(REGIME_PARAMS["RS"], ((1.0, 10.0), (1.0, current)), "float")
+
+
+def test_float_run_raises_when_the_state_blows_up():
+    """A reset increment so large that u overflows float64 after two spikes
+    is a ``SimulationError``, not a trace of infinities."""
+    with pytest.raises(SimulationError, match="non-finite neuron state: .* u=inf"):
+        run_single(replace(REGIME_PARAMS["RS"], d=1e308), constant_current(10.0, 100.0), "float")
 
 
 @pytest.mark.parametrize("backend", ["fixed", "float"])

@@ -3,22 +3,19 @@
 import numpy as np
 import pytest
 
+from neurocore.compiler import ARRAYS, INTS, compile_schedule, plan_schedule, run_corners
 from neurocore.fxp import ICONST_FMT, REG_FMT, U_FMT, V_FMT
 from neurocore.schedule import (
-    ARRAYS,
     CONSTANTS,
     FIELD_LAYOUT,
     INPUTS,
-    INTS,
     KQ_FRAC,
     Block,
     BlockSchedule,
     Op,
     ScheduleError,
-    compile_schedule,
     izhikevich_schedule,
     parse_schedule,
-    plan_schedule,
     validate_schedule,
 )
 
@@ -254,6 +251,20 @@ class TestCompiler:
         for i in range(n):
             want = hoisting(ints, *(int(x[i]) for x in fields.values()), *inputs)
             assert [x[i].item() for x in got] == list(want)
+
+    def test_run_corners_runs_the_loop_entry(self):
+        """``run_corners`` runs the int form's ``loop`` for two steps at each
+        end, and reports one that fails as a form that does not run; the
+        array form has no ``loop``."""
+        step = compile_schedule(izhikevich_schedule())
+        loop, steps = step.loop, []
+        step.loop = lambda *args: steps.append(args[-3]) or loop(*args)
+        run_corners(step)
+        assert steps == [2, 2]
+        step.loop = lambda *args: 1 // 0
+        with pytest.raises(ScheduleError, match="the int form fails to run: ZeroDivisionError"):
+            run_corners(step)
+        assert compile_schedule(izhikevich_schedule(), ARRAYS).loop is None
 
     @pytest.mark.parametrize("form", [INTS, ARRAYS], ids=["ints", "arrays"])
     def test_exact_input_is_a_constant(self, form):
