@@ -28,7 +28,9 @@ from pathlib import Path
 from . import analysis, regimes
 from .bg import build_bg, run_gonogo
 from .compiler import ARRAYS, INTS, compile_schedule, plan_schedule, run_corners
-from .config import check_duration, default_config_text, load_default_config, parse_config
+from .config import (
+    check_duration, default_config_text, load_default_config, parse_config, read_text,
+)
 from .network import BACKENDS, STEP_INPUTS, ConfigError
 from .neuron import DT_MS, SimulationError
 from .schedule import INPUTS, ScheduleError, izhikevich_schedule, parse_schedule, validate_schedule
@@ -90,8 +92,7 @@ def _out_dir(path: str) -> Path:
 def cmd_regimes(args) -> int:
     check_duration(args.duration_ms)
     out = _out_dir(args.out or os.environ.get(ENV_OUT, "out"))
-    all_passed = True
-    report_lines = []
+    checks = []
     for backend in ("float", "fixed"):
         runs = regimes.run_demonstrations(backend, args.duration_ms)
         for name, run in runs.items():
@@ -101,15 +102,15 @@ def cmd_regimes(args) -> int:
                 f"{t},{t * DT_MS:g},{v:.6f}" for t, v in enumerate(run.v_mv)
             )
             trace_path.write_text("\n".join(lines) + "\n", newline="\n")
-        for check in regimes.classify_runs(runs, backend):
-            status = "PASS" if check.passed else "FAIL"
-            report_lines.append(f"{status}  {check.regime:8s} [{backend}]  {check.detail}")
-            all_passed &= check.passed
-    report = "\n".join(report_lines) + "\n"
+        checks += regimes.classify_runs(runs, backend)
+    report = "".join(
+        f"{'PASS' if c.passed else 'FAIL'}  {c.regime:8s} [{c.backend}]  {c.detail}\n"
+        for c in checks
+    )
     (out / "regimes_report.txt").write_text(report, newline="\n")
     print(report, end="")
     print(f"traces and report written to {out}")
-    return 0 if all_passed else 1
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def cmd_errt(args) -> int:
@@ -143,8 +144,7 @@ def cmd_gonogo(args) -> int:
     elapsed = time.perf_counter() - t0
     total_steps = len(results) * config.steps
 
-    sizes = {name: size for name, (size, _) in config.populations.items()}
-    sizes |= {g.name: g.size for g in config.generators}
+    sizes = {spec.name: spec.size for spec in config.population_specs()}
     recorded = list(config.record) if config.record else list(config.populations)
     summary = {
         "metadata": {
@@ -186,13 +186,7 @@ def cmd_gonogo(args) -> int:
 
 def cmd_validate_schedule(args) -> int:
     if args.schedule:
-        try:
-            text = Path(args.schedule).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ScheduleError(f"{args.schedule}: not UTF-8 text ({exc.reason})") from None
-        except OSError as exc:
-            raise ScheduleError(f"{args.schedule}: {exc.strerror or exc}") from None
-        schedule = parse_schedule(text)
+        schedule = parse_schedule(read_text(args.schedule, ScheduleError))
         origin = args.schedule
     else:
         schedule = izhikevich_schedule()
@@ -224,10 +218,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScheduleError, analysis.InsufficientSpikesError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, ScheduleError, analysis.InsufficientSpikesError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SimulationError, OSError) as exc:

@@ -1,31 +1,25 @@
 """Run configuration: a sectioned key-value text file.
 
-Sections:
-
-    [simulation]              duration, seed, backend, analysis window ...
-    [population <name>]       size plus the neuron parameters
-    [generator <name>]        Poisson source: size, rate, targets, weight, prob
-    [connection <pre> -> <post>]   weight and connection probability
-
-The shipped default (``data/bg_default.cfg``) is the one definition of the
-basal ganglia circuit.  :class:`RunConfig` is the one type for run settings
-and validates itself on construction, so a config read from a file and one
-changed with ``dataclasses.replace`` are checked alike.
+``KEYS`` maps each kind of section, ``[simulation]``, ``[population NAME]``,
+``[generator NAME]`` and ``[connection PRE -> POST]``, to its keys with their
+casts and defaults; every section is read through it, and README's "Config
+file" table lists it.  The shipped default (``data/bg_default.cfg``) is the
+one definition of the basal ganglia circuit.  :class:`RunConfig` is the one
+type for run settings and validates itself on construction, so a config read
+from a file and one changed with ``dataclasses.replace`` are checked alike.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 from .network import BACKENDS, MAX_IDS, ConfigError, ConnectionSpec, PopulationSpec, config_errors
 from .neuron import DT_MS, NeuronParams
 from .synapse import PoissonSource, require_key
-
-DEFAULT_CONFIG_RESOURCE = "bg_default.cfg"
 
 
 @dataclass(frozen=True)
@@ -99,24 +93,76 @@ def check_duration(duration_ms: float) -> None:
 
 
 def default_config_text() -> str:
-    return (
-        resources.files("neurocore").joinpath(f"data/{DEFAULT_CONFIG_RESOURCE}").read_text()
-    )
+    return resources.files("neurocore").joinpath("data/bg_default.cfg").read_text()
 
 
 def load_default_config() -> RunConfig:
     return parse_config_text(default_config_text(), source="<default>")
 
 
-def parse_config(path: str | Path) -> RunConfig:
-    path = Path(path)
+def read_text(path: str | Path, error: type[Exception] = ConfigError) -> str:
+    """The UTF-8 text of an input file; one that cannot be read raises
+    ``error`` naming the file, in one line."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+        raise error(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return parse_config_text(text, source=str(path))
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def parse_config(path: str | Path) -> RunConfig:
+    return parse_config_text(read_text(path), source=str(path))
+
+
+def _names(value: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in value.split(",") if name.strip())
+
+
+REQUIRED = MISSING
+# each key's (cast, default or REQUIRED); a float must be finite, a size an id count
+KEYS = {
+    "simulation": {
+        "duration_ms": (float, RunConfig.duration_ms),
+        "settle_ms": (float, RunConfig.settle_ms),
+        "seed": (int, RunConfig.seed),
+        "backend": (str, RunConfig.backend),
+        "out": (str, RunConfig.out_dir),
+        "record": (_names, RunConfig.record),
+    },
+    "population": {
+        "size": (int, REQUIRED),
+        **{f.name: (float, f.default) for f in fields(NeuronParams)},
+    },
+    "generator": {
+        "targets": (_names, REQUIRED),
+        "size": (int, REQUIRED),
+        **dict.fromkeys(("rate_hz", "weight", "prob"), (float, REQUIRED)),
+    },
+    "connection": dict.fromkeys(("weight", "prob"), (float, REQUIRED)),
+}
+
+
+def _values(items: dict, keys: dict, where: str) -> dict:
+    """Every key of ``keys``, cast from ``items`` or defaulted; ``where``
+    (``FILE: [section]``) starts each rejection."""
+    for key in items:
+        if key not in keys:
+            raise ConfigError(f"{where} has unknown key {key!r}")
+    values = {}
+    for key, (cast, default) in keys.items():
+        text = items.get(key)
+        if text is None and default is REQUIRED:
+            raise ConfigError(f"{where} is missing {key!r}")
+        try:
+            value = values[key] = default if text is None else cast(text)
+        except ValueError as exc:
+            raise ConfigError(f"{where} {key} = {text!r} is not a number") from exc
+        if cast is float and not math.isfinite(value):
+            raise ConfigError(f"{where} {key} = {text!r} is not finite")
+        if key == "size" and not 0 < value <= MAX_IDS:
+            raise ConfigError(f"{where} size {value} outside [1, {MAX_IDS}]")
+    return values
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -139,19 +185,31 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     sim: dict = {}
 
     for section in parser.sections():
-        items = dict(parser.items(section))
-        if section == "simulation":
-            sim = _parse_simulation(items, source)
-        elif section.startswith("population "):
-            name = section[len("population "):].strip()
-            populations[name] = _parse_population(name, items, source)
-        elif section.startswith("generator "):
-            name = section[len("generator "):].strip()
-            generators.append(_parse_generator(name, items, source))
-        elif section.startswith("connection "):
-            connections.append(_parse_connection(section, items, source))
-        else:
+        kind, space, name = section.partition(" ")
+        if kind not in KEYS or (kind == "simulation") == bool(space):
             raise ConfigError(f"{source}: unknown section [{section}]")
+        name = name.strip()
+        # messages name a population or generator as it is stored: name stripped
+        label = f"{kind} {name}" if kind in ("population", "generator") else section
+        where = f"{source}: [{label}]"
+        pre, arrow, post = name.partition("->")
+        if kind == "connection" and not arrow:
+            raise ConfigError(f"{where} must be named 'connection PRE -> POST'")
+        values = _values(dict(parser.items(section)), KEYS[kind], where)
+        if kind == "generator" and not values["targets"]:
+            raise ConfigError(f"{where} has an empty target list")
+        with config_errors(f"{where} "):
+            if kind == "simulation":
+                values["out_dir"] = values.pop("out")
+                sim = values
+            elif kind == "population":
+                populations[name] = values.pop("size"), NeuronParams(**values)
+            elif kind == "connection":
+                connections.append(ConnectionSpec(pre.strip(), post.strip(), **values))
+            else:
+                generators.append(GeneratorSpec(name, **values))
+                PoissonSource(name, values["rate_hz"], values["size"])
+                ConnectionSpec(name, values["targets"][0], values["weight"], values["prob"])
 
     if not populations:
         raise ConfigError(f"{source}: no [population ...] sections")
@@ -161,97 +219,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         )
     _check_references(config, source)
     return config
-
-
-def _get(items: dict, key: str, section: str, source: str) -> str:
-    if key not in items:
-        raise ConfigError(f"{source}: [{section}] is missing {key!r}")
-    return items[key]
-
-
-def _check_keys(items: dict, known, section: str, source: str) -> None:
-    for key in items:
-        if key not in known:
-            raise ConfigError(f"{source}: [{section}] has unknown key {key!r}")
-
-
-def _number(items, key, section, source, cast=float):
-    value = _get(items, key, section, source)
-    try:
-        number = cast(value)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: [{section}] {key} = {value!r} is not a number") from exc
-    if cast is float and not math.isfinite(number):
-        raise ConfigError(f"{source}: [{section}] {key} = {value!r} is not finite")
-    return number
-
-
-def _size(items, section, source) -> int:
-    if not 0 < (size := _number(items, "size", section, source, int)) <= MAX_IDS:
-        raise ConfigError(f"{source}: [{section}] size {size} outside [1, {MAX_IDS}]")
-    return size
-
-
-def _parse_simulation(items: dict, source: str) -> dict:
-    numbers = {"duration_ms": float, "settle_ms": float, "seed": int}
-    _check_keys(items, (*numbers, "backend", "out", "record"), "simulation", source)
-    sim = {key: _number(items, key, "simulation", source, cast)
-           for key, cast in numbers.items() if key in items}
-    if "backend" in items:
-        sim["backend"] = items["backend"].strip()
-    if "out" in items:
-        sim["out_dir"] = items["out"].strip()
-    if "record" in items:
-        sim["record"] = tuple(v.strip() for v in items["record"].split(",") if v.strip())
-    return sim
-
-
-def _parse_population(name: str, items: dict, source: str) -> tuple[int, NeuronParams]:
-    section = f"population {name}"
-    _check_keys(items, ("size", "a", "b", "c", "d", "i_const", "beta", "v_peak"), section, source)
-    size = _size(items, section, source)
-    kwargs = {key: _number(items, key, section, source) for key in ("a", "b", "c", "d")}
-    kwargs["i_const"] = _number(items, "i_const", section, source) if "i_const" in items else 0.0
-    kwargs["beta"] = _number(items, "beta", section, source) if "beta" in items else 0.0
-    if "v_peak" in items:
-        kwargs["v_peak"] = _number(items, "v_peak", section, source)
-    with config_errors(f"{source}: [{section}] "):
-        params = NeuronParams(**kwargs)
-    return size, params
-
-
-def _parse_generator(name: str, items: dict, source: str) -> GeneratorSpec:
-    section = f"generator {name}"
-    _check_keys(items, ("size", "rate_hz", "targets", "weight", "prob"), section, source)
-    targets = tuple(
-        t.strip() for t in _get(items, "targets", section, source).split(",") if t.strip()
-    )
-    if not targets:
-        raise ConfigError(f"{source}: [{section}] has an empty target list")
-    generator = GeneratorSpec(
-        name=name,
-        size=_size(items, section, source),
-        rate_hz=_number(items, "rate_hz", section, source),
-        targets=targets,
-        weight=_number(items, "weight", section, source),
-        prob=_number(items, "prob", section, source),
-    )
-    with config_errors(f"{source}: [{section}] "):
-        PoissonSource(name, generator.rate_hz, generator.size)
-        ConnectionSpec(name, targets[0], generator.weight, generator.prob)
-    return generator
-
-
-def _parse_connection(section: str, items: dict, source: str) -> ConnectionSpec:
-    route = section[len("connection "):]
-    if "->" not in route:
-        raise ConfigError(f"{source}: [{section}] must be named 'connection PRE -> POST'")
-    pre, _, post = route.partition("->")
-    _check_keys(items, ("weight", "prob"), section, source)
-    weight = _number(items, "weight", section, source)
-    prob = _number(items, "prob", section, source)
-    with config_errors(f"{source}: [{section}] "):
-        return ConnectionSpec(pre=pre.strip(), post=post.strip(), weight=weight, prob=prob)
 
 
 def _check_references(config: RunConfig, source: str) -> None:

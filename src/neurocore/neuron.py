@@ -99,13 +99,14 @@ def float_update(p, v, u, current, select=_pick):
     ``p`` holds ``a b c d v_peak``: a ``NeuronParams`` or per-neuron arrays.
     ``select(condition, if_true, if_false)`` is a conditional expression for
     floats, ``np.where`` for arrays.  A stored ``v`` past the peak resets to
-    ``c`` with ``u + d``; a fresh crossing resets to ``c`` with ``u' + d``.
-    Returns ``(v', u', spiked)``.
+    ``c`` with ``u + d``; a fresh crossing, a finite ``v'`` past the peak,
+    resets to ``c`` with ``u' + d``; a ``v'`` that overflowed stays inf, for
+    the caller's check.  Returns ``(v', u', spiked)``.
     """
     pre_spiked = v > p.v_peak
     v_new = v + (K_QUAD * v * v + K_LIN * v + K_BIAS - u + current) * DT_MS
     u_new = u + p.a * (p.b * v - u) * DT_MS
-    spiked = pre_spiked | (v_new > p.v_peak)
+    spiked = pre_spiked | ((v_new > p.v_peak) & (v_new < math.inf))
     u_new = select(pre_spiked, u + p.d, select(spiked, u_new + p.d, u_new))
     return select(spiked, p.c, v_new), u_new, spiked
 

@@ -134,16 +134,17 @@ def _run_fixed(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, li
 
 def _run_float(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, list[int]]:
     """The float reference, ``float_update`` on ``v`` and ``u`` carried as
-    floats from step to step."""
+    floats from step to step; a step that leaves them not finite (an
+    overflow, or a current that is not finite) raises."""
     rest = initial_state(params, v0=REST_V)
     v, u = rest.v, rest.u
     v_mv, spikes = [], []
     for ms, current in protocol:
         i = params.i_const + current
         for _ in range(round(ms / DT_MS)):
-            if not (isfinite(v) and isfinite(u) and isfinite(i)):
-                raise SimulationError(f"non-finite neuron state: v={v}, u={u}, I={i}")
             v, u, spiked = float_update(params, v, u, i)
+            if not (isfinite(v) and isfinite(u)):
+                raise SimulationError(f"non-finite neuron state: v={v}, u={u}, I={i}")
             if spiked:
                 spikes.append(len(v_mv))
             v_mv.append(v)

@@ -1,10 +1,14 @@
 """Run-config parsing and the shipped default network file."""
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from neurocore.config import (
+    KEYS,
+    REQUIRED,
     load_default_config,
     parse_config,
     parse_config_text,
@@ -225,3 +229,17 @@ class TestParsing:
         text = MINIMAL.replace("backend = float", "backend = float\nrecord = ghost")
         with pytest.raises(ConfigError, match="ghost"):
             parse_config_text(text)
+
+
+def test_readme_table_lists_every_key():
+    """README's "Config file" table is ``KEYS``: each section's keys, their
+    kind of value and their default."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `\[(\w+)[^`]*\]` \| `(\w+)` \| (\w+) \| ([^|]+) \|$", readme, re.M)
+    kinds = {float: "number", int: "integer", str: "text"}
+    shown = {None: "every population", REQUIRED: "required"}
+    assert rows == [
+        (section, key, kinds.get(cast, "names"),
+         shown.get(default, f"{default:g}" if isinstance(default, float) else str(default)))
+        for section, keys in KEYS.items() for key, (cast, default) in keys.items()
+    ]

@@ -114,6 +114,14 @@ class TestStepFloat:
         with pytest.raises(SimulationError):
             step_float(RS, NeuronState(v=float("nan"), u=0.0), 0.0)
 
+    def test_overflow_is_no_crossing(self):
+        """0.04 v^2 overflows: v' is inf, returned for the next step's check
+        to raise, not reset to c as a spike."""
+        new, spiked = step_float(RS, NeuronState(v=-1e300, u=0.0), 0.0)
+        assert (new.v, spiked) == (float("inf"), False)
+        with pytest.raises(SimulationError, match="v=inf"):
+            step_float(RS, new, 0.0)
+
 
 class TestEncodeNeuron:
     def test_rest_state_fields(self):

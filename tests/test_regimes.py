@@ -123,10 +123,27 @@ def test_float_run_raises_on_a_non_finite_current(current):
 
 
 def test_float_run_raises_when_the_state_blows_up():
-    """A reset increment so large that u overflows float64 after two spikes
-    is a ``SimulationError``, not a trace of infinities."""
-    with pytest.raises(SimulationError, match="non-finite neuron state: .* u=inf"):
+    """A reset increment so large that the next ``0.04 v^2`` overflows is a
+    ``SimulationError``, not a trace of infinities; ``u`` is still finite."""
+    with pytest.raises(SimulationError, match=r"non-finite neuron state: v=inf, u=9\.9"):
         run_single(replace(REGIME_PARAMS["RS"], d=1e308), constant_current(10.0, 100.0), "float")
+
+
+@pytest.mark.parametrize(
+    "params, protocol",
+    [
+        (REGIME_PARAMS["RS"], constant_current(-1e300, 10.0)),
+        (REGIME_PARAMS["RS"], constant_current(-1e300, 2 * DT_MS)),
+        (replace(REGIME_PARAMS["RS"], a=100.0), constant_current(10.0, 36.5)),
+    ],
+    ids=["v-squared-overflows", "on-the-last-step", "u-diverges"],
+)
+def test_float_run_raises_when_v_overflows(params, protocol):
+    """A ``v'`` that overflows to inf (``0.04 v^2`` of a huge ``v``) is a
+    ``SimulationError``, not a spike and a reset to ``c``, on the last step
+    too; with ``a = 100``, ``u`` diverges and drives ``v`` there."""
+    with pytest.raises(SimulationError, match="non-finite neuron state: v=inf"):
+        run_single(params, protocol, "float")
 
 
 @pytest.mark.parametrize("backend", ["fixed", "float"])
