@@ -66,14 +66,9 @@ def run_condition(cfg: RunConfig, condition: str, delta_dop: float) -> Condition
     """Build the network fresh, apply the dopamine level, run, and measure."""
     net = build_bg(cfg)
     net.set_dopamine(delta_dop)
-    record = cfg.record
-    spike_record = net.run(cfg.steps, record=set(record) if record is not None else None)
-    sizes = {
-        name: size
-        for name, (size, _) in cfg.populations.items()
-        if record is None or name in record
-    }
-    rates, counts = measure_rates(spike_record, sizes, (cfg.settle_ms, cfg.duration_ms))
+    recorded = cfg.recorded
+    spike_record = net.run(cfg.steps, record=recorded)
+    rates, counts = measure_rates(spike_record, recorded, (cfg.settle_ms, cfg.duration_ms))
     return ConditionResult(condition, delta_dop, spike_record, rates, counts)
 
 

@@ -91,7 +91,7 @@ def _out_dir(path: str) -> Path:
 
 def cmd_regimes(args) -> int:
     check_duration(args.duration_ms)
-    out = _out_dir(args.out or os.environ.get(ENV_OUT, "out"))
+    out = _out_dir(args.out or os.environ.get(ENV_OUT) or "out")
     checks = []
     for backend in ("float", "fixed"):
         runs = regimes.run_demonstrations(backend, args.duration_ms)
@@ -144,8 +144,7 @@ def cmd_gonogo(args) -> int:
     elapsed = time.perf_counter() - t0
     total_steps = len(results) * config.steps
 
-    sizes = {spec.name: spec.size for spec in config.population_specs()}
-    recorded = list(config.record) if config.record else list(config.populations)
+    recorded = config.recorded
     summary = {
         "metadata": {
             "seed": config.seed,
@@ -161,8 +160,8 @@ def cmd_gonogo(args) -> int:
         analysis.export_raster_svg(
             result.record,
             out / f"raster_{condition}.svg",
-            populations=recorded,
-            population_sizes={n: sizes[n] for n in recorded},
+            populations=list(recorded),
+            population_sizes=recorded,
         )
         summary["conditions"][condition] = {
             "delta_dop": result.delta_dop,

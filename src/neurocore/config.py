@@ -55,6 +55,19 @@ class RunConfig:
             require_key("seed", self.seed)
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be {'|'.join(BACKENDS)}, got {self.backend!r}")
+        if self.record is not None:
+            if not self.record:
+                raise ConfigError("record must name at least one population")
+            known = {*self.populations, *(g.name for g in self.generators)}
+            if unknown := [name for name in self.record if name not in known]:
+                raise ConfigError(f"record filter names unknown population {unknown[0]!r}")
+
+    @property
+    def recorded(self) -> dict[str, int]:
+        """Each recorded population's size, in ``record`` order: every
+        ``[population]`` by default, a generator only when named."""
+        sizes = {spec.name: spec.size for spec in self.population_specs()}
+        return {name: sizes[name] for name in self.record or self.populations}
 
     @property
     def steps(self) -> int:
@@ -166,7 +179,8 @@ def _values(items: dict, keys: dict, where: str) -> dict:
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # "" names no section a header can open, so [DEFAULT] is an ordinary, unknown one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str
     try:
         parser.read_string(text, source=source)
@@ -236,7 +250,3 @@ def _check_references(config: RunConfig, source: str) -> None:
                 raise ConfigError(
                     f"{source}: generator {g.name} targets unknown population {target!r}"
                 )
-    if config.record:
-        for name in config.record:
-            if name not in known:
-                raise ConfigError(f"{source}: record filter names unknown population {name!r}")

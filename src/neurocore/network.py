@@ -16,9 +16,10 @@ row in connection order.  Each step runs strictly ordered phases:
      modulation, membrane update, threshold/reset); on the fixed backend it
      runs the array form of the schedule compiled, once at import, for the
      input ranges the build enforces,
-  4. one ``nonzero`` over the whole spike mask gives the ids delivered on
-     the next step, which ``run`` records as they are and ``step`` cuts at
-     the population bounds into (population, indices) events.
+  4. the sources' spikes and one ``nonzero`` over the whole spike mask
+     become one array of pre ids, which the next step delivers and ``run``
+     appends to its ``SpikeRecord`` as it is; only reading the record cuts
+     ids into (step, population, neuron) events.
 
 Spikes therefore take exactly one step of axonal delay at dt = 1/8 ms.
 Integer sums do not depend on order and float sums follow table order, so a
@@ -161,17 +162,18 @@ class SynapseGroup:
 
 
 class SpikeRecord:
-    """Append-only record of (step, population, neuron) spike events:
-    ``append`` keeps the indices it is given, which must not change after,
-    of one population or, given a ``(names, starts)`` table, ids to cut at
-    ``starts`` (None names one not recorded); reading ``events`` cuts them
-    and adds them to its one list as Python ints, in append order."""
+    """Append-only record of (step, population, neuron) spike events, the one
+    place where ids become events.  ``append(step, (names, starts), ids)``
+    keeps ids that must not change after: id ``i`` is neuron ``i - starts[k]``
+    of ``names[k]``, ``k`` the last with ``starts[k] <= i``, and a name None is
+    not recorded.  Reading ``events`` cuts every array appended since with one
+    ``searchsorted`` into its one list of Python ints, in append order."""
 
     def __init__(self) -> None:
         self._events, self._appended = [], []
 
-    def append(self, step: int, population: str | tuple, indices) -> None:
-        self._appended.append((step, population, indices))
+    def append(self, step: int, table: tuple, indices) -> None:
+        self._appended.append((step, table, indices))
 
     @property
     def events(self) -> list[tuple[int, str, int]]:
@@ -179,7 +181,7 @@ class SpikeRecord:
             steps, tables, indices = zip(*self._appended)
             self._appended.clear()
             # each table's ids moved 2**32 apart, so that one searchsorted cuts all
-            unique = {id(t): ((t,), (0,)) if isinstance(t, str) else t for t in tables}
+            unique = {id(t): t for t in tables}
             shift = {key: k << 32 for k, key in enumerate(unique)}
             names = [name for group, _ in unique.values() for name in group]
             starts = np.array([shift[key] + x for key, (_, s) in unique.items() for x in s])
@@ -292,9 +294,9 @@ class Network:
         self.size = sum(p.size for p in neurons)
         # pre ids follow event order: the sources, then the neurons
         self._ids = _slices([specs[name] for name in self.sources] + neurons)
+        self._source_starts = [(s, self._ids[name].start) for name, s in self.sources.items()]
         self._first_neuron_id = sum(specs[name].size for name in self.sources)
-        # every population and where it starts: what ``run`` records by default
-        self._table = (tuple(self.slices), tuple(s.start for s in self.slices.values()))
+        self._default_table = self._table(self.slices)  # what ``run`` records by default
         if backend == "fixed":
             self.state, self._constants = _fixed_state(neurons)
         else:
@@ -356,10 +358,15 @@ class Network:
     def synapse_count(self) -> int:
         return len(self.synapses.post_idx)
 
-    def step(self, recording: tuple | None = None) -> list[tuple[str, np.ndarray]] | None:
-        """Advance one timestep; returns this step's (population, indices)
-        events.  Given ``run``'s ``(record, table, sources)``, it appends the
-        named sources' spikes and the spiking neurons' ids to the record instead."""
+    def _table(self, recorded) -> tuple:
+        """A ``SpikeRecord`` table of every pre id, naming only ``recorded``."""
+        return (tuple(name if name in recorded else None for name in self._ids),
+                tuple(where.start for where in self._ids.values()))
+
+    def step(self) -> None:
+        """Advance one timestep.  Its spikes, the sources' and then the
+        neurons', become ``_pending``: one array of pre ids, which the next
+        step delivers and ``run`` records."""
         # phase 1: deliver last step's spikes, if there are any
         if len(self._pending):
             acc = self.synapses.summed(self._pending, self.size)
@@ -370,12 +377,9 @@ class Network:
         else:
             acc = self._no_input
 
-        # phase 2: sources draw
-        step_now, events = self.step_index, []
-        for source in self.sources.values():
-            indices = source.spikes_at(step_now, self.seed)
-            if len(indices):
-                events.append((source.name, indices))
+        # phase 2: sources draw, as pre ids
+        ids = [indices + start for source, start in self._source_starts
+               if len(indices := source.spikes_at(self.step_index, self.seed))]
 
         # phase 3: one update of every neuron
         if self.backend == "fixed":
@@ -383,48 +387,28 @@ class Network:
         else:
             spiked = self.state.step(acc)
 
-        # phase 4: hand every spike to the next step as a pre id, and record
-        # the spiking neurons' ids or cut them at the population bounds
+        # phase 4: the spiking neurons' pre ids follow the sources'
         spiking = spiked.nonzero()[0]
-        ids = [indices + self._ids[name].start for name, indices in events]
         if len(spiking):
-            ids.append(spiking + self._first_neuron_id)
-        self._pending = np.concatenate(ids) if ids else _NO_IDS
+            ids.append(np.add(spiking, self._first_neuron_id, out=spiking))
+        self._pending = np.concatenate(ids) if len(ids) > 1 else ids[0] if ids else _NO_IDS
         self.step_index += 1
-        if recording is not None:
-            record, table, sources = recording
-            for name, indices in events:
-                if name in sources:
-                    record.append(step_now, name, indices)
-            if len(spiking):
-                record.append(step_now, table, spiking)
-            return None
-        if len(spiking):
-            cuts = np.searchsorted(spiking, [*self._table[1], self.size]).tolist()
-            for (name, where), lo, hi in zip(self.slices.items(), cuts, cuts[1:]):
-                if hi > lo:
-                    events.append((name, spiking[lo:hi] - where.start))
-        return events
 
-    def run(
-        self,
-        steps: int,
-        record: set[str] | None = None,
-        into: SpikeRecord | None = None,
-    ) -> SpikeRecord:
-        """Run ``steps`` timesteps, recording events of the selected populations.
-
-        ``record=None`` records every Izhikevich population (sources are
-        excluded unless named explicitly).
-        """
+    def run(self, steps: int, record=None, into: SpikeRecord | None = None) -> SpikeRecord:
+        """Run ``steps`` timesteps, appending each step's pre ids as delivered
+        to ``into`` (a new record by default) with a table that names the
+        populations in ``record``: by default every Izhikevich population, a
+        source only when named.  A name the network lacks is a ``ConfigError``."""
         if steps < 0:
             raise ConfigError(f"steps must be >= 0, got {steps}")
-        out = into if into is not None else SpikeRecord()
-        recording = (out, self._table, ())
+        table = self._default_table
         if record is not None:
-            recorded = set(record)
-            names = tuple(name if name in recorded else None for name in self.slices)
-            recording = (out, (names, self._table[1]), recorded.intersection(self.sources))
+            if unknown := set(record).difference(self._ids):
+                raise ConfigError(f"record names unknown population {min(unknown)!r}")
+            table = self._table(record)
+        out = into if into is not None else SpikeRecord()
         for _ in range(steps):
-            self.step(recording)
+            self.step()
+            if len(self._pending):
+                out.append(self.step_index - 1, table, self._pending)
         return out

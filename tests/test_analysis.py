@@ -68,9 +68,9 @@ class TestCvIsi:
 class TestRasterExport:
     def _record(self):
         record = SpikeRecord()
-        record.append(0, "A", [0, 2])
-        record.append(5, "B", [1])
-        record.append(9, "A", [3])
+        record.append(0, (("A",), (0,)), [0, 2])
+        record.append(5, (("B",), (0,)), [1])
+        record.append(9, (("A",), (0,)), [3])
         return record
 
     def test_csv_roundtrip(self, tmp_path):

@@ -421,6 +421,23 @@ class TestGonogoCommand:
         created = set(tmp_path.iterdir()) - before
         assert created == {out_dir}
 
+    def test_named_generator_rated_as_recorded(self, tmp_path):
+        cfg = small_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("record = STR_D1, STR_D2, STR_FSI, GPe, STN, GPi/SNr",
+                                               "record = STN, G_Ctx1"))
+        out_dir = tmp_path / "out"
+        assert main(["gonogo", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "rates_summary.json").read_text())
+        for condition, result in summary["conditions"].items():
+            assert list(result["populations"]) == ["G_Ctx1", "STN"]  # sorted keys
+            rows = [line.split(",") for line in
+                    (out_dir / f"raster_{condition}.csv").read_text().splitlines()[1:]]
+            in_window = sum(1 for step, time_ms, pop, _ in rows
+                            if pop == "G_Ctx1" and 50 <= float(time_ms) < 250)
+            stats = result["populations"]["G_Ctx1"]
+            assert stats["spike_count"] == in_window > 0
+            assert stats["mean_rate_hz"] == in_window / (20 * 0.2)
+
 
 class TestRegimesCommand:
     def test_traces_and_report(self, tmp_path):
@@ -435,6 +452,15 @@ class TestRegimesCommand:
         assert (out_dir / "regime_rebound_float.csv").exists()
         header = (out_dir / "regime_rs_fixed.csv").read_text().splitlines()[0]
         assert header == "step,time_ms,v_mv"
+
+    def test_empty_env_out_is_unset(self, tmp_path, monkeypatch):
+        """An empty ``NEUROCORE_OUT`` means unset, as for ``gonogo``: the
+        files go to ``out``, not into the working directory."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("NEUROCORE_OUT", "")
+        assert main(["regimes", "--duration-ms", "50"]) in (0, 1)
+        assert list(tmp_path.iterdir()) == [tmp_path / "out"]
+        assert (tmp_path / "out" / "regimes_report.txt").exists()
 
 
 class TestPrintConfig:

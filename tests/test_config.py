@@ -230,6 +230,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match="ghost"):
             parse_config_text(text)
 
+    def test_record_checked_on_replace(self):
+        config = load_default_config()
+        with pytest.raises(ConfigError, match="^record must name at least one population$"):
+            replace(config, record=())
+        with pytest.raises(ConfigError, match="unknown population 'ghost'"):
+            replace(config, record=("STN", "ghost"))
+
+    def test_recorded_sizes_in_record_order(self):
+        config = load_default_config()
+        assert config.recorded == dict.fromkeys(config.record, 100)
+        assert replace(config, record=None).recorded == dict.fromkeys(config.populations, 100)
+        assert replace(config, record=("G_Ctx1", "STN")).recorded == {"G_Ctx1": 100, "STN": 100}
+
 
 def test_readme_table_lists_every_key():
     """README's "Config file" table is ``KEYS``: each section's keys, their

@@ -163,6 +163,12 @@ class TestTargetsOf:
         assert np.array_equal(table.summed(ids, 9), want)
 
 
+def one_step(net, record):
+    """The events of one step of ``net``, run into ``record``."""
+    seen = len(record)
+    return net.run(1, into=record).events[seen:]
+
+
 def single_pop_net(backend, i_const=10.0, size=1, seed=1):
     pop = PopulationSpec("solo", size, params=NeuronParams(
         a=0.02, b=0.2, c=-65, d=8, i_const=i_const))
@@ -172,7 +178,7 @@ def single_pop_net(backend, i_const=10.0, size=1, seed=1):
 class TestEngine:
     def test_empty_network_steps(self):
         net = Network([], [], seed=1)
-        assert net.step() == []
+        assert net.run(1, into=network.SpikeRecord()).events == []
         assert net.step_index == 1
 
     def test_float_overflow_raises(self):
@@ -232,11 +238,12 @@ class TestEngine:
         net.state.v[q], net.state.u[q] = 40.0, params["Q"].b * 40.0
         steps = 2000
         v, u = np.empty((steps, net.size)), np.empty((steps, net.size))
-        spikes = {name: [] for name in params}
+        record = network.SpikeRecord()
         for t in range(steps):
-            for name, _ in net.step():
-                spikes[name].append(t)
+            net.run(1, into=record)
             v[t], u[t] = net.state.v, net.state.u
+        spikes = {name: sorted({t for t, pop, _ in record.events if pop == name})
+                  for name in params}
 
         for name, p in params.items():
             state, direct_v, direct_u, direct_spikes = initial_state(p, v0[name]), [], [], []
@@ -262,16 +269,16 @@ class TestEngine:
             seed=1,
             backend="float",
         )
-        follower = net.slices["follower"].start
+        follower, record = net.slices["follower"].start, network.SpikeRecord()
         for _ in range(2000):
             before = float(net.state.isyn[follower])
-            events = net.step()
-            driver_fired = any(name == "driver" for name, _ in events)
+            events = one_step(net, record)
+            driver_fired = any(name == "driver" for _, name, _ in events)
             after = float(net.state.isyn[follower])
             if driver_fired:
                 # nothing lands this step; the weight arrives next step
                 assert after == pytest.approx(before * net.state.alpha)
-                net.step()
+                one_step(net, record)
                 landed = float(net.state.isyn[follower])
                 assert landed == pytest.approx(after * net.state.alpha + 30.0)
                 break
@@ -291,17 +298,17 @@ class TestEngine:
         fanout = 3
         total_weight = 0.0
         expected = 0.0
-        sink = net.slices["sink"]
+        sink, record = net.slices["sink"], network.SpikeRecord()
         for _ in range(1500):
             pre_isyn = net.state.isyn[sink].sum()
-            events = net.step()
-            driver_spikes = sum(len(ix) for name, ix in events if name == "driver")
+            events = one_step(net, record)
+            driver_spikes = sum(1 for _, name, _ in events if name == "driver")
             delivered = net.state.isyn[sink].sum() - pre_isyn * net.state.alpha
             total_weight += delivered
             expected += driver_spikes * fanout * 0.5
         # everything the driver emitted arrived, once (one step shifted);
         # the last step's spikes are still pending
-        pending = sum(len(ix) for name, ix in events if name == "driver")
+        pending = sum(1 for _, name, _ in events if name == "driver")
         assert total_weight == pytest.approx(expected - pending * fanout * 0.5)
 
     def test_record_is_nondecreasing_in_step(self):
@@ -361,7 +368,7 @@ def test_record_reads_equal_an_eager_list():
         indices = rng.choice(50, rng.integers(0, 4), replace=False)
         if step % 4 == 0:
             indices = indices.tolist()
-        record.append(step, f"P{step % 3}", indices)
+        record.append(step, ((f"P{step % 3}",), (0,)), indices)
         eager.extend((step, f"P{step % 3}", int(i)) for i in indices)
         if step % 3 == 0:
             assert len(record) == len(eager)
@@ -438,6 +445,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             net.run(-1)
 
+    def test_record_of_an_unknown_population_rejected(self):
+        net = build_bg(load_default_config())
+        with pytest.raises(ConfigError, match="^record names unknown population 'STNN'$"):
+            net.run(400, record={"STNN"})
+        assert net.step_index == 0
+
     @pytest.mark.parametrize(
         "population, connection, message",
         [
@@ -460,35 +473,37 @@ class TestValidation:
         Network(pops, conns, backend="float").run(5)
 
 
-class TestRunRecordsWhatStepReturns:
-    """``run`` records each step's spiking neurons as one array of ids, cut
-    into populations only when the record is read; its events equal those
-    ``step`` returns, cut at every step, over one second of the shipped
-    circuit at seed 1."""
+SHIPPED = load_default_config()
+# every population of the shipped circuit, its generators included
+SHIPPED_NAMES = [*SHIPPED.populations, *(g.name for g in SHIPPED.generators)]
 
-    STEPS = 8000  # one second
+
+class TestRunRecordsTheNamedPopulations:
+    """``run`` appends each step's pre ids with a table that names the
+    recorded populations; for any subset of the shipped circuit's
+    populations, sources included, or the default, its events are those of
+    a run that records every population, filtered to the subset, also when
+    one record is reused across runs."""
+
+    STEPS = 1600  # 200 ms at seed 1
 
     @pytest.fixture(scope="class")
-    def stepped(self):
-        net = build_bg(replace(load_default_config(), seed=1))
-        return [(t, name, i) for t in range(self.STEPS)
-                for name, indices in net.step() for i in indices.tolist()]
+    def everything(self):
+        events = build_bg(replace(SHIPPED, seed=1)).run(self.STEPS, record=SHIPPED_NAMES).events
+        assert {"G_Ctx1", "GPe"} <= {pop for _, pop, _ in events}  # sources and neurons
+        return events
 
-    @pytest.mark.parametrize("record", [{"STN", "GPe"}, {"G_Ctx1", "STN"}],
-                             ids=["subset", "source-named"])
-    def test_recorded_populations(self, stepped, record):
-        got = build_bg(replace(load_default_config(), seed=1)).run(self.STEPS, record=record)
-        assert got.events == [event for event in stepped if event[1] in record]
-        assert {pop for _, pop, _ in got.events} == record
-
-    def test_default_record_reused_across_runs(self, stepped):
-        net, record = build_bg(replace(load_default_config(), seed=1)), network.SpikeRecord()
-        want = [event for event in stepped if event[1] in net.slices]
-        lengths = [1, 7, 992, 3000, 1, 3999]
-        for steps in lengths:
-            assert net.run(steps, into=record) is record
-            assert len(record) == sum(1 for t, _, _ in want if t < net.step_index)
-        assert sum(lengths) == self.STEPS and record.events == want
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(names=st.none() | st.sets(st.sampled_from(SHIPPED_NAMES), min_size=1),
+           cuts=st.lists(st.integers(0, STEPS), max_size=3))
+    def test_run_equals_every_population_filtered(self, everything, names, cuts):
+        net, record = build_bg(replace(SHIPPED, seed=1)), network.SpikeRecord()
+        want = [event for event in everything if event[1] in (names or net.slices)]
+        bounds = [0, *sorted(cuts), self.STEPS]
+        for start, stop in zip(bounds, bounds[1:]):
+            assert net.run(stop - start, record=names, into=record) is record
+            assert len(record) == sum(1 for t, _, _ in want if t < stop)
+        assert record.events == want
 
 
 def words(state, i):

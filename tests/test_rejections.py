@@ -31,6 +31,11 @@ def case(old, new, message, id):
              "unknown section [plasticity]", "unknown-section"),
         case("[population", "[populations", "unknown section [populations STR_D1]",
              "unknown-section-kind"),
+        # [DEFAULT] is no section of configparser's own, whose keys every section would share
+        case("[generator G_Ctx1]", "[DEFAULT]\nfoo = 1\n\n[generator G_Ctx1]",
+             "unknown section [DEFAULT]", "default-section"),
+        case("[simulation]", "[DEFAULT]\nseed = 5\n\n[simulation]",
+             "unknown section [DEFAULT]", "default-section-known-key"),
         case("seed = 1", "seed = 1\nbetta = 0.6",
              "[simulation] has unknown key 'betta'", "unknown-key-simulation"),
         case("beta = 0.6", "beta = 0.6\nbetta = 0.6",
@@ -79,6 +84,8 @@ def case(old, new, message, id):
              "connection-prob"),
         case("a = 0.02", "a = -1", "[population STR_D1] a must be positive, got -1.0",
              "population-value"),
+        case("record = STR_D1, STR_D2, STR_FSI, GPe, STN, GPi/SNr", "record =",
+             "[simulation] record must name at least one population", "empty-record"),
         case("settle_ms = 200", "settle_ms = 1000",
              "[simulation] settle_ms must satisfy 0 <= settle_ms < duration_ms (1000), got 1000",
              "simulation-value"),
