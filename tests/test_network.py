@@ -473,6 +473,42 @@ class TestValidation:
         Network(pops, conns, backend="float").run(5)
 
 
+class TestRunRecordsWhatStepReturns:
+    """``run`` records each step's pre ids as one array, cut into
+    populations only when the record is read; its events equal those of the
+    pre ids each ``step`` leaves pending, cut id by id through the network's
+    id ranges, over one second of the shipped circuit at seed 1."""
+
+    STEPS = 8000  # one second
+
+    @pytest.fixture(scope="class")
+    def stepped(self):
+        net = build_bg(replace(load_default_config(), seed=1))
+        owner = [(name, where.start) for name, where in net._ids.items()
+                 for _ in range(where.start, where.stop)]
+        events = []
+        for t in range(self.STEPS):
+            net.step()
+            events.extend((t, owner[i][0], i - owner[i][1]) for i in net._pending.tolist())
+        return events
+
+    @pytest.mark.parametrize("record", [{"STN", "GPe"}, {"G_Ctx1", "STN"}],
+                             ids=["subset", "source-named"])
+    def test_recorded_populations(self, stepped, record):
+        got = build_bg(replace(load_default_config(), seed=1)).run(self.STEPS, record=record)
+        assert got.events == [event for event in stepped if event[1] in record]
+        assert {pop for _, pop, _ in got.events} == record
+
+    def test_default_record_reused_across_runs(self, stepped):
+        net, record = build_bg(replace(load_default_config(), seed=1)), network.SpikeRecord()
+        want = [event for event in stepped if event[1] in net.slices]
+        lengths = [1, 7, 992, 3000, 1, 3999]
+        for steps in lengths:
+            assert net.run(steps, into=record) is record
+            assert len(record) == sum(1 for t, _, _ in want if t < net.step_index)
+        assert sum(lengths) == self.STEPS and record.events == want
+
+
 SHIPPED = load_default_config()
 # every population of the shipped circuit, its generators included
 SHIPPED_NAMES = [*SHIPPED.populations, *(g.name for g in SHIPPED.generators)]
