@@ -10,7 +10,8 @@ Subcommands:
                        network; write rasters, CSVs and a rates summary
     validate-schedule  check a block schedule against the one-state-word rule,
                        compile it and count the clips it keeps, in general
-                       and for the input ranges of the network
+                       and for the input ranges of the network and of the
+                       regime runs
 
 Exit codes: 0 success, 1 runtime or check failure, 2 usage/config errors.
 """
@@ -192,14 +193,17 @@ def cmd_validate_schedule(args) -> int:
         origin = "shipped izhikevich-core schedule"
     violations = validate_schedule(schedule)
     if not violations:
-        for form, inputs in ((INTS, INPUTS), (ARRAYS, INPUTS), (ARRAYS, STEP_INPUTS)):
-            run_corners(compile_schedule(schedule, form, inputs=inputs), form, inputs)
+        regime = regimes.REGIME_INPUTS
+        for form, ins in ((INTS, INPUTS), (ARRAYS, INPUTS), (ARRAYS, STEP_INPUTS), (INTS, regime)):
+            run_corners(compile_schedule(schedule, form, inputs=ins), form, ins)
         plan = plan_schedule(schedule)
         kept = sum(op.clips for op in plan)
-        in_network = sum(op.clips for op in plan_schedule(schedule, STEP_INPUTS))
+        in_network, in_regimes = (sum(op.clips for op in plan_schedule(schedule, inputs))
+                                  for inputs in (STEP_INPUTS, regime))
         print(
             f"{origin}: OK ({len(schedule.blocks)} blocks, one state word per block, "
-            f"compiles; {kept} of {len(plan)} clips kept, {in_network} in the network form)"
+            f"compiles; {kept} of {len(plan)} clips kept, {in_network} in the network form, "
+            f"{in_regimes} in the regime form)"
         )
         return 0
     for v in violations:

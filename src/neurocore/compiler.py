@@ -241,13 +241,16 @@ def compile_schedule(
     once while they hold.  It returns the fields in the same order and the
     registers named in ``results``.  The body is emitted once: a ``copy``
     form's ``step`` calls ``step.update``, which runs it on an object of the
-    fields and stores those written, and any other's runs ``step.loop`` (each
-    None in the other forms) for one step.  ``loop`` takes ``step``'s
+    fields and stores those written, and any other's runs ``step.loop``
+    (each None in the other forms) for one step.  ``loop`` takes ``step``'s
     arguments and ``n, vs, spikes``, runs ``n`` steps on the fields as
     locals, appends each step's ``v`` to ``vs`` and, where the first result
     is set, first ``len(vs)`` to ``spikes``, and returns what its last step
-    returns (each result None after none).  Registers are locals, each clip
-    the interval analysis keeps is inline, and ``form`` says how clips,
+    returns (each result that ``hoist`` does not compute None after none).
+    It runs once, before its steps, each op that reads only what a hoisted
+    op may, ``DA`` and such ops' results, and writes a register that no
+    other op writes and that is not returned.  Registers are locals, each
+    clip the interval analysis keeps is inline, and ``form`` says how clips,
     ``sel`` and integers are written: ``INTS`` for Python ints, ``ARRAYS``
     for int64 arrays.  There an op writes into an operand's array that the
     same call made, of its result's dtype, that no later op reads (a sunk op
@@ -307,6 +310,14 @@ def compile_schedule(
             later = set(dests[i + 1:j]).intersection(op.args)
             held[i] = [f"    _{i}_{a} = {a}" for a in sorted(later)]
             sunk[j] = i, tuple(f"_{i}_{a}" if a in later else a for a in op.args)
+    # the ops a loop call runs once, before its steps, on values the call fixes
+    once, steady = [], fixed | set(map(_local, inputs))
+    for i, op in enumerate(plan):
+        if (i not in hoisted and op.dest.startswith("r_") and dests.count(op.dest) == 1
+                and op.dest not in map(_local, results)
+                and all(isinstance(a, int) or a in steady for a in op.args)):
+            once.append(i)
+            steady.add(op.dest)
     # where each op runs, a sunk one just before its select, and its flag operands
     at, flags, flagged = {i: j - 0.5 for j, (i, _) in sunk.items()}, set(), []
     for op in plan:
@@ -373,7 +384,8 @@ def compile_schedule(
 
     fields, ins = list(map(_local, FIELD_FORMATS)), [*map(_local, inputs), *passed]
     rest = [i for i in range(len(plan)) if i not in hoisted and i not in fused.values()]
-    body, writes, res = function(rest), [f for f in fields if f in dests], [*map(_local, results)]
+    body = function(rest if form.copy else [i for i in rest if i not in once])
+    writes, res = [f for f in fields if f in dests], [*map(_local, results)]
     args, unset = ", ".join(fields + ins), [r for r in res if r not in ins]
     lines = [f"def hoist({', '.join(fields + group)}):", *function(sorted(hoisted)),
              f"    return ({''.join(name + ', ' for name in passed)})", f"def step({args}):"]
@@ -385,10 +397,10 @@ def compile_schedule(
             f"    return {', '.join([load, *res])}",
             f"def update(_s, {', '.join(ins)}):", f"    {', '.join(fields)} = {load}", *body,
             *[f"    {store} = {', '.join(writes)}"][:len(writes)], f"    return {', '.join(res)}"]
-    else:  # the body once, in a loop of _n steps; step runs one
+    else:  # the body once, in a loop of _n steps after the ops run once; step runs one
         lines += [f"    return loop({args}, 1, [], [])", f"def loop({args}, _n, _vs, _spikes):",
                   "    _record, _spike = _vs.append, _spikes.append",
-                  *[f"    {' = '.join(unset)} = None"][:len(unset)],
+                  *[f"    {' = '.join(unset)} = None"][:len(unset)], *function(once),
                   "    for _ in range(_n):", *("    " + line for line in body),
                   *[f"        if {res[0]}: _spike(len(_vs))"][:len(res)], "        _record(v)",
                   f"    return {', '.join(fields + res)}"]

@@ -296,7 +296,8 @@ class Network:
         self._ids = _slices([specs[name] for name in self.sources] + neurons)
         self._source_starts = [(s, self._ids[name].start) for name, s in self.sources.items()]
         self._first_neuron_id = sum(specs[name].size for name in self.sources)
-        self._default_table = self._table(self.slices)  # what ``run`` records by default
+        # the table of each set of names ``run`` has recorded, None its default
+        self._tables = {None: self._table(self.slices)}
         if backend == "fixed":
             self.state, self._constants = _fixed_state(neurons)
         else:
@@ -398,15 +399,17 @@ class Network:
         """Run ``steps`` timesteps, appending each step's pre ids as delivered
         to ``into`` (a new record by default) with a table that names the
         populations in ``record``: by default every Izhikevich population, a
-        source only when named.  A name the network lacks is a ``ConfigError``."""
+        source only when named.  Each set of names has one table, kept across
+        runs.  A name the network lacks is a ``ConfigError``."""
         if steps < 0:
             raise ConfigError(f"steps must be >= 0, got {steps}")
-        table = self._default_table
         if record is not None:
-            if unknown := set(record).difference(self._ids):
+            record = frozenset(record)
+            if unknown := record.difference(self._ids):
                 raise ConfigError(f"record names unknown population {min(unknown)!r}")
-            table = self._table(record)
-        out = into if into is not None else SpikeRecord()
+        if record not in self._tables:
+            self._tables[record] = self._table(record)
+        table, out = self._tables[record], into if into is not None else SpikeRecord()
         for _ in range(steps):
             self.step()
             if len(self._pending):

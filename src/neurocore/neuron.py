@@ -7,11 +7,11 @@ fixed-point arithmetic is defined in one place, the shipped block schedule
 ``data/izhikevich_schedule.txt`` (see :mod:`neurocore.schedule`), compiled
 at import (:mod:`neurocore.compiler`) into two generated functions of the
 same source but for how they clip and select: ``step_fields`` on one
-compartment's field values as Python ints, which ``step_fixed`` wraps in an
-unpack and a pack of the state words and whose ``loop`` runs many steps to
-a call, and ``step_fields_batch`` on whole populations of int64 arrays,
-which ``step_fixed_batch`` runs.  ``encode_neuron`` is the one map from a
-configured neuron to the raw field values both run on.
+compartment's field values as Python ints over every input's range, which
+``step_fixed`` wraps in an unpack and a pack of the state words, and
+``step_fields_batch`` on int64 populations, which ``step_fixed_batch`` runs
+(the network and the regime runs compile their own).  ``encode_neuron`` is
+the one map from a configured neuron to the raw field values both run on.
 
 Update rule, with dt = DT_MS = 1/8 ms:
 

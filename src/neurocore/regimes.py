@@ -13,8 +13,11 @@ programmed current each step (all protocol currents are representable on
 the accumulator grid, and one past its range raises ``ValueError``).  The
 16-bit bias-current field saturates at 8, so it cannot carry the
 demonstration current of 10.  Each protocol segment is one call of the
-compiled schedule's loop; the float backend carries ``v`` and ``u`` through
-``float_update`` step by step.
+loop of ``step_regime``, the shipped schedule compiled for the inputs every
+fixed run passes (``REGIME_INPUTS``), so it keeps only the clips that can
+bind there and rounds the segment's constant ``DA`` once, before its steps;
+the float backend carries ``v`` and ``u`` through ``float_update`` step by
+step.
 """
 
 from __future__ import annotations
@@ -25,16 +28,10 @@ from math import isfinite
 import numpy as np
 
 from .analysis import SpikeTrain, cv_isi
+from .compiler import compile_schedule
 from .fxp import DA_FMT, Q12, V_FMT, encode_checked
-from .neuron import (
-    DT_MS,
-    NeuronParams,
-    SimulationError,
-    encode_neuron,
-    float_update,
-    initial_state,
-    step_fields,
-)
+from .neuron import DT_MS, NeuronParams, SimulationError, encode_neuron, float_update, initial_state
+from .schedule import INPUTS, izhikevich_schedule
 
 REST_V = -70.0
 DEMO_CURRENT = 10.0
@@ -53,6 +50,10 @@ REGIME_PARAMS: dict[str, NeuronParams] = {
 }
 
 Protocol = tuple[tuple[float, float], ...]  # (duration_ms, current) segments
+
+# No decay (alpha 0) and no dopamine gain (beta 0); DA keeps the port's range
+REGIME_INPUTS = INPUTS | {"@alpha": 0, "@beta": 0}
+step_regime = compile_schedule(izhikevich_schedule(), inputs=REGIME_INPUTS)
 
 
 def constant_current(i: float, duration_ms: float = 1000.0) -> Protocol:
@@ -121,13 +122,13 @@ def _run_fixed(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, li
     words are never packed."""
     rest, _, v_peak = encode_neuron(params, REST_V)
     fields = astuple(rest)
-    hoisted = step_fields.hoist(*fields, 0, 0, v_peak)
+    hoisted = step_regime.hoist(*fields, 0, 0, v_peak)
     v_raw, spikes = [], []
     for ms, current in protocol:
         # the stimulus enters through the accumulator port, as a Q12 sum on
         # its grid, with decay off (alpha 0) and no dopamine gain (beta 0)
         da = encode_checked("current", current, DA_FMT) << Q12 - DA_FMT.frac_bits
-        *fields, _ = step_fields.loop(*fields, da, 0, 0, v_peak, *hoisted,
+        *fields, _ = step_regime.loop(*fields, da, 0, 0, v_peak, *hoisted,
                                       round(ms / DT_MS), v_raw, spikes)
     return np.array(v_raw) / V_FMT.scale, spikes
 

@@ -289,7 +289,7 @@ class TestValidateSchedule:
         assert main(["validate-schedule"]) == 0
         out = capsys.readouterr().out
         assert "OK" in out and "compiles; 13 of 36 clips kept" in out
-        assert "6 in the network form" in out
+        assert "6 in the network form" in out and "6 in the regime form" in out
 
     def test_directory_schedule_exits_2(self, tmp_path, capsys):
         assert main(["validate-schedule", "--schedule", str(tmp_path)]) == 2

@@ -499,6 +499,18 @@ class TestRunRecordsWhatStepReturns:
         assert got.events == [event for event in stepped if event[1] in record]
         assert {pop for _, pop, _ in got.events} == record
 
+    def test_named_record_table_kept_across_runs(self):
+        """Runs of one step each that record the same names, passed as a new
+        set every time, append one table object, and their events are those
+        of a single run over the same steps."""
+        net = build_bg(replace(load_default_config(), seed=1))
+        record, names = network.SpikeRecord(), {"STN", "GPe"}
+        for _ in range(self.STEPS // 2):
+            net.run(1, record=set(names), into=record)
+        assert len({id(table) for _, table, _ in record._appended}) == 1
+        whole = build_bg(replace(load_default_config(), seed=1)).run(self.STEPS // 2, record=names)
+        assert record.events == whole.events
+
     def test_default_record_reused_across_runs(self, stepped):
         net, record = build_bg(replace(load_default_config(), seed=1)), network.SpikeRecord()
         want = [event for event in stepped if event[1] in net.slices]

@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from neurocore import network, neuron
+from neurocore import network, neuron, regimes
 from neurocore.compiler import ARRAYS, compile_schedule
 from neurocore.fxp import DA_FMT, DA_PORT, DDOP_FMT, ISYN_FMT, REG_FMT, U_FMT, V_FMT, Fixed, encode
 from neurocore.neuron import (
@@ -470,8 +470,9 @@ def test_stored_past_peak_resets_from_u_before_the_update(form):
 
 
 def test_schedule_text_is_what_runs(monkeypatch):
-    """The shipped text, compiled afresh, reproduces both steppers and the
-    network's array form; one changed shift count in it changes all three."""
+    """The shipped text, compiled afresh, reproduces both steppers, the
+    network's array form and a fixed regime run's trace; one changed shift
+    count in it changes all four."""
     text = resources.files("neurocore").joinpath("data/izhikevich_schedule.txt").read_text()
     mutated = text.replace("shr $dv <- $dv, 3", "shr $dv <- $dv, 4")
     assert mutated != text
@@ -485,15 +486,18 @@ def test_schedule_text_is_what_runs(monkeypatch):
         step_fixed_batch(trials[0], np.full(3, da.raw << 9), alpha_fixed().raw)
         step_fixed_batch(trials[1], np.full(3, da.raw << 9), alpha_fixed().raw,
                          compiled=network_form)
-        return scalar, trials[0].v.tolist(), trials[1].v.tolist()
+        trace = regimes.run_single(RS, regimes.constant_current(10.0, 20.0), "fixed").v_mv
+        return scalar, trials[0].v.tolist(), trials[1].v.tolist(), trace.tolist()
 
     shipped = run_all(network.step_fields_network)
     for source, same in ((text, True), (mutated, False)):
         schedule = parse_schedule(source)
         monkeypatch.setattr(neuron, "step_fields", compile_schedule(schedule))
         monkeypatch.setattr(neuron, "step_fields_batch", compile_schedule(schedule, ARRAYS))
+        monkeypatch.setattr(regimes, "step_regime",
+                            compile_schedule(schedule, inputs=regimes.REGIME_INPUTS))
         network_form = compile_schedule(schedule, ARRAYS, inputs=network.STEP_INPUTS)
-        for got, want in zip(run_all(network_form), shipped):
+        for got, want in zip(run_all(network_form), shipped, strict=True):
             assert (got == want) is same
 
 

@@ -4,7 +4,6 @@ ints, and saturates every write to its destination's format.  It has no
 interval analysis and no rewrites, so every clip the compiler drops, every
 op it hoists, fuses or sinks and every select it skips is checked here."""
 
-import functools
 from importlib import resources
 from types import SimpleNamespace
 
@@ -16,7 +15,7 @@ from neurocore import network
 from neurocore.compiler import ARRAYS, INTS, compile_schedule, plan_schedule
 from neurocore.fxp import DA_FMT, DA_PORT, REG_FMT, encode
 from neurocore.neuron import encode_neuron
-from neurocore.regimes import REGIME_PARAMS
+from neurocore.regimes import REGIME_INPUTS, REGIME_PARAMS
 from neurocore.schedule import (
     CONSTANTS,
     FIELD_FORMATS,
@@ -49,11 +48,11 @@ ARITHMETIC = {
 }
 
 
-@functools.lru_cache(maxsize=128)  # one entry per schedule; a shrinking run draws thousands
 def ops_of(schedule) -> list[tuple]:
     """Each op of ``schedule`` as its arithmetic, destination, operands (a
     name or a literal's value) and the range its write saturates to: its
-    destination's, and for ``rnd`` also that of whole ``DA_FMT`` units."""
+    destination's, and for ``rnd`` also that of whole ``DA_FMT`` units.  A
+    test looks them up once per schedule, not once per interpreted step."""
     ops = []
     for op in (op for block in schedule.blocks for op in block.ops):
         fmt = FIELD_FORMATS.get(op.dest, REG_FMT)
@@ -66,12 +65,13 @@ def ops_of(schedule) -> list[tuple]:
     return ops
 
 
-def interpret(schedule, values: dict, results=("$spk",)) -> tuple:
+def interpret(ops: list[tuple], values: dict, results=("$spk",)) -> tuple:
     """The fields in ``FIELD_FORMATS`` order and the ``results`` registers
-    after one step of ``schedule`` from ``values``, the raw of every field
-    and input: each op as the text states it, its write saturated."""
+    after one step of a schedule, its ``ops_of``, from ``values``, the raw
+    of every field and input: each op as the text states it, its write
+    saturated."""
     values = {**values, **CONSTANTS}
-    for arithmetic, dest, sources, low, high in ops_of(schedule):
+    for arithmetic, dest, sources, low, high in ops:
         result = arithmetic([values[s] if isinstance(s, str) else s for s in sources])
         values[dest] = min(max(result, low), high)
     return (*(values[name] for name in FIELD_FORMATS), *(values[name] for name in results))
@@ -119,20 +119,20 @@ def run(step, args: dict) -> tuple:
     return got
 
 
-def stepped(schedule, step, state: dict, results, k: int) -> list[tuple]:
-    """``k`` interpreter steps, ``k`` calls of the int form's ``step`` and its
-    ``loop`` over ``k`` steps, each step from ``state`` with the fields the
-    last returned: asserts that all three agree, that the loop records each
-    step's ``v`` and the steps whose first result is set, and that a loop of
-    no steps returns the fields as given.  Returns the interpreter's
-    outputs, one tuple per step."""
+def stepped(ops, step, state: dict, results, k: int) -> list[tuple]:
+    """``k`` interpreter steps of ``ops``, ``k`` calls of the int form's
+    ``step`` and its ``loop`` over ``k`` steps, each step from ``state`` with
+    the fields the last returned: asserts that all three agree, that the
+    loop records each step's ``v`` and the steps whose first result is set,
+    and that a loop of no steps returns the fields as given and each result
+    None or hoisted.  Returns the interpreter's outputs, one tuple per step."""
     n = len(FIELD_FORMATS)
     fields = [state[name] for name in FIELD_FORMATS]
     ins = [x for name, x in state.items() if name not in FIELD_FORMATS]
     hoisted = step.hoist(*fields, *(x for name, x in state.items() if name[0] == "@"))
     want, values, got = [], dict(state), fields
     for _ in range(k):
-        want.append(interpret(schedule, values, results))
+        want.append(interpret(ops, values, results))
         values.update(zip(FIELD_FORMATS, want[-1]))
         got = step(*got[:n], *ins, *hoisted)
         assert got == want[-1]
@@ -140,7 +140,8 @@ def stepped(schedule, step, state: dict, results, k: int) -> list[tuple]:
     assert step.loop(*fields, *ins, *hoisted, k, vs, spikes) == want[-1]
     assert vs == [out[list(FIELD_FORMATS).index("v")] for out in want]
     assert spikes == [t for t, out in enumerate(want) if out[n]]
-    assert step.loop(*fields, *ins, *hoisted, 0, vs, spikes)[:n] == tuple(fields)
+    none = step.loop(*fields, *ins, *hoisted, 0, vs, spikes)
+    assert none[:n] == tuple(fields) and all(x is None or x in hoisted for x in none[n:])
     return want
 
 
@@ -162,7 +163,8 @@ def mutant(line: str) -> str:
 # that an op writing into an array some later op still reads would break: a
 # copy read after its source is rewritten, a temporary a sunk op reads at
 # its select after another op last read it, and a select's else operand
-# read after the select
+# read after the select; and a register of DA and a field the schedule
+# writes, which a loop must compute every step, read by a returned one
 SCHEDULES = {"shipped": (TEXT, ("$spk",)),
              "field-of-inputs": (mutant("sub isyn <- @alpha, @beta"), ("$spk",)),
              "register-of-inputs": (mutant("sub $k <- @alpha, @beta"), ("$spk", "$k")),
@@ -174,11 +176,15 @@ SCHEDULES = {"shipped": (TEXT, ("$spk",)),
                                   "op: sel $r <- $f, $w, $z"), ("$spk", "$r")),
              "else-read-after": (mutant("add $y <- $decay, @one\nop: gt $g <- $y, $isyn\n"
                                         "op: sel $s <- $g, $da, $y\nop: add $q <- $y, $s"),
-                                 ("$spk", "$s", "$q"))}
+                                 ("$spk", "$s", "$q")),
+             "of-a-written-field": (mutant("add $w <- $da, isyn\nop: mov $x <- $w"),
+                                    ("$spk", "$x"))}
+# the input ranges of the three compiled forms the package runs
+RANGES = {"full-range": INPUTS, "network": network.STEP_INPUTS, "regimes": REGIME_INPUTS}
 
 
 @pytest.mark.parametrize("name", SCHEDULES)
-@pytest.mark.parametrize("inputs", [INPUTS, network.STEP_INPUTS], ids=["full-range", "network"])
+@pytest.mark.parametrize("inputs", RANGES.values(), ids=RANGES)
 def test_compiled_forms_equal_the_interpreter(name, inputs):
     """``INTS`` on Python ints, and ``ARRAYS`` with the group inputs as
     per-neuron arrays and as Python ints, each with its ``hoist``, equal the
@@ -189,7 +195,8 @@ def test_compiled_forms_equal_the_interpreter(name, inputs):
     n, batches = 200, 8
     values = draw_inputs(rng, inputs, n * batches)
     states = [dict(zip(values, state)) for state in zip(*(x.tolist() for x in values.values()))]
-    want = [interpret(schedule, state, results) for state in states]
+    ops = ops_of(schedule)
+    want = [interpret(ops, state, results) for state in states]
     ints = compile_schedule(schedule, INTS, results, inputs)
     assert [run(ints, state) for state in states[::4]] == want[::4]
     arrays = compile_schedule(schedule, ARRAYS, results, inputs)
@@ -198,29 +205,32 @@ def test_compiled_forms_equal_the_interpreter(name, inputs):
         part = slice(b * n, (b + 1) * n)
         args = {k: states[b * n][k] if k[0] == "@" else x[part] for k, x in values.items()}
         group = {k: x for k, x in args.items() if k[0] == "@"}
-        expect = [interpret(schedule, {**state, **group}, results) for state in states[part]]
+        expect = [interpret(ops, {**state, **group}, results) for state in states[part]]
         assert rows(run(arrays, args), n) == expect
 
 
-@pytest.mark.parametrize("name", SCHEDULES)
-def test_loop_equals_repeated_steps(name):
-    """The int form's ``loop`` over ``k`` steps equals ``k`` calls of its
-    ``step`` and ``k`` interpreter steps: on drawn states, and from the RS
+@pytest.mark.parametrize("name, inputs", [
+    *(pytest.param(name, INPUTS, id=name) for name in SCHEDULES),
+    *(pytest.param(name, REGIME_INPUTS, id=f"regimes-{name}") for name in SCHEDULES)])
+def test_loop_equals_repeated_steps(name, inputs):
+    """The int form's ``loop`` over ``k`` steps, compiled for ``inputs``,
+    equals ``k`` calls of its ``step`` and ``k`` interpreter steps (what it
+    runs once before its steps included): on drawn states, and from the RS
     rest state driven by a constant input with v just below the peak, which
     crosses it, and with a stored v past it; both spike on their first step
     and, where the input reaches v (not where ``isyn`` is overwritten), again
     later."""
     text, results = SCHEDULES[name]
     schedule = parse_schedule(text)
-    step = compile_schedule(schedule, INTS, results)
-    values = draw_inputs(np.random.default_rng(20261019), INPUTS, 60)
+    step, ops = compile_schedule(schedule, INTS, results, inputs), ops_of(schedule)
+    values = draw_inputs(np.random.default_rng(20261019), inputs, 60)
     for state in zip(*(x.tolist() for x in values.values())):
-        stepped(schedule, step, dict(zip(values, state)), results, 4)
+        stepped(ops, step, dict(zip(values, state)), results, 4)
     fields, _, v_peak = encode_neuron(REGIME_PARAMS["RS"])
     da = encode(10.0, DA_FMT).raw << 12 - DA_FMT.frac_bits
     driven = {**vars(fields), "DA": da, "@alpha": 0, "@beta": 0, "@vpeak": v_peak}
     for v in (v_peak - 1, v_peak + 4096):
-        want = stepped(schedule, step, {**driven, "v": v}, results, 400)
+        want = stepped(ops, step, {**driven, "v": v}, results, 400)
         spiked = [t for t, out in enumerate(want) if out[len(FIELD_FORMATS)]]
         assert spiked[0] == 0 and (len(spiked) > 1 or name == "field-of-inputs")
 
@@ -237,10 +247,11 @@ def test_accumulator_rounds_ties_away_from_zero(form):
              DA_PORT.min_raw + 257: DA_PORT.min_raw + 512}
     schedule = parse_schedule(TEXT)
     step = compile_schedule(schedule, form, results=("$da",), inputs=network.STEP_INPUTS)
+    ops = ops_of(schedule)
     for sum_q12, rounded in cases.items():
         state = {**dict.fromkeys(FIELD_FORMATS, 0), "DA": sum_q12, "@alpha": 4062, "@beta": 0,
                  "@vpeak": 0}
-        assert interpret(schedule, state, results=("$da",))[-1] == rounded
+        assert interpret(ops, state, results=("$da",))[-1] == rounded
         if form is ARRAYS:
             state = {k: x if k[0] == "@" else np.array([x]) for k, x in state.items()}
         assert int(np.ravel(run(step, state)[-1])[0]) == rounded
@@ -320,11 +331,12 @@ def test_generated_schedules_equal_the_interpreter(case, network_inputs):
     n = 24
     values = draw_inputs(np.random.default_rng(n), inputs, n)
     states = [dict(zip(values, state)) for state in zip(*(x.tolist() for x in values.values()))]
-    want = [interpret(schedule, state, results) for state in states]
+    ops = ops_of(schedule)
+    want = [interpret(ops, state, results) for state in states]
     ints = compile_schedule(schedule, INTS, results, inputs)
     assert [run(ints, state) for state in states] == want
     for state in states[:6]:
-        stepped(schedule, ints, state, results, 3)
+        stepped(ops, ints, state, results, 3)
     arrays = compile_schedule(schedule, ARRAYS, results, inputs)
     assert rows(run(arrays, values), n) == want
     for state, expect in zip(states, want):
