@@ -11,7 +11,7 @@ Subcommands:
     validate-schedule  check a block schedule against the one-state-word rule,
                        compile it and count the clips it keeps, in general
                        and for the input ranges of the network and of the
-                       regime runs
+                       regime runs, and the regime loop's ops by when they run
 
 Exit codes: 0 success, 1 runtime or check failure, 2 usage/config errors.
 """
@@ -195,7 +195,8 @@ def cmd_validate_schedule(args) -> int:
     if not violations:
         regime = regimes.REGIME_INPUTS
         for form, ins in ((INTS, INPUTS), (ARRAYS, INPUTS), (ARRAYS, STEP_INPUTS), (INTS, regime)):
-            run_corners(compile_schedule(schedule, form, inputs=ins), form, ins)
+            step = compile_schedule(schedule, form, inputs=ins)
+            run_corners(step, form, ins)
         plan = plan_schedule(schedule)
         kept = sum(op.clips for op in plan)
         in_network, in_regimes = (sum(op.clips for op in plan_schedule(schedule, inputs))
@@ -203,7 +204,9 @@ def cmd_validate_schedule(args) -> int:
         print(
             f"{origin}: OK ({len(schedule.blocks)} blocks, one state word per block, "
             f"compiles; {kept} of {len(plan)} clips kept, {in_network} in the network form, "
-            f"{in_regimes} in the regime form)"
+            f"{in_regimes} in the regime form, whose loop runs {step.split['step']} ops per step, "
+            f"{step.split['call']} once per call and {step.split['run']} once per run, "
+            f"{step.split['constant']} folded to constants)"
         )
         return 0
     for v in violations:

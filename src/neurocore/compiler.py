@@ -40,6 +40,7 @@ _OPS = {
 }
 _ARITY = {name: 1 if name in ("mov", "rnd") else 2 for name in _OPS} | {"sel": 3}
 _RESCALE = {"mul": Q12, "mulw": KQ_FRAC}
+_UNIT = {"add": 0, "mul": 1 << Q12, "mulw": 1 << KQ_FRAC}  # x + 0 and x * 1 (at its rescale) are x
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _NAME = re.compile(r"[$@][A-Za-z_]\w*", re.ASCII)
 
@@ -56,7 +57,9 @@ class Form:
     ``{2}``, and a ``bind`` form binds every integer once as a 0-d int64
     array global, not a literal.  A ``copy`` form writes a result into an
     array its call made and no later op reads: a ufunc ``_{mnemonic}`` with
-    ``out=``, a clip with ``{out}``, a select as ``copy``."""
+    ``out=``, a clip with ``{out}``, a select as ``copy``.  In a ``taken``
+    form a ``skip`` select is ``taken`` where its scalar flag is set, and
+    consecutive ones on one flag share one branch."""
 
     lower: str
     upper: str
@@ -68,6 +71,7 @@ class Form:
     clip: str | None = None
     bind: bool = False
     copy: str | None = None
+    taken: str | None = None
 
 
 INTS = Form(
@@ -76,6 +80,7 @@ INTS = Form(
     select="{1} if {0} else {2}",
     none_set="not {0}",
     round="-(({1} - {0}) & {2}) if {0} < 0 else ({0} + {1}) & {2}",  # a branch: cheaper here
+    taken="{1}",
 )
 ARRAYS = Form(
     lower="{x} = _maximum({x}, {bound}{out})",
@@ -169,14 +174,16 @@ def _interval(mnemonic: str, operands: list, where: str, square: bool = False) -
 def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[PlannedOp]:
     """Check ``schedule`` and run the interval analysis over it, op by op.
 
-    Fields start at their formats' ranges, ``CONSTANTS`` at their values
-    and each of ``inputs`` at its format's range or, where it is an int
-    (the one raw every call passes), as that constant.  Raises ScheduleError for a
-    word-rule violation, an unknown op, a wrong operand count, a malformed
-    register name, a literal that is not ASCII digits, an unknown constant,
-    a register read before it is written, a write to anything but a field
-    or register, a shift count that can leave [0, 63] and an intermediate
-    that can leave int64.
+    Fields start at their formats' ranges, ``CONSTANTS`` at their values and
+    each of ``inputs`` at its format's range or, where it is an int (the one
+    raw every call passes), as that constant.  An op whose clipped interval
+    is one integer is a ``mov`` of it, which later ops read; ``x + 0`` and
+    ``x * 1`` (by 2^s at its rescale) are a ``mov`` of ``x``.  Raises
+    ScheduleError for a word-rule violation, an unknown op, a wrong operand
+    count, a malformed register name, a literal that is not ASCII digits, an
+    unknown constant, a register read before it is written, a write to
+    anything but a field or register, a shift count that can leave [0, 63]
+    and an intermediate that can leave int64.
     """
     violations = validate_schedule(schedule)
     if violations:
@@ -210,18 +217,24 @@ def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[Planne
             if op.mnemonic == "rnd":
                 low, high = max(low, DA_PORT.min_raw), min(high, DA_PORT.max_raw)
             clip = lambda x: min(max(x, low), high)
+            mnemonic, args, names = op.mnemonic, tuple(s for s, _ in operands), op.sources
+            if clip(lo) == clip(hi):  # a point, exact as the analysis is sound: its literal
+                lo = hi = clip(lo)
+                mnemonic, args, names = "mov", (lo,), (lo,)
+            elif other := [1 - k for k, a in enumerate(args) if a == _UNIT.get(mnemonic)]:
+                mnemonic, args, names = "mov", args[other[0]:][:1], names[other[0]:][:1]
             y, (y_lo, y_hi) = op.sources[-1], operands[-1][1]
-            skip = (op.mnemonic == "sel" and y in shaped and low <= y_lo
+            skip = (mnemonic == "sel" and y in shaped and low <= y_lo
                     and y_hi <= high and (op.dest == y or op.dest not in FIELD_FORMATS)
                     and (y not in flags or op.sources[1] in flags))
-            known[op.dest] = _local(op.dest), (clip(lo), clip(hi))
-            (shaped.add if shaped.intersection(op.sources) else shaped.discard)(op.dest)
+            known[op.dest] = args[0] if lo == hi else _local(op.dest), (clip(lo), clip(hi))
+            (shaped.add if shaped.intersection(names) else shaped.discard)(op.dest)
             # a gt gives a bool array, and so does a mov of one or a sel of two
-            kept = op.mnemonic in ("mov", "sel") and flags.issuperset(op.sources[-2:])
-            (flags.add if op.mnemonic == "gt" or kept else flags.discard)(op.dest)
-            plan.append(PlannedOp(_local(op.dest), op.mnemonic, tuple(s for s, _ in operands),
-                                  low if lo < low else None, high if hi > high else None, skip,
-                                  op.dest in shaped, op.dest in flags))
+            kept = mnemonic in ("mov", "sel") and flags.issuperset(names[-2:])
+            (flags.add if mnemonic == "gt" or kept else flags.discard)(op.dest)
+            plan.append(PlannedOp(_local(op.dest), mnemonic, args, low if lo < low else None,
+                                  high if hi > high else None, skip, op.dest in shaped,
+                                  op.dest in flags))
     return plan
 
 
@@ -235,33 +248,30 @@ def compile_schedule(
 
     ``step`` takes every field in ``FIELD_LAYOUT`` order, the ``inputs`` in
     their order, each within its range (:func:`plan_schedule`), and what
-    ``step.hoist`` returns for those fields and ``@`` inputs: the values of
-    the ops that read only literals, constants, ``@`` inputs, fields never
-    written and such values (``$mod``, ``$gain``), which a caller computes
-    once while they hold.  It returns the fields in the same order and the
-    registers named in ``results``.  The body is emitted once: a ``copy``
-    form's ``step`` calls ``step.update``, which runs it on an object of the
-    fields and stores those written, and any other's runs ``step.loop``
-    (each None in the other forms) for one step.  ``loop`` takes ``step``'s
-    arguments and ``n, vs, spikes``, runs ``n`` steps on the fields as
-    locals, appends each step's ``v`` to ``vs`` and, where the first result
-    is set, first ``len(vs)`` to ``spikes``, and returns what its last step
-    returns (each result that ``hoist`` does not compute None after none).
-    It runs once, before its steps, each op that reads only what a hoisted
-    op may, ``DA`` and such ops' results, and writes a register that no
-    other op writes and that is not returned.  Registers are locals, each
-    clip the interval analysis keeps is inline, and ``form`` says how clips,
-    ``sel`` and integers are written: ``INTS`` for Python ints, ``ARRAYS``
-    for int64 arrays.  There an op writes into an operand's array that the
-    same call made, of its result's dtype, that no later op reads (a sunk op
-    at its select, a returned value at the end), a clip in place, and a
-    select on a flag copies ``x`` into such a ``y`` where the flag is set;
-    nothing passed in is written.  Exact rewrites drop operations: a product
-    by a multiple of its rescale 2^s is one by the quotient, a product whose
-    one reader shifts it right in place shifts once by both counts, and an
-    op only a skipped select's ``x`` reads runs in its branch, on operands
-    held where it stood.  The source is built only from the tables above,
-    checked register names and integer values, never from raw text.
+    ``step.hoist`` returns for those fields and ``@`` inputs; it returns the
+    fields and the registers named in ``results``.  Each op runs when its
+    value is fixed (``step.split`` counts them): a literal no op reads
+    never; one on literals, constants, ``@`` inputs, unwritten fields and
+    such values once a run, in ``hoist``; one on those, ``DA`` and such
+    values once a ``loop`` call, before its steps if it takes any; any other
+    each step, as does every write of a field read before it or of a
+    register written twice whose earlier value an op fixed later reads.
+    ``step.loop`` takes ``step``'s arguments and ``n, vs, spikes``, runs
+    ``n`` steps on the fields as locals, appends each step's ``v`` to ``vs``
+    and, where the first result is set, ``len(vs)`` first to ``spikes``, and
+    returns what its last step returns (after none the fields as given, each
+    result not hoisted None); ``step`` runs one.  A ``copy`` form has no
+    ``loop``: its ``step`` calls ``step.update``, which runs the body on an
+    object of the fields and stores those written.  Registers are locals,
+    each clip the analysis keeps is inline, and ``form`` writes clips,
+    selects and integers: ``INTS`` for Python ints, ``ARRAYS`` for int64
+    arrays, where nothing passed in is written.  Exact rewrites drop
+    operations: a product by a multiple of its rescale 2^s is one by the
+    quotient, a product whose one reader shifts it right in place shifts
+    once by both counts, and an op only a skipped select's ``x`` reads runs
+    in its branch, on operands held where it stood.  The source is built
+    only from the tables above, checked register names and integer values,
+    never from raw text.
     """
     plan = plan_schedule(schedule, inputs)
     dests = [op.dest for op in plan]
@@ -277,22 +287,34 @@ def compile_schedule(
         namespace[name] = np.array(arg, dtype=np.int64)
         return name
 
-    # the (op, operand position) of each read of what an op writes, (None, 0)
-    # where it is returned; the ops on values fixed for a run, to hoist
-    group = [_local(name) for name in inputs if name.startswith("@")]
-    last, readers, hoisted = {}, [[] for _ in plan], set()
-    fixed = {*group, *FIELD_FORMATS} - set(dests)
+    # each read, (op, operand position), of what an op writes ((None, 0) if returned); flags read
+    last, readers, flags, flagged = {}, [[] for _ in plan], set(), []
     for i, op in enumerate(plan):
         for pos, arg in enumerate(op.args):
             if arg in last:
                 readers[last[arg]].append((i, pos))
         last[op.dest] = i
-        if (op.mnemonic != "mov" and op.dest.startswith("r_") and dests.count(op.dest) == 1
-                and all(isinstance(a, int) or a in fixed for a in op.args)):
-            hoisted.add(i)
-            fixed.add(op.dest)
+        flagged.append(flags.intersection(op.args))
+        (flags.add if op.flag else flags.discard)(op.dest)
     for name in last.keys() & {*FIELD_FORMATS, *map(_local, results)}:
         readers[last[name]].append((None, 0))
+    # when each op's value is fixed: 0 never (a literal no op reads), 1 once a
+    # run (hoisted, but a copy or a write of ``written``), 2 once a loop call
+    # (as DA), 3 each step, as is each write of a name in ``late``: a field
+    # read before it is written, or a name written twice that an op writes
+    # each step or whose earlier value an op fixed later reads
+    group = [_local(k) for k in inputs if k[0] == "@"]
+    written = {d for d in dests if d in FIELD_FORMATS or dests.count(d) > 1}  # hoist holds none
+    late, size = {f for f in written if any(f in op.args for op in plan[:dests.index(f) + 1])}, -1
+    while size < len(late):  # until no name joins it
+        size, when, times = len(late), dict.fromkeys(late, 3), []
+        for i, op in enumerate(plan):
+            t = 3 if op.dest in late else max(when.get(a, 1 + (a in inputs)) for a in op.args)
+            when[op.dest] = t = max(t, 1 + (op.mnemonic == "mov" or op.dest in written))
+            times.append(t if readers[i] or op.mnemonic != "mov" or type(op.args[0]) is str else 0)
+        late |= {dests[k] for k, t in enumerate(times) if t == 3 or last[dests[k]] != k
+                 and any(times[j] > t for j, _ in readers[k])}
+    hoisted = {i for i, t in enumerate(times) if t == 1}
     passed = [dests[i] for i in sorted(hoisted) if any(j not in hoisted for j, _ in readers[i])]
     # product -> the shr of it in place, its one reader; skipped select -> the
     # op only its x reads, on the operands that op's ``held`` lines keep
@@ -310,23 +332,12 @@ def compile_schedule(
             later = set(dests[i + 1:j]).intersection(op.args)
             held[i] = [f"    _{i}_{a} = {a}" for a in sorted(later)]
             sunk[j] = i, tuple(f"_{i}_{a}" if a in later else a for a in op.args)
-    # the ops a loop call runs once, before its steps, on values the call fixes
-    once, steady = [], fixed | set(map(_local, inputs))
-    for i, op in enumerate(plan):
-        if (i not in hoisted and op.dest.startswith("r_") and dests.count(op.dest) == 1
-                and op.dest not in map(_local, results)
-                and all(isinstance(a, int) or a in steady for a in op.args)):
-            once.append(i)
-            steady.add(op.dest)
-    # where each op runs, a sunk one just before its select, and its flag operands
-    at, flags, flagged = {i: j - 0.5 for j, (i, _) in sunk.items()}, set(), []
-    for op in plan:
-        flagged.append(flags.intersection(op.args))
-        (flags.add if op.flag else flags.discard)(op.dest)
+    at = {i: j - 0.5 for j, (i, _) in sunk.items()}  # where each op runs: a sunk one at its select
 
     def function(ops: list[int]) -> list[str]:  # the body running ``ops``
         # a local -> the op that made its array in this call -> that array's last read
-        lines, tested, owner, until = [], set(), {}, {}  # flags a ``_none_`` local tests
+        # flags a ``_none_`` local tests; a skip select's flag and the lines after it
+        lines, tested, owner, until, shared = [], set(), {}, {}, None
 
         def emit(i: int, indent: str, args: tuple) -> list[str]:
             op, clip, d = plan[i], plan[fused.get(i, i)], plan[i].dest
@@ -345,7 +356,8 @@ def compile_schedule(
                 if isinstance(k, int) and k % (1 << shift) == 0:
                     args, shift = (k >> shift, x), 0
                 shift += plan[fused[i]].args[1] if i in fused else 0
-            template = {"sel": form.copy if copy else form.select, "rnd": form.round}.get(
+            select = form.copy if copy else op.skip and form.taken or form.select
+            template = {"sel": select, "rnd": form.round}.get(
                 op.mnemonic, f"_{op.mnemonic}({{0}}, {{1}}, out={out})" if out else None)
             value = (template or _OPS[op.mnemonic][0]).format(*map(source, args), d=d)
             value = form.rescale.format(value, source(shift), d=d) if shift else value
@@ -373,18 +385,25 @@ def compile_schedule(
             if op.skip:
                 (flag, _, y), indent = op.args, "        "
                 none = f"_none_{flag}".replace("-", "m")  # an exact input may be negative
-                if flag not in tested:
-                    lines.append(f"    {none} = {form.none_set.format(flag)}")
-                tested.add(flag)
-                lines += [f"    if {none}:", f"{indent}{op.dest} = {y}", "    else:"]
+                keep = [f"{indent}{op.dest} = {y}"][:op.dest != y or not form.taken]
+                if form.taken and shared == (flag, len(lines)):  # joins the last one's branch
+                    lines[at_else:at_else] = keep
+                    at_else += len(keep)
+                else:
+                    lines += [f"    {none} = {form.none_set.format(flag)}"][:flag not in tested]
+                    tested.add(flag)
+                    lines += [f"    if {none}:", *(keep or [f"{indent}pass"]), "    else:"]
+                    at_else = len(lines) - 1
                 lines += emit(sunk[i][0], indent, sunk[i][1]) if i in sunk else []
             lines += emit(i, indent, op.args)
             tested.discard(op.dest)
+            shared = op.skip and flag in tested and (flag, len(lines))
         return lines
 
     fields, ins = list(map(_local, FIELD_FORMATS)), [*map(_local, inputs), *passed]
-    rest = [i for i in range(len(plan)) if i not in hoisted and i not in fused.values()]
-    body = function(rest if form.copy else [i for i in rest if i not in once])
+    rest = [i for i, t in enumerate(times) if t > 1 and i not in fused.values()]
+    once = [] if form.copy else [i for i in rest if times[i] == 2]
+    body, pre = function([i for i in rest if i not in once]), function(once)
     writes, res = [f for f in fields if f in dests], [*map(_local, results)]
     args, unset = ", ".join(fields + ins), [r for r in res if r not in ins]
     lines = [f"def hoist({', '.join(fields + group)}):", *function(sorted(hoisted)),
@@ -400,23 +419,27 @@ def compile_schedule(
     else:  # the body once, in a loop of _n steps after the ops run once; step runs one
         lines += [f"    return loop({args}, 1, [], [])", f"def loop({args}, _n, _vs, _spikes):",
                   "    _record, _spike = _vs.append, _spikes.append",
-                  *[f"    {' = '.join(unset)} = None"][:len(unset)], *function(once),
+                  *[f"    {' = '.join(unset)} = None"][:len(unset)],
+                  *["    if _n > 0:"][:len(pre)], *("    " + line for line in pre),
                   "    for _ in range(_n):", *("    " + line for line in body),
                   *[f"        if {res[0]}: _spike(len(_vs))"][:len(res)], "        _record(v)",
                   f"    return {', '.join(fields + res)}"]
     exec(compile("\n".join(lines) + "\n", "<schedule>", "exec"), namespace)
     step = namespace["step"]
     step.hoist, step.update, step.loop = (namespace.get(f) for f in ("hoist", "update", "loop"))
+    tiers = [["constant", "run", "step" if form.copy else "call", "step"][t] for t in times]
+    step.split = {tier: tiers.count(tier) for tier in ("step", "call", "run", "constant")}
     return step
 
 
 def run_corners(step, form: Form = INTS, inputs: dict = INPUTS) -> None:
     """Run ``step``, compiled as ``form`` for ``inputs``, its ``hoist`` and,
-    where it has one, its ``loop`` for two steps at both ends of every
-    field's and input's range, each ``@`` input a Python int; raises
-    ScheduleError where one fails, a defect of this compiler."""
-    ends = {k: (x, x) if isinstance(x, int) else (x.min_raw, x.max_raw)
-            for k, x in {**FIELD_FORMATS, **inputs}.items()}
+    where it has one, its ``loop`` for two steps and for none, which returns
+    the fields as given, at both ends of every field's and input's range,
+    each ``@`` input a Python int; raises ScheduleError where one fails, a
+    defect of this compiler."""
+    n, ends = len(FIELD_FORMATS), {k: (x, x) if isinstance(x, int) else (x.min_raw, x.max_raw)
+                                   for k, x in {**FIELD_FORMATS, **inputs}.items()}
     for end in (0, 1):
         args = {k: np.array(x) if form.bind and k[0] != "@" else x[end] for k, x in ends.items()}
         try:
@@ -424,6 +447,8 @@ def run_corners(step, form: Form = INTS, inputs: dict = INPUTS) -> None:
             step(*passed)
             if step.loop:  # the second step runs on the fields the first wrote
                 step.loop(*passed, 2, [], [])
+                if step.loop(*passed, 0, [], [])[:n] != passed[:n]:
+                    raise ValueError("a loop of 0 steps returns fields it was not given")
         except Exception as exc:  # reported as a schedule that does not run
             kind = "array" if form.bind else "int"
             raise ScheduleError(f"the {kind} form fails to run: {exc!r}") from exc

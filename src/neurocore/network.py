@@ -400,9 +400,12 @@ class Network:
         to ``into`` (a new record by default) with a table that names the
         populations in ``record``: by default every Izhikevich population, a
         source only when named.  Each set of names has one table, kept across
-        runs.  A name the network lacks is a ``ConfigError``."""
+        runs.  A name the network lacks, or a ``str`` for ``record``, is a
+        ``ConfigError``."""
         if steps < 0:
             raise ConfigError(f"steps must be >= 0, got {steps}")
+        if isinstance(record, str):
+            raise ConfigError(f"record must be a collection of population names, not {record!r}")
         if record is not None:
             record = frozenset(record)
             if unknown := record.difference(self._ids):

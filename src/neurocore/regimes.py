@@ -15,8 +15,10 @@ the accumulator grid, and one past its range raises ``ValueError``).  The
 demonstration current of 10.  Each protocol segment is one call of the
 loop of ``step_regime``, the shipped schedule compiled for the inputs every
 fixed run passes (``REGIME_INPUTS``), so it keeps only the clips that can
-bind there and rounds the segment's constant ``DA`` once, before its steps;
-the float backend carries ``v`` and ``u`` through ``float_update`` step by
+bind there, folds the decay and the dopamine gain to constants (0, 0 and
+1) and runs the synaptic path once, before its steps: it rounds the
+segment's constant ``DA``, writes ``isyn`` and adds the bias current; the
+float backend carries ``v`` and ``u`` through ``float_update`` step by
 step.
 """
 

@@ -451,6 +451,18 @@ class TestValidation:
             net.run(400, record={"STNN"})
         assert net.step_index == 0
 
+    @pytest.mark.parametrize("name", ["STN", "GPe"])
+    def test_record_of_a_string_rejected(self, name):
+        """A string is not read as its characters (``'N'`` was reported as
+        an unknown population) but rejected, naming what ``record`` takes."""
+        net = build_bg(load_default_config())
+        with pytest.raises(ConfigError, match=f"^record must be a collection of population "
+                                              f"names, not '{name}'$"):
+            net.run(400, record=name)
+        assert net.step_index == 0
+        events = net.run(400, record=[name]).events  # a one-name list is the way to say it
+        assert net.step_index == 400 and events and {p for _, p, _ in events} == {name}
+
     @pytest.mark.parametrize(
         "population, connection, message",
         [

@@ -417,6 +417,21 @@ def test_network_step_calls_and_allocations(monkeypatch, kind, calls, allocation
     assert (Counted.calls, Counted.allocations) == (calls, allocations)
 
 
+@pytest.mark.parametrize("form, split", [
+    ("regimes", {"step": 23, "call": 10, "run": 0, "constant": 3}),
+    ("full-range", {"step": 29, "call": 5, "run": 2, "constant": 0}),
+    ("network", {"step": 34, "call": 0, "run": 2, "constant": 0})], ids=lambda x: x)
+def test_shipped_forms_split_ops_by_when_they_run(form, split):
+    """The shipped schedule's 36 ops by when each compiled form runs them:
+    each step, once per loop call, once per run (``hoist``) or never, a
+    constant.  The regime form (``@alpha`` and ``@beta`` 0) folds ``$decay``,
+    ``$mod`` and ``$gain`` and runs the synaptic path once per call; the
+    array forms, with no such point, only hoist ``$mod`` and ``$gain``."""
+    step = {"regimes": regimes.step_regime, "full-range": neuron.step_fields,
+            "network": network.step_fields_network}[form]
+    assert step.split == split and sum(split.values()) == 36
+
+
 @pytest.mark.parametrize("crossing", [None, 0, -1, "stored"],
                          ids=["none", "first", "last", "stored-past-peak"])
 @pytest.mark.parametrize("form", ["batch", "network"])

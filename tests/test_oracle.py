@@ -150,9 +150,10 @@ def rows(got, n: int) -> list[tuple]:
     return list(zip(*(np.broadcast_to(x, n).tolist() for x in got)))
 
 
-def mutant(line: str) -> str:
-    """The shipped text with ``line`` inserted after the write of isyn."""
-    anchor = "op: mov isyn <- $isyn\n"
+def mutant(line: str, after: str = "mov isyn <- $isyn") -> str:
+    """The shipped text with ``line`` inserted after the op ``after``, by
+    default the write of isyn."""
+    anchor = f"op: {after}\n"
     return TEXT.replace(anchor, f"{anchor}op: {line}\n")
 
 
@@ -164,7 +165,11 @@ def mutant(line: str) -> str:
 # copy read after its source is rewritten, a temporary a sunk op reads at
 # its select after another op last read it, and a select's else operand
 # read after the select; and a register of DA and a field the schedule
-# writes, which a loop must compute every step, read by a returned one
+# writes, which a loop must compute every step, read by a returned one; a
+# constant only after its clip (2**37 saturates) that a kept clip reads,
+# subtracted from $decay (0, a constant, in the regime form); and
+# isyn, written from a value the call fixes, read before that write by a
+# product that does not fold to 0, so a loop must write it every step
 SCHEDULES = {"shipped": (TEXT, ("$spk",)),
              "field-of-inputs": (mutant("sub isyn <- @alpha, @beta"), ("$spk",)),
              "register-of-inputs": (mutant("sub $k <- @alpha, @beta"), ("$spk", "$k")),
@@ -178,7 +183,11 @@ SCHEDULES = {"shipped": (TEXT, ("$spk",)),
                                         "op: sel $s <- $g, $da, $y\nop: add $q <- $y, $s"),
                                  ("$spk", "$s", "$q")),
              "of-a-written-field": (mutant("add $w <- $da, isyn\nop: mov $x <- $w"),
-                                    ("$spk", "$x"))}
+                                    ("$spk", "$x")),
+             "folded-into-a-clip": (mutant("shl $k <- @one, 25\nop: add $m <- $k, $da\n"
+                                           "op: sub $n <- $decay, $m"), ("$spk", "$n")),
+             "read-before-fixed-write": (mutant("mul $w <- @klin, isyn", "add $isyn <- $decay, $da"),
+                                         ("$spk", "$w"))}
 # the input ranges of the three compiled forms the package runs
 RANGES = {"full-range": INPUTS, "network": network.STEP_INPUTS, "regimes": REGIME_INPUTS}
 
@@ -261,11 +270,12 @@ ARITY = {"mov": 1, "rnd": 1, "sel": 3, **dict.fromkeys(["add", "sub", "mul", "mu
 # short runs of ops the array form writes in place, copies into or sinks: a
 # select into its else operand, a select whose x only it reads, computed
 # from a temporary (of DA, so not hoisted) another op reads after it, and a
-# copy whose source is rewritten; each letter a register of its own, each p
-# a drawn operand
+# copy whose source is rewritten; and a constant only after its clip
+# (140 << 12 saturates) read where a clip binds; each letter a register of
+# its own, each p a drawn operand, any other token as written
 MOTIFS = (("gt f p p", "add y p p", "sel y f p y"),
           ("gt f p p", "add t DA p", "add x t t", "add y t p", "sel z f x y"),
-          ("add t p p", "mov c t", "add t t p"))
+          ("add t p p", "mov c t", "add t t p"), ("shl t @kbias 12", "sub y p t"))
 
 
 @st.composite
@@ -287,7 +297,7 @@ def generated(draw):
             pool = st.sampled_from([*fields, *INPUTS, *CONSTANTS, *registers, *registers])
             if line:  # its operands mostly fields, so that its values are arrays
                 mnemonic, *tokens = line.split()
-                dest, *sources = [names.get(t) or (t if t == "DA" else draw(
+                dest, *sources = [names.get(t) or (t if t != "p" else draw(
                     st.one_of(st.sampled_from(fields), pool))) for t in tokens]
             else:
                 mnemonic = draw(st.sampled_from([*ARITY, "shl", "shr", "mov", "gt", "sel", "sel"]))
@@ -315,15 +325,14 @@ def generated(draw):
 
 @settings(derandomize=True, max_examples=70, deadline=None, report_multiple_bugs=False,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-@given(case=generated(), network_inputs=st.booleans())
-def test_generated_schedules_equal_the_interpreter(case, network_inputs):
+@given(case=generated(), inputs=st.sampled_from(list(RANGES.values())))
+def test_generated_schedules_equal_the_interpreter(case, inputs):
     """Every form, ``hoist`` included, on generated schedules that the
-    planner accepts: ``INTS`` per state and its ``loop`` over three steps,
-    ``ARRAYS`` on a batch with group
+    planner accepts, compiled for each range the package runs: ``INTS`` per
+    state and its ``loop`` over three steps, ``ARRAYS`` on a batch with group
     inputs per neuron and on one neuron at a time with them as Python ints,
     where a skipped select takes either branch."""
     schedule, results = case
-    inputs = network.STEP_INPUTS if network_inputs else INPUTS
     try:
         plan_schedule(schedule, inputs)
     except ScheduleError:

@@ -253,16 +253,20 @@ class TestCompiler:
             assert [x[i].item() for x in got] == list(want)
 
     def test_run_corners_runs_the_loop_entry(self):
-        """``run_corners`` runs the int form's ``loop`` for two steps at each
-        end, and reports one that fails as a form that does not run; the
-        array form has no ``loop``."""
+        """``run_corners`` runs the int form's ``loop`` for two steps and for
+        none at each end, and reports one that fails, or that returns other
+        fields after no steps, as a form that does not run; the array form
+        has no ``loop``."""
         step = compile_schedule(izhikevich_schedule())
         loop, steps = step.loop, []
         step.loop = lambda *args: steps.append(args[-3]) or loop(*args)
         run_corners(step)
-        assert steps == [2, 2]
+        assert steps == [2, 0, 2, 0]
         step.loop = lambda *args: 1 // 0
         with pytest.raises(ScheduleError, match="the int form fails to run: ZeroDivisionError"):
+            run_corners(step)
+        step.loop = lambda *args: (0, *loop(*args)[1:]) if args[-3] == 0 else loop(*args)
+        with pytest.raises(ScheduleError, match="a loop of 0 steps returns fields it was not"):
             run_corners(step)
         assert compile_schedule(izhikevich_schedule(), ARRAYS).loop is None
 
