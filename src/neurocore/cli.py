@@ -194,9 +194,11 @@ def cmd_validate_schedule(args) -> int:
     violations = validate_schedule(schedule)
     if not violations:
         regime = regimes.REGIME_INPUTS
-        for form, ins in ((INTS, INPUTS), (ARRAYS, INPUTS), (ARRAYS, STEP_INPUTS), (INTS, regime)):
-            step = compile_schedule(schedule, form, inputs=ins)
-            run_corners(step, form, ins)
+        regime_step = compile_schedule(schedule, INTS, inputs=regime)
+        for form, ins in ((INTS, INPUTS), (ARRAYS, INPUTS), (ARRAYS, STEP_INPUTS)):
+            run_corners(compile_schedule(schedule, form, inputs=ins), form, ins)
+        run_corners(regime_step, INTS, regime)
+        split = regime_step.split
         plan = plan_schedule(schedule)
         kept = sum(op.clips for op in plan)
         in_network, in_regimes = (sum(op.clips for op in plan_schedule(schedule, inputs))
@@ -204,9 +206,9 @@ def cmd_validate_schedule(args) -> int:
         print(
             f"{origin}: OK ({len(schedule.blocks)} blocks, one state word per block, "
             f"compiles; {kept} of {len(plan)} clips kept, {in_network} in the network form, "
-            f"{in_regimes} in the regime form, whose loop runs {step.split['step']} ops per step, "
-            f"{step.split['call']} once per call and {step.split['run']} once per run, "
-            f"{step.split['constant']} folded to constants)"
+            f"{in_regimes} in the regime form, whose loop runs {split['step']} ops per step, "
+            f"{split['call']} once per call and {split['run']} once per run, "
+            f"{split['constant']} folded to constants)"
         )
         return 0
     for v in violations:

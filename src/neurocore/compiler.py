@@ -59,7 +59,7 @@ class Form:
     array its call made and no later op reads: a ufunc ``_{mnemonic}`` with
     ``out=``, a clip with ``{out}``, a select as ``copy``.  In a ``taken``
     form a ``skip`` select is ``taken`` where its scalar flag is set, and
-    consecutive ones on one flag share one branch."""
+    consecutive ones on one flag share one branch, which tests it."""
 
     lower: str
     upper: str
@@ -268,10 +268,10 @@ def compile_schedule(
     arrays, where nothing passed in is written.  Exact rewrites drop
     operations: a product by a multiple of its rescale 2^s is one by the
     quotient, a product whose one reader shifts it right in place shifts
-    once by both counts, and an op only a skipped select's ``x`` reads runs
-    in its branch, on operands held where it stood.  The source is built
-    only from the tables above, checked register names and integer values,
-    never from raw text.
+    once by both counts, and an op only a skipped select's ``x`` reads, fixed
+    when the select is, runs in its branch on operands held where it stood.
+    The source is built only from the tables above, checked register names
+    and integer values, never from raw text.
     """
     plan = plan_schedule(schedule, inputs)
     dests = [op.dest for op in plan]
@@ -298,19 +298,19 @@ def compile_schedule(
         (flags.add if op.flag else flags.discard)(op.dest)
     for name in last.keys() & {*FIELD_FORMATS, *map(_local, results)}:
         readers[last[name]].append((None, 0))
-    # when each op's value is fixed: 0 never (a literal no op reads), 1 once a
-    # run (hoisted, but a copy or a write of ``written``), 2 once a loop call
-    # (as DA), 3 each step, as is each write of a name in ``late``: a field
-    # read before it is written, or a name written twice that an op writes
-    # each step or whose earlier value an op fixed later reads
-    group = [_local(k) for k in inputs if k[0] == "@"]
+    # when each op's value is fixed: 0 never (a literal no op reads), 1 once a run (hoisted,
+    # but a copy or a write of ``written``), ``call`` once a loop call (DA; 3 in a copy form,
+    # with no loop), 3 each step, as is each write of ``late``: a field read before its write,
+    # or a name written twice with a write that runs each step or that an op fixed later reads
+    group, call = [_local(k) for k in inputs if k[0] == "@"], 3 if form.copy else 2
+    per_call = {_local(k): call for k in inputs if k[0] != "@"}  # what each call passes
     written = {d for d in dests if d in FIELD_FORMATS or dests.count(d) > 1}  # hoist holds none
     late, size = {f for f in written if any(f in op.args for op in plan[:dests.index(f) + 1])}, -1
     while size < len(late):  # until no name joins it
-        size, when, times = len(late), dict.fromkeys(late, 3), []
+        size, when, times = len(late), {**per_call, **dict.fromkeys(late, 3)}, []
         for i, op in enumerate(plan):
-            t = 3 if op.dest in late else max(when.get(a, 1 + (a in inputs)) for a in op.args)
-            when[op.dest] = t = max(t, 1 + (op.mnemonic == "mov" or op.dest in written))
+            t = 3 if op.dest in late else max(when.get(a, 1) for a in op.args)
+            when[op.dest] = t = max(t, call if op.mnemonic == "mov" or op.dest in written else 1)
             times.append(t if readers[i] or op.mnemonic != "mov" or type(op.args[0]) is str else 0)
         late |= {dests[k] for k, t in enumerate(times) if t == 3 or last[dests[k]] != k
                  and any(times[j] > t for j, _ in readers[k])}
@@ -321,7 +321,7 @@ def compile_schedule(
     fused, sunk, held = {}, {}, {}
     for i, op in enumerate(plan):
         j, pos = readers[i][0] if len(readers[i]) == 1 else (None, 0)
-        if j is None or i in hoisted or i in fused.values() or i in sunk:
+        if j is None or i in hoisted or times[i] != times[j] or i in fused.values() or i in sunk:
             continue
         count = plan[j].args[-1]
         if (op.mnemonic in _RESCALE and not op.clips and plan[j].mnemonic == "shr" and pos == 0
@@ -336,10 +336,9 @@ def compile_schedule(
 
     def function(ops: list[int]) -> list[str]:  # the body running ``ops``
         # a local -> the op that made its array in this call -> that array's last read
-        # flags a ``_none_`` local tests; a skip select's flag and the lines after it
-        lines, tested, owner, until, shared = [], set(), {}, {}, None
+        lines, tested, owner, until = [], set(), {}, {}  # flags a ``_none_`` local tests
 
-        def emit(i: int, indent: str, args: tuple) -> list[str]:
+        def emit(i: int, indent: str, args: tuple, taken: bool = False) -> list[str]:
             op, clip, d = plan[i], plan[fused.get(i, i)], plan[i].dest
             ends = [at.get(j, j) if j in ops else len(plan) for j, _ in readers[fused.get(i, i)]]
             free = [a for a in args if form.copy and a in owner and until[owner[a]] <= at.get(i, i)
@@ -356,7 +355,7 @@ def compile_schedule(
                 if isinstance(k, int) and k % (1 << shift) == 0:
                     args, shift = (k >> shift, x), 0
                 shift += plan[fused[i]].args[1] if i in fused else 0
-            select = form.copy if copy else op.skip and form.taken or form.select
+            select = form.copy if copy else taken and form.taken or form.select
             template = {"sel": select, "rnd": form.round}.get(
                 op.mnemonic, f"_{op.mnemonic}({{0}}, {{1}}, out={out})" if out else None)
             value = (template or _OPS[op.mnemonic][0]).format(*map(source, args), d=d)
@@ -377,33 +376,35 @@ def compile_schedule(
             sides = [(t, b) for t, b in ((form.lower, lo), (form.upper, hi)) if b is not None]
             return lines + [indent + t.format(x=d, bound=b, out=into) for t, b in sides]
 
-        for i in ops:
-            op, indent = plan[i], "    "
-            if i in held:  # it runs in its select's branch, on operands held here
-                lines += held[i]
+        runs = []  # (flag, ops): each op alone, but a taken form's skip selects on one flag
+        for i in ops:  # in a row, while none of them writes it, share one branch
+            f = plan[i].args[0] if form.taken and plan[i].skip and i not in held else None
+            if f is not None and runs and runs[-1][0] == f != plan[runs[-1][1][-1]].dest:
+                runs[-1][1].append(i)
+            else:
+                runs.append((f, [i]))
+        for _, run in runs:
+            op, indent = plan[run[0]], "    "
+            if run[0] in held:  # it runs in its select's branch, on operands held here
+                lines += held[run[0]]
                 continue
-            if op.skip:
-                (flag, _, y), indent = op.args, "        "
-                none = f"_none_{flag}".replace("-", "m")  # an exact input may be negative
-                keep = [f"{indent}{op.dest} = {y}"][:op.dest != y or not form.taken]
-                if form.taken and shared == (flag, len(lines)):  # joins the last one's branch
-                    lines[at_else:at_else] = keep
-                    at_else += len(keep)
-                else:
-                    lines += [f"    {none} = {form.none_set.format(flag)}"][:flag not in tested]
-                    tested.add(flag)
-                    lines += [f"    if {none}:", *(keep or [f"{indent}pass"]), "    else:"]
-                    at_else = len(lines) - 1
+            if op.skip:  # an array's test is a local, made once until its flag is written
+                f, indent, test = op.args[0], "        ", form.none_set.format(op.args[0])
+                none = test if form.taken else f"_none_{f}".replace("-", "m")  # f may be negative
+                lines += [f"    {none} = {test}"][:none != test and f not in tested]
+                tested.add(f)
+                keep = [f"{indent}{plan[i].dest} = {plan[i].args[2]}" for i in run
+                        if plan[i].dest != plan[i].args[2] or not form.taken]
+                lines += [f"    if {none}:", *keep, "    else:"] if keep else [f"    if {f}:"]
+            for i in run:
                 lines += emit(sunk[i][0], indent, sunk[i][1]) if i in sunk else []
-            lines += emit(i, indent, op.args)
-            tested.discard(op.dest)
-            shared = op.skip and flag in tested and (flag, len(lines))
+                lines += emit(i, indent, plan[i].args, op.skip)
+                tested.discard(plan[i].dest)
         return lines
 
     fields, ins = list(map(_local, FIELD_FORMATS)), [*map(_local, inputs), *passed]
     rest = [i for i, t in enumerate(times) if t > 1 and i not in fused.values()]
-    once = [] if form.copy else [i for i in rest if times[i] == 2]
-    body, pre = function([i for i in rest if i not in once]), function(once)
+    body, pre = (function([i for i in rest if times[i] == t]) for t in (3, 2))
     writes, res = [f for f in fields if f in dests], [*map(_local, results)]
     args, unset = ", ".join(fields + ins), [r for r in res if r not in ins]
     lines = [f"def hoist({', '.join(fields + group)}):", *function(sorted(hoisted)),
@@ -419,16 +420,14 @@ def compile_schedule(
     else:  # the body once, in a loop of _n steps after the ops run once; step runs one
         lines += [f"    return loop({args}, 1, [], [])", f"def loop({args}, _n, _vs, _spikes):",
                   "    _record, _spike = _vs.append, _spikes.append",
-                  *[f"    {' = '.join(unset)} = None"][:len(unset)],
-                  *["    if _n > 0:"][:len(pre)], *("    " + line for line in pre),
-                  "    for _ in range(_n):", *("    " + line for line in body),
+                  *[f"    {' = '.join(unset)} = None"][:len(unset)], *["    if _n > 0:"][:len(pre)],
+                  *("    " + line for line in [*pre, "for _ in range(_n):", *body]),
                   *[f"        if {res[0]}: _spike(len(_vs))"][:len(res)], "        _record(v)",
                   f"    return {', '.join(fields + res)}"]
     exec(compile("\n".join(lines) + "\n", "<schedule>", "exec"), namespace)
     step = namespace["step"]
     step.hoist, step.update, step.loop = (namespace.get(f) for f in ("hoist", "update", "loop"))
-    tiers = [["constant", "run", "step" if form.copy else "call", "step"][t] for t in times]
-    step.split = {tier: tiers.count(tier) for tier in ("step", "call", "run", "constant")}
+    step.split = dict(zip(("constant", "run", "call", "step"), map(times.count, range(4))))
     return step
 
 

@@ -169,7 +169,13 @@ def mutant(line: str, after: str = "mov isyn <- $isyn") -> str:
 # constant only after its clip (2**37 saturates) that a kept clip reads,
 # subtracted from $decay (0, a constant, in the regime form); and
 # isyn, written from a value the call fixes, read before that write by a
-# product that does not fold to 0, so a loop must write it every step
+# product that does not fold to 0, so a loop must write it every step; a
+# value the call fixes that only a select each step reads as its x, one of
+# whose operands the call rewrites after that select; a skipped select that
+# only another one, on another flag, reads as its x; a skipped select that
+# writes its flag, before another on that flag; and one that runs in a later
+# select's branch, standing between two on one flag, on a value (v) that is
+# rewritten before that later select
 SCHEDULES = {"shipped": (TEXT, ("$spk",)),
              "field-of-inputs": (mutant("sub isyn <- @alpha, @beta"), ("$spk",)),
              "register-of-inputs": (mutant("sub $k <- @alpha, @beta"), ("$spk", "$k")),
@@ -187,7 +193,20 @@ SCHEDULES = {"shipped": (TEXT, ("$spk",)),
              "folded-into-a-clip": (mutant("shl $k <- @one, 25\nop: add $m <- $k, $da\n"
                                            "op: sub $n <- $decay, $m"), ("$spk", "$n")),
              "read-before-fixed-write": (mutant("mul $w <- @klin, isyn", "add $isyn <- $decay, $da"),
-                                         ("$spk", "$w"))}
+                                         ("$spk", "$w")),
+             "call-fixed-x-of-a-step-select": (
+                 mutant("add $x <- $da, @one\nop: sel $y <- $post, $x, u\nop: add $da <- $da, @one",
+                        "gt $post <- v, @vpeak"), ("$spk", "$y")),
+             "sunk-skip-select": (mutant("sel $z <- $pre, $da, v\nop: sel $w <- $post, $z, u",
+                                         "gt $post <- v, @vpeak"), ("$spk", "$w")),
+             "select-writes-its-flag": (
+                 mutant("mov $f <- $post\nop: sel $f <- $f, $pre, $f\nop: sel $q <- $f, $da, v",
+                        "gt $post <- v, @vpeak"), ("$spk", "$q")),
+             "held-between-selects": (
+                 mutant("sel $z <- $post, $da, v", "sel v <- $post, $c, v").replace(
+                     "op: sel $spk <- $pre, $pre, $post\n",
+                     "op: sel $spk <- $pre, $pre, $post\nop: sel $w <- $pre, $z, u\n"),
+                 ("$spk", "$w"))}
 # the input ranges of the three compiled forms the package runs
 RANGES = {"full-range": INPUTS, "network": network.STEP_INPUTS, "regimes": REGIME_INPUTS}
 
@@ -323,7 +342,7 @@ def generated(draw):
     return BlockSchedule("generated", tuple(ops)), tuple(results)
 
 
-@settings(derandomize=True, max_examples=70, deadline=None, report_multiple_bugs=False,
+@settings(derandomize=True, max_examples=105, deadline=None, report_multiple_bugs=False,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(case=generated(), inputs=st.sampled_from(list(RANGES.values())))
 def test_generated_schedules_equal_the_interpreter(case, inputs):
