@@ -40,7 +40,6 @@ _OPS = {
 }
 _ARITY = {name: 1 if name in ("mov", "rnd") else 2 for name in _OPS} | {"sel": 3}
 _RESCALE = {"mul": Q12, "mulw": KQ_FRAC}
-_UNIT = {"add": 0, "mul": 1 << Q12, "mulw": 1 << KQ_FRAC}  # x + 0 and x * 1 (at its rescale) are x
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _NAME = re.compile(r"[$@][A-Za-z_]\w*", re.ASCII)
 
@@ -177,8 +176,7 @@ def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[Planne
     Fields start at their formats' ranges, ``CONSTANTS`` at their values and
     each of ``inputs`` at its format's range or, where it is an int (the one
     raw every call passes), as that constant.  An op whose clipped interval
-    is one integer is a ``mov`` of it, which later ops read; ``x + 0`` and
-    ``x * 1`` (by 2^s at its rescale) are a ``mov`` of ``x``.  Raises
+    is one integer is a ``mov`` of it, which later ops read.  Raises
     ScheduleError for a word-rule violation, an unknown op, a wrong operand
     count, a malformed register name, a literal that is not ASCII digits, an
     unknown constant, a register read before it is written, a write to
@@ -221,8 +219,6 @@ def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[Planne
             if clip(lo) == clip(hi):  # a point, exact as the analysis is sound: its literal
                 lo = hi = clip(lo)
                 mnemonic, args, names = "mov", (lo,), (lo,)
-            elif other := [1 - k for k, a in enumerate(args) if a == _UNIT.get(mnemonic)]:
-                mnemonic, args, names = "mov", args[other[0]:][:1], names[other[0]:][:1]
             y, (y_lo, y_hi) = op.sources[-1], operands[-1][1]
             skip = (mnemonic == "sel" and y in shaped and low <= y_lo
                     and y_hi <= high and (op.dest == y or op.dest not in FIELD_FORMATS)

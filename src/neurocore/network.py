@@ -123,16 +123,17 @@ def build_connections(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw the (pre, post) index pairs of one connection group, row-major.
 
-    Every pair is included independently with probability ``spec.prob``;
-    self-pairs are excluded when a population projects onto itself.  The
-    numbers are drawn in blocks of whole rows from the one stream, so the
-    pairs and the generator state afterwards equal those of a single
-    ``rng.random((pre_size, post_size))``, at a bounded memory cost.
+    Every pair is included independently with probability ``spec.prob``: a
+    raw draw at most its ``synapse._raw_limit``, the sources' one Bernoulli
+    rule; self-pairs are excluded when a population projects onto itself.  The
+    raws come in blocks of whole rows from the one stream, so the pairs and the
+    generator state afterwards equal those of ``rng.random((pre, post)) < p``.
     """
-    rows = max(1, _DRAW_BLOCK // max(post_size, 1))
+    rows, limit = max(1, _DRAW_BLOCK // max(post_size, 1)), syn._raw_limit(spec.prob)
     flat = []
     for first in range(0, pre_size, rows):
-        mask = rng.random((min(rows, pre_size - first), post_size)) < spec.prob
+        n = min(rows, pre_size - first)
+        mask = (rng.bit_generator.random_raw(n * post_size) <= limit).reshape(n, post_size)
         if spec.pre == spec.post:
             np.fill_diagonal(mask[:, first:], False)
         flat.append(np.flatnonzero(mask) + first * post_size)

@@ -58,12 +58,12 @@ def require_key(name: str, value: int) -> None:
 
 
 def _raw_limit(p: float) -> int:
-    """The largest raw Philox output whose ``Generator.random()`` is below ``p``.
+    """The largest raw draw whose ``Generator.random()`` is below ``p``.
 
-    numpy draws a double as ``(raw >> 11) * 2**-53``, exactly, so for
-    0 < p <= 1 the draw is below ``p`` exactly when ``raw >> 11`` is below
-    ``ceil(p * 2**53)``, that is when ``raw`` is at most this limit.  It
-    never exceeds ``2**64 - 1``, so the compare runs on uint64 as is.
+    numpy makes a double of one raw of Philox or PCG64 as ``(raw >> 11) *
+    2**-53``, exactly, so for 0 <= p <= 1 it is below ``p`` exactly when
+    ``raw >> 11`` is below ``ceil(p * 2**53)``, when ``raw`` is at most this
+    limit, which lies in [-1, 2**64 - 1]: the compare runs on uint64 as is.
     """
     return math.ceil(p * 2**53) * 2**11 - 1
 

@@ -286,15 +286,22 @@ def test_accumulator_rounds_ties_away_from_zero(form):
 
 
 ARITY = {"mov": 1, "rnd": 1, "sel": 3, **dict.fromkeys(["add", "sub", "mul", "mulw", "gt"], 2)}
-# short runs of ops the array form writes in place, copies into or sinks: a
-# select into its else operand, a select whose x only it reads, computed
-# from a temporary (of DA, so not hoisted) another op reads after it, and a
-# copy whose source is rewritten; and a constant only after its clip
-# (140 << 12 saturates) read where a clip binds; each letter a register of
-# its own, each p a drawn operand, any other token as written
+# short runs of ops the compiler writes in place, copies into, sinks, fuses
+# or skips: a select into its else operand; a select whose x only it reads,
+# computed from a temporary (of DA, so not hoisted) another op reads after
+# it; a copy whose source is rewritten; a select whose x is computed from a
+# temporary rewritten before it (sunk on a held copy); a constant only after
+# its clip (140 << 12 saturates) read where a clip binds; a product whose
+# clip binds (DA * DA) shifted in place, which may not fuse past that clip;
+# and a select of an int and a flag, which may not skip to the flag (numpy
+# adds bools as or); each letter a register of its own, each p a drawn
+# operand, any other token as written
 MOTIFS = (("gt f p p", "add y p p", "sel y f p y"),
           ("gt f p p", "add t DA p", "add x t t", "add y t p", "sel z f x y"),
-          ("add t p p", "mov c t", "add t t p"), ("shl t @kbias 12", "sub y p t"))
+          ("add t p p", "mov c t", "add t t p"),
+          ("gt f p p", "add t DA p", "add x t p", "add t t p", "sel z f x t"),
+          ("shl t @kbias 12", "sub y p t"), ("mul t DA DA", "shr t t 2"),
+          ("gt f DA p", "gt y p p", "sel z f p y", "add x z z"))
 
 
 @st.composite
@@ -331,7 +338,7 @@ def generated(draw):
                     sources = tuple(draw(st.one_of(pool, st.integers(0, 9).map(str)) if i else pool)
                                     for i in range(ARITY[mnemonic]))
                 dest = draw(st.sampled_from([*fields, "$r0", "$r1", "$r2", "$r3",
-                                             *{sources[0], sources[-1]}]))
+                                             *dict.fromkeys([sources[0], sources[-1]])]))
                 if dest[0] != "$" and dest not in fields:
                     dest = "$r0"
             registers += [dest] if dest[0] == "$" else []

@@ -16,6 +16,8 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from neurocore.cli import main
 from neurocore.config import default_config_text
+from neurocore.fxp import WEIGHT_FMT
+from neurocore.neuron import _VALUE_FORMATS
 
 CONNECTION = "[connection STR_D1 -> STR_D1]\nweight = -0.3\nprob = 1\n"
 
@@ -155,17 +157,27 @@ VALUES = ["0", "1", "2", "-1", "0.5", "1.5", "1e-9", "10", "5000", "1e300", "-1e
 SECTIONS = ["simulation", "population X", "generator STN", "connection STN -> ghost",
             "connection STN", "populations STN", "DEFAULT", ""]
 SEEDS = ["0", "5", "-1", str(2**64), "1.5", "x", ""]
+# a value one lsb past either end of the fixed-point field it is encoded
+# into, for a population value or a weight, and a weight a quarter lsb from
+# zero, which rounds to it: each passes the config checks and fails the build's
+EDGES = {key: [str((fmt.max_raw + 1) * fmt.lsb), str((fmt.min_raw - 1) * fmt.lsb)]
+         for key, fmt in {**_VALUE_FORMATS, "weight": WEIGHT_FMT}.items()}
+EDGES["weight"] += [str(WEIGHT_FMT.lsb / 4), str(-WEIGHT_FMT.lsb / 4)]
+EDGE_LINES = [i for i in KEY_LINES if LINES[i].partition(" = ")[0] in EDGES]
 
 
 @st.composite
 def config_texts(draw):
     lines = list(LINES)
     for _ in range(draw(st.integers(0, 2))):
-        # replace three times as often: most values reach the checks past the parser
+        # replace three times as often, and set a value past its field's edge
+        # twice: most values then reach the checks past the parser, and edge
+        # values the build's fixed-point checks
         kind = draw(st.sampled_from(["replace", "drop", "replace", "duplicate", "misspell",
-                                     "replace", "no-equals", "rename-section"]))
+                                     "replace", "no-equals", "rename-section", "edge", "edge"]))
         i = draw(st.sampled_from(SECTION_LINES if kind == "rename-section" else
-                                 DROPPABLE if kind == "drop" else KEY_LINES))
+                                 DROPPABLE if kind == "drop" else
+                                 EDGE_LINES if kind == "edge" else KEY_LINES))
         key, _, value = lines[i].partition(" = ")
         if kind == "drop":
             lines[i] = ""
@@ -173,9 +185,9 @@ def config_texts(draw):
             lines.insert(i, lines[i])
         elif kind == "misspell":
             lines[i] = f"{key}{draw(st.sampled_from(['_', 's', 'X']))} = {value}"
-        elif kind == "replace":
-            values = {"duration_ms": DURATIONS, "size": SIZES}.get(key, VALUES)
-            lines[i] = f"{key} = {draw(st.sampled_from(values))}"
+        elif kind in ("replace", "edge"):
+            values = EDGES if kind == "edge" else {"duration_ms": DURATIONS, "size": SIZES}
+            lines[i] = f"{key} = {draw(st.sampled_from(values.get(key, VALUES)))}"
         elif kind == "no-equals":
             lines.insert(i, draw(st.sampled_from(["size 3", "oops", "= 1", "[broken"])))
         else:
@@ -253,6 +265,8 @@ def test_gonogo_fuzz(text, changed, out):
         finally:
             os.chdir(cwd)
         check_exit(code, err)
+        if "saturates its" in err or "quantises to zero" in err:
+            event("a fixed-point check of the build")
         if code == 2:
             assert sorted(p.name for p in tmp.iterdir()) == ["file", "run.cfg"]
         elif code == 0:

@@ -288,15 +288,18 @@ class TestKeptGenerator:
 
 
 @pytest.mark.parametrize(
-    "p", [1.0, 1 - 2**-53, 0.5, 1 / 3, 0.001875, 5e-324], ids=str
+    "p", [1.0, 1 - 2**-53, 0.5, 1 / 3, 0.001875, 5e-324, 0.0], ids=str
 )
 def test_raw_limit_is_the_random_compare(p):
-    # numpy's Philox random() is (raw >> 11) * 2**-53: a raw draw at most the
-    # limit is a double below p, and the next raw up is not
+    # numpy's random() on the sources' Philox and the build's PCG64 is
+    # (raw >> 11) * 2**-53: a raw draw at most the limit is a double below p,
+    # and the next raw up is not; for p = 0 the limit is -1, which no uint64
+    # is at most.  Both draw one raw per double, so the next raws agree.
     limit = synapse._raw_limit(p)
     assert (limit >> 11) * 2**-53 < p
     assert limit == 2**64 - 1 or ((limit + 1) >> 11) * 2**-53 >= p
-    for key in range(200):
-        raw = np.random.Philox(key=[key, 7]).random_raw(64)
-        draws = np.random.Generator(np.random.Philox(key=[key, 7])).random(64)
-        assert np.array_equal(raw <= limit, draws < p)
+    for bits in (lambda key: np.random.Philox(key=[key, 7]), np.random.PCG64):
+        for key in range(200):
+            raws, doubles = bits(key), np.random.Generator(bits(key))
+            assert np.array_equal(raws.random_raw(64) <= limit, doubles.random(64) < p)
+            assert raws.random_raw() == doubles.bit_generator.random_raw()
