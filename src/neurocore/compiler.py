@@ -52,18 +52,18 @@ class Form:
     multiple (``{1}`` half the unit, ``{2}`` minus it, ``{3}`` 63) and
     shifts a product ``{0}`` right by ``{1}``, into ``{d}``, for one kind of
     value; ``names`` are the globals that code looks up.  It tests with
-    ``none_set`` that no ``{0}`` is set, where a ``skip`` select returns
-    ``{2}``, and a ``bind`` form binds every integer once as a 0-d int64
+    ``some_set`` that some ``{0}`` is set: a ``skip`` select returns ``{2}``
+    where none is, and consecutive ones on one flag share one branch, which
+    tests it.  A ``bind`` form binds every integer once as a 0-d int64
     array global, not a literal.  A ``copy`` form writes a result into an
     array its call made and no later op reads: a ufunc ``_{mnemonic}`` with
-    ``out=``, a clip with ``{out}``, a select as ``copy``.  In a ``taken``
-    form a ``skip`` select is ``taken`` where its scalar flag is set, and
-    consecutive ones on one flag share one branch, which tests it."""
+    ``out=``, a clip with ``{out}``, a select into ``{2}`` with ``copy``.
+    In a ``taken`` form a ``skip`` select is ``taken`` where its flag is set."""
 
     lower: str
     upper: str
     select: str
-    none_set: str
+    some_set: str
     round: str
     rescale: str = "({0}) >> {1}"
     names: dict = field(default_factory=dict)
@@ -77,7 +77,7 @@ INTS = Form(
     lower="if {x} < {bound}: {x} = {bound}",
     upper="if {x} > {bound}: {x} = {bound}",
     select="{1} if {0} else {2}",
-    none_set="not {0}",
+    some_set="{0}",
     round="-(({1} - {0}) & {2}) if {0} < 0 else ({0} + {1}) & {2}",  # a branch: cheaper here
     taken="{1}",
 )
@@ -85,7 +85,7 @@ ARRAYS = Form(
     lower="{x} = _maximum({x}, {bound}{out})",
     upper="{x} = _minimum({x}, {bound}{out})",
     select="_where({0}, {1}, {2})",
-    none_set="not _count_nonzero({0})",
+    some_set="_count_nonzero({0})",
     # x >> 63 is -1 where x < 0, where (x - 1 + half) rounds |x| half up;
     # each statement after the first writes into the array the first made
     round="{0} + ({0} >> {3}); {d} += {1}; {d} &= {2}",
@@ -95,7 +95,7 @@ ARRAYS = Form(
            **{f"_{name}": ufunc for name, (_, _, ufunc) in _OPS.items() if ufunc}},
     clip="{x} = {x}.clip({lower}, {upper}{out})",  # one call, not two
     bind=True,
-    copy="_copyto({2}, {1}, where={0}); {d} = {2}",
+    copy="_copyto({2}, {1}, where={0})",
 )
 
 
@@ -332,7 +332,7 @@ def compile_schedule(
 
     def function(ops: list[int]) -> list[str]:  # the body running ``ops``
         # a local -> the op that made its array in this call -> that array's last read
-        lines, tested, owner, until = [], set(), {}, {}  # flags a ``_none_`` local tests
+        lines, tested, owner, until = [], set(), {}, {}  # flags an ``_any_`` local tests
 
         def emit(i: int, indent: str, args: tuple, taken: bool = False) -> list[str]:
             op, clip, d = plan[i], plan[fused.get(i, i)], plan[i].dest
@@ -356,6 +356,7 @@ def compile_schedule(
                 op.mnemonic, f"_{op.mnemonic}({{0}}, {{1}}, out={out})" if out else None)
             value = (template or _OPS[op.mnemonic][0]).format(*map(source, args), d=d)
             value = form.rescale.format(value, source(shift), d=d) if shift else value
+            value += f"; {d} = {args[2]}" if copy and d != args[2] else ""  # d names y's array
             lines = [indent + (value if copy else f"{d} = {value}")]
             mine = owner[out] if out is not None else i if op.shaped else None
             if op.mnemonic == "mov" and (args[0] in free or not clip.clips):
@@ -372,9 +373,9 @@ def compile_schedule(
             sides = [(t, b) for t, b in ((form.lower, lo), (form.upper, hi)) if b is not None]
             return lines + [indent + t.format(x=d, bound=b, out=into) for t, b in sides]
 
-        runs = []  # (flag, ops): each op alone, but a taken form's skip selects on one flag
-        for i in ops:  # in a row, while none of them writes it, share one branch
-            f = plan[i].args[0] if form.taken and plan[i].skip and i not in held else None
+        runs = []  # (flag, ops): each op alone, but skip selects on one flag in a row,
+        for i in ops:  # while none of them writes it, share one branch
+            f = plan[i].args[0] if plan[i].skip and i not in held else None
             if f is not None and runs and runs[-1][0] == f != plan[runs[-1][1][-1]].dest:
                 runs[-1][1].append(i)
             else:
@@ -385,13 +386,13 @@ def compile_schedule(
                 lines += held[run[0]]
                 continue
             if op.skip:  # an array's test is a local, made once until its flag is written
-                f, indent, test = op.args[0], "        ", form.none_set.format(op.args[0])
-                none = test if form.taken else f"_none_{f}".replace("-", "m")  # f may be negative
-                lines += [f"    {none} = {test}"][:none != test and f not in tested]
+                f, indent, test = op.args[0], "        ", form.some_set.format(op.args[0])
+                has = test if test == str(f) else f"_any_{f}".replace("-", "m")  # f may be < 0
+                lines += [f"    {has} = {test}"][:has != test and f not in tested]
                 tested.add(f)
                 keep = [f"{indent}{plan[i].dest} = {plan[i].args[2]}" for i in run
-                        if plan[i].dest != plan[i].args[2] or not form.taken]
-                lines += [f"    if {none}:", *keep, "    else:"] if keep else [f"    if {f}:"]
+                        if plan[i].dest != plan[i].args[2]]
+                lines += [f"    if not {has}:", *keep, "    else:"] if keep else [f"    if {has}:"]
             for i in run:
                 lines += emit(sunk[i][0], indent, sunk[i][1]) if i in sunk else []
                 lines += emit(i, indent, plan[i].args, op.skip)

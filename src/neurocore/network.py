@@ -43,7 +43,7 @@ from .neuron import (
     NeuronParams,
     SimulationError,
     encode_neuron,
-    float_update,
+    float_update_batch,
     step_fixed_batch,
 )
 from .schedule import FIELD_LAYOUT, INPUTS, izhikevich_schedule
@@ -212,7 +212,7 @@ def _per_neuron(values: list, specs: list[PopulationSpec], dtype) -> np.ndarray:
 
 class _FloatPop:
     """Float64 reference dynamics of every neuron, with per-neuron parameters:
-    ``neuron.float_update`` on arrays."""
+    ``neuron.float_update_batch``."""
 
     def __init__(self, specs: list[PopulationSpec]):
         for name in ("a", "b", "c", "d", "v_peak", "beta", "i_const"):
@@ -232,7 +232,7 @@ class _FloatPop:
                 if not np.all(np.isfinite(self.isyn)):
                     raise SimulationError("float backend: synaptic input overflowed float64")
                 current = self.i_const + self.isyn * (1.0 + self.beta * self.delta_dop)
-                self.v, self.u, spiked = float_update(self, self.v, self.u, current, np.where)
+                self.v, self.u, spiked = float_update_batch(self, self.v, self.u, current)
         except FloatingPointError as exc:
             raise SimulationError(f"float backend: {exc}") from exc
         return spiked

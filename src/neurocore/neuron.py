@@ -1,9 +1,9 @@
 """Izhikevich neuron in two interchangeable arithmetics.
 
-``float_update`` is the floating-point reference of the discrete Euler
-update, written once: ``step_float`` and the regime runs run it on one
-neuron's floats, the network's float backend on per-neuron arrays.  The
-fixed-point arithmetic is defined in one place, the shipped block schedule
+The float reference of the Euler update is one text, compiled at import
+into ``float_update`` on one neuron's floats, with a ``loop`` of many steps
+a call, and ``float_update_batch`` on arrays.  The fixed-point arithmetic is
+defined in one place, the shipped block schedule
 ``data/izhikevich_schedule.txt`` (see :mod:`neurocore.schedule`), compiled
 at import (:mod:`neurocore.compiler`) into two generated functions of the
 same source but for how they clip and select: ``step_fields`` on one
@@ -26,9 +26,11 @@ step in which the crossing happened.
 
 from __future__ import annotations
 
-import math
+import ast
 from dataclasses import dataclass, make_dataclass
+from math import inf, isfinite  # inf is read by _FLOAT_STEP
 from operator import attrgetter
+from textwrap import indent
 
 import numpy as np
 
@@ -89,26 +91,53 @@ def initial_state(params: NeuronParams, v0: float | None = None) -> NeuronState:
     return NeuronState(v=v, u=params.b * v)
 
 
-def _pick(condition, if_true, if_false):
-    return if_true if condition else if_false
+# The float model's one text, an Euler step of DT_MS with both resets: a stored v
+# past the peak resets to c with u + d, a fresh crossing (a finite v' past it)
+# to c with u' + d; a v' that overflowed stays inf, for the caller's check
+_FLOAT_STEP = """\
+pre_spiked = v > v_peak
+v_new = v + (K_QUAD * v * v + K_LIN * v + K_BIAS - u + current) * DT_MS
+u_new = u + a * (b * v - u) * DT_MS
+spiked = pre_spiked | ((v_new > v_peak) & (v_new < inf))
+u = u + d if pre_spiked else u_new + d if spiked else u_new
+v = c if spiked else v_new
+"""
 
 
-def float_update(p, v, u, current, select=_pick):
-    """One Euler step of DT_MS and both resets, on floats or on arrays.
+class _Where(ast.NodeTransformer):  # each conditional expression as np.where
+    def visit_IfExp(self, node):
+        self.generic_visit(node)
+        return ast.Call(ast.Name("_where", ast.Load()), [node.test, node.body, node.orelse], [])
 
-    ``p`` holds ``a b c d v_peak``: a ``NeuronParams`` or per-neuron arrays.
-    ``select(condition, if_true, if_false)`` is a conditional expression for
-    floats, ``np.where`` for arrays.  A stored ``v`` past the peak resets to
-    ``c`` with ``u + d``; a fresh crossing, a finite ``v'`` past the peak,
-    resets to ``c`` with ``u' + d``; a ``v'`` that overflowed stays inf, for
-    the caller's check.  Returns ``(v', u', spiked)``.
-    """
-    pre_spiked = v > p.v_peak
-    v_new = v + (K_QUAD * v * v + K_LIN * v + K_BIAS - u + current) * DT_MS
-    u_new = u + p.a * (p.b * v - u) * DT_MS
-    spiked = pre_spiked | ((v_new > p.v_peak) & (v_new < math.inf))
-    u_new = select(pre_spiked, u + p.d, select(spiked, u_new + p.d, u_new))
-    return select(spiked, p.c, v_new), u_new, spiked
+
+def _compile_float(step: str) -> tuple:
+    """``step`` as ``float_update(p, v, u, current) -> (v', u', spiked)`` on
+    floats, ``p`` with ``a b c d v_peak``, and on arrays.  Its ``loop(p, v, u,
+    current, n, vs, spikes) -> (v, u)`` appends each of n steps' v to vs and
+    the index of each that spikes to spikes, and raises ``SimulationError``
+    on the step that leaves v or u not finite."""
+    head = "a, b, c, d, v_peak = p.a, p.b, p.c, p.d, p.v_peak\n"
+    namespace = {**globals(), "_where": np.where}
+    arrays = ast.unparse(_Where().visit(ast.parse(step))) + "\n"
+    exec(compile(f"""\
+def float_update(p, v, u, current):
+{indent(head + step, "    ")}    return v, u, spiked
+def float_update_batch(p, v, u, current):
+{indent(head + arrays, "    ")}    return v, u, spiked
+def loop(p, v, u, current, _n, _vs, _spikes):
+    {head}    _record, _spike = _vs.append, _spikes.append
+    for _ in range(_n):
+{indent(step, "        ")}        if not (isfinite(v) and isfinite(u)):
+            raise SimulationError(f"non-finite neuron state: v={{v}}, u={{u}}, I={{current}}")
+        if spiked: _spike(len(_vs))
+        _record(v)
+    return v, u
+""", "<float step>", "exec"), namespace)
+    namespace["float_update"].loop = namespace["loop"]
+    return namespace["float_update"], namespace["float_update_batch"]
+
+
+float_update, float_update_batch = _compile_float(_FLOAT_STEP)
 
 
 def step_float(
@@ -117,7 +146,7 @@ def step_float(
     """One Euler step of DT_MS of the reference model under total current
     ``i_input``."""
     v, u = state.v, state.u
-    if not (math.isfinite(v) and math.isfinite(u) and math.isfinite(i_input)):
+    if not (isfinite(v) and isfinite(u) and isfinite(i_input)):
         raise SimulationError(f"non-finite neuron state: v={v}, u={u}, I={i_input}")
     v, u, spiked = float_update(params, v, u, i_input)
     return NeuronState(v, u), spiked

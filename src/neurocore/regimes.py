@@ -12,27 +12,26 @@ port with the synaptic decay disabled, so the neuron sees exactly the
 programmed current each step (all protocol currents are representable on
 the accumulator grid, and one past its range raises ``ValueError``).  The
 16-bit bias-current field saturates at 8, so it cannot carry the
-demonstration current of 10.  Each protocol segment is one call of the
-loop of ``step_regime``, the shipped schedule compiled for the inputs every
-fixed run passes (``REGIME_INPUTS``), so it keeps only the clips that can
-bind there, folds the decay and the dopamine gain to constants (0, 0 and
-1) and runs the synaptic path once, before its steps: it rounds the
-segment's constant ``DA``, writes ``isyn`` and adds the bias current; the
-float backend carries ``v`` and ``u`` through ``float_update`` step by
-step.
+demonstration current of 10.  On both backends each protocol segment is
+one call of a compiled loop: on the fixed one, of ``step_regime.loop``,
+the shipped schedule compiled for the inputs every fixed run passes
+(``REGIME_INPUTS``), so it keeps only the clips that can bind there, folds
+the decay and the dopamine gain to constants (0, 0 and 1) and runs the
+synaptic path once, before its steps: it rounds the segment's constant
+``DA``, writes ``isyn`` and adds the bias current; on the float one, of
+``float_update.loop``, the float reference's one text compiled for floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from math import isfinite
 
 import numpy as np
 
 from .analysis import SpikeTrain, cv_isi
 from .compiler import compile_schedule
 from .fxp import DA_FMT, Q12, V_FMT, encode_checked
-from .neuron import DT_MS, NeuronParams, SimulationError, encode_neuron, float_update, initial_state
+from .neuron import DT_MS, NeuronParams, encode_neuron, float_update, initial_state
 from .schedule import INPUTS, izhikevich_schedule
 
 REST_V = -70.0
@@ -136,21 +135,12 @@ def _run_fixed(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, li
 
 
 def _run_float(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, list[int]]:
-    """The float reference, ``float_update`` on ``v`` and ``u`` carried as
-    floats from step to step; a step that leaves them not finite (an
-    overflow, or a current that is not finite) raises."""
-    rest = initial_state(params, v0=REST_V)
-    v, u = rest.v, rest.u
-    v_mv, spikes = [], []
+    """The float reference's loop on ``v`` and ``u`` as floats, one call a
+    protocol segment; a step that leaves them not finite raises."""
+    (v, u), v_mv, spikes = astuple(initial_state(params, v0=REST_V)), [], []
     for ms, current in protocol:
-        i = params.i_const + current
-        for _ in range(round(ms / DT_MS)):
-            v, u, spiked = float_update(params, v, u, i)
-            if not (isfinite(v) and isfinite(u)):
-                raise SimulationError(f"non-finite neuron state: v={v}, u={u}, I={i}")
-            if spiked:
-                spikes.append(len(v_mv))
-            v_mv.append(v)
+        v, u = float_update.loop(params, v, u, params.i_const + current, round(ms / DT_MS),
+                                 v_mv, spikes)
     return np.array(v_mv), spikes
 
 

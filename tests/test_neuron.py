@@ -3,6 +3,7 @@
 import hashlib
 from dataclasses import replace
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,6 +122,34 @@ class TestStepFloat:
         assert (new.v, spiked) == (float("inf"), False)
         with pytest.raises(SimulationError, match="v=inf"):
             step_float(RS, new, 0.0)
+
+    @pytest.mark.parametrize("kind", ["quiet", "crossing", "stored-past-peak", "overflow"])
+    def test_array_form_equals_scalar_form(self, kind):
+        """``float_update_batch`` gives, element by element, what
+        ``float_update`` gives one neuron, NaN where it gives NaN: on quiet
+        states, fresh crossings, stored v past the peak, and states whose
+        ``0.04 v^2`` or sums overflow to inf or that are inf already."""
+        rng, n = np.random.default_rng(24), 200
+        params = list(rng.choice(list(regimes.REGIME_PARAMS.values()), n))
+        p = SimpleNamespace(**{k: np.array([vars(x)[k] for x in params]) for k in "abcd"},
+                            v_peak=np.array([x.v_peak for x in params]))
+        v, u, current = {
+            "quiet": (rng.uniform(-80, -60, n), rng.uniform(-16, -12, n), rng.uniform(0, 5, n)),
+            "crossing": (rng.uniform(25, 30, n), rng.uniform(-20, 20, n), rng.uniform(40, 1e3, n)),
+            "stored-past-peak": (30 + 10.0 ** rng.uniform(-6, 6, n), rng.uniform(-20, 20, n),
+                                 rng.uniform(-10, 10, n)),
+            "overflow": rng.choice([-np.inf, -1e300, -1.0, 1e300, 1.7e308], (3, n)),
+        }[kind]
+        with np.errstate(all="ignore"):
+            got = neuron.float_update_batch(p, v, u, current)
+        want = np.array([neuron.float_update(*args)
+                         for args in zip(params, v.tolist(), u.tolist(), current.tolist())]).T
+        for got_x, want_x in zip(got, want):
+            assert np.array_equal(got_x, want_x, equal_nan=True)
+        spiked = want[2].astype(bool)
+        assert {"quiet": not spiked.any(), "crossing": spiked.all() and (v <= p.v_peak).all(),
+                "stored-past-peak": spiked.all(),
+                "overflow": np.isinf(want[0]).any() and np.isnan(want[0]).any()}[kind]
 
 
 class TestEncodeNeuron:

@@ -8,11 +8,25 @@ import numpy as np
 import pytest
 
 from neurocore.fxp import DA_FMT, ISYN_FMT, V_FMT, Fixed, encode
-from neurocore.neuron import DT_MS, SimulationError, encode_neuron, pack, step_fixed, unpack
+from neurocore.neuron import (
+    DT_MS,
+    NeuronState,
+    SimulationError,
+    encode_neuron,
+    float_update,
+    initial_state,
+    pack,
+    step_fixed,
+    step_float,
+    unpack,
+)
 from neurocore.regimes import (
+    DEMO_CURRENT,
+    LTS_PROBE_CURRENT,
     REGIME_PARAMS,
     REST_V,
     constant_current,
+    rebound_protocol,
     run_batch,
     run_demonstrations,
     run_single,
@@ -87,6 +101,44 @@ def test_carried_fields_equal_word_level_steps(name):
     assert spikes, "the protocol should make every regime fire"
     assert run.spike_steps == spikes
     assert run.v_mv.tolist() == v_mv
+
+
+def single_float_steps(params, state, protocol):
+    """The v trace, spike steps and last state of ``step_float`` called
+    once a step."""
+    v_mv, spikes = [], []
+    for ms, current in protocol:
+        for _ in range(round(ms / DT_MS)):
+            state, spiked = step_float(params, state, params.i_const + current)
+            if spiked:
+                spikes.append(len(v_mv))
+            v_mv.append(state.v)
+    return np.array(v_mv), spikes, state
+
+
+@pytest.mark.parametrize("protocol", [constant_current(DEMO_CURRENT, 100.0),
+                                      constant_current(LTS_PROBE_CURRENT, 100.0),
+                                      rebound_protocol()], ids=["demo", "lts-probe", "rebound"])
+@pytest.mark.parametrize("name", REGIME_PARAMS)
+def test_float_loop_equals_single_steps(name, protocol):
+    """The float run, one ``float_update.loop`` call a protocol segment,
+    gives bit for bit the trace and spikes of ``step_float`` step by step."""
+    params = REGIME_PARAMS[name]
+    run = run_single(params, protocol, "float")
+    v_mv, spikes, _ = single_float_steps(params, initial_state(params, REST_V), protocol)
+    assert run.v_mv.tobytes() == v_mv.tobytes()
+    assert run.spike_steps == spikes
+
+
+def test_float_loop_from_past_the_peak_equals_single_steps():
+    """A loop that starts from a stored v past the peak resets it on its
+    first step, as ``step_float`` does, and returns the last step's state."""
+    params, vs, spikes = REGIME_PARAMS["RS"], [], []
+    v, u = float_update.loop(params, 40.0, -2.0, 10.0, 800, vs, spikes)
+    v_mv, want, last = single_float_steps(params, NeuronState(40.0, -2.0), ((100.0, 10.0),))
+    assert spikes[0] == 0 and spikes == want
+    assert np.array(vs).tobytes() == v_mv.tobytes()
+    assert (v, u) == (last.v, last.u)
 
 
 @pytest.mark.parametrize(
