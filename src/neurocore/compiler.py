@@ -1,47 +1,36 @@
 """The compiler of block schedules (:mod:`neurocore.schedule`) into Python.
 
 :func:`compile_schedule` generates one straight-line Python function from a
-schedule, which :mod:`neurocore.neuron` runs on one compartment's fields as
-Python ints, many steps to a call in the regime runs, and on populations as
-int64 arrays.  Every write saturates to its destination except where an
-interval analysis from the range of every field, input (an argument of the
-compiler: the network compiles for its narrower ones) and constant shows
-the clip can never bind; the same analysis rejects a schedule in which some
-intermediate could leave int64.
+schedule's plan (:mod:`neurocore.planner`), which :mod:`neurocore.neuron`
+runs on one compartment's fields as Python ints, many steps to a call in
+the regime runs, and on populations as int64 arrays.  Every write
+saturates to its destination except where the plan's interval analysis
+shows the clip can never bind.
 """
 
 from __future__ import annotations
 
-import operator
-import re
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
-from .fxp import DA_FMT, DA_PORT, Q12, REG_FMT
-from .schedule import (CONSTANTS, FIELD_FORMATS, INPUTS, KQ_FRAC, BlockSchedule, ScheduleError,
-                       _literal, validate_schedule)
+from .planner import _GRID, _NAME, _RESCALE, ScheduleError, _local, plan_schedule, regroup_sums
+from .schedule import FIELD_FORMATS, INPUTS, BlockSchedule
 
-_GRID = 1 << Q12 - DA_FMT.frac_bits  # one DA_FMT unit at Q12, the grid ``rnd`` rounds to
 # Python source of each op's value (``sel``'s and ``rnd``'s are the Form's)
-# before any rescale shift, for the interval analysis its unscaled int
-# result, and the ufunc that writes it into an array
+# before any rescale shift, and the ufunc that writes it into an array
 _OPS = {
-    "mov": ("{0}", None, None),
-    "add": ("{0} + {1}", operator.add, np.add),
-    "sub": ("{0} - {1}", operator.sub, np.subtract),
-    "mul": ("{0} * {1}", operator.mul, np.multiply),
-    "mulw": ("{0} * {1}", operator.mul, np.multiply),
-    "shl": ("{0} << {1}", operator.lshift, np.left_shift),
-    "shr": ("{0} >> {1}", operator.rshift, np.right_shift),
-    "gt": ("{0} > {1}", None, np.greater),
-    "rnd": (None, lambda x: (x + _GRID // 2 - (x < 0)) & -_GRID, None),
+    "mov": ("{0}", None),
+    "add": ("{0} + {1}", np.add),
+    "sub": ("{0} - {1}", np.subtract),
+    "mul": ("{0} * {1}", np.multiply),
+    "mulw": ("{0} * {1}", np.multiply),
+    "shl": ("{0} << {1}", np.left_shift),
+    "shr": ("{0} >> {1}", np.right_shift),
+    "gt": ("{0} > {1}", np.greater),
+    "rnd": (None, None),
 }
-_ARITY = {name: 1 if name in ("mov", "rnd") else 2 for name in _OPS} | {"sel": 3}
-_RESCALE = {"mul": Q12, "mulw": KQ_FRAC}
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-_NAME = re.compile(r"[$@][A-Za-z_]\w*", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -92,146 +81,11 @@ ARRAYS = Form(
     rescale="{0}; {d} >>= {1}",
     names={"_maximum": np.maximum, "_minimum": np.minimum, "_where": np.where,
            "_count_nonzero": np.count_nonzero, "_copyto": np.copyto, "_fields": SimpleNamespace,
-           **{f"_{name}": ufunc for name, (_, _, ufunc) in _OPS.items() if ufunc}},
+           **{f"_{name}": ufunc for name, (_, ufunc) in _OPS.items() if ufunc}},
     clip="{x} = {x}.clip({lower}, {upper}{out})",  # one call, not two
     bind=True,
     copy="_copyto({2}, {1}, where={0})",
 )
-
-
-@dataclass(frozen=True)
-class PlannedOp:
-    """One op as generated code runs it: the Python local it writes, its
-    operands as Python locals or integers, each bound of its clip that can
-    bind (None where the interval analysis shows it never does), whether it
-    is ``shaped``, an array in the array form whatever the inputs, and a
-    ``flag``, a bool there.  A ``skip`` ``sel d <- f, x, y`` may return ``y``
-    where no ``f`` is set: ``y`` is a population-shaped array of ``where``'s
-    dtype in ``d``'s format, ``d`` if a field."""
-
-    dest: str
-    mnemonic: str
-    args: tuple[str | int, ...]
-    lower: int | None
-    upper: int | None
-    skip: bool
-    shaped: bool
-    flag: bool
-
-    @property
-    def clips(self) -> bool:
-        return self.lower is not None or self.upper is not None
-
-
-def _local(name: str) -> str:
-    """The Python local holding a field, input, register or constant."""
-    return {"$": "r_", "@": "k_"}.get(name[0], "") + name.lstrip("$@")
-
-
-def _operand(token: str, known: dict, where: str) -> tuple[str | int, tuple[int, int]]:
-    """Python local or integer, and value interval, of one source operand."""
-    if token in known:
-        return known[token]
-    value = _literal(token, where)
-    if value is not None:
-        return value, (value, value)
-    if not _NAME.fullmatch(token):
-        raise ScheduleError(f"{where}: {token!r} is not a register or constant name")
-    if token.startswith("$"):
-        raise ScheduleError(f"{where}: register {token} read before it is written")
-    raise ScheduleError(f"{where}: unknown constant {token!r}")
-
-
-def _interval(mnemonic: str, operands: list, where: str, square: bool = False) -> tuple[int, int]:
-    """Interval of an op's result from its operands' intervals.
-
-    Each int op is monotone in each operand, so its extremes over a box of
-    operand values lie at the corners.  A ``square`` product, of one operand
-    by itself, is never negative.  Raises ScheduleError where a shift count
-    can leave [0, 63] or the unscaled result can leave int64, where int64
-    arrays would wrap and Python ints would not.
-    """
-    if mnemonic == "gt":
-        return 0, 1
-    if mnemonic in ("mov", "rnd"):
-        lo, hi = map(_OPS[mnemonic][1] or int, operands[0])
-    elif mnemonic == "sel":
-        (lo1, hi1), (lo2, hi2) = operands[1:]
-        lo, hi = min(lo1, lo2), max(hi1, hi2)
-    else:
-        if mnemonic in ("shl", "shr") and not 0 <= operands[1][0] <= operands[1][1] <= 63:
-            raise ScheduleError(f"{where}: shift count can leave [0, 63]")
-        fn = _OPS[mnemonic][1]
-        corners = [fn(x, y) for x in operands[0] for y in operands[1]]
-        lo, hi = 0 if square else min(corners), max(corners)
-    if lo < _INT64_MIN or hi > _INT64_MAX:
-        raise ScheduleError(f"{where}: an intermediate can leave int64, range [{lo}, {hi}]")
-    shift = _RESCALE.get(mnemonic, 0)
-    return lo >> shift, hi >> shift
-
-
-def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[PlannedOp]:
-    """Check ``schedule`` and run the interval analysis over it, op by op.
-
-    Fields start at their formats' ranges, ``CONSTANTS`` at their values and
-    each of ``inputs`` at its format's range or, where it is an int (the one
-    raw every call passes), as that constant.  An op whose clipped interval
-    is one integer is a ``mov`` of it, which later ops read.  Raises
-    ScheduleError for a word-rule violation, an unknown op, a wrong operand
-    count, a malformed register name, a literal that is not ASCII digits, an
-    unknown constant, a register read before it is written, a write to
-    anything but a field or register, a shift count that can leave [0, 63]
-    and an intermediate that can leave int64.
-    """
-    violations = validate_schedule(schedule)
-    if violations:
-        raise ScheduleError(violations[0].describe())
-    # Python local or integer, and value interval, of every identifier an op can read
-    known = {name: (x, (x, x)) if isinstance(x, int) else (_local(name), (x.min_raw, x.max_raw))
-             for name, x in {**FIELD_FORMATS, **inputs, **CONSTANTS}.items()}
-    # what holds a population-shaped array, and what a 0/1 flag (bool in arrays)
-    shaped, flags = set(FIELD_FORMATS), set()
-    plan = []
-    for block in schedule.blocks:
-        for op in block.ops:
-            where = f"block {block.name!r}: {op.render()!r}"
-            arity = _ARITY.get(op.mnemonic)
-            if arity is None:
-                raise ScheduleError(f"{where}: unknown op {op.mnemonic!r}")
-            if len(op.sources) != arity:
-                raise ScheduleError(f"{where}: {op.mnemonic} takes {arity} operand(s)")
-            operands = [_operand(src, known, where) for src in op.sources]
-            if op.dest in FIELD_FORMATS:
-                fmt = FIELD_FORMATS[op.dest]
-            elif op.dest.startswith("$"):
-                if not _NAME.fullmatch(op.dest):
-                    raise ScheduleError(f"{where}: {op.dest!r} is not a register name")
-                fmt = REG_FMT
-            else:
-                raise ScheduleError(f"{where}: {op.dest!r} cannot be written")
-            square = op.mnemonic in _RESCALE and op.sources[0] == op.sources[1]
-            lo, hi = _interval(op.mnemonic, [span for _, span in operands], where, square)
-            low, high = fmt.min_raw, fmt.max_raw
-            if op.mnemonic == "rnd":
-                low, high = max(low, DA_PORT.min_raw), min(high, DA_PORT.max_raw)
-            clip = lambda x: min(max(x, low), high)
-            mnemonic, args, names = op.mnemonic, tuple(s for s, _ in operands), op.sources
-            if clip(lo) == clip(hi):  # a point, exact as the analysis is sound: its literal
-                lo = hi = clip(lo)
-                mnemonic, args, names = "mov", (lo,), (lo,)
-            y, (y_lo, y_hi) = op.sources[-1], operands[-1][1]
-            skip = (mnemonic == "sel" and y in shaped and low <= y_lo
-                    and y_hi <= high and (op.dest == y or op.dest not in FIELD_FORMATS)
-                    and (y not in flags or op.sources[1] in flags))
-            known[op.dest] = args[0] if lo == hi else _local(op.dest), (clip(lo), clip(hi))
-            (shaped.add if shaped.intersection(names) else shaped.discard)(op.dest)
-            # a gt gives a bool array, and so does a mov of one or a sel of two
-            kept = mnemonic in ("mov", "sel") and flags.issuperset(names[-2:])
-            (flags.add if mnemonic == "gt" or kept else flags.discard)(op.dest)
-            plan.append(PlannedOp(_local(op.dest), mnemonic, args, low if lo < low else None,
-                                  high if hi > high else None, skip, op.dest in shaped,
-                                  op.dest in flags))
-    return plan
 
 
 def compile_schedule(
@@ -262,12 +116,17 @@ def compile_schedule(
     each clip the analysis keeps is inline, and ``form`` writes clips,
     selects and integers: ``INTS`` for Python ints, ``ARRAYS`` for int64
     arrays, where nothing passed in is written.  Exact rewrites drop
-    operations: a product by a multiple of its rescale 2^s is one by the
-    quotient, a product whose one reader shifts it right in place shifts
-    once by both counts, and an op only a skipped select's ``x`` reads, fixed
-    when the select is, runs in its branch on operands held where it stood.
-    The source is built only from the tables above, checked register names
-    and integer values, never from raw text.
+    operations: a sum chain sums its earlier-fixed terms first
+    (:func:`~neurocore.planner.regroup_sums`), a product by a multiple of
+    its rescale 2^s is one by the quotient, a product whose one reader
+    shifts it right in place shifts once by both counts, and an op only a
+    skipped select's ``x`` reads, fixed when the select is, runs in its
+    branch on operands held where it stood.  A form with a ``loop`` also
+    writes an op inside its one reader's expression where both run at one
+    time, the op keeps no clip, writes no field or flag and no operand of it
+    is rewritten before the read.  ``step.source`` is the generated text,
+    built only from the tables above, checked register names and integer
+    values, never from raw text.
     """
     plan = plan_schedule(schedule, inputs)
     dests = [op.dest for op in plan]
@@ -283,33 +142,47 @@ def compile_schedule(
         namespace[name] = np.array(arg, dtype=np.int64)
         return name
 
-    # each read, (op, operand position), of what an op writes ((None, 0) if returned); flags read
-    last, readers, flags, flagged = {}, [[] for _ in plan], set(), []
-    for i, op in enumerate(plan):
-        for pos, arg in enumerate(op.args):
-            if arg in last:
-                readers[last[arg]].append((i, pos))
-        last[op.dest] = i
-        flagged.append(flags.intersection(op.args))
-        (flags.add if op.flag else flags.discard)(op.dest)
-    for name in last.keys() & {*FIELD_FORMATS, *map(_local, results)}:
-        readers[last[name]].append((None, 0))
-    # when each op's value is fixed: 0 never (a literal no op reads), 1 once a run (hoisted,
-    # but a copy or a write of ``written``), ``call`` once a loop call (DA; 3 in a copy form,
-    # with no loop), 3 each step, as is each write of ``late``: a field read before its write,
-    # or a name written twice with a write that runs each step or that an op fixed later reads
     group, call = [_local(k) for k in inputs if k[0] == "@"], 3 if form.copy else 2
     per_call = {_local(k): call for k in inputs if k[0] != "@"}  # what each call passes
-    written = {d for d in dests if d in FIELD_FORMATS or dests.count(d) > 1}  # hoist holds none
-    late, size = {f for f in written if any(f in op.args for op in plan[:dests.index(f) + 1])}, -1
-    while size < len(late):  # until no name joins it
-        size, when, times = len(late), {**per_call, **dict.fromkeys(late, 3)}, []
+
+    def analyse() -> tuple[list, list, list, list, list]:
+        # each read, (op, operand position), of what an op writes ((None, 0) if
+        # returned); flags read
+        dests, last, readers, flags, flagged = [], {}, [[] for _ in plan], set(), []
         for i, op in enumerate(plan):
-            t = 3 if op.dest in late else max(when.get(a, 1) for a in op.args)
-            when[op.dest] = t = max(t, call if op.mnemonic == "mov" or op.dest in written else 1)
-            times.append(t if readers[i] or op.mnemonic != "mov" or type(op.args[0]) is str else 0)
-        late |= {dests[k] for k, t in enumerate(times) if t == 3 or last[dests[k]] != k
-                 and any(times[j] > t for j, _ in readers[k])}
+            for pos, arg in enumerate(op.args):
+                if arg in last:
+                    readers[last[arg]].append((i, pos))
+            last[op.dest] = i
+            dests.append(op.dest)
+            flagged.append(flags.intersection(op.args))
+            (flags.add if op.flag else flags.discard)(op.dest)
+        for name in last.keys() & {*FIELD_FORMATS, *map(_local, results)}:
+            readers[last[name]].append((None, 0))
+        # when each op's value is fixed: 0 never (a literal no op reads), 1 once a run (hoisted,
+        # but a copy or a write of ``written``), ``call`` once a loop call (DA; 3 in a copy
+        # form, with no loop), 3 each step, as is each write of ``late``: a field read before
+        # its write, or a name written twice with a write that runs each step or that an op
+        # fixed later reads; ``ats`` holds when each operand is
+        written = {d for d in dests if d in FIELD_FORMATS or dests.count(d) > 1}  # none hoisted
+        late = {f for f in written if any(f in op.args for op in plan[:dests.index(f) + 1])}
+        size = -1
+        while size < len(late):  # until no name joins it
+            size, when, times, ats = len(late), {**per_call, **dict.fromkeys(late, 3)}, [], []
+            for i, op in enumerate(plan):
+                ats.append([when.get(a, 1) for a in op.args])
+                t = 3 if op.dest in late else max(ats[-1])
+                when[op.dest] = t = max(t, call if op.mnemonic == "mov" or op.dest in written
+                                        else 1)
+                times.append(t if readers[i] or op.mnemonic != "mov" or type(op.args[0]) is str
+                             else 0)
+            late |= {dests[k] for k, t in enumerate(times) if t == 3 or last[dests[k]] != k
+                     and any(times[j] > t for j, _ in readers[k])}
+        return dests, readers, flagged, times, ats
+
+    dests, readers, flagged, times, ats = analyse()
+    plan = regroup_sums(plan, readers, ats, times)
+    dests, readers, flagged, times, _ = analyse()
     hoisted = {i for i, t in enumerate(times) if t == 1}
     passed = [dests[i] for i in sorted(hoisted) if any(j not in hoisted for j, _ in readers[i])]
     # product -> the shr of it in place, its one reader; skipped select -> the
@@ -329,13 +202,28 @@ def compile_schedule(
             held[i] = [f"    _{i}_{a} = {a}" for a in sorted(later)]
             sunk[j] = i, tuple(f"_{i}_{a}" if a in later else a for a in op.args)
     at = {i: j - 0.5 for j, (i, _) in sunk.items()}  # where each op runs: a sunk one at its select
+    # (reader, operand position) -> the op written inside that reader's expression;
+    # an op so written -> every name its expression reads (rnd's reads its operand thrice)
+    inline, reads = {}, {}
+    for i, op in enumerate(plan):
+        j, pos = readers[i][0] if len(readers[i]) == 1 else (None, 0)
+        if (form.copy or j is None or times[i] != times[j] or op.clips or op.flag or op.skip
+                or dests[i] in FIELD_FORMATS or plan[j].skip or plan[j].mnemonic == "rnd"
+                or i in fused or i in fused.values() or i in at or j in at):
+            continue
+        names = set().union(*(reads[inline[i, p]] if (i, p) in inline else {a}
+                              for p, a in enumerate(op.args)))
+        if names.isdisjoint(dests[i + 1:j]):
+            inline[j, pos], reads[i] = i, names
 
     def function(ops: list[int]) -> list[str]:  # the body running ``ops``
         # a local -> the op that made its array in this call -> that array's last read
         lines, tested, owner, until = [], set(), {}, {}  # flags an ``_any_`` local tests
 
-        def emit(i: int, indent: str, args: tuple, taken: bool = False) -> list[str]:
+        def emit(i: int, indent: str, args: tuple, taken: bool = False) -> list[str] | str:
             op, clip, d = plan[i], plan[fused.get(i, i)], plan[i].dest
+            args = tuple(emit(inline[i, p], "", plan[inline[i, p]].args) if (i, p) in inline
+                         else a for p, a in enumerate(args))
             ends = [at.get(j, j) if j in ops else len(plan) for j, _ in readers[fused.get(i, i)]]
             free = [a for a in args if form.copy and a in owner and until[owner[a]] <= at.get(i, i)
                     and plan[owner[a]].flag == op.flag]  # arrays no later op reads
@@ -356,6 +244,8 @@ def compile_schedule(
                 op.mnemonic, f"_{op.mnemonic}({{0}}, {{1}}, out={out})" if out else None)
             value = (template or _OPS[op.mnemonic][0]).format(*map(source, args), d=d)
             value = form.rescale.format(value, source(shift), d=d) if shift else value
+            if i in reads:  # written inside its reader's expression
+                return value if value.isidentifier() else f"({value})"
             value += f"; {d} = {args[2]}" if copy and d != args[2] else ""  # d names y's array
             lines = [indent + (value if copy else f"{d} = {value}")]
             mine = owner[out] if out is not None else i if op.shaped else None
@@ -400,11 +290,12 @@ def compile_schedule(
         return lines
 
     fields, ins = list(map(_local, FIELD_FORMATS)), [*map(_local, inputs), *passed]
-    rest = [i for i, t in enumerate(times) if t > 1 and i not in fused.values()]
+    rest = [i for i, t in enumerate(times) if t > 1 and i not in fused.values() and i not in reads]
     body, pre = (function([i for i in rest if times[i] == t]) for t in (3, 2))
     writes, res = [f for f in fields if f in dests], [*map(_local, results)]
     args, unset = ", ".join(fields + ins), [r for r in res if r not in ins]
-    lines = [f"def hoist({', '.join(fields + group)}):", *function(sorted(hoisted)),
+    lines = [f"def hoist({', '.join(fields + group)}):",
+             *function([i for i in sorted(hoisted) if i not in reads]),
              f"    return ({''.join(name + ', ' for name in passed)})", f"def step({args}):"]
     if form.copy:  # the body once, in the entry step_fixed_batch runs; step calls it
         load, store = (", ".join(f"_s.{f}" for f in names) for names in (fields, writes))
@@ -421,10 +312,12 @@ def compile_schedule(
                   *("    " + line for line in [*pre, "for _ in range(_n):", *body]),
                   *[f"        if {res[0]}: _spike(len(_vs))"][:len(res)], "        _record(v)",
                   f"    return {', '.join(fields + res)}"]
-    exec(compile("\n".join(lines) + "\n", "<schedule>", "exec"), namespace)
+    text = "\n".join(lines) + "\n"
+    exec(compile(text, "<schedule>", "exec"), namespace)
     step = namespace["step"]
     step.hoist, step.update, step.loop = (namespace.get(f) for f in ("hoist", "update", "loop"))
     step.split = dict(zip(("constant", "run", "call", "step"), map(times.count, range(4))))
+    step.source = text
     return step
 
 

@@ -18,7 +18,10 @@ the shipped schedule compiled for the inputs every fixed run passes
 (``REGIME_INPUTS``), so it keeps only the clips that can bind there, folds
 the decay and the dopamine gain to constants (0, 0 and 1) and runs the
 synaptic path once, before its steps: it rounds the segment's constant
-``DA``, writes ``isyn`` and adds the bias current; on the float one, of
+``DA``, writes ``isyn`` and adds it to ``@kbias`` plus the bias current,
+summed once a run by ``step_regime.hoist``, the part of the membrane sum
+the segment fixes, so each step adds to it only the terms of v and u, in
+one expression.  On the float backend each segment is one call of
 ``float_update.loop``, the float reference's one text compiled for floats.
 """
 

@@ -290,7 +290,7 @@ class TestValidateSchedule:
         out = capsys.readouterr().out
         assert "OK" in out and "compiles; 13 of 36 clips kept" in out
         assert "6 in the network form" in out and "6 in the regime form" in out
-        assert ("whose loop runs 23 ops per step, 10 once per call and 0 once per run, "
+        assert ("whose loop runs 22 ops per step, 10 once per call and 1 once per run, "
                 "3 folded to constants)") in out
 
     def test_directory_schedule_exits_2(self, tmp_path, capsys):

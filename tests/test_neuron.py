@@ -405,14 +405,15 @@ class Counted(np.ndarray):
         return out[0] if out else result.view(Counted) if isinstance(result, np.ndarray) else result
 
 
-# as the network form's generated source counts them: 35 calls on a quiet
+# as the network form's generated source counts them: 34 calls on a quiet
 # step, 9 of them allocating (the three products that start a value, DA's
-# two, the two comparisons with the peak, and the square and 5 v); each
+# two, the two comparisons with the peak, and the square and 5 v), one
+# fewer than before ``hoist`` summed the membrane's @kbias + iconst; each
 # flag's select pair runs 4 more where it is set, a masked copy into v, a
 # sum into a new array (allocating), a masked copy into u and a clip; and a
-# set $pre also copies it into $post for $spk: 35 + 4 + 4 + 1 = 44 calls
+# set $pre also copies it into $post for $spk: 34 + 4 + 4 + 1 = 43 calls
 @pytest.mark.parametrize("kind, calls, allocations",
-                         [("quiet", 35, 9), ("crossing", 39, 10), ("stored", 44, 11)],
+                         [("quiet", 34, 9), ("crossing", 38, 10), ("stored", 43, 11)],
                          ids=["quiet", "crossing", "stored-past-peak"])
 def test_network_step_calls_and_allocations(monkeypatch, kind, calls, allocations):
     """The numpy calls one network step makes, counted by wrapping what the
@@ -447,15 +448,18 @@ def test_network_step_calls_and_allocations(monkeypatch, kind, calls, allocation
 
 
 @pytest.mark.parametrize("form, split", [
-    ("regimes", {"step": 23, "call": 10, "run": 0, "constant": 3}),
+    ("regimes", {"step": 22, "call": 10, "run": 1, "constant": 3}),
     ("full-range", {"step": 29, "call": 5, "run": 2, "constant": 0}),
-    ("network", {"step": 34, "call": 0, "run": 2, "constant": 0})], ids=lambda x: x)
+    ("network", {"step": 33, "call": 0, "run": 3, "constant": 0})], ids=lambda x: x)
 def test_shipped_forms_split_ops_by_when_they_run(form, split):
     """The shipped schedule's 36 ops by when each compiled form runs them:
     each step, once per loop call, once per run (``hoist``) or never, a
     constant.  The regime form (``@alpha`` and ``@beta`` 0) folds ``$decay``,
     ``$mod`` and ``$gain`` and runs the synaptic path once per call; the
-    array forms, with no such point, only hoist ``$mod`` and ``$gain``."""
+    array forms, with no such point, only hoist ``$mod`` and ``$gain``.  The
+    membrane sum's chain sums ``@kbias + iconst`` once a run in the regime
+    and network forms, and adds ``$i`` to it once per call in the regime
+    form; the full-range form keeps a clip on ``$i``, so its chain stays."""
     step = {"regimes": regimes.step_regime, "full-range": neuron.step_fields,
             "network": network.step_fields_network}[form]
     assert step.split == split and sum(split.values()) == 36

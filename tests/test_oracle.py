@@ -290,18 +290,30 @@ ARITY = {"mov": 1, "rnd": 1, "sel": 3, **dict.fromkeys(["add", "sub", "mul", "mu
 # or skips: a select into its else operand; a select whose x only it reads,
 # computed from a temporary (of DA, so not hoisted) another op reads after
 # it; a copy whose source is rewritten; a select whose x is computed from a
-# temporary rewritten before it (sunk on a held copy); a constant only after
-# its clip (140 << 12 saturates) read where a clip binds; a product whose
-# clip binds (DA * DA) shifted in place, which may not fuse past that clip;
-# and a select of an int and a flag, which may not skip to the flag (numpy
-# adds bools as or); each letter a register of its own, each p a drawn
-# operand, any other token as written
+# temporary rewritten before it (sunk on a held copy), written to a field,
+# which every form returns; a constant only after its clip (140 << 12
+# saturates) read where a clip binds; a product whose clip binds (DA * DA)
+# shifted in place, which may not fuse past that clip; and a select of an
+# int and a flag, which may not skip to the flag (numpy adds bools as or),
+# written to a field; an add/sub chain of terms fixed each step (q, read
+# before its write), once a call (DA; each step in the array form) and once
+# a run (constants), which sums the last two first, and one whose link keeps
+# a clip (DA << 8 saturates), across which it may not; a temporary (t) read
+# by one op after its operand is rewritten, which may not be inlined into
+# that reader; and a product by a constant its rescale 2^12 does not divide
+# (@kquad), of an operand small enough that the product stays inside a
+# field; each letter a register of its own, q a field of the block's word,
+# each p a drawn operand, any other token as written
 MOTIFS = (("gt f p p", "add y p p", "sel y f p y"),
           ("gt f p p", "add t DA p", "add x t t", "add y t p", "sel z f x y"),
           ("add t p p", "mov c t", "add t t p"),
-          ("gt f p p", "add t DA p", "add x t p", "add t t p", "sel z f x t"),
+          ("gt f p p", "add t q @one", "add x t q", "add t t q", "sel z f x t", "mov q z"),
           ("shl t @kbias 12", "sub y p t"), ("mul t DA DA", "shr t t 2"),
-          ("gt f DA p", "gt y p p", "sel z f p y", "add x z z"))
+          ("gt f DA q", "gt y q p", "sel z f q y", "add x z z", "mov q x"),
+          ("add t q @kbias", "sub x t DA", "add y x @one", "sub q y q"),
+          ("shl t DA 8", "add x t @kbias", "sub y x @one", "shr q y 17"),
+          ("add x q @one", "shr t x 1", "add x x @one", "add y x x", "sub q t y"),
+          ("shr t p 16", "mul q t @kquad"))
 
 
 @st.composite
@@ -319,6 +331,7 @@ def generated(draw):
         fields = [name for name, (w, _, _) in FIELD_LAYOUT.items() if w == word]
         motif = draw(st.sampled_from([()] * 3 + list(MOTIFS)))
         names = dict(zip("fyxztc", draw(st.permutations([f"$r{r}" for r in range(6)]))))
+        names["q"] = draw(st.sampled_from(fields))
         for line in motif or [None]:
             pool = st.sampled_from([*fields, *INPUTS, *CONSTANTS, *registers, *registers])
             if line:  # its operands mostly fields, so that its values are arrays

@@ -1,8 +1,15 @@
 """Block-schedule validation, parsing and compilation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import neurocore
+from neurocore import network, neuron, regimes
 from neurocore.compiler import ARRAYS, INTS, compile_schedule, plan_schedule, run_corners
 from neurocore.fxp import ICONST_FMT, REG_FMT, U_FMT, V_FMT
 from neurocore.schedule import (
@@ -346,6 +353,67 @@ class TestRewrites:
         names = self.run_both([Op(mnemonic, "$q", ("@k", "v"))], ("$q",),
                               lambda v: ((k * v) >> shift,), v=V_FMT)
         assert (f"_i{shift}" not in names) == (k % (1 << shift) == 0)
+
+    def test_sum_chain_sums_earlier_terms_first(self):
+        """v - @kbias - iconst + v, with v written last, so read each step:
+        the two terms fixed once a run, both subtracted, are summed once in
+        ``hoist``, and the step subtracts that sum; exact on both forms."""
+        ops = [Op("sub", "$a", ("v", "@kbias")), Op("sub", "$b", ("$a", "iconst")),
+               Op("add", "$c", ("$b", "v")), Op("mov", "v", ("$c",))]
+        kbias = CONSTANTS["@kbias"]
+        self.run_both(ops, ("$c",), lambda v, iconst: (2 * v - kbias - iconst,),
+                      v=V_FMT, iconst=ICONST_FMT)
+        for form in (INTS, ARRAYS):
+            hoist = compile_schedule(program(*ops), form, ("$c",)).source.split("def step")[0]
+            assert "573440 + iconst" in hoist
+
+    def test_sum_chain_stays_across_a_kept_clip(self):
+        """A link whose clip can bind (v * v saturates the register) ends
+        the chain: nothing is summed ahead of it."""
+        ops = [Op("mul", "$p", ("v", "v")), Op("add", "$a", ("$p", "$p")),
+               Op("add", "$b", ("$a", "@kbias")), Op("add", "$c", ("$b", "iconst")),
+               Op("mov", "v", ("$c",))]
+        reg = lambda x: min(max(x, REG_FMT.min_raw), REG_FMT.max_raw)
+        want = lambda v, iconst: (
+            reg(reg(reg(2 * reg((v * v) >> 12)) + CONSTANTS["@kbias"]) + iconst),)
+        self.run_both(ops, ("$c",), want, v=V_FMT, iconst=ICONST_FMT)
+        assert "_sum" not in compile_schedule(program(*ops), results=("$c",)).source
+
+    def test_no_temporary_inlined_past_a_rewrite_of_its_operand(self):
+        """$t, read once, by $c, after its operand $x is rewritten: it keeps
+        its own statement, and $c reads the $x it read."""
+        ops = [Op("add", "$x", ("v", "@one")), Op("shr", "$t", ("$x", "1")),
+               Op("add", "$x", ("$x", "@one")), Op("add", "$y", ("$x", "$x")),
+               Op("sub", "$c", ("$t", "$y")), Op("mov", "v", ("$c",))]
+        one = CONSTANTS["@one"]
+        self.run_both(ops, ("$c",), lambda v: ((v + one >> 1) - 2 * (v + 2 * one),), v=V_FMT)
+        assert "r_t = " in compile_schedule(program(*ops), results=("$c",)).source
+
+    def test_regime_loop_sums_fixed_terms_once_and_inlines(self):
+        """The regime loop: @kbias + iconst summed once a run, $i added to it
+        once a call, and each single-reader temporary of a step inside its
+        reader, so v's update is one statement."""
+        source = regimes.step_regime.source
+        body = source.split("for _ in range(_n):\n")[1]
+        assert "_sum22_1 = 573440 + iconst" in source.split("def step")[0]
+        assert "_sum22_2 = _sum22_1 + " in source.split("for _ in")[0]
+        assert "r_bv =" not in body and "r_dv" not in body
+        assert "        v = v + ((((_sum22_2 + " in body
+
+    def test_shipped_sources_do_not_depend_on_the_string_hash(self):
+        """Every shipped form's generated source is byte-identical in two
+        interpreters whose string hashes differ, and in this one."""
+        forms = ("neuron.step_fields", "neuron.step_fields_batch",
+                 "network.step_fields_network", "regimes.step_regime")
+        code = "from neurocore import network, neuron, regimes\n" + "".join(
+            f"print({form}.source)\n" for form in forms)
+        path = os.pathsep.join(filter(None, [str(Path(neurocore.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH")]))
+        runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=os.environ | {"PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                               timeout=60, check=True).stdout for seed in ("1", "2")]
+        here = "".join(eval(form).source + "\n" for form in forms)
+        assert runs == [here, here]
 
 
 def hoisting(form, *args):
