@@ -403,16 +403,18 @@ class TestRewrites:
     def test_shipped_sources_do_not_depend_on_the_string_hash(self):
         """Every shipped form's generated source is byte-identical in two
         interpreters whose string hashes differ, and in this one."""
-        forms = ("neuron.step_fields", "neuron.step_fields_batch",
-                 "network.step_fields_network", "regimes.step_regime")
+        forms = {"neuron.step_fields": neuron.step_fields,
+                 "neuron.step_fields_batch": neuron.step_fields_batch,
+                 "network.step_fields_network": network.step_fields_network,
+                 "regimes.step_regime": regimes.step_regime}
         code = "from neurocore import network, neuron, regimes\n" + "".join(
-            f"print({form}.source)\n" for form in forms)
+            f"print({name}.source)\n" for name in forms)
         path = os.pathsep.join(filter(None, [str(Path(neurocore.__file__).parents[1]),
                                              os.environ.get("PYTHONPATH")]))
         runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                env=os.environ | {"PYTHONPATH": path, "PYTHONHASHSEED": seed},
                                timeout=60, check=True).stdout for seed in ("1", "2")]
-        here = "".join(eval(form).source + "\n" for form in forms)
+        here = "".join(step.source + "\n" for step in forms.values())
         assert runs == [here, here]
 
 
