@@ -15,8 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .planner import _GRID, _NAME, _RESCALE, ScheduleError, _local, plan_schedule, regroup_sums
-from .schedule import FIELD_FORMATS, INPUTS, BlockSchedule
+from .planner import _GRID, _NAME, _RESCALE, _local, plan_schedule, regroup_sums
+from .schedule import FIELD_FORMATS, INPUTS, BlockSchedule, ScheduleError
 
 # Python source of each op's value (``sel``'s and ``rnd``'s are the Form's)
 # before any rescale shift, and the ufunc that writes it into an array
