@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .neuron import DT_MS
 from .network import SpikeRecord
 
@@ -76,12 +78,12 @@ CSV_HEADER = "step,time_ms,population,neuron"
 def export_raster_csv(record: SpikeRecord, path: str | Path) -> Path:
     """Write the record as CSV (one event per line, LF endings)."""
     path = Path(path)
-    lines = [CSV_HEADER]
-    lines.extend(
-        f"{step},{step * DT_MS:g},{pop},{neuron}"
-        for step, pop, neuron in record.events
-    )
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    steps, codes, neurons = record.columns
+    fields = [None] * (4 * len(steps))  # each event's four fields in turn
+    fields[0::4], fields[1::4] = steps.tolist(), (steps * DT_MS).tolist()
+    fields[2::4] = np.array(record.names, dtype=object)[codes].tolist()
+    fields[3::4] = neurons.tolist()
+    path.write_text(f"{CSV_HEADER}\n" + "%d,%g,%s,%d\n" * len(steps) % tuple(fields), newline="\n")
     return path
 
 
@@ -94,53 +96,37 @@ def export_raster_svg(
     """Write a static scatter raster: x = time (ms), y = neuron index,
     one labelled band per named population, in order, scaled to its size."""
     path = Path(path)
-    last_step = max((step for step, _, _ in record.events), default=1)
-    t_max = max(last_step * DT_MS, DT_MS)
-
+    steps, codes, neurons = record.columns
+    t_max = int(steps.max(initial=1)) * DT_MS  # one step at least
     width, band_height, margin_left, margin_top = 900, 80, 90, 24
     plot_w = width - margin_left - 20
-    height = margin_top + band_height * max(len(populations), 1) + 40
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+    axis_y = margin_top + band_height * max(len(populations), 1)
+    height, font = axis_y + 40, 'font-size="11" font-family="sans-serif"'
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+             f'viewBox="0 0 {width} {height}">',
+             f'<rect width="{width}" height="{height}" fill="white"/>']
     band_of = {pop: i for i, pop in enumerate(populations)}
     for pop, band in band_of.items():
         y0 = margin_top + band * band_height
-        parts.append(
-            f'<rect x="{margin_left}" y="{y0}" width="{plot_w}" height="{band_height}" '
-            'fill="none" stroke="#ccc"/>'
-        )
-        parts.append(
-            f'<text x="{margin_left - 6}" y="{y0 + band_height / 2:.0f}" '
-            'text-anchor="end" font-size="11" font-family="sans-serif">'
-            f"{_svg_escape(pop)}</text>"
-        )
-    for step, pop, neuron in record.events:
-        if pop not in band_of:
-            continue
-        x = margin_left + (step * DT_MS) / t_max * plot_w
-        y0 = margin_top + band_of[pop] * band_height
-        y = y0 + band_height - (neuron + 0.5) / population_sizes[pop] * band_height
-        parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="0.8" fill="#1f3c88"/>')
-    axis_y = margin_top + band_height * max(len(populations), 1)
-    parts.append(
-        f'<line x1="{margin_left}" y1="{axis_y}" x2="{margin_left + plot_w}" '
-        f'y2="{axis_y}" stroke="black"/>'
-    )
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        x = margin_left + frac * plot_w
-        parts.append(
-            f'<text x="{x:.0f}" y="{axis_y + 16}" text-anchor="middle" '
-            f'font-size="11" font-family="sans-serif">{frac * t_max:.0f}</text>'
-        )
-    parts.append(
-        f'<text x="{margin_left + plot_w / 2:.0f}" y="{axis_y + 32}" '
-        'text-anchor="middle" font-size="11" font-family="sans-serif">time (ms)</text>'
-    )
-    parts.append("</svg>")
+        parts += [f'<rect x="{margin_left}" y="{y0}" width="{plot_w}" height="{band_height}" '
+                  'fill="none" stroke="#ccc"/>',
+                  f'<text x="{margin_left - 6}" y="{y0 + band_height / 2:.0f}" text-anchor="end" '
+                  f'{font}>{_svg_escape(pop)}</text>']
+    # each drawn event's x and y, in the operation order of one event's Python floats
+    band, size = np.array([(band_of[name], population_sizes[name]) if name in band_of else (-1, 1)
+                           for name in record.names], dtype=np.int64).reshape(-1, 2)[codes].T
+    drawn = band >= 0
+    x = margin_left + (steps[drawn] * DT_MS) / t_max * plot_w
+    y = (margin_top + band[drawn] * band_height + band_height
+         - (neurons[drawn] + 0.5) / size[drawn] * band_height)
+    circles = ('<circle cx="%.1f" cy="%.1f" r="0.8" fill="#1f3c88"/>\n' * len(x)
+               % tuple(np.column_stack((x, y)).ravel().tolist()))
+    parts.append(f'{circles}<line x1="{margin_left}" y1="{axis_y}" x2="{margin_left + plot_w}" '
+                 f'y2="{axis_y}" stroke="black"/>')
+    parts += [f'<text x="{margin_left + frac * plot_w:.0f}" y="{axis_y + 16}" text-anchor="middle" '
+              f'{font}>{frac * t_max:.0f}</text>' for frac in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    parts += [f'<text x="{margin_left + plot_w / 2:.0f}" y="{axis_y + 32}" text-anchor="middle" '
+              f'{font}>time (ms)</text>', "</svg>"]
     path.write_text("\n".join(parts) + "\n", newline="\n")
     return path
 

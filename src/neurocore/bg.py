@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import RunConfig
 from .network import Network, SpikeRecord
 from .neuron import DT_MS
@@ -48,18 +50,15 @@ def measure_rates(
     populations: dict[str, int],
     window_ms: tuple[float, float],
 ) -> tuple[dict[str, float], dict[str, int]]:
-    """Mean per-neuron firing rate (Hz) of each population over the window."""
+    """Mean per-neuron firing rate (Hz) of each population over the window [start, end) ms."""
     start, end = window_ms
-    seconds = (end - start) / 1000.0
-    counts = dict.fromkeys(populations, 0)
-    for step, pop, _ in record.events:
-        t = step * DT_MS
-        if pop in counts and start <= t < end:
-            counts[pop] += 1
-    rates = {
-        pop: counts[pop] / (size * seconds) for pop, size in populations.items()
-    }
-    return rates, counts
+    if not start < end:
+        raise ValueError(f"rate window {window_ms} ms is empty: its start must lie below its end")
+    times, codes = record.columns[0] * DT_MS, record.columns[1]
+    inside = np.bincount(codes[(start <= times) & (times < end)], minlength=len(record.names))
+    counted = dict(zip(record.names, inside.tolist()))
+    counts, seconds = {pop: counted.get(pop, 0) for pop in populations}, (end - start) / 1000.0
+    return {pop: counts[pop] / (size * seconds) for pop, size in populations.items()}, counts
 
 
 def run_condition(cfg: RunConfig, condition: str, delta_dop: float) -> ConditionResult:

@@ -19,7 +19,7 @@ row in connection order.  Each step runs strictly ordered phases:
   4. the sources' spikes and one ``nonzero`` over the whole spike mask
      become one array of pre ids, which the next step delivers and ``run``
      appends to its ``SpikeRecord`` as it is; only reading the record cuts
-     ids into (step, population, neuron) events.
+     them, all at once, into int64 step, population and neuron columns.
 
 Spikes therefore take exactly one step of axonal delay at dt = 1/8 ms.
 Integer sums do not depend on order and float sums follow table order, so a
@@ -29,8 +29,10 @@ Integer sums do not depend on order and float sums follow table order, so a
 from __future__ import annotations
 
 import math
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -156,47 +158,58 @@ class SynapseGroup:
 
     def summed(self, spiking: np.ndarray, size: int) -> np.ndarray:
         """Given pre ids' weights summed per post index, rows read as slices."""
-        bounds, post, weight = self._bounds, self.post_idx, self.weight
-        rows = [slice(bounds[i], bounds[i + 1]) for i in spiking.tolist()]
-        return np.bincount(np.concatenate([post[r] for r in rows]),
-                           np.concatenate([weight[r] for r in rows]), minlength=size)
+        b, post, weight, rows = self._bounds, self.post_idx, self.weight, spiking.tolist()
+        return np.bincount(np.concatenate([post[b[i]:b[i + 1]] for i in rows]),
+                           np.concatenate([weight[b[i]:b[i + 1]] for i in rows]), minlength=size)
 
 
 class SpikeRecord:
-    """Append-only record of (step, population, neuron) spike events, the one
-    place where ids become events.  ``append(step, (names, starts), ids)``
-    keeps ids that must not change after: id ``i`` is neuron ``i - starts[k]``
-    of ``names[k]``, ``k`` the last with ``starts[k] <= i``, and a name None is
-    not recorded.  Reading ``events`` cuts every array appended since with one
-    ``searchsorted`` into its one list of Python ints, in append order."""
+    """Append-only record of spike events, the one place where ids become
+    events.  ``append(step, (names, starts), ids)`` keeps ids that must not
+    change after: id ``i`` is neuron ``i - starts[k]`` of ``names[k]``, ``k``
+    the last with ``starts[k] <= i``, and a name None is not recorded.
+    Reading ``columns`` cuts every array appended since, with one
+    ``searchsorted``, onto int64 step, ``names`` index and neuron columns in
+    append order; ``events`` lists them as (step, name, neuron) tuples."""
 
     def __init__(self) -> None:
-        self._events, self._appended = [], []
+        self.names, self._events, self._columns = [], [], (_NO_IDS,) * 3
+        self._steps, self._tables, self._indices = array("q"), [], []
 
     def append(self, step: int, table: tuple, indices) -> None:
-        self._appended.append((step, table, indices))
+        self._steps.append(step)
+        self._tables.append(table)
+        self._indices.append(indices)
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._indices:
+            steps, tables, indices = np.array(self._steps), self._tables, self._indices
+            self._steps, self._tables, self._indices = array("q"), [], []
+            # each table's ids moved 2**32 apart, so that one searchsorted cuts all
+            unique = dict(zip(map(id, tables), tables))
+            shift = {key: k << 32 for k, key in enumerate(unique)}
+            slots = [name for group, _ in unique.values() for name in group]
+            self.names += [n for n in dict.fromkeys(slots) if n is not None and n not in self.names]
+            starts = np.array([shift[key] + x for key, (_, s) in unique.items() for x in s])
+            lengths = list(map(len, indices))
+            ids = np.concatenate([_NO_IDS, *compress(indices, lengths)])
+            if len(unique) > 1:
+                ids += np.repeat([shift[id(t)] for t in tables], lengths)
+            where = starts.searchsorted(ids, "right") - 1
+            codes = np.array([-1 if n is None else self.names.index(n) for n in slots])[where]
+            self._columns = tuple(np.concatenate((old, new[codes >= 0])) for old, new in zip(
+                self._columns, (np.repeat(steps, lengths), codes, ids - starts[where])))
+        return self._columns
 
     @property
     def events(self) -> list[tuple[int, str, int]]:
-        if self._appended:
-            steps, tables, indices = zip(*self._appended)
-            self._appended.clear()
-            # each table's ids moved 2**32 apart, so that one searchsorted cuts all
-            unique = {id(t): t for t in tables}
-            shift = {key: k << 32 for k, key in enumerate(unique)}
-            names = [name for group, _ in unique.values() for name in group]
-            starts = np.array([shift[key] + x for key, (_, s) in unique.items() for x in s])
-            lengths = [len(x) for x in indices]
-            ids = np.concatenate([_NO_IDS, *(np.asarray(x, dtype=np.int64) for x in indices)])
-            ids += np.repeat([shift[id(t)] for t in tables], lengths)
-            where = starts.searchsorted(ids, "right") - 1
-            self._events.extend(event for event in zip(
-                np.repeat(steps, lengths).tolist(), [names[i] for i in where.tolist()],
-                (ids - starts[where]).tolist()) if event[1] is not None)
+        steps, codes, neurons = (x[len(self._events):].tolist() for x in self.columns)
+        self._events.extend(zip(steps, map(self.names.__getitem__, codes), neurons))
         return self._events
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.columns[0])
 
 
 def _slices(specs: list[PopulationSpec]) -> dict[str, slice]:
@@ -414,8 +427,9 @@ class Network:
         if record not in self._tables:
             self._tables[record] = self._table(record)
         table, out = self._tables[record], into if into is not None else SpikeRecord()
+        step, append = self.step, out.append
         for _ in range(steps):
-            self.step()
+            step()
             if len(self._pending):
-                out.append(self.step_index - 1, table, self._pending)
+                append(self.step_index - 1, table, self._pending)
         return out

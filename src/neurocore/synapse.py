@@ -70,7 +70,8 @@ def _raw_limit(p: float) -> int:
 
 class _StepDraws:
     """A source's one kept generator and its block of drawn steps: the spikes
-    of step ``first + k`` are ``rows[k]``, read-only views of one array."""
+    of step ``first + k`` are ``rows[k]``, read-only views of one array, one
+    shared view for every empty row."""
 
     def __init__(self, stream_id: int):
         self.philox = np.random.Philox(0)  # every row sets its whole state
@@ -102,8 +103,8 @@ class _StepDraws:
         cuts = spikes.searchsorted(np.arange(0, rows * size + 1, size)).tolist()
         spikes %= size
         spikes.flags.writeable = False  # callers share the served rows
-        self.seed, self.first = seed, step
-        self.rows = [spikes[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        self.seed, self.first, empty = seed, step, spikes[:0]
+        self.rows = [spikes[lo:hi] if lo < hi else empty for lo, hi in zip(cuts, cuts[1:])]
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from neurocore.analysis import export_raster_csv
-from neurocore.bg import CONDITIONS, DELTA_DOP_BY_CONDITION, build_bg, run_condition
+from neurocore.analysis import export_raster_csv, export_raster_svg
+from neurocore.bg import (
+    CONDITIONS, DELTA_DOP_BY_CONDITION, build_bg, measure_rates, run_condition,
+)
 from neurocore.config import load_default_config
 from neurocore.fxp import DDOP_FMT, encode
 from neurocore.network import ConfigError, ConnectionSpec, Network
@@ -20,6 +22,15 @@ RASTER_SHA256_SEED1 = {
     ("float", "baseline"): "740b8afe49d93df6a49a998516625aa3f5045a50f606fb3497fe31adf42a0e71",
     ("float", "high"): "adb2cfa10c0f97c111243f4899ce976c18aeee42715df5153580b7740f1e5b4a",
     ("float", "low"): "78f0dba2464a6ff7df7a9e0ce43551b5ab3897c84c272c5f6f356ef28657420f",
+}
+# the SVG rasters of the same runs, every recorded population at its size
+RASTER_SVG_SHA256_SEED1 = {
+    ("fixed", "baseline"): "17608d4179bda638745f0c6cca8745b6cb7d4c4e84baca04d0e6dc37636fe1d3",
+    ("fixed", "high"): "8340263b01b35ad2a9852f3c6c389f433d7c541d0250e893edbadda1a8850ace",
+    ("fixed", "low"): "82fcae0f24aaacd38120668d15b1c64284628b9efdf3f38c6306b694e3e28592",
+    ("float", "baseline"): "f56535b1391bcc5a2e795667364279b28ad314ad25bb868aa59edaff80a3a22a",
+    ("float", "high"): "bd90f6de223c8b885e65e8f829e6b06fd410acfe894e926e134326efae36a675",
+    ("float", "low"): "bb094b1bdf63c3f6ccc48cafa26478ee99eb4f12290da1b5157513cc4e5b0124",
 }
 
 
@@ -197,13 +208,26 @@ class TestGonogoRun:
     @pytest.mark.parametrize("condition", CONDITIONS)
     def test_seed1_raster_digest(self, tmp_path, backend, condition):
         # SHA-256 of each seed-1, 1 s raster CSV as the per-population engine
-        # wrote it; the float digests pin the order of delivered additions
+        # wrote it; the float digests pin the order of delivered additions,
+        # and the SVG digests each circle's rounded position
         cfg = replace(load_default_config(), seed=1, backend=backend)
         result = run_condition(cfg, condition, DELTA_DOP_BY_CONDITION[condition])
         csv = export_raster_csv(result.record, tmp_path / "raster.csv")
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == RASTER_SHA256_SEED1[
             backend, condition
         ]
+        recorded = cfg.recorded
+        svg = export_raster_svg(result.record, tmp_path / "raster.svg", list(recorded), recorded)
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == RASTER_SVG_SHA256_SEED1[
+            backend, condition
+        ]
+
+    @pytest.mark.parametrize("window", [(1.0, 1.0), (5.0, 1.0), (float("nan"), 1.0)])
+    def test_empty_rate_window_rejected(self, window):
+        # an empty window has no duration to divide by, a reversed one no events
+        record = build_bg(resized(5, 5)).run(80)
+        with pytest.raises(ValueError, match=rf"^rate window \({window[0]}, 1.0\) ms is empty"):
+            measure_rates(record, {"STN": 5}, window)
 
     def test_steps_follow_timestep(self):
         assert replace(load_default_config(), duration_ms=1000.0).steps == 8000

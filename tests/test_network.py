@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neurocore import network
-from neurocore.bg import build_bg
+from neurocore.analysis import CSV_HEADER, export_raster_csv
+from neurocore.bg import build_bg, measure_rates
 from neurocore.config import load_default_config
 from neurocore.fxp import DA_FMT, DA_PORT, Fixed, quantize_raw
 from neurocore.network import (
@@ -19,6 +20,7 @@ from neurocore.network import (
     build_connections,
 )
 from neurocore.neuron import (
+    DT_MS,
     CompartmentFields,
     NeuronParams,
     SimulationError,
@@ -358,24 +360,48 @@ class TestEngine:
         assert all(pop == "src" for _, pop, _ in explicit.events)
 
 
-def test_record_reads_equal_an_eager_list():
-    """Appends, lengths and event lists interleaved: every read equals the
-    list built eagerly, of Python ints in append order, and stays one list."""
+def test_record_reads_equal_an_eager_list(tmp_path):
+    """Appends from several tables, some names None, of array and list ids,
+    empty ones included, with lengths, event lists and columns read in
+    between: every read equals the list built eagerly, of Python ints in
+    append order, and stays one list; the columns hold that list, and the
+    rates and the CSV equal loops over it, the CSV the per-event writer's."""
+    tables = [(("P0", None, "P1"), (0, 10, 30)), (("P1",), (0,)), ((None, "P2", "P0"), (0, 5, 20))]
     record, eager = network.SpikeRecord(), []
     events = record.events
     rng = np.random.default_rng(3)
-    for step in range(60):
+    for k in range(60):
+        step, (names, starts) = 1013 * k, tables[k % 3]  # times that %g rounds
         indices = rng.choice(50, rng.integers(0, 4), replace=False)
-        if step % 4 == 0:
+        if k % 4 == 0:
             indices = indices.tolist()
-        record.append(step, ((f"P{step % 3}",), (0,)), indices)
-        eager.extend((step, f"P{step % 3}", int(i)) for i in indices)
-        if step % 3 == 0:
+        record.append(step, tables[k % 3], indices)
+        for i in indices:
+            slot = max(j for j, start in enumerate(starts) if start <= i)
+            if names[slot] is not None:
+                eager.append((step, names[slot], int(i) - starts[slot]))
+        if k % 3 == 0:
             assert len(record) == len(eager)
-        if step % 5 == 0:
+        if k % 5 == 0:
             assert record.events == eager
+        if k % 7 == 0:
+            steps, codes, neurons = record.columns
+            assert list(zip(steps.tolist(), [record.names[c] for c in codes.tolist()],
+                            neurons.tolist())) == eager
     assert record.events is events and events == eager
     assert {type(i) for _, _, i in events} == {int}
+    assert [column.dtype for column in record.columns] == [np.int64] * 3
+    sizes = {"P0": 10, "P1": 20, "P2": 15, "P3": 4}
+    for start, end in ((0.0, 1000.0), (1013 * 0.125, 5000.0), (2500.0, 1e5)):
+        counts = dict.fromkeys(sizes, 0)
+        for step, pop, _ in events:
+            if pop in counts and start <= step * DT_MS < end:
+                counts[pop] += 1
+        seconds = (end - start) / 1000.0
+        rates = {pop: counts[pop] / (size * seconds) for pop, size in sizes.items()}
+        assert measure_rates(record, sizes, (start, end)) == (rates, counts)
+    lines = [CSV_HEADER, *(f"{step},{step * DT_MS:g},{pop},{neuron}" for step, pop, neuron in events)]
+    assert export_raster_csv(record, tmp_path / "r.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_networks_stepped_alternately_equal_each_alone():
@@ -519,7 +545,7 @@ class TestRunRecordsWhatStepReturns:
         record, names = network.SpikeRecord(), {"STN", "GPe"}
         for _ in range(self.STEPS // 2):
             net.run(1, record=set(names), into=record)
-        assert len({id(table) for _, table, _ in record._appended}) == 1
+        assert len({id(table) for table in record._tables}) == 1
         whole = build_bg(replace(load_default_config(), seed=1)).run(self.STEPS // 2, record=names)
         assert record.events == whole.events
 

@@ -175,7 +175,12 @@ def mutant(line: str, after: str = "mov isyn <- $isyn") -> str:
 # only another one, on another flag, reads as its x; a skipped select that
 # writes its flag, before another on that flag; and one that runs in a later
 # select's branch, standing between two on one flag, on a value (v) that is
-# rewritten before that later select
+# rewritten before that later select; and one case for each rewrite the
+# cases above do not reach: a product whose clip binds (DA * DA), shifted
+# in place, which may not fuse past that clip; a select of an int and a flag,
+# on a flag each sub-batch fixes, which may not skip to the flag (numpy adds
+# bools as or); and a temporary read after its operand is rewritten, which
+# may not be written inside its reader
 SCHEDULES = {"shipped": (TEXT, ("$spk",)),
              "field-of-inputs": (mutant("sub isyn <- @alpha, @beta"), ("$spk",)),
              "register-of-inputs": (mutant("sub $k <- @alpha, @beta"), ("$spk", "$k")),
@@ -206,7 +211,13 @@ SCHEDULES = {"shipped": (TEXT, ("$spk",)),
                  mutant("sel $z <- $post, $da, v", "sel v <- $post, $c, v").replace(
                      "op: sel $spk <- $pre, $pre, $post\n",
                      "op: sel $spk <- $pre, $pre, $post\nop: sel $w <- $pre, $z, u\n"),
-                 ("$spk", "$w"))}
+                 ("$spk", "$w")),
+             "clip-before-a-shift": (mutant("mul $t <- DA, DA\nop: shr $t <- $t, 2"), ("$spk", "$t")),
+             "int-or-flag": (mutant("gt $f <- @alpha, @beta\nop: gt $y <- isyn, @one\n"
+                                    "op: sel $z <- $f, isyn, $y\nop: add $x <- $z, $z"), ("$spk", "$x")),
+             "read-after-its-operand-rewritten": (
+                 mutant("add $x <- isyn, @one\nop: shr $t <- $x, 1\nop: add $x <- $x, @one\n"
+                        "op: add $y <- $x, $x\nop: sub $q <- $t, $y"), ("$spk", "$q"))}
 # the input ranges of the three compiled forms the package runs
 RANGES = {"full-range": INPUTS, "network": network.STEP_INPUTS, "regimes": REGIME_INPUTS}
 
