@@ -237,7 +237,7 @@ def encode_neuron(
 # ---------------------------------------------------------------------------
 
 _VPEAK_RAW = encode(V_PEAK_DEFAULT, V_FMT).raw
-_field_values = attrgetter(*FIELD_LAYOUT)
+field_values = attrgetter(*FIELD_LAYOUT)
 
 _SCHEDULE = izhikevich_schedule()
 # step(*fields, DA, alpha, beta, v_peak, *step.hoist(*fields, alpha, beta,
@@ -275,7 +275,7 @@ def step_fixed(
     for (name, fmt), raw in zip(INPUTS.items(), inputs):
         if not fmt.min_raw <= raw <= fmt.max_raw:
             raise ValueError(f"{name} raw {raw} outside its compiled range {fmt}")
-    fields = _field_values(unpack(words))
+    fields = field_values(unpack(words))
     *fields, spiked = step_fields(*fields, *inputs, *step_fields.hoist(*fields, *inputs[1:]))
     return pack(CompartmentFields(*fields)), spiked
 
@@ -302,5 +302,5 @@ def step_fixed_batch(
     these constants, if given.  Returns the boolean spike mask.
     """
     step, inputs = compiled or step_fields_batch, (alpha_raw, beta_raw, v_peak_raw)
-    hoisted = step.hoist(*_field_values(batch), *inputs) if hoisted is None else hoisted
+    hoisted = step.hoist(*field_values(batch), *inputs) if hoisted is None else hoisted
     return step.update(batch, da_raw, *inputs, *hoisted)

@@ -23,18 +23,24 @@ summed once a run by ``step_regime.hoist``, the part of the membrane sum
 the segment fixes, so each step adds to it only the terms of v and u, in
 one expression.  On the float backend each segment is one call of
 ``float_update.loop``, the float reference's one text compiled for floats.
+Around those calls a run does little: it reads its start fields (or ``v``
+and ``u``) directly, encodes each configured value and segment current with
+``encode_checked`` (a range check and a rounding), and converts each
+recorded trace once, with ``np.fromiter`` at its known dtype and length.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import SpikeTrain, cv_isi
 from .compiler import compile_schedule
+from .config import check_duration
 from .fxp import DA_FMT, Q12, V_FMT, encode_checked
-from .neuron import DT_MS, NeuronParams, encode_neuron, float_update, initial_state
+from .neuron import (DT_MS, NeuronParams, encode_neuron, field_values, float_update,
+                     initial_state)
 from .schedule import INPUTS, izhikevich_schedule
 
 REST_V = -70.0
@@ -92,13 +98,25 @@ def run_batch(
     backend: str,
 ) -> list[SingleRun]:
     """Run isolated neurons one after another, each for exactly the steps of
-    its own protocol."""
+    its own protocol: one protocol for each parameter set, each segment a
+    duration ``config.check_duration`` accepts, or ``ValueError``."""
     if backend == "fixed":
         run = _run_fixed
     elif backend == "float":
         run = _run_float
     else:
         raise ValueError(f"unknown backend {backend!r}")
+    if len(params_list) != len(protocols):
+        raise ValueError(
+            f"params_list has {len(params_list)} entries but protocols has "
+            f"{len(protocols)}; each parameter set needs one protocol"
+        )
+    for protocol in protocols:
+        for segment in protocol:
+            try:
+                check_duration(segment[0])
+            except ValueError as error:
+                raise ValueError(f"segment {segment}: {error}") from None
     return [
         SingleRun(params, backend, protocol, *run(params, protocol))
         for params, protocol in zip(params_list, protocols)
@@ -125,7 +143,7 @@ def _run_fixed(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, li
     as Python ints through each protocol segment in one call; the state
     words are never packed."""
     rest, _, v_peak = encode_neuron(params, REST_V)
-    fields = astuple(rest)
+    fields = field_values(rest)
     hoisted = step_regime.hoist(*fields, 0, 0, v_peak)
     v_raw, spikes = [], []
     for ms, current in protocol:
@@ -134,17 +152,18 @@ def _run_fixed(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, li
         da = encode_checked("current", current, DA_FMT) << Q12 - DA_FMT.frac_bits
         *fields, _ = step_regime.loop(*fields, da, 0, 0, v_peak, *hoisted,
                                       round(ms / DT_MS), v_raw, spikes)
-    return np.array(v_raw) / V_FMT.scale, spikes
+    return np.fromiter(v_raw, np.int64, len(v_raw)) / V_FMT.scale, spikes
 
 
 def _run_float(params: NeuronParams, protocol: Protocol) -> tuple[np.ndarray, list[int]]:
     """The float reference's loop on ``v`` and ``u`` as floats, one call a
     protocol segment; a step that leaves them not finite raises."""
-    (v, u), v_mv, spikes = astuple(initial_state(params, v0=REST_V)), [], []
+    rest, v_mv, spikes = initial_state(params, v0=REST_V), [], []
+    v, u = rest.v, rest.u
     for ms, current in protocol:
         v, u = float_update.loop(params, v, u, params.i_const + current, round(ms / DT_MS),
                                  v_mv, spikes)
-    return np.array(v_mv), spikes
+    return np.fromiter(v_mv, np.float64, len(v_mv)), spikes
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Fixed-point arithmetic: worked examples and algebraic properties."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from neurocore import fxp
 from neurocore.fxp import (
     DA_FMT,
     ISYN_FMT,
@@ -27,6 +29,8 @@ from neurocore.fxp import (
 
 Q24_12 = FixedFormat(24, 12)
 Q16_12 = FixedFormat(16, 12)
+# every format fxp defines, by name
+FXP_FORMATS = {name: fmt for name, fmt in vars(fxp).items() if isinstance(fmt, FixedFormat)}
 
 
 def fixed(raw, fmt=Q24_12):
@@ -81,9 +85,37 @@ class TestEncode:
             encode_checked("delta_dop", bad, Q16_12)
 
     def test_checked_reports_saturation(self):
-        with pytest.raises(ValueError, match="delta_dop = 9 saturates its 16-bit field"):
+        with pytest.raises(ValueError, match=re.escape(
+                "delta_dop = 9 saturates its 16-bit field, range [-8.0, 7.999755859375]")):
             encode_checked("delta_dop", 9.0, Q16_12)
         assert encode_checked("delta_dop", -8.0, Q16_12) == Q16_12.min_raw
+
+    @pytest.mark.parametrize("name", sorted(FXP_FORMATS))
+    def test_checked_equals_encode_on_every_format(self, name):
+        """Random values, the +-half-lsb ties around random raws and both
+        range ends (with the ties next to them) encode as ``encode`` does."""
+        fmt = FXP_FORMATS[name]
+        rng = np.random.default_rng(fmt.width * 64 + fmt.frac_bits)
+        low, high = fmt.min_raw * fmt.lsb, fmt.max_raw * fmt.lsb
+        raws = rng.integers(fmt.min_raw, fmt.max_raw, 500, endpoint=True) * fmt.lsb
+        values = [
+            *rng.uniform(low, high, 2000).tolist(),
+            *(raws + fmt.lsb / 2).tolist(), *(raws - fmt.lsb / 2).tolist(),
+            low, high, low + fmt.lsb / 2, high - fmt.lsb / 2, -fmt.lsb / 2, fmt.lsb / 2, 0.0,
+        ]
+        values = [x for x in values if low <= x <= high]
+        assert [encode_checked(name, x, fmt) for x in values] == [
+            encode(x, fmt).raw for x in values
+        ]
+
+    @pytest.mark.parametrize("name", sorted(FXP_FORMATS))
+    def test_checked_rejects_one_lsb_past_either_end(self, name):
+        fmt = FXP_FORMATS[name]
+        low, high = fmt.min_raw * fmt.lsb, fmt.max_raw * fmt.lsb
+        for x in (low - fmt.lsb, high + fmt.lsb):
+            message = f"{name} = {x:g} saturates its {fmt.width}-bit field, range [{low}, {high}]"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                encode_checked(name, x, fmt)
 
 
 class TestDecode:

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -209,3 +211,31 @@ def test_bias_current_adds_to_the_protocol_current(backend):
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError, match="unknown backend"):
         run_batch([REGIME_PARAMS["RS"]], [((1.0, 0.0),)], "analog")
+
+
+@pytest.mark.parametrize("backend", ["fixed", "float"])
+def test_run_batch_rejects_unequal_counts(backend):
+    """Two parameter sets and one protocol is an error, not one run."""
+    with pytest.raises(ValueError, match="^params_list has 2 entries but protocols has 1;"):
+        run_batch([REGIME_PARAMS["RS"], REGIME_PARAMS["FS"]], [constant_current(10.0, 1.0)], backend)
+
+
+@pytest.mark.parametrize("backend", ["fixed", "float"])
+@pytest.mark.parametrize("duration", [-5.0, 0.0, 0.05])
+def test_run_batch_rejects_a_segment_of_no_steps(backend, duration):
+    """A negative segment, or one that rounds to no step, is an error, not
+    a segment of 0 steps."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"segment ({duration}, 10.0): duration_ms must be finite and round to at "
+            f"least one 0.125 ms timestep, got {duration:g}")):
+        run_batch([REGIME_PARAMS["RS"]], [((duration, 10.0), (1.0, 10.0))], backend)
+
+
+@pytest.mark.parametrize("backend", ["fixed", "float"])
+@pytest.mark.parametrize("duration", [math.inf, math.nan])
+def test_run_batch_rejects_a_duration_that_is_not_finite(backend, duration):
+    """An infinite (or NaN) segment is a ``ValueError`` naming it, not
+    ``round``'s ``OverflowError`` (or its NaN ``ValueError``)."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"segment ({duration}, 10.0): duration_ms must be finite")):
+        run_batch([REGIME_PARAMS["RS"]], [((1.0, 10.0), (duration, 10.0))], backend)
