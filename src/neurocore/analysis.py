@@ -75,16 +75,21 @@ def cv_isi(train: SpikeTrain, after_ms: float = 0.0) -> float:
 CSV_HEADER = "step,time_ms,population,neuron"
 
 
+def write_csv(path: str | Path, header: str, row: str, columns: list[np.ndarray]) -> Path:
+    """Write ``header``, then the ``%`` template ``row`` per row of ``columns``, LF-ended."""
+    path, width, rows = Path(path), len(columns), len(columns[0])
+    fields = [None] * (width * rows)  # each row's fields in turn
+    for i, column in enumerate(columns):
+        fields[i::width] = column.tolist()
+    path.write_text(f"{header}\n" + row * rows % tuple(fields), newline="\n")
+    return path
+
+
 def export_raster_csv(record: SpikeRecord, path: str | Path) -> Path:
     """Write the record as CSV (one event per line, LF endings)."""
-    path = Path(path)
     steps, codes, neurons = record.columns
-    fields = [None] * (4 * len(steps))  # each event's four fields in turn
-    fields[0::4], fields[1::4] = steps.tolist(), (steps * DT_MS).tolist()
-    fields[2::4] = np.array(record.names, dtype=object)[codes].tolist()
-    fields[3::4] = neurons.tolist()
-    path.write_text(f"{CSV_HEADER}\n" + "%d,%g,%s,%d\n" * len(steps) % tuple(fields), newline="\n")
-    return path
+    names = np.array(record.names, dtype=object)[codes]
+    return write_csv(path, CSV_HEADER, "%d,%g,%s,%d\n", [steps, steps * DT_MS, names, neurons])
 
 
 def export_raster_svg(

@@ -10,32 +10,31 @@ beta < 0) is suppressed, so raising the dopamine level quiets the output
 nucleus (action released) and lowering it drives the output up (action
 suppressed).
 
-The experiment runs the same network, same seed, under three dopamine
-deviations (0, +1, -1) and reports per-population mean rates over the
-post-transient analysis window.
+The experiment builds the network once and runs a copy of it under each of
+three dopamine deviations (0, +1, -1); it reports per-population mean rates
+over the post-transient analysis window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig
-from .network import Network, SpikeRecord
+from .network import ConfigError, Network, SpikeRecord
 from .neuron import DT_MS
 
 DELTA_DOP_BY_CONDITION = {"baseline": 0.0, "high": 1.0, "low": -1.0}
-CONDITIONS = tuple(DELTA_DOP_BY_CONDITION)
 
 
 @dataclass
 class ConditionResult:
-    condition: str
     delta_dop: float
     record: SpikeRecord
     rates: dict[str, float]
-    spike_counts: dict[str, int] = field(default_factory=dict)
+    spike_counts: dict[str, int]
 
 
 def build_bg(cfg: RunConfig) -> Network:
@@ -61,19 +60,16 @@ def measure_rates(
     return {pop: counts[pop] / (size * seconds) for pop, size in populations.items()}, counts
 
 
-def run_condition(cfg: RunConfig, condition: str, delta_dop: float) -> ConditionResult:
-    """Build the network fresh, apply the dopamine level, run, and measure."""
-    net = build_bg(cfg)
-    net.set_dopamine(delta_dop)
-    recorded = cfg.recorded
-    spike_record = net.run(cfg.steps, record=recorded)
-    rates, counts = measure_rates(spike_record, recorded, (cfg.settle_ms, cfg.duration_ms))
-    return ConditionResult(condition, delta_dop, spike_record, rates, counts)
-
-
-def run_gonogo(cfg: RunConfig) -> dict[str, ConditionResult]:
-    """Run the three dopamine conditions with an identical seed and inputs."""
-    return {
-        condition: run_condition(cfg, condition, delta_dop)
-        for condition, delta_dop in DELTA_DOP_BY_CONDITION.items()
-    }
+def run_gonogo(net: Network, cfg: RunConfig) -> dict[str, ConditionResult]:
+    """Run each condition in turn on a copy of ``net``, built from ``cfg`` and never stepped."""
+    if net.step_index:
+        raise ConfigError(f"the network has run {net.step_index} steps: a copy would start there")
+    results, recorded = {}, cfg.recorded
+    for condition, delta_dop in DELTA_DOP_BY_CONDITION.items():
+        twin = copy.deepcopy(net)
+        twin.set_dopamine(delta_dop)
+        record = twin.run(cfg.steps, record=recorded)
+        del twin  # so that no two copies are alive at once
+        rates, counts = measure_rates(record, recorded, (cfg.settle_ms, cfg.duration_ms))
+        results[condition] = ConditionResult(delta_dop, record, rates, counts)
+    return results

@@ -26,6 +26,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, regimes
 from .bg import build_bg, run_gonogo
 from .compiler import ARRAYS, INTS, compile_schedule, plan_schedule, run_corners
@@ -97,12 +99,9 @@ def cmd_regimes(args) -> int:
     for backend in ("float", "fixed"):
         runs = regimes.run_demonstrations(backend, args.duration_ms)
         for name, run in runs.items():
-            trace_path = out / f"regime_{name.lower()}_{backend}.csv"
-            lines = ["step,time_ms,v_mv"]
-            lines.extend(
-                f"{t},{t * DT_MS:g},{v:.6f}" for t, v in enumerate(run.v_mv)
-            )
-            trace_path.write_text("\n".join(lines) + "\n", newline="\n")
+            steps = np.arange(len(run.v_mv))
+            analysis.write_csv(out / f"regime_{name.lower()}_{backend}.csv", "step,time_ms,v_mv",
+                               "%d,%g,%.6f\n", [steps, steps * DT_MS, run.v_mv])
         checks += regimes.classify_runs(runs, backend)
     report = "".join(
         f"{'PASS' if c.passed else 'FAIL'}  {c.regime:8s} [{c.backend}]  {c.detail}\n"
@@ -116,14 +115,13 @@ def cmd_regimes(args) -> int:
 
 def cmd_errt(args) -> int:
     check_duration(args.duration_ms)
+    rows = [f"{name}: {analysis.errt(ref, test):.3f}%   (first interval {ref.intervals()[0]:g} ms "
+            f"float, {test.intervals()[0]:g} ms fixed)"  # all made first: a rejection prints none
+            for name, (ref, test) in regimes.timing_comparison(args.duration_ms).items()]
     print("spike-timing accuracy (reference: float backend)")
     print(f"stimulus: constant I={regimes.DEMO_CURRENT:g}, "
           f"{args.duration_ms:g} ms, dt = {DT_MS} ms")
-    for name, (ref, test) in regimes.timing_comparison(args.duration_ms).items():
-        value = analysis.errt(ref, test)
-        gap_ref, gap_test = ref.intervals()[0], test.intervals()[0]
-        print(f"{name}: {value:.3f}%   (first interval {gap_ref:g} ms float, "
-              f"{gap_test:g} ms fixed)")
+    print(*rows, sep="\n")
     return 0
 
 
@@ -137,11 +135,11 @@ def cmd_gonogo(args) -> int:
             raise ConfigError(f"{ENV_SEED}={os.environ[ENV_SEED]!r} is not an integer") from exc
     overrides = {"seed": seed, "backend": args.backend, "duration_ms": args.duration_ms}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    build_bg(config)  # a circuit its build rejects exits before the directory is made
+    net = build_bg(config)  # a circuit its build rejects exits before the directory is made
     out = _out_dir(args.out or os.environ.get(ENV_OUT) or config.out_dir)
 
     t0 = time.perf_counter()
-    results = run_gonogo(config)
+    results = run_gonogo(net, config)
     elapsed = time.perf_counter() - t0
     total_steps = len(results) * config.steps
 

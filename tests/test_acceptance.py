@@ -90,7 +90,7 @@ def test_criterion_3_gonogo_signature():
     started = time.perf_counter()
     for seed in GONOGO_SEEDS:
         cfg = replace(load_default_config(), duration_ms=1000.0, seed=seed, backend="fixed")
-        results = run_gonogo(cfg)
+        results = run_gonogo(build_bg(cfg), cfg)
         gpi = {c: r.rates["GPi/SNr"] for c, r in results.items()}
         assert gpi["high"] < gpi["baseline"] < gpi["low"], (seed, gpi)
         d1 = {c: r.rates["STR_D1"] for c, r in results.items()}

@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from neurocore.analysis import export_raster_csv, export_raster_svg
-from neurocore.bg import (
-    CONDITIONS, DELTA_DOP_BY_CONDITION, build_bg, measure_rates, run_condition,
-)
+from neurocore.bg import DELTA_DOP_BY_CONDITION, build_bg, measure_rates, run_gonogo
 from neurocore.config import load_default_config
 from neurocore.fxp import DDOP_FMT, encode
 from neurocore.network import ConfigError, ConnectionSpec, Network
@@ -180,13 +178,31 @@ class TestDopamine:
 
 
 class TestGonogoRun:
+    @pytest.fixture(scope="class")
+    def seed1_results(self, request):
+        """The seed-1, 1 s circuit's three conditions on the backend named
+        by the parameter, from one ``run_gonogo``."""
+        cfg = replace(load_default_config(), seed=1, backend=request.param)
+        return cfg, run_gonogo(build_bg(cfg), cfg)
+
     def test_condition_rates_and_counts(self):
         cfg = resized(30, 30, duration_ms=400.0, settle_ms=100.0, seed=2)
-        result = run_condition(cfg, "baseline", 0.0)
-        assert set(result.rates) == set(cfg.populations)
+        results = run_gonogo(build_bg(cfg), cfg)
+        assert list(results) == list(DELTA_DOP_BY_CONDITION)
         window_s = 0.3
-        for pop, rate in result.rates.items():
-            assert rate == pytest.approx(result.spike_counts[pop] / (30 * window_s))
+        for condition, result in results.items():
+            assert result.delta_dop == DELTA_DOP_BY_CONDITION[condition]
+            assert set(result.rates) == set(cfg.populations)
+            for pop, rate in result.rates.items():
+                assert rate == pytest.approx(result.spike_counts[pop] / (30 * window_s))
+
+    def test_stepped_network_rejected(self):
+        # its copies would start mid-run and measure the wrong window
+        cfg = resized(5, 5)
+        net = build_bg(cfg)
+        net.run(3)
+        with pytest.raises(ConfigError, match="^the network has run 3 steps"):
+            run_gonogo(net, cfg)
 
     def test_invalid_config_rejected(self):
         cfg = load_default_config()
@@ -204,14 +220,14 @@ class TestGonogoRun:
         with pytest.raises(ConfigError):
             build_bg(resized(0, 5))
 
-    @pytest.mark.parametrize("backend", ["fixed", "float"])
-    @pytest.mark.parametrize("condition", CONDITIONS)
-    def test_seed1_raster_digest(self, tmp_path, backend, condition):
+    @pytest.mark.parametrize("seed1_results", ["fixed", "float"], indirect=True)
+    @pytest.mark.parametrize("condition", list(DELTA_DOP_BY_CONDITION))
+    def test_seed1_raster_digest(self, tmp_path, seed1_results, condition):
         # SHA-256 of each seed-1, 1 s raster CSV as the per-population engine
         # wrote it; the float digests pin the order of delivered additions,
         # and the SVG digests each circle's rounded position
-        cfg = replace(load_default_config(), seed=1, backend=backend)
-        result = run_condition(cfg, condition, DELTA_DOP_BY_CONDITION[condition])
+        cfg, results = seed1_results
+        backend, result = cfg.backend, results[condition]
         csv = export_raster_csv(result.record, tmp_path / "raster.csv")
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == RASTER_SHA256_SEED1[
             backend, condition

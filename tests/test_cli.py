@@ -164,8 +164,13 @@ class TestInvalidInput:
         assert not (tmp_path / "o").exists()
 
     def test_errt_too_short_for_two_spikes(self, capsys):
+        """Both comparisons are made before anything is printed, so the
+        rejected run writes nothing to stdout."""
         assert main(["errt", "--duration-ms", "5"]) == 2
-        assert "2 spikes" in single_error_line(capsys)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "2 spikes" in captured.err
 
     def test_gonogo_rejects_sub_timestep_config_duration(self, tmp_path, capsys):
         # 0.01 ms rounds to zero 0.125 ms steps
@@ -196,7 +201,7 @@ class TestInvalidInput:
         never starts the simulation."""
         (tmp_path / "file").write_text("")
         ran = []
-        monkeypatch.setattr(neurocore.cli, "run_gonogo", lambda cfg: ran.append(cfg))
+        monkeypatch.setattr(neurocore.cli, "run_gonogo", lambda net, cfg: ran.append(cfg))
         extra = ["--config", str(small_config(tmp_path))] if command == "gonogo" else []
         assert main([command, *extra, "--out", str(tmp_path / "file" / "x")]) == 2
         assert "output directory" in single_error_line(capsys)
@@ -373,6 +378,22 @@ class TestGonogoCommand:
 
         assert gpi_events("high") < gpi_events("low")
 
+    def test_builds_the_circuit_once(self, tmp_path, monkeypatch):
+        """The build that validates the circuit is the one the three
+        conditions run copies of: one draw per configured connection."""
+        from neurocore.config import parse_config
+
+        cfg, calls = small_config(tmp_path), []
+        build_connections = neurocore.network.build_connections
+
+        def counted(*args):
+            calls.append(args)
+            return build_connections(*args)
+
+        monkeypatch.setattr(neurocore.network, "build_connections", counted)
+        assert main(["gonogo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == len(parse_config(cfg).connection_specs())
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_config(tmp_path)
         outputs = []
@@ -454,6 +475,17 @@ class TestRegimesCommand:
         assert (out_dir / "regime_rebound_float.csv").exists()
         header = (out_dir / "regime_rs_fixed.csv").read_text().splitlines()[0]
         assert header == "step,time_ms,v_mv"
+
+    def test_trace_bytes(self, tmp_path):
+        # the first millisecond of the fixed-point RS trace: the step, its
+        # time in the shortest form and the voltage to six decimals
+        out_dir = tmp_path / "regimes"
+        main(["regimes", "--duration-ms", "1", "--out", str(out_dir)])
+        assert (out_dir / "regime_rs_fixed.csv").read_bytes() == (
+            b"step,time_ms,v_mv\n"
+            b"0,0,-68.750488\n1,0.125,-67.586914\n2,0.25,-66.489258\n3,0.375,-65.441650\n"
+            b"4,0.5,-64.430664\n5,0.625,-63.444580\n6,0.75,-62.472900\n7,0.875,-61.506104\n"
+        )
 
     def test_empty_env_out_is_unset(self, tmp_path, monkeypatch):
         """An empty ``NEUROCORE_OUT`` means unset, as for ``gonogo``: the
