@@ -28,15 +28,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, regimes
+from . import analysis, network, neuron, regimes
 from .bg import build_bg, run_gonogo
-from .compiler import ARRAYS, INTS, compile_schedule, plan_schedule, run_corners
+from .compiler import compile_schedule, run_corners
 from .config import (
     check_duration, default_config_text, load_default_config, parse_config, read_text,
 )
-from .network import BACKENDS, STEP_INPUTS, ConfigError
+from .network import BACKENDS, ConfigError
 from .neuron import DT_MS, SimulationError
-from .schedule import INPUTS, ScheduleError, izhikevich_schedule, parse_schedule, validate_schedule
+from .schedule import ScheduleError, izhikevich_schedule, parse_schedule, validate_schedule
 
 ENV_SEED = "NEUROCORE_SEED"
 ENV_OUT = "NEUROCORE_OUT"
@@ -190,21 +190,18 @@ def cmd_validate_schedule(args) -> int:
         schedule = izhikevich_schedule()
         origin = "shipped izhikevich-core schedule"
     violations = validate_schedule(schedule)
-    if not violations:
-        regime = regimes.REGIME_INPUTS
-        regime_step = compile_schedule(schedule, INTS, inputs=regime)
-        for form, ins in ((INTS, INPUTS), (ARRAYS, INPUTS), (ARRAYS, STEP_INPUTS)):
-            run_corners(compile_schedule(schedule, form, inputs=ins), form, ins)
-        run_corners(regime_step, INTS, regime)
-        split = regime_step.split
-        plan = plan_schedule(schedule)
-        kept = sum(op.clips for op in plan)
-        in_network, in_regimes = (sum(op.clips for op in plan_schedule(schedule, inputs))
-                                  for inputs in (STEP_INPUTS, regime))
+    if not violations:  # each form the package runs; the regime's, on the narrowest ranges, first
+        shipped = (regimes.step_regime, neuron.step_fields, neuron.step_fields_batch,
+                   network.step_fields_network)
+        regime, ints, arrays, net = (compile_schedule(schedule, s.form, inputs=s.inputs)
+                                     for s in shipped)
+        for step in (ints, arrays, net, regime):
+            run_corners(step)
+        split, (kept, ops) = regime.split, ints.clips
         print(
             f"{origin}: OK ({len(schedule.blocks)} blocks, one state word per block, "
-            f"compiles; {kept} of {len(plan)} clips kept, {in_network} in the network form, "
-            f"{in_regimes} in the regime form, whose loop runs {split['step']} ops per step, "
+            f"compiles; {kept} of {ops} clips kept, {net.clips[0]} in the network form, "
+            f"{regime.clips[0]} in the regime form, whose loop runs {split['step']} ops per step, "
             f"{split['call']} once per call and {split['run']} once per run, "
             f"{split['constant']} folded to constants)"
         )

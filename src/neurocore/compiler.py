@@ -15,22 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .planner import _GRID, _NAME, _RESCALE, _local, plan_schedule, regroup_sums
+from .planner import _GRID, _NAME, OPS, _local, plan_schedule, regroup_sums
 from .schedule import FIELD_FORMATS, INPUTS, BlockSchedule, ScheduleError
-
-# Python source of each op's value (``sel``'s and ``rnd``'s are the Form's)
-# before any rescale shift, and the ufunc that writes it into an array
-_OPS = {
-    "mov": ("{0}", None),
-    "add": ("{0} + {1}", np.add),
-    "sub": ("{0} - {1}", np.subtract),
-    "mul": ("{0} * {1}", np.multiply),
-    "mulw": ("{0} * {1}", np.multiply),
-    "shl": ("{0} << {1}", np.left_shift),
-    "shr": ("{0} >> {1}", np.right_shift),
-    "gt": ("{0} > {1}", np.greater),
-    "rnd": (None, None),
-}
 
 
 @dataclass(frozen=True)
@@ -43,10 +29,10 @@ class Form:
     value; ``names`` are the globals that code looks up.  It tests with
     ``some_set`` that some ``{0}`` is set: a ``skip`` select returns ``{2}``
     where none is, and consecutive ones on one flag share one branch, which
-    tests it.  A ``bind`` form binds every integer once as a 0-d int64
-    array global, not a literal.  A ``copy`` form writes a result into an
-    array its call made and no later op reads: a ufunc ``_{mnemonic}`` with
-    ``out=``, a clip with ``{out}``, a select into ``{2}`` with ``copy``.
+    tests it.  A ``copy`` form binds every integer once as a 0-d int64
+    array global, not a literal, and writes a result into an array its call
+    made and no later op reads: a ufunc ``_{mnemonic}`` with ``out=``, a
+    clip with ``{out}``, a select into ``{2}`` with ``copy``.
     In a ``taken`` form a ``skip`` select is ``taken`` where its flag is set."""
 
     lower: str
@@ -57,7 +43,6 @@ class Form:
     rescale: str = "({0}) >> {1}"
     names: dict = field(default_factory=dict)
     clip: str | None = None
-    bind: bool = False
     copy: str | None = None
     taken: str | None = None
 
@@ -81,9 +66,8 @@ ARRAYS = Form(
     rescale="{0}; {d} >>= {1}",
     names={"_maximum": np.maximum, "_minimum": np.minimum, "_where": np.where,
            "_count_nonzero": np.count_nonzero, "_copyto": np.copyto, "_fields": SimpleNamespace,
-           **{f"_{name}": ufunc for name, (_, ufunc) in _OPS.items() if ufunc}},
+           **{f"_{name}": op.ufunc for name, op in OPS.items() if op.ufunc}},
     clip="{x} = {x}.clip({lower}, {upper}{out})",  # one call, not two
-    bind=True,
     copy="_copyto({2}, {1}, where={0})",
 )
 
@@ -125,10 +109,12 @@ def compile_schedule(
     writes an op inside its one reader's expression where both run at one
     time, the op keeps no clip, writes no field or flag and no operand of it
     is rewritten before the read.  ``step.source`` is the generated text,
-    built only from the tables above, checked register names and integer
-    values, never from raw text.
+    built only from ``OPS``, the forms, checked register names and integer
+    values, never from raw text; ``step.form`` and ``step.inputs`` are what
+    it was compiled for, ``step.clips`` its plan's kept clips and its ops.
     """
     plan = plan_schedule(schedule, inputs)
+    clips = sum(op.clips for op in plan), len(plan)  # of the ops as the schedule states them
     dests = [op.dest for op in plan]
     for name in results:
         if not (name.startswith("$") and _NAME.fullmatch(name) and _local(name) in dests):
@@ -136,7 +122,7 @@ def compile_schedule(
     namespace = dict(form.names)
 
     def source(arg: str | int) -> str | int:
-        if isinstance(arg, str) or not form.bind:
+        if isinstance(arg, str) or not form.copy:
             return arg
         name = f"_i{arg}".replace("-", "m")
         namespace[name] = np.array(arg, dtype=np.int64)
@@ -193,9 +179,9 @@ def compile_schedule(
         if j is None or i in hoisted or times[i] != times[j] or i in fused.values() or i in sunk:
             continue
         count = plan[j].args[-1]
-        if (op.mnemonic in _RESCALE and not op.clips and plan[j].mnemonic == "shr" and pos == 0
+        if (OPS[op.mnemonic].rescale and not op.clips and plan[j].mnemonic == "shr" and pos == 0
                 and dests[j] == op.dest and isinstance(count, int)
-                and _RESCALE[op.mnemonic] + count <= 63):
+                and OPS[op.mnemonic].rescale + count <= 63):
             fused[i] = j
         elif plan[j].skip and pos == 1 and op.dest.startswith("r_"):
             later = set(dests[i + 1:j]).intersection(op.args)
@@ -227,13 +213,13 @@ def compile_schedule(
             ends = [at.get(j, j) if j in ops else len(plan) for j, _ in readers[fused.get(i, i)]]
             free = [a for a in args if form.copy and a in owner and until[owner[a]] <= at.get(i, i)
                     and plan[owner[a]].flag == op.flag]  # arrays no later op reads
-            if form.bind and op.mnemonic not in ("mov", "sel", "gt") and flagged[i] >= {*op.args}:
+            if form.copy and op.mnemonic not in ("mov", "sel", "gt") and flagged[i] >= {*op.args}:
                 args = (f"({source(0)} + {args[0]})", *args[1:])  # numpy adds bools as or
             copy = op.mnemonic == "sel" and args[2] in free and op.args[0] in flagged[i]
             out = args[2] if copy else free[0] if free and f"_{op.mnemonic}" in namespace else None
             if op.mnemonic == "rnd":
                 args = (args[0], _GRID // 2, -_GRID, 63)
-            shift = _RESCALE.get(op.mnemonic, 0)
+            shift = OPS[op.mnemonic].rescale
             if shift:
                 k, x = args if isinstance(args[0], int) else args[::-1]
                 if isinstance(k, int) and k % (1 << shift) == 0:
@@ -242,7 +228,7 @@ def compile_schedule(
             select = form.copy if copy else taken and form.taken or form.select
             template = {"sel": select, "rnd": form.round}.get(
                 op.mnemonic, f"_{op.mnemonic}({{0}}, {{1}}, out={out})" if out else None)
-            value = (template or _OPS[op.mnemonic][0]).format(*map(source, args), d=d)
+            value = (template or OPS[op.mnemonic].source).format(*map(source, args), d=d)
             value = form.rescale.format(value, source(shift), d=d) if shift else value
             if i in reads:  # written inside its reader's expression
                 return value if value.isidentifier() else f"({value})"
@@ -317,20 +303,20 @@ def compile_schedule(
     step = namespace["step"]
     step.hoist, step.update, step.loop = (namespace.get(f) for f in ("hoist", "update", "loop"))
     step.split = dict(zip(("constant", "run", "call", "step"), map(times.count, range(4))))
-    step.source = text
+    step.source, step.form, step.inputs, step.clips = text, form, inputs, clips
     return step
 
 
-def run_corners(step, form: Form = INTS, inputs: dict = INPUTS) -> None:
-    """Run ``step``, compiled as ``form`` for ``inputs``, its ``hoist`` and,
-    where it has one, its ``loop`` for two steps and for none, which returns
-    the fields as given, at both ends of every field's and input's range,
-    each ``@`` input a Python int; raises ScheduleError where one fails, a
-    defect of this compiler."""
-    n, ends = len(FIELD_FORMATS), {k: (x, x) if isinstance(x, int) else (x.min_raw, x.max_raw)
-                                   for k, x in {**FIELD_FORMATS, **inputs}.items()}
+def run_corners(step) -> None:
+    """Run ``step``, its ``hoist`` and, where it has one, its ``loop`` for
+    two steps and for none, which returns the fields as given, at both ends
+    of every field's and ``step.inputs``' range, each ``@`` input a Python
+    int; raises ScheduleError where one fails, a defect of this compiler."""
+    form, n = step.form, len(FIELD_FORMATS)
+    ends = {k: (x, x) if isinstance(x, int) else (x.min_raw, x.max_raw)
+            for k, x in {**FIELD_FORMATS, **step.inputs}.items()}
     for end in (0, 1):
-        args = {k: np.array(x) if form.bind and k[0] != "@" else x[end] for k, x in ends.items()}
+        args = {k: np.array(x) if form.copy and k[0] != "@" else x[end] for k, x in ends.items()}
         try:
             passed = (*args.values(), *step.hoist(*(x for k, x in args.items() if k != "DA")))
             step(*passed)
@@ -339,5 +325,5 @@ def run_corners(step, form: Form = INTS, inputs: dict = INPUTS) -> None:
                 if step.loop(*passed, 0, [], [])[:n] != passed[:n]:
                     raise ValueError("a loop of 0 steps returns fields it was not given")
         except Exception as exc:  # reported as a schedule that does not run
-            kind = "array" if form.bind else "int"
+            kind = "array" if form.copy else "int"
             raise ScheduleError(f"the {kind} form fails to run: {exc!r}") from exc

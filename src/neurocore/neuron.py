@@ -144,12 +144,13 @@ def step_float(
     params: NeuronParams, state: NeuronState, i_input: float
 ) -> tuple[NeuronState, bool]:
     """One Euler step of DT_MS of the reference model under total current
-    ``i_input``."""
+    ``i_input``; ``SimulationError`` where a state, current or result is not finite."""
     v, u = state.v, state.u
     if not (isfinite(v) and isfinite(u) and isfinite(i_input)):
         raise SimulationError(f"non-finite neuron state: v={v}, u={u}, I={i_input}")
-    v, u, spiked = float_update(params, v, u, i_input)
-    return NeuronState(v, u), spiked
+    spikes = []
+    v, u = float_update.loop(params, v, u, i_input, 1, [], spikes)
+    return NeuronState(v, u), bool(spikes)
 
 
 # ---------------------------------------------------------------------------

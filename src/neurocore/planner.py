@@ -1,5 +1,6 @@
 """The planner of block schedules (:mod:`neurocore.schedule`): what
-:mod:`neurocore.compiler` generates code from.
+:mod:`neurocore.compiler` generates code from, and ``OPS``, the one
+definition of the instruction set, which both read.
 
 :func:`plan_schedule` checks a schedule and runs an interval analysis over
 it from the range of every field, input (an argument: the network plans for
@@ -13,27 +14,33 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass, replace
+from itertools import product
+
+import numpy as np
 
 from .fxp import DA_FMT, DA_PORT, Q12, REG_FMT
 from .schedule import (CONSTANTS, FIELD_FORMATS, INPUTS, KQ_FRAC, BlockSchedule, ScheduleError,
                        _literal, validate_schedule)
 
 _GRID = 1 << Q12 - DA_FMT.frac_bits  # one DA_FMT unit at Q12, the grid ``rnd`` rounds to
-# each op's unscaled int result, for the interval analysis (``gt``'s is 0 or 1)
-_OPS = {
-    "mov": None,
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "mulw": operator.mul,
-    "shl": operator.lshift,
-    "shr": operator.rshift,
-    "gt": None,
-    "rnd": lambda x: (x + _GRID // 2 - (x < 0)) & -_GRID,
+# The instruction set, one entry per op: its operand count, its unscaled int result (None where
+# the interval analysis fixes its interval: ``gt``, ``sel``), that result's Python source (None
+# where the compiler's ``Form`` writes it), the ufunc that writes it into an array, its rescale.
+Instruction = namedtuple("Instruction", "arity value source ufunc rescale", defaults=(None, 0))
+OPS = {
+    "mov": Instruction(1, operator.pos, "{0}"),
+    "add": Instruction(2, operator.add, "{0} + {1}", np.add),
+    "sub": Instruction(2, operator.sub, "{0} - {1}", np.subtract),
+    "mul": Instruction(2, operator.mul, "{0} * {1}", np.multiply, Q12),
+    "mulw": Instruction(2, operator.mul, "{0} * {1}", np.multiply, KQ_FRAC),
+    "shl": Instruction(2, operator.lshift, "{0} << {1}", np.left_shift),
+    "shr": Instruction(2, operator.rshift, "{0} >> {1}", np.right_shift),
+    "gt": Instruction(2, None, "{0} > {1}", np.greater),
+    "rnd": Instruction(1, lambda x: (x + _GRID // 2 - (x < 0)) & -_GRID, None),
+    "sel": Instruction(3, None, None),
 }
-_ARITY = {name: 1 if name in ("mov", "rnd") else 2 for name in _OPS} | {"sel": 3}
-_RESCALE = {"mul": Q12, "mulw": KQ_FRAC}
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _NAME = re.compile(r"[$@][A-Za-z_]\w*", re.ASCII)
 
@@ -92,23 +99,20 @@ def _interval(mnemonic: str, operands: list, where: str, square: bool = False) -
     can leave [0, 63] or the unscaled result can leave int64, where int64
     arrays would wrap and Python ints would not.
     """
+    op = OPS[mnemonic]
     if mnemonic == "gt":
         return 0, 1
-    if mnemonic in ("mov", "rnd"):
-        lo, hi = map(_OPS[mnemonic] or int, operands[0])
-    elif mnemonic == "sel":
+    if mnemonic == "sel":
         (lo1, hi1), (lo2, hi2) = operands[1:]
         lo, hi = min(lo1, lo2), max(hi1, hi2)
     else:
         if mnemonic in ("shl", "shr") and not 0 <= operands[1][0] <= operands[1][1] <= 63:
             raise ScheduleError(f"{where}: shift count can leave [0, 63]")
-        fn = _OPS[mnemonic]
-        corners = [fn(x, y) for x in operands[0] for y in operands[1]]
+        corners = [op.value(*corner) for corner in product(*operands)]
         lo, hi = 0 if square else min(corners), max(corners)
     if lo < _INT64_MIN or hi > _INT64_MAX:
         raise ScheduleError(f"{where}: an intermediate can leave int64, range [{lo}, {hi}]")
-    shift = _RESCALE.get(mnemonic, 0)
-    return lo >> shift, hi >> shift
+    return lo >> op.rescale, hi >> op.rescale
 
 
 def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[PlannedOp]:
@@ -136,11 +140,11 @@ def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[Planne
     for block in schedule.blocks:
         for op in block.ops:
             where = f"block {block.name!r}: {op.render()!r}"
-            arity = _ARITY.get(op.mnemonic)
-            if arity is None:
+            spec = OPS.get(op.mnemonic)
+            if spec is None:
                 raise ScheduleError(f"{where}: unknown op {op.mnemonic!r}")
-            if len(op.sources) != arity:
-                raise ScheduleError(f"{where}: {op.mnemonic} takes {arity} operand(s)")
+            if len(op.sources) != spec.arity:
+                raise ScheduleError(f"{where}: {op.mnemonic} takes {spec.arity} operand(s)")
             operands = [_operand(src, known, where) for src in op.sources]
             if op.dest in FIELD_FORMATS:
                 fmt = FIELD_FORMATS[op.dest]
@@ -150,7 +154,7 @@ def plan_schedule(schedule: BlockSchedule, inputs: dict = INPUTS) -> list[Planne
                 fmt = REG_FMT
             else:
                 raise ScheduleError(f"{where}: {op.dest!r} cannot be written")
-            square = op.mnemonic in _RESCALE and op.sources[0] == op.sources[1]
+            square = spec.rescale > 0 and op.sources[0] == op.sources[1]
             lo, hi = _interval(op.mnemonic, [span for _, span in operands], where, square)
             low, high = fmt.min_raw, fmt.max_raw
             if op.mnemonic == "rnd":

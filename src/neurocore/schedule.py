@@ -17,9 +17,9 @@ The ops are ``mov``, ``add``, ``sub``, ``mul`` (product ``>> 12``), ``mulw``
 (product ``>> KQ_FRAC``), ``shl``, ``shr`` (arithmetic), ``rnd`` (to whole
 ``DA_FMT`` units, ties away from zero, and their range ``DA_PORT``: what the
 shipped text does to the Q12 sum ``DA`` takes), ``gt`` (a 0/1 flag) and
-``sel d <- f, x, y`` (``x`` if ``f`` else ``y``).  Every write saturates to
-its destination, a field to its ``FIELD_FORMATS`` format and a register to
-``REG_FMT``.
+``sel d <- f, x, y`` (``x`` if ``f`` else ``y``), each defined once, in
+``neurocore.planner.OPS``.  Every write saturates to its destination, a
+field to its ``FIELD_FORMATS`` format and a register to ``REG_FMT``.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import neurocore
-from neurocore import compiler
+from neurocore import neuron
 from neurocore.cli import main
 
 
@@ -285,8 +285,11 @@ class TestValidateSchedule:
             assert "compiles; 14 of 37 clips kept" in capsys.readouterr().out
 
     def test_form_that_fails_to_run_exits_2(self, monkeypatch, capsys):
-        broken = replace(compiler.ARRAYS, clip="{x} = {x}.no_such_clip({lower}, {upper})")
-        monkeypatch.setattr(neurocore.cli, "ARRAYS", broken)
+        """The command compiles each shipped step's own form: one broken there
+        fails to run."""
+        step = neuron.step_fields_batch
+        broken = replace(step.form, clip="{x} = {x}.no_such_clip({lower}, {upper})")
+        monkeypatch.setattr(step, "form", broken)
         assert main(["validate-schedule"]) == 2
         assert "the array form fails to run: AttributeError" in single_error_line(capsys)
 
@@ -297,6 +300,15 @@ class TestValidateSchedule:
         assert "6 in the network form" in out and "6 in the regime form" in out
         assert ("whose loop runs 22 ops per step, 10 once per call and 1 once per run, "
                 "3 folded to constants)") in out
+
+    def test_shipped_schedule_file_gives_the_same_counts(self, capsys):
+        assert main(["validate-schedule"]) == 0
+        shipped = capsys.readouterr().out
+        path = resources.files("neurocore").joinpath("data/izhikevich_schedule.txt")
+        assert main(["validate-schedule", "--schedule", str(path)]) == 0
+        given = capsys.readouterr().out
+        assert given.startswith(f"{path}: OK (")
+        assert given.split(": OK", 1)[1] == shipped.split(": OK", 1)[1]
 
     def test_directory_schedule_exits_2(self, tmp_path, capsys):
         assert main(["validate-schedule", "--schedule", str(tmp_path)]) == 2

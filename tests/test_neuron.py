@@ -116,12 +116,13 @@ class TestStepFloat:
             step_float(RS, NeuronState(v=float("nan"), u=0.0), 0.0)
 
     def test_overflow_is_no_crossing(self):
-        """0.04 v^2 overflows: v' is inf, returned for the next step's check
-        to raise, not reset to c as a spike."""
-        new, spiked = step_float(RS, NeuronState(v=-1e300, u=0.0), 0.0)
-        assert (new.v, spiked) == (float("inf"), False)
-        with pytest.raises(SimulationError, match="v=inf"):
-            step_float(RS, new, 0.0)
+        """0.04 v^2 overflows: ``float_update`` leaves v' inf, not reset to c
+        as a spike, and ``step_float`` raises on that step, as the float
+        loop does."""
+        assert neuron.float_update(RS, -1e300, 0.0, 0.0)[::2] == (float("inf"), False)
+        for v in (-1e160, -1e300):
+            with pytest.raises(SimulationError, match="v=inf"):
+                step_float(RS, NeuronState(v=v, u=0.0), 0.0)
 
     @pytest.mark.parametrize("kind", ["quiet", "crossing", "stored-past-peak", "overflow"])
     def test_array_form_equals_scalar_form(self, kind):

@@ -15,6 +15,7 @@ from neurocore import network
 from neurocore.compiler import ARRAYS, INTS, compile_schedule, plan_schedule
 from neurocore.fxp import DA_FMT, DA_PORT, REG_FMT, encode
 from neurocore.neuron import encode_neuron
+from neurocore.planner import OPS
 from neurocore.regimes import REGIME_INPUTS, REGIME_PARAMS
 from neurocore.schedule import (
     CONSTANTS,
@@ -46,6 +47,12 @@ ARITHMETIC = {
     "shl": lambda x: x[0] * 2 ** x[1], "shr": lambda x: x[0] // 2 ** x[1],
     "gt": lambda x: int(x[0] > x[1]), "sel": lambda x: x[1] if x[0] else x[2], "rnd": _round,
 }
+
+
+def test_oracle_defines_every_op_of_the_instruction_set():
+    """An op added to the planner's table without a reference definition
+    here would run unchecked."""
+    assert set(ARITHMETIC) == set(OPS)
 
 
 def ops_of(schedule) -> list[tuple]:

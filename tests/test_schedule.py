@@ -1,5 +1,6 @@
 """Block-schedule validation, parsing and compilation."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -25,6 +26,11 @@ from neurocore.schedule import (
     parse_schedule,
     validate_schedule,
 )
+
+SHIPPED = {"neuron.step_fields": neuron.step_fields,
+           "neuron.step_fields_batch": neuron.step_fields_batch,
+           "network.step_fields_network": network.step_fields_network,
+           "regimes.step_regime": regimes.step_regime}
 
 
 def block(name, word, *ops):
@@ -403,19 +409,33 @@ class TestRewrites:
     def test_shipped_sources_do_not_depend_on_the_string_hash(self):
         """Every shipped form's generated source is byte-identical in two
         interpreters whose string hashes differ, and in this one."""
-        forms = {"neuron.step_fields": neuron.step_fields,
-                 "neuron.step_fields_batch": neuron.step_fields_batch,
-                 "network.step_fields_network": network.step_fields_network,
-                 "regimes.step_regime": regimes.step_regime}
         code = "from neurocore import network, neuron, regimes\n" + "".join(
-            f"print({name}.source)\n" for name in forms)
+            f"print({name}.source)\n" for name in SHIPPED)
         path = os.pathsep.join(filter(None, [str(Path(neurocore.__file__).parents[1]),
                                              os.environ.get("PYTHONPATH")]))
         runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                env=os.environ | {"PYTHONPATH": path, "PYTHONHASHSEED": seed},
                                timeout=60, check=True).stdout for seed in ("1", "2")]
-        here = "".join(step.source + "\n" for step in forms.values())
+        here = "".join(step.source + "\n" for step in SHIPPED.values())
         assert runs == [here, here]
+
+    def test_shipped_sources_are_pinned(self):
+        """The SHA-256 of each shipped form's ``step.source``, the code that
+        runs, and the clips each form's plan keeps out of its ops.  A
+        rewrite that changes a digest changes the step that runs: it is a
+        change to this check, and CHANGES.md lists it with its reason."""
+        assert {name: hashlib.sha256(step.source.encode()).hexdigest()
+                for name, step in SHIPPED.items()} == {
+            "neuron.step_fields":
+                "8e5837c98aca33a9eb9a6b10d12f3dcaef2cd639b967d6e22cb90c4bd02439d9",
+            "neuron.step_fields_batch":
+                "095242f1ba4396c5fee387cd66690a6ce45ed6ccc86f2b3ab6cdc5c6832985bf",
+            "network.step_fields_network":
+                "745dcbbdf6b5e6bc47dce21af6ed758c46ce0118feefdd786f7e626f1d0a29db",
+            "regimes.step_regime":
+                "956f9a5cf1cec4e153ac1fdfda915ef98ea8cb655f0a21c117428410b379f7c6",
+        }
+        assert [step.clips for step in SHIPPED.values()] == [(13, 36), (13, 36), (6, 36), (6, 36)]
 
 
 def hoisting(form, *args):
