@@ -89,7 +89,7 @@ def export_raster_csv(record: SpikeRecord, path: str | Path) -> Path:
     """Write the record as CSV (one event per line, LF endings)."""
     steps, codes, neurons = record.columns
     names = np.array(record.names, dtype=object)[codes]
-    return write_csv(path, CSV_HEADER, "%d,%g,%s,%d\n", [steps, steps * DT_MS, names, neurons])
+    return write_csv(path, CSV_HEADER, "%d,%.17g,%s,%d\n", [steps, steps * DT_MS, names, neurons])
 
 
 def export_raster_svg(

@@ -101,7 +101,7 @@ def cmd_regimes(args) -> int:
         for name, run in runs.items():
             steps = np.arange(len(run.v_mv))
             analysis.write_csv(out / f"regime_{name.lower()}_{backend}.csv", "step,time_ms,v_mv",
-                               "%d,%g,%.6f\n", [steps, steps * DT_MS, run.v_mv])
+                               "%d,%.17g,%.6f\n", [steps, steps * DT_MS, run.v_mv])
         checks += regimes.classify_runs(runs, backend)
     report = "".join(
         f"{'PASS' if c.passed else 'FAIL'}  {c.regime:8s} [{c.backend}]  {c.detail}\n"

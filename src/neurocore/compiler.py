@@ -11,6 +11,7 @@ shows the clip can never bind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,6 +54,7 @@ INTS = Form(
     select="{1} if {0} else {2}",
     some_set="{0}",
     round="-(({1} - {0}) & {2}) if {0} < 0 else ({0} + {1}) & {2}",  # a branch: cheaper here
+    names={"_repeat": repeat},
     taken="{1}",
 )
 ARRAYS = Form(
@@ -94,7 +96,12 @@ def compile_schedule(
     ``n`` steps on the fields as locals, appends each step's ``v`` to ``vs``
     and, where the first result is set, ``len(vs)`` first to ``spikes``, and
     returns what its last step returns (after none the fields as given, each
-    result not hoisted None); ``step`` runs one.  A ``copy`` form has no
+    result not hoisted None); ``step`` runs one.  A step that leaves every
+    field the steps write as it found them is a fixed point: the loop ends
+    there, extending ``vs`` by its ``v`` and, where its first result is set,
+    ``spikes`` by the index of each step left, which is exact, as every other
+    value a step reads is fixed for the call (the planner rejects a register
+    read before its write).  A ``copy`` form has no
     ``loop``: its ``step`` calls ``step.update``, which runs the body on an
     object of the fields and stores those written.  Registers are locals,
     each clip the analysis keeps is inline, and ``form`` writes clips,
@@ -292,11 +299,20 @@ def compile_schedule(
             f"def update(_s, {', '.join(ins)}):", f"    {', '.join(fields)} = {load}", *body,
             *[f"    {store} = {', '.join(writes)}"][:len(writes)], f"    return {', '.join(res)}"]
     else:  # the body once, in a loop of _n steps after the ops run once; step runs one
+        # the fields a step carries to the next, as each step starts: a step that leaves
+        # them so is a fixed point, which every later step of the call repeats
+        carried = [f for f in fields if f in {dests[i] for i in rest if times[i] == 3}]
+        start = [f"    {', '.join(f'_was_{f}' for f in carried)} = {', '.join(carried)}"]
+        fixed = " and ".join(f"{f} == _was_{f}" for f in carried) or "True"
         lines += [f"    return loop({args}, 1, [], [])", f"def loop({args}, _n, _vs, _spikes):",
-                  "    _record, _spike = _vs.append, _spikes.append",
+                  "    _record, _spike, _end = _vs.append, _spikes.append, len(_vs) + _n",
                   *[f"    {' = '.join(unset)} = None"][:len(unset)], *["    if _n > 0:"][:len(pre)],
-                  *("    " + line for line in [*pre, "for _ in range(_n):", *body]),
+                  *("    " + line for line in [*pre, "for _ in range(_n):",
+                                               *start[:len(carried)], *body]),
                   *[f"        if {res[0]}: _spike(len(_vs))"][:len(res)], "        _record(v)",
+                  f"        if {fixed}:",
+                  *[f"            if {res[0]}: _spikes.extend(range(len(_vs), _end))"][:len(res)],
+                  "            _vs.extend(_repeat(v, _end - len(_vs)))", "            break",
                   f"    return {', '.join(fields + res)}"]
     text = "\n".join(lines) + "\n"
     exec(compile(text, "<schedule>", "exec"), namespace)

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, make_dataclass
-from math import inf, isfinite  # inf is read by _FLOAT_STEP
+from functools import reduce
+from math import inf, isfinite  # inf is read by _FLOAT_STEP, bound by its loop
 from operator import attrgetter
 from textwrap import indent
 
@@ -98,16 +99,21 @@ _FLOAT_STEP = """\
 pre_spiked = v > v_peak
 v_new = v + (K_QUAD * v * v + K_LIN * v + K_BIAS - u + current) * DT_MS
 u_new = u + a * (b * v - u) * DT_MS
-spiked = pre_spiked | ((v_new > v_peak) & (v_new < inf))
+spiked = pre_spiked or (v_new > v_peak and v_new < inf)
 u = u + d if pre_spiked else u_new + d if spiked else u_new
 v = c if spiked else v_new
 """
 
 
-class _Where(ast.NodeTransformer):  # each conditional expression as np.where
+class _Where(ast.NodeTransformer):  # each conditional expression as np.where, and/or as &/|
     def visit_IfExp(self, node):
         self.generic_visit(node)
         return ast.Call(ast.Name("_where", ast.Load()), [node.test, node.body, node.orelse], [])
+
+    def visit_BoolOp(self, node):
+        self.generic_visit(node)
+        op = ast.BitAnd() if isinstance(node.op, ast.And) else ast.BitOr()
+        return reduce(lambda x, y: ast.BinOp(x, op, y), node.values)
 
 
 def _compile_float(step: str) -> tuple:
@@ -115,16 +121,20 @@ def _compile_float(step: str) -> tuple:
     floats, ``p`` with ``a b c d v_peak``, and on arrays.  Its ``loop(p, v, u,
     current, n, vs, spikes) -> (v, u)`` appends each of n steps' v to vs and
     the index of each that spikes to spikes, and raises ``SimulationError``
-    on the step that leaves v or u not finite."""
+    on the step that leaves v or u not finite; it binds the globals ``step``
+    reads, and ``isfinite``, as keyword defaults, so its steps read locals.
+    ``float_update.source`` is the generated text of it and its ``loop``,
+    ``float_update_batch.source`` that of the array form."""
     head = "a, b, c, d, v_peak = p.a, p.b, p.c, p.d, p.v_peak\n"
     namespace = {**globals(), "_where": np.where}
-    arrays = ast.unparse(_Where().visit(ast.parse(step))) + "\n"
-    exec(compile(f"""\
+    tree = ast.parse(step)
+    bound = sorted({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                   & namespace.keys() | {"isfinite"})
+    arrays = ast.unparse(_Where().visit(tree)) + "\n"
+    scalar = f"""\
 def float_update(p, v, u, current):
 {indent(head + step, "    ")}    return v, u, spiked
-def float_update_batch(p, v, u, current):
-{indent(head + arrays, "    ")}    return v, u, spiked
-def loop(p, v, u, current, _n, _vs, _spikes):
+def loop(p, v, u, current, _n, _vs, _spikes, *, {", ".join(f"{n}={n}" for n in bound)}):
     {head}    _record, _spike = _vs.append, _spikes.append
     for _ in range(_n):
 {indent(step, "        ")}        if not (isfinite(v) and isfinite(u)):
@@ -132,9 +142,15 @@ def loop(p, v, u, current, _n, _vs, _spikes):
         if spiked: _spike(len(_vs))
         _record(v)
     return v, u
-""", "<float step>", "exec"), namespace)
-    namespace["float_update"].loop = namespace["loop"]
-    return namespace["float_update"], namespace["float_update_batch"]
+"""
+    batch = f"""\
+def float_update_batch(p, v, u, current):
+{indent(head + arrays, "    ")}    return v, u, spiked
+"""
+    exec(compile(scalar + batch, "<float step>", "exec"), namespace)
+    update, update_batch = namespace["float_update"], namespace["float_update_batch"]
+    update.loop, update.source, update_batch.source = namespace["loop"], scalar, batch
+    return update, update_batch
 
 
 float_update, float_update_batch = _compile_float(_FLOAT_STEP)

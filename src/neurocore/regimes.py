@@ -21,8 +21,13 @@ synaptic path once, before its steps: it rounds the segment's constant
 ``DA``, writes ``isyn`` and adds it to ``@kbias`` plus the bias current,
 summed once a run by ``step_regime.hoist``, the part of the membrane sum
 the segment fixes, so each step adds to it only the terms of v and u, in
-one expression.  On the float backend each segment is one call of
-``float_update.loop``, the float reference's one text compiled for floats.
+one expression.  A step that leaves v and u as it found them ends the
+call: every later step of the segment would repeat it, so its v is
+recorded once for each of them (and each spikes if it did), as a quiet
+neuron at rest under a constant current does (REBOUND's hold and release,
+the RS probe).  On the float backend each segment is one call of
+``float_update.loop``, the float reference's one text compiled for floats,
+which binds its constants as locals once a call.
 Around those calls a run does little: it reads its start fields (or ``v``
 and ``u``) directly, encodes each configured value and segment current with
 ``encode_checked`` (a range check and a rounding), and converts each

@@ -90,6 +90,17 @@ class TestRasterExport:
         assert lines[1] == "0,0,A,0"
         assert lines[3] == "5,0.625,B,1"
 
+    def test_csv_time_is_exact_past_a_second(self, tmp_path):
+        """A step's time is written exactly at any length: 6 significant
+        digits would write step 8001 as 1000.12 and step 800001 as 100000."""
+        record = SpikeRecord()
+        steps = (8001, 80001, 800001)
+        for step in steps:
+            record.append(step, (("A",), (0,)), [0])
+        rows = export_raster_csv(record, tmp_path / "raster.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["1000.125", "10000.125", "100000.125"]
+        assert [float(row.split(",")[1]) for row in rows] == [step * 0.125 for step in steps]
+
     def test_svg_contains_bands_and_events(self, tmp_path):
         path = export_raster_svg(
             self._record(), tmp_path / "raster.svg", ["A", "B"], {"A": 4, "B": 2}

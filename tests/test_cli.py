@@ -499,6 +499,14 @@ class TestRegimesCommand:
             b"4,0.5,-64.430664\n5,0.625,-63.444580\n6,0.75,-62.472900\n7,0.875,-61.506104\n"
         )
 
+    def test_trace_time_is_exact_past_a_second(self, tmp_path):
+        """6 significant digits would write step 8001's time as 1000.12."""
+        out_dir = tmp_path / "regimes"
+        main(["regimes", "--duration-ms", "1000.25", "--out", str(out_dir)])
+        for backend in ("fixed", "float"):
+            rows = (out_dir / f"regime_rs_{backend}.csv").read_text().splitlines()
+            assert rows[-1].split(",")[:2] == ["8001", "1000.125"]
+
     def test_empty_env_out_is_unset(self, tmp_path, monkeypatch):
         """An empty ``NEUROCORE_OUT`` means unset, as for ``gonogo``: the
         files go to ``out``, not into the working directory."""

@@ -371,7 +371,7 @@ def test_record_reads_equal_an_eager_list(tmp_path):
     events = record.events
     rng = np.random.default_rng(3)
     for k in range(60):
-        step, (names, starts) = 1013 * k, tables[k % 3]  # times that %g rounds
+        step, (names, starts) = 1013 * k, tables[k % 3]  # times past 6 significant digits
         indices = rng.choice(50, rng.integers(0, 4), replace=False)
         if k % 4 == 0:
             indices = indices.tolist()
@@ -400,7 +400,8 @@ def test_record_reads_equal_an_eager_list(tmp_path):
         seconds = (end - start) / 1000.0
         rates = {pop: counts[pop] / (size * seconds) for pop, size in sizes.items()}
         assert measure_rates(record, sizes, (start, end)) == (rates, counts)
-    lines = [CSV_HEADER, *(f"{step},{step * DT_MS:g},{pop},{neuron}" for step, pop, neuron in events)]
+    lines = [CSV_HEADER,
+             *(f"{step},{step * DT_MS:.17g},{pop},{neuron}" for step, pop, neuron in events)]
     assert export_raster_csv(record, tmp_path / "r.csv").read_text() == "\n".join(lines) + "\n"
 
 

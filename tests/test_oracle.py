@@ -16,7 +16,7 @@ from neurocore.compiler import ARRAYS, INTS, compile_schedule, plan_schedule
 from neurocore.fxp import DA_FMT, DA_PORT, REG_FMT, encode
 from neurocore.neuron import encode_neuron
 from neurocore.planner import OPS
-from neurocore.regimes import REGIME_INPUTS, REGIME_PARAMS
+from neurocore.regimes import REBOUND_CURRENT, REGIME_INPUTS, REGIME_PARAMS
 from neurocore.schedule import (
     CONSTANTS,
     FIELD_FORMATS,
@@ -265,7 +265,10 @@ def test_loop_equals_repeated_steps(name, inputs):
     rest state driven by a constant input with v just below the peak, which
     crosses it, and with a stored v past it; both spike on their first step
     and, where the input reaches v (not where ``isyn`` is overwritten), again
-    later."""
+    later.  Two more run into a fixed point, where the loop repeats a step
+    that left its fields as they were: TC under the rebound current, quiet,
+    mid-call, and a neuron that spikes on every step (d = 0, the peak below
+    c), which must record every repeated step's spike."""
     text, results = SCHEDULES[name]
     schedule = parse_schedule(text)
     step, ops = compile_schedule(schedule, INTS, results, inputs), ops_of(schedule)
@@ -279,6 +282,20 @@ def test_loop_equals_repeated_steps(name, inputs):
         want = stepped(ops, step, {**driven, "v": v}, results, 400)
         spiked = [t for t, out in enumerate(want) if out[len(FIELD_FORMATS)]]
         assert spiked[0] == 0 and (len(spiked) > 1 or name == "field-of-inputs")
+    n = len(FIELD_FORMATS)
+    # TC held at the rebound current from -75 mV settles to a quiet fixed point:
+    # its step 605 of 800 leaves the fields as it found them, as do the 194 after
+    fields, _, v_peak = encode_neuron(REGIME_PARAMS["TC"], -75.0)
+    da = encode(REBOUND_CURRENT, DA_FMT).raw << 12 - DA_FMT.frac_bits
+    quiet = {**vars(fields), "DA": da, "@alpha": 0, "@beta": 0, "@vpeak": v_peak}
+    want = stepped(ops, step, quiet, results, 800)
+    fixed = [t for t in range(1, 800) if want[t][:n] == want[t - 1][:n]]
+    assert (fixed[:1], any(out[n] for out in want)) == ([605], False) or name != "shipped"
+    # d = 0 and a peak below c: a stored v past the peak resets to c, u + 0, so
+    # every step spikes and leaves every field as it found it
+    spiking = {**driven, "d": 0, "v": driven["c"], "@vpeak": driven["c"] - 4096}
+    want = stepped(ops, step, spiking, results, 400)
+    assert all(out[n] and out[:n] == want[0][:n] for out in want) or name != "shipped"
 
 
 @pytest.mark.parametrize("form", [INTS, ARRAYS], ids=["ints", "arrays"])

@@ -421,19 +421,27 @@ class TestRewrites:
 
     def test_shipped_sources_are_pinned(self):
         """The SHA-256 of each shipped form's ``step.source``, the code that
-        runs, and the clips each form's plan keeps out of its ops.  A
-        rewrite that changes a digest changes the step that runs: it is a
-        change to this check, and CHANGES.md lists it with its reason."""
+        runs, and of the float reference's two texts (one neuron's update
+        with its loop, and the arrays'), and the clips each form's plan
+        keeps out of its ops.  A rewrite that changes a digest changes the
+        step that runs: it is a change to this check, and CHANGES.md lists
+        it with its reason."""
+        floats = {"neuron.float_update": neuron.float_update,
+                  "neuron.float_update_batch": neuron.float_update_batch}
         assert {name: hashlib.sha256(step.source.encode()).hexdigest()
-                for name, step in SHIPPED.items()} == {
+                for name, step in {**SHIPPED, **floats}.items()} == {
             "neuron.step_fields":
-                "8e5837c98aca33a9eb9a6b10d12f3dcaef2cd639b967d6e22cb90c4bd02439d9",
+                "49904c2da10aad509a6a5a8abfbc76ddad144223c8aaa52923ff07d7a73a429e",
             "neuron.step_fields_batch":
                 "095242f1ba4396c5fee387cd66690a6ce45ed6ccc86f2b3ab6cdc5c6832985bf",
             "network.step_fields_network":
                 "745dcbbdf6b5e6bc47dce21af6ed758c46ce0118feefdd786f7e626f1d0a29db",
             "regimes.step_regime":
-                "956f9a5cf1cec4e153ac1fdfda915ef98ea8cb655f0a21c117428410b379f7c6",
+                "cc0b647567d6925efd37a87dbd9d724c6bf1e51eee9b2ff85459da324047bf5e",
+            "neuron.float_update":
+                "fd8e89641de355dbefd5b35460c075a2d2a9c2b549f86fa3673f78c7c9d65f37",
+            "neuron.float_update_batch":
+                "fe34e3fcc5eea36b97b3e268536d5968055e0cc8dcef5c6c3e46332419d76200",
         }
         assert [step.clips for step in SHIPPED.values()] == [(13, 36), (13, 36), (6, 36), (6, 36)]
 
